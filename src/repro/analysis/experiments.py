@@ -85,6 +85,19 @@ DEFAULT_CONFIGS: tuple[tuple[int, int], ...] = (
     (12, 1),
 )
 
+#: Router backend of E2, E10 and E11, whose tables show *which* valid fair
+#: distribution the edge colouring finds (every backend meets Theorem 2 but
+#: finds its own).  Pinned, as E3–E7 pin their seeds, and said in the notes.
+TABLE_BACKEND = "konig"
+_TABLE_BACKEND_NOTE = f"{TABLE_BACKEND} (pinned; the session's backend is not used)"
+
+
+def _table_session(session: Session) -> Session:
+    """``session`` on :data:`TABLE_BACKEND`, sharing its schedule cache."""
+    from repro.api.session import Session
+
+    return Session(session.config.replace(router_backend=TABLE_BACKEND), cache=session.cache)
+
 
 @dataclass
 class ExperimentResult:
@@ -150,8 +163,8 @@ def _theorem2_shard(
     through :meth:`~repro.api.session.Session.route_batch`; the per-trial
     metrics are bit-identical, so merged sweep reports are unchanged (only
     cache-counter granularity differs on the batched engine: one batch-level
-    entry per ``d >= g`` shard; ``d < g`` shards take the per-element fast
-    path per the dispatch heuristic in ``_measure_routing_batch``).
+    entry per ``d >= g`` shard, one per row of a ``d < g`` shard, per the
+    shape rule in ``_measure_routing_batch``).
     Returns the sorted slot counts seen, the AND of the
     per-trial bound checks, and the shard's schedule-cache counter deltas
     (memory hits/misses, plus the persistent tier's disk hits/misses when a
@@ -203,21 +216,6 @@ def _sweep_row(d: int, g: int, slots_seen: set[int], verified: bool) -> list[Any
     ]
 
 
-def _shard_context(session: Session, sim_backend: str) -> tuple[Session, dict[str, Any]]:
-    """The in-process shard session and the picklable config for pool workers.
-
-    Both are built from the caller's *whole* config with the engine resolved
-    — the dict round-trips via ``RunConfig(**fields)``, so every config field
-    (cache policy, cache bounds, future additions) survives the process
-    boundary by construction.  The in-process session additionally shares the
-    caller's own schedule cache.
-    """
-    from repro.api.session import Session
-
-    shard_config = session.config.replace(sim_backend=sim_backend)
-    return Session(shard_config, cache=session.cache), shard_config.to_dict()
-
-
 @EXPERIMENTS.register("E1")
 def _theorem2_sweep(
     session: Session,
@@ -227,22 +225,20 @@ def _theorem2_sweep(
 ) -> ExperimentResult:
     """E1: the universal router uses exactly 1 / 2⌈d/g⌉ slots on random permutations.
 
-    Every routing is executed on the simulator (the session's engine, default
-    ``reference``) and verified for delivery.
+    Every routing is executed on the session's engine and verified for
+    delivery.
     """
     trials = session.config.trials if trials is None else trials
     seed = session.config.seed if seed is None else seed
-    backend = session.config.router_backend
-    sim_backend = session.sim_backend("reference")
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     rng = resolve_rng(seed)
-    shard_session, config_fields = _shard_context(session, sim_backend)
+    config_fields = session.config.to_dict()
     rows: list[list[Any]] = []
     for d, g in configs:
         trial_seeds = tuple(derive_trial_seeds(rng.randrange(2**31), trials).tolist())
         slots_seen, verified, _ = _theorem2_shard(
-            (d, g, trial_seeds, config_fields), session=shard_session
+            (d, g, trial_seeds, config_fields), session=session
         )
         rows.append(_sweep_row(d, g, set(slots_seen), verified))
     return ExperimentResult(
@@ -253,8 +249,8 @@ def _theorem2_sweep(
         rows=rows,
         notes={
             "trials per configuration": trials,
-            "backend": backend,
-            "simulator backend": sim_backend,
+            "backend": session.config.router_backend,
+            "simulator backend": session.config.sim_backend,
         },
     )
 
@@ -279,14 +275,14 @@ def _parallel_sweep(
     """
     config = session.config
     trials = config.trials
-    backend = config.router_backend
-    sim_backend = session.sim_backend("batched")
     max_workers = config.workers
     shard_trials = config.shard_trials
     rng = resolve_rng(config.seed)
     config_seeds = [rng.randrange(2**31) for _ in configs]
     shard = trials if shard_trials is None else min(shard_trials, trials)
-    shard_session, config_fields = _shard_context(session, sim_backend)
+    # The whole config crosses the process boundary (it round-trips through
+    # ``RunConfig(**fields)``), so pool workers route exactly as this session.
+    config_fields = config.to_dict()
     tasks = []
     task_config: list[int] = []  # task index -> config index
     for ci, (d, g) in enumerate(configs):
@@ -310,7 +306,7 @@ def _parallel_sweep(
         except (OSError, BrokenProcessPool):  # pragma: no cover - sandboxed hosts
             shards = None
     if shards is None:
-        shards = [_theorem2_shard(task, session=shard_session) for task in tasks]
+        shards = [_theorem2_shard(task, session=session) for task in tasks]
 
     # Merge shard results per configuration (set-union / AND, order-free).
     merged_slots: list[set[int]] = [set() for _ in configs]
@@ -327,8 +323,8 @@ def _parallel_sweep(
     ]
     notes: dict[str, Any] = {
         "trials per configuration": trials,
-        "backend": backend,
-        "simulator backend": sim_backend,
+        "backend": config.router_backend,
+        "simulator backend": config.sim_backend,
         "max workers": max_workers if max_workers is not None else "auto",
     }
     if shard_trials is not None:
@@ -367,12 +363,13 @@ def _figure3_example(session: Session) -> ExperimentResult:
 
     The worked example is fully deterministic — the permutation is fixed by
     Figure 3 and the router draws no randomness — so this experiment consumes
-    the session's seed lineage trivially (no derived seeds needed).
+    the session's seed lineage trivially (no derived seeds needed).  The
+    intermediate-group column is the fair distribution the
+    :data:`TABLE_BACKEND` router finds.
     """
-    backend = session.config.router_backend
     network = POPSNetwork(3, 3)
     pi = figure3_permutation()
-    router = PermutationRouter(network, backend=backend)
+    router = PermutationRouter(network, backend=TABLE_BACKEND)
     plan = router.route(pi)
     simulator = POPSSimulator(network)
     simulator.route_and_verify(plan.schedule, plan.packets)
@@ -409,6 +406,7 @@ def _figure3_example(session: Session) -> ExperimentResult:
             "slots used": plan.n_slots,
             "theorem 2 bound": theorem2_slot_bound(3, 3),
             "list system proper": system.is_proper(),
+            "router backend": _TABLE_BACKEND_NOTE,
         },
     )
 
@@ -863,13 +861,6 @@ def _collective_scale_experiment(
     ``RunConfig.seed`` unless overridden) derives an independent seed per
     random section, so any section reproduces from the root seed alone.
     """
-    from repro.api.session import Session as _Session
-
-    backend = session.config.router_backend
-    engine = session.sim_backend("auto")
-    exec_session = _Session(
-        session.config.replace(sim_backend=engine), cache=session.cache
-    )
     root_seed = session.config.seed if seed is None else seed
     # One derived seed per random section: the all-reduce data of each
     # network shape and the all-to-all/scatter/gather operand tables.
@@ -881,7 +872,7 @@ def _collective_scale_experiment(
         network = POPSNetwork(d, g)
         speaker = network.n // 2
         values, slots = execute_broadcast(
-            network, speaker=speaker, payload="token", session=exec_session,
+            network, speaker=speaker, payload="token", session=session,
             cache_key=("E9-broadcast", d, g, speaker),
         )
         rows.append(
@@ -903,7 +894,7 @@ def _collective_scale_experiment(
         data = [rng.randint(0, 100) for _ in range(network.n)]
         expected_slots = theorem2_slot_bound(d, g) * (network.n.bit_length() - 1)
         reduced, slots = hypercube_allreduce(
-            network, data, lambda a, b: a + b, session=exec_session
+            network, data, lambda a, b: a + b, session=session
         )
         rows.append(
             [
@@ -922,7 +913,7 @@ def _collective_scale_experiment(
     network = POPSNetwork(4, 4)
     n = network.n
     table = [[rng.randint(0, 999) for _ in range(n)] for _ in range(n)]
-    received, slots = all_to_all_personalized(network, table, session=exec_session)
+    received, slots = all_to_all_personalized(network, table, session=session)
     bound = (n - 1) * theorem2_slot_bound(4, 4)
     rows.append(
         [
@@ -937,11 +928,11 @@ def _collective_scale_experiment(
         ]
     )
     flat = [rng.randint(0, 999) for _ in range(n)]
-    scattered, slots = scatter(network, 3, flat, session=exec_session)
+    scattered, slots = scatter(network, 3, flat, session=session)
     rows.append(
         ["scatter", 4, 4, n, bound, slots, slots <= bound and scattered == flat]
     )
-    collected, slots = gather(network, 3, flat, session=exec_session)
+    collected, slots = gather(network, 3, flat, session=session)
     rows.append(
         ["gather", 4, 4, n, bound, slots, slots <= bound and collected == flat]
     )
@@ -957,8 +948,8 @@ def _collective_scale_experiment(
         headers=["collective", "d", "g", "n", "expected slots", "slots", "correct"],
         rows=rows,
         notes={
-            "backend": backend,
-            "simulator backend": engine,
+            "backend": session.config.router_backend,
+            "simulator backend": session.config.sim_backend,
             "largest broadcast n": max(d * g for d, g in broadcast_configs),
         },
     )
@@ -989,6 +980,7 @@ def _fault_degradation_experiment(
     from repro.faults import FaultSpec
 
     root_seed = session.config.seed if seed is None else seed
+    table_session = _table_session(session)
     rows: list[list[Any]] = []
     for ci, (d, g) in enumerate(configs):
         network = POPSNetwork(d, g)
@@ -1002,7 +994,9 @@ def _fault_degradation_experiment(
                 seed=trial_seed,
                 onset_slot=1 if fraction else 0,
             )
-            report = session.route_degraded(pi, network=network, faults=spec)
+            report = table_session.route_degraded(
+                pi, network=network, faults=spec
+            )
             rows.append(
                 [
                     d,
@@ -1027,7 +1021,7 @@ def _fault_degradation_experiment(
             "d", "g", "failed fraction", "failed couplers",
             "theorem2 bound", "total slots", "overhead ratio", "delivered",
         ],
-        notes={"fractions": list(fractions), "hub group": 0},
+        notes={"fractions": list(fractions), "hub group": 0, "router backend": _TABLE_BACKEND_NOTE},
         rows=rows,
     )
 
@@ -1054,11 +1048,11 @@ def _online_vs_full_reroute(
     total inside twice the clean bound (the contract
     ``benchmarks/bench_faults.py`` enforces as a floor).
     """
-    from repro.faults import FaultSpec, full_reroute, route_with_recovery
+    from repro.faults import FaultSpec, full_reroute
     from repro.routing.permutation_router import PermutationRouter
 
     root_seed = session.config.seed if seed is None else seed
-    backend = session.config.router_backend
+    table_session = _table_session(session)
     rows: list[list[Any]] = []
     for ci, (d, g) in enumerate(configs):
         network = POPSNetwork(d, g)
@@ -1068,7 +1062,7 @@ def _online_vs_full_reroute(
         # Fail a coupler the clean plan actually drives at slot >= 1, so the
         # injection is guaranteed to trigger; prefer one not touching group 0
         # (the hub), keeping a two-hop survivor path for every group pair.
-        plan = PermutationRouter(network, backend=backend).route(pi)
+        plan = PermutationRouter(network, backend=TABLE_BACKEND).route(pi)
         driven = [
             t.coupler
             for slot in plan.schedule.slots[1:]
@@ -1082,7 +1076,7 @@ def _online_vs_full_reroute(
             failed_couplers=((target.dest_group, target.source_group),),
             onset_slot=1,
         )
-        report = route_with_recovery(network, pi, spec, router_backend=backend)
+        report = table_session.route_degraded(pi, network=network, faults=spec)
         full = full_reroute(network, pi, spec)
         ok = (
             report.delivered
@@ -1114,7 +1108,10 @@ def _online_vs_full_reroute(
             "d", "g", "theorem2 bound", "executed slots", "residual packets",
             "reroute slots", "online total", "full re-route slots", "ok",
         ],
-        notes={"failure": "one random non-hub coupler, onset slot 1"},
+        notes={
+            "failure": "one random non-hub coupler, onset slot 1",
+            "router backend": _TABLE_BACKEND_NOTE,
+        },
         rows=rows,
     )
 
@@ -1152,7 +1149,7 @@ def _serving_under_faults(
     network = POPSNetwork(d, g)
     spec = FaultSpec.random(network, n_couplers=1, seed=root_seed, onset_slot=0)
     daemon = ServeDaemon(
-        session.config.replace(sim_backend=None),
+        session.config,
         batch_window_ms=1.0,
         faults=spec,
         fault_rate=1.0,

@@ -19,13 +19,18 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from repro.obs import get_tracer
+from repro.pops.engine import BatchedSimulator
 from repro.pops.simulator import POPSSimulator
 from repro.pops.topology import POPSNetwork
-from repro.routing.lower_bounds import best_known_lower_bound
+from repro.routing.lower_bounds import (
+    best_known_lower_bound,
+    best_known_lower_bound_stack,
+)
 from repro.routing.permutation_router import (
     PermutationRouter,
     theorem2_slot_bound,
 )
+from repro.utils.validation import check_permutation_stack
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.pops.engine import ScheduleCache
@@ -135,203 +140,154 @@ def _measure_routing_batch(
     network: POPSNetwork,
     pis,
     *,
-    router_backend: str = "konig",
+    router_backend: str,
+    sim_backend: str,
     verify: bool = True,
-    sim_backend: str = "reference",
     use_cache: bool = True,
     cache: ScheduleCache | None = None,
-    prefer_batch: bool | None = None,
+    validate: bool = True,
 ) -> list[RoutingMetrics]:
-    """Batched :func:`_measure_routing` over a ``(B, n)`` permutation stack.
+    """Route a ``(B, n)`` permutation stack; simulate, verify and summarise.
 
-    On the batched/auto engines the whole stack takes the megabatch pipeline —
-    one batched route, one batched execution, one batched verification, one
-    compiled batch trace — and entry ``b`` of the result is bit-identical
-    (field by field, including dtypes) to ``_measure_routing(network,
-    pis[b], ...)``.  Other engines fall back to the per-element loop, so the
-    function is safe for any registered backend; only the batched path changes
-    cache granularity (one batch-level entry under
-    :func:`routing_cache_key_batch` instead of ``B`` per-permutation entries).
+    The one routing pipeline: :meth:`repro.api.session.Session.route` is its
+    ``(1, n)`` case and :meth:`~repro.api.session.Session.route_batch` the
+    general one.  On the batched/auto engines the stack takes the megabatch
+    path — one batched route, execution, verification, compiled trace and
+    bound reduction — with the plan memoised in ``cache`` (the process-wide
+    cache when ``None``) under :func:`routing_cache_key_batch`.  Other engines
+    measure each row on the object pipeline (:func:`_measure_routing`, the
+    arbiter).  Entry ``b`` is equal, field types included, whichever path ran.
 
-    ``prefer_batch`` overrides the batch-dispatch shape heuristic: by default
-    (``None``) ``d < g`` stacks take the per-element fast path even on the
-    batched engines, because the batched plan builders pad every element's
-    round structure to the worst case and measurably *lose* to the loop there
-    (0.8x at ``d = 16, g = 64``; the two paths are bit-identical, so dispatch
-    is purely a performance decision, pinned in ``tests/test_megabatch.py``).
-    Pass ``True``/``False`` to force a path regardless of shape.
+    ``d < g`` stacks are routed as ``(1, n)`` slices: the batched plan builders
+    pad every element's round structure to the worst case, and the whole stack
+    loses at shapes like 8×128 (0.36–0.41x the speed of per-row routing for
+    B = 8 and 64 on a 2-core x86-64 VM).
+    ``validate=False`` skips the stack check for callers that already hold
+    the validated int64 image stack.
     """
-    from repro.routing.lower_bounds import best_known_lower_bound_stack
-    from repro.utils.validation import check_permutation_stack
-
-    tracer = get_tracer()
-    images = check_permutation_stack(pis, network.n)
-    batch_pays_off = (
-        prefer_batch if prefer_batch is not None else network.d >= network.g
-    )
-    if sim_backend not in ("batched", "auto") or not batch_pays_off:
-        return [
-            _measure_routing(
-                network,
-                images[b].tolist(),
-                router_backend=router_backend,
-                verify=verify,
-                sim_backend=sim_backend,
-                use_cache=use_cache,
-                cache=cache,
+    images = check_permutation_stack(pis, network.n) if validate else pis
+    with get_tracer().span(
+        "session.route", d=network.d, g=network.g, n=network.n,
+        batch=int(images.shape[0]),
+    ) as span:
+        if sim_backend not in ("batched", "auto"):
+            return [
+                _measure_routing(
+                    network, row.tolist(), span, router_backend, verify,
+                    sim_backend, use_cache, cache,
+                )
+                for row in images
+            ]
+        if network.d >= network.g:
+            return _route_stack(
+                network, images, span, router_backend, verify, use_cache, cache
             )
+        return [
+            _route_stack(
+                network, images[b:b + 1], span, router_backend, verify,
+                use_cache, cache,
+            )[0]
             for b in range(images.shape[0])
         ]
 
-    from repro.pops.engine import BatchedSimulator
 
-    with tracer.span(
-        "session.route_batch", d=network.d, g=network.g, n=network.n,
-        batch=int(images.shape[0]),
-    ):
-        with tracer.span("route.setup"):
-            router = PermutationRouter(
-                network, backend=router_backend, verify=verify
-            )
-            cache_key = (
-                routing_cache_key_batch(router_backend, network, images)
-                if use_cache
-                else None
-            )
-            engine = BatchedSimulator(network)
-        with tracer.span("route.compile"):
-            batch = router.route_compiled_batch(
-                images, cache_key=cache_key, cache=cache, validate=False
-            )
-        with tracer.span("engine.execute"):
-            locations = engine.execute_batch(batch)
-        with tracer.span("engine.verify"):
-            engine.verify_locations_batch(batch, locations)
-        with tracer.span("engine.trace"):
-            trace = engine.compiled_trace_batch(batch)
-        with tracer.span("metrics.bounds"):
-            lower = best_known_lower_bound_stack(network, images, validate=False)
-            bound = theorem2_slot_bound(network.d, network.g)
-        with tracer.span("metrics.summarise"):
-            utilisation = trace.mean_coupler_utilisation(network.n_couplers)
-            return [
-                RoutingMetrics(
-                    d=network.d,
-                    g=network.g,
-                    n=network.n,
-                    slots=batch.n_slots,
-                    theorem2_bound=bound,
-                    lower_bound=int(lower[b]),
-                    couplers_used_total=trace.total_packets_moved,
-                    mean_coupler_utilisation=utilisation,
-                )
-                for b in range(batch.n_batch)
-            ]
+def _route_stack(
+    network: POPSNetwork,
+    images: np.ndarray,
+    span,
+    router_backend: str,
+    verify: bool,
+    use_cache: bool,
+    cache: ScheduleCache | None,
+) -> list[RoutingMetrics]:
+    """The megabatch path of :func:`_measure_routing_batch`: one stack, as stages of ``span``."""
+    span.stage = "route.setup"
+    router = PermutationRouter(network, backend=router_backend, verify=verify)
+    cache_key = (
+        routing_cache_key_batch(router_backend, network, images)
+        if use_cache
+        else None
+    )
+    engine = BatchedSimulator(network)
+    span.stage = "route.compile"
+    batch = router.route_compiled_batch(
+        images, cache_key=cache_key, cache=cache, validate=False
+    )
+    span.stage = "engine.execute"
+    locations = engine.execute_batch(batch)
+    engine.verify_locations_batch(batch, locations)
+    span.stage = "metrics.bounds"
+    lower = best_known_lower_bound_stack(network, images, validate=False)
+    bound = theorem2_slot_bound(network.d, network.g)
+    span.stage = "metrics.summarise"
+    trace = engine.compiled_trace_batch(batch)
+    utilisation = trace.mean_coupler_utilisation(network.n_couplers)
+    return [
+        RoutingMetrics(
+            d=network.d,
+            g=network.g,
+            n=network.n,
+            slots=batch.n_slots,
+            theorem2_bound=bound,
+            lower_bound=int(lower[b]),
+            couplers_used_total=trace.total_packets_moved,
+            mean_coupler_utilisation=utilisation,
+        )
+        for b in range(batch.n_batch)
+    ]
 
 
 def _measure_routing(
     network: POPSNetwork,
     pi: Sequence[int],
-    *,
-    router_backend: str = "konig",
-    verify: bool = True,
-    sim_backend: str = "reference",
-    use_cache: bool = True,
-    cache: ScheduleCache | None = None,
+    span,
+    router_backend: str,
+    verify: bool,
+    sim_backend: str,
+    use_cache: bool,
+    cache: ScheduleCache | None,
 ) -> RoutingMetrics:
-    """Route ``pi`` with the universal router, simulate, verify, and summarise.
+    """Route ``pi`` on the object pipeline, simulate, verify, and summarise.
 
-    The implementation behind :meth:`repro.api.session.Session.route`.
-    ``router_backend`` selects the edge-colouring backend of the router;
-    ``sim_backend`` selects the simulator engine (any name registered in
-    :data:`repro.api.registry.SIM_ENGINES`).  On compiled engines the trace
-    stays compiled (integer arrays; statistics are numpy reductions — both
-    trace representations yield identical metrics, so no materialisation
-    happens here), and, with ``use_cache``, the lowered
-    schedule is memoised in ``cache`` (the process-wide cache when ``None``)
-    under ``(router backend, d, g, permutation)`` — sound because the router
-    is deterministic — so repeated measurements of the same permutation skip
-    lowering.  Hits come from re-measuring the same permutation in one
-    process: repeated sweeps with the same seed, named families, benchmark
-    loops.  A single sweep of *fresh* random permutations is all misses by
-    design (no sound key could collapse distinct permutations), which the
-    ``--cache-stats`` counters make visible; the cache's byte bound keeps
-    that case cheap.
+    The arbiter path of :func:`_measure_routing_batch`, taken for every
+    engine except batched/auto: the router builds per-packet schedule objects
+    and ``sim_backend`` (any name registered in
+    :data:`repro.api.registry.SIM_ENGINES`) executes them.  With
+    ``use_cache``, engines other than ``reference`` — which has no compile
+    step — memoise their compiled schedule in ``cache`` under
+    :func:`routing_cache_key`, sound because the router is deterministic.
+    Its steps are timed as stages of ``span``, the ``session.route`` span.
     """
-    tracer = get_tracer()
-    with tracer.span("session.route", d=network.d, g=network.g, n=network.n):
-        if sim_backend in ("batched", "auto"):
-            # Array-native fast path: the router emits the compiled-schedule
-            # arrays directly (bit-identical to routing object-level and
-            # lowering, so metrics and cache entries are unchanged), the batched
-            # engine executes them, and no per-packet Python objects are built.
-            # A permutation plan is always a consuming schedule, so "auto"
-            # resolves to the batched engine without probing.  The cache key
-            # covers the plan stage: a hit skips route construction entirely.
-            from repro.pops.engine import BatchedSimulator
-            from repro.utils.validation import check_permutation_array
-
-            with tracer.span("route.setup"):
-                router = PermutationRouter(
-                    network, backend=router_backend, verify=verify
-                )
-                images = check_permutation_array(pi, network.n)
-                cache_key = (
-                    routing_cache_key(router_backend, network, images)
-                    if use_cache
-                    else None
-                )
-                engine = BatchedSimulator(network)
-            with tracer.span("route.compile"):
-                compiled = router.route_compiled(
-                    images, cache_key=cache_key, cache=cache
-                )
-            with tracer.span("engine.execute"):
-                locations = engine.execute(compiled)
-            with tracer.span("engine.verify"):
-                engine.verify_locations(compiled, locations)
-            slots = compiled.n_slots
-            with tracer.span("engine.trace"):
-                trace = engine.compiled_trace(compiled)
-        else:
-            with tracer.span("route.setup"):
-                router = PermutationRouter(
-                    network, backend=router_backend, verify=verify
-                )
-                simulator = POPSSimulator(network, backend=sim_backend)
-            with tracer.span("route.compile"):
-                plan = router.route(pi)
-            with tracer.span("engine.execute"):
-                # Every engine except the reference one gets the cache key:
-                # the reference engine has no compile step to memoise, while
-                # plugin engines registered in SIM_ENGINES may cache compiled
-                # artefacts exactly like "batched".
-                cache_key = (
-                    routing_cache_key(router_backend, network, plan.permutation)
-                    if use_cache and sim_backend != "reference"
-                    else None
-                )
-                result = simulator.route_and_verify(
-                    plan.schedule, plan.packets, cache_key=cache_key, cache=cache
-                )
-            slots = plan.n_slots
-            trace = result.trace
-        with tracer.span("metrics.bounds"):
-            bound = theorem2_slot_bound(network.d, network.g)
-            lower = best_known_lower_bound(network, pi)
-        with tracer.span("metrics.summarise"):
-            return RoutingMetrics(
-                d=network.d,
-                g=network.g,
-                n=network.n,
-                slots=slots,
-                theorem2_bound=bound,
-                lower_bound=lower,
-                couplers_used_total=trace.total_packets_moved,
-                mean_coupler_utilisation=trace.mean_coupler_utilisation(
-                    network.n_couplers
-                ),
-            )
+    span.stage = "route.setup"
+    router = PermutationRouter(network, backend=router_backend, verify=verify)
+    simulator = POPSSimulator(network, backend=sim_backend)
+    span.stage = "route.compile"
+    plan = router.route(pi)
+    span.stage = "engine.execute"
+    cache_key = (
+        routing_cache_key(router_backend, network, plan.permutation)
+        if use_cache and sim_backend != "reference"
+        else None
+    )
+    result = simulator.route_and_verify(
+        plan.schedule, plan.packets, cache_key=cache_key, cache=cache
+    )
+    span.stage = "metrics.bounds"
+    bound = theorem2_slot_bound(network.d, network.g)
+    lower = best_known_lower_bound(network, plan.permutation)
+    span.stage = "metrics.summarise"
+    return RoutingMetrics(
+        d=network.d,
+        g=network.g,
+        n=network.n,
+        slots=plan.n_slots,
+        theorem2_bound=bound,
+        lower_bound=lower,
+        couplers_used_total=result.trace.total_packets_moved,
+        mean_coupler_utilisation=result.trace.mean_coupler_utilisation(
+            network.n_couplers
+        ),
+    )
 
 
 def slots_vs_bound(network: POPSNetwork, slots: int) -> float:
@@ -341,4 +297,7 @@ def slots_vs_bound(network: POPSNetwork, slots: int) -> float:
 
 def coupler_utilisation(network: POPSNetwork, pi: Sequence[int], backend: str = "konig") -> float:
     """Mean fraction of couplers busy per slot for the routed permutation."""
-    return _measure_routing(network, pi, router_backend=backend).mean_coupler_utilisation
+    (metrics,) = _measure_routing_batch(
+        network, [pi], router_backend=backend, sim_backend="reference"
+    )
+    return metrics.mean_coupler_utilisation

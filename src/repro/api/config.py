@@ -66,12 +66,15 @@ class RunConfig:
     ----------
     router_backend:
         Edge-colouring backend for the fair distribution; must be registered
-        in :data:`~repro.api.registry.ROUTER_BACKENDS`.
+        in :data:`~repro.api.registry.ROUTER_BACKENDS`.  The default
+        ``"euler-array"`` is the array-native fast path; the object-level
+        ``"konig"``/``"euler"`` backends are the arbiters it is tested against.
     sim_backend:
         Simulator engine, registered in
-        :data:`~repro.api.registry.SIM_ENGINES` — or ``None`` to keep each
-        operation's historical default (``"reference"`` for single routings
-        and the E1 sweep, ``"batched"`` for parallel sweeps).
+        :data:`~repro.api.registry.SIM_ENGINES`.  The default ``"batched"``
+        feeds the megabatch pipeline; ``"reference"`` is the slot-by-slot
+        arbiter.  Every operation — routes, sweeps, experiments, the serving
+        daemon — uses this one engine.
     cache_policy:
         ``"on"`` (default) lets batched runs memoise compiled schedules in the
         session's :class:`~repro.pops.engine.ScheduleCache`; ``"off"``
@@ -109,8 +112,8 @@ class RunConfig:
         store and share plans instead of recompiling per process.
     """
 
-    router_backend: str = "konig"
-    sim_backend: str | None = None
+    router_backend: str = "euler-array"
+    sim_backend: str = "batched"
     cache_policy: str = "on"
     cache_max_entries: int = DEFAULT_CACHE_MAX_ENTRIES
     cache_max_bytes: int = DEFAULT_CACHE_MAX_BYTES
@@ -145,7 +148,7 @@ class RunConfig:
                 f"unknown router backend {self.router_backend!r}; "
                 f"available: {sorted(ROUTER_BACKENDS.names())}"
             )
-        if self.sim_backend is not None and self.sim_backend not in SIM_ENGINES:
+        if self.sim_backend not in SIM_ENGINES:
             raise ConfigurationError(
                 f"unknown simulator engine {self.sim_backend!r}; "
                 f"available: {sorted(SIM_ENGINES.names())}"
@@ -187,10 +190,6 @@ class RunConfig:
     def replace(self, **changes: Any) -> RunConfig:
         """A copy with ``changes`` applied; the copy re-validates."""
         return dataclasses.replace(self, **changes)
-
-    def resolved_sim_backend(self, default: str = "reference") -> str:
-        """The simulator engine to use, falling back to an operation default."""
-        return self.sim_backend if self.sim_backend is not None else default
 
     # -- conversion ---------------------------------------------------------
 

@@ -35,6 +35,7 @@ from repro.pops.schedule import RoutingSchedule
 from repro.pops.simulator import POPSSimulator, SimulationResult
 from repro.pops.topology import POPSNetwork
 from repro.utils.rng import resolve_rng
+from repro.utils.validation import check_permutation_array
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.analysis.experiments import ExperimentResult
@@ -61,6 +62,17 @@ def derive_trial_seeds(seed: int, trials: int) -> np.ndarray:
         dtype=np.int64,
         count=trials,
     )
+
+
+def _resolve_network(
+    method: str, network: POPSNetwork | None, d: int | None, g: int | None
+) -> POPSNetwork:
+    """``network``, or ``POPSNetwork(d, g)`` when only the dimensions are given."""
+    if network is not None:
+        return network
+    if d is None or g is None:
+        raise ConfigurationError(f"{method}() needs either network= or both d= and g=")
+    return POPSNetwork(d, g)
 
 
 class Session:
@@ -111,15 +123,9 @@ class Session:
 
     # -- component factories ------------------------------------------------
 
-    def sim_backend(self, default: str = "reference") -> str:
-        """The configured simulator engine, or ``default`` when unset."""
-        return self.config.resolved_sim_backend(default)
-
-    def simulator(
-        self, network: POPSNetwork, *, default_backend: str = "reference"
-    ) -> POPSSimulator:
+    def simulator(self, network: POPSNetwork) -> POPSSimulator:
         """A simulator for ``network`` using the configured engine."""
-        return POPSSimulator(network, backend=self.sim_backend(default_backend))
+        return POPSSimulator(network, backend=self.config.sim_backend)
 
     def trial_seeds(self, trials: int, seed: int | None = None) -> np.ndarray:
         """Per-trial seeds from the session lineage (root: ``config.seed``)."""
@@ -151,32 +157,21 @@ class Session:
         The target network is given either as ``network=`` or as ``d=``/``g=``.
         Router backend, simulator engine, cache policy and trace mode all come
         from the session config; compiled schedules are memoised in the
-        session's cache.
+        session's cache.  ``pi`` is validated once and routed as the ``(1, n)``
+        row of the batch pipeline, so the result equals ``route_batch``'s
+        entry for the same permutation, and both share cache entries.
 
         The call is span-instrumented: when a tracer is installed via
         :func:`repro.obs.set_tracer` (the CLI's ``--profile``/``--trace-out``
-        do this), it emits a ``session.route`` root span with
-        ``route.setup``/``cache.probe``/``engine.*``/``metrics.*`` children;
-        with the default :data:`repro.obs.NULL_TRACER` the instrumentation
-        is a no-op (<1% of a warm route, see ``benchmarks/bench_obs.py``).
+        do this), it emits a ``session.route`` root span (``batch=1``) cut
+        into ``route.setup``/``route.compile``/``engine.execute``/
+        ``metrics.*`` stages; with the default :data:`repro.obs.NULL_TRACER`
+        the instrumentation is a no-op (<1% of a warm route, see
+        ``benchmarks/bench_obs.py``).
         """
-        from repro.analysis.metrics import _measure_routing
-
-        if network is None:
-            if d is None or g is None:
-                raise ConfigurationError(
-                    "route() needs either network= or both d= and g="
-                )
-            network = POPSNetwork(d, g)
-        return _measure_routing(
-            network,
-            pi,
-            router_backend=self.config.router_backend,
-            verify=verify,
-            sim_backend=self.sim_backend("reference"),
-            use_cache=self.config.cache_policy == "on",
-            cache=self.cache,
-        )
+        network = _resolve_network("route", network, d, g)
+        images = check_permutation_array(pi, network.n)
+        return self._measure(network, images[None, :], verify, validate=False)[0]
 
     def route_batch(
         self,
@@ -189,38 +184,30 @@ class Session:
     ) -> list[RoutingMetrics]:
         """Route a ``(B, n)`` permutation stack on the megabatch pipeline.
 
-        The batched twin of :meth:`route`: on the batched/auto engines the
-        whole stack is routed, executed, verified and summarised in one
-        batched pass, and entry ``b`` of the returned list is bit-identical
-        to ``route(pis[b])``.  Other engines measure element by element, so
-        the method is safe under any configured backend.  Configuration
-        (router backend, engine, cache policy) comes from the session; on the
-        batched path the cache holds one batch-level entry per stack.
-
-        Dispatch is shape-aware: ``d < g`` stacks take the per-element fast
-        path even on the batched engines, where the padded batch plan
-        builders measurably lose to the loop (bit-identical results either
-        way — see ``_measure_routing_batch``).
-
-        Span-instrumented like :meth:`route`, under a ``session.route_batch``
-        root (one span tree for the whole stack on the batched path).
+        Entry ``b`` of the returned list equals ``route(pis[b])``, field types
+        included.  Configuration comes from the session, as for
+        :meth:`route`; on the batched engines the cache holds one batch-level
+        entry per stack (per row for ``d < g``, which routes row by row — see
+        ``_measure_routing_batch``).  Span-instrumented like :meth:`route`,
+        under one ``session.route`` root with ``batch=B``.
         """
+        network = _resolve_network("route_batch", network, d, g)
+        return self._measure(network, pis, verify)
+
+    def _measure(
+        self, network: POPSNetwork, pis, verify: bool, validate: bool = True
+    ) -> list[RoutingMetrics]:
         from repro.analysis.metrics import _measure_routing_batch
 
-        if network is None:
-            if d is None or g is None:
-                raise ConfigurationError(
-                    "route_batch() needs either network= or both d= and g="
-                )
-            network = POPSNetwork(d, g)
         return _measure_routing_batch(
             network,
             pis,
             router_backend=self.config.router_backend,
             verify=verify,
-            sim_backend=self.sim_backend("reference"),
+            sim_backend=self.config.sim_backend,
             use_cache=self.config.cache_policy == "on",
             cache=self.cache,
+            validate=validate,
         )
 
     def route_compiled(
@@ -234,35 +221,29 @@ class Session:
     ):
         """Compile the Theorem 2 plan for ``pi`` straight to schedule arrays.
 
-        The array-native routing front end
+        Returns the :class:`~repro.pops.engine.CompiledSchedule` ready for the
+        batched engines, bit-identical to routing object-level and compiling:
+        element 0 of the ``(1, n)`` batch plan
         (:meth:`~repro.routing.permutation_router.PermutationRouter.
-        route_compiled`): returns the
-        :class:`~repro.pops.engine.CompiledSchedule` ready for the batched
-        engines, bit-identical to routing object-level and compiling, with
-        no intermediate per-packet Python objects for the array router
-        backends (``"konig-array"`` / ``"euler-array"``; other backends fall
-        back transparently).  With the cache policy ``"on"`` the plan is
-        memoised in the session cache under the deterministic-router key, so
-        re-routing a seen permutation skips construction entirely.
+        route_compiled_batch`).  With the cache policy ``"on"`` the batch plan
+        is memoised in the session cache under the same key :meth:`route`
+        uses, so either call warms the other.
         """
-        from repro.analysis.metrics import routing_cache_key
+        from repro.analysis.metrics import routing_cache_key_batch
         from repro.routing.permutation_router import PermutationRouter
 
-        if network is None:
-            if d is None or g is None:
-                raise ConfigurationError(
-                    "route_compiled() needs either network= or both d= and g="
-                )
-            network = POPSNetwork(d, g)
-        router = PermutationRouter(
-            network, backend=self.config.router_backend, verify=verify
-        )
+        network = _resolve_network("route_compiled", network, d, g)
+        images = check_permutation_array(pi, network.n)[None, :]
+        backend = self.config.router_backend
         cache_key = (
-            routing_cache_key(self.config.router_backend, network, pi)
+            routing_cache_key_batch(backend, network, images)
             if self.config.cache_policy == "on"
             else None
         )
-        return router.route_compiled(pi, cache_key=cache_key, cache=self.cache)
+        router = PermutationRouter(network, backend=backend, verify=verify)
+        return router.route_compiled_batch(
+            images, cache_key=cache_key, cache=self.cache, validate=False
+        ).element(0)
 
     def route_degraded(
         self,
@@ -292,12 +273,7 @@ class Session:
             raise ConfigurationError(
                 f"faults must be a FaultSpec, got {type(faults).__name__}"
             )
-        if network is None:
-            if d is None or g is None:
-                raise ConfigurationError(
-                    "route_degraded() needs either network= or both d= and g="
-                )
-            network = POPSNetwork(d, g)
+        network = _resolve_network("route_degraded", network, d, g)
         return route_with_recovery(
             network, pi, faults, router_backend=self.config.router_backend
         )

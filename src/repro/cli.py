@@ -15,26 +15,19 @@ Run a single experiment::
 
     pops-repro run E1
 
-Route a named permutation family on a chosen network and show the metrics::
+Route a named permutation family on a chosen network and show the metrics.
+Every command defaults to the array-native fast path — the ``euler-array``
+router on the ``batched`` engine, no per-packet Python objects::
 
     pops-repro route --d 8 --g 4 --family vector_reversal
+    pops-repro route --d 32 --g 32 --family perfect_shuffle --format json
 
-Route on the vectorized batched simulator backend, as JSON::
+Route on the object-level arbiter instead (the ``konig`` router on the
+slot-by-slot ``reference`` simulator), or let the engine be picked by
+schedule shape (``auto``)::
 
-    pops-repro route --d 32 --g 32 --family perfect_shuffle \\
-        --sim-backend batched --format json
-
-Let the engine be picked by schedule shape (batched for consuming
-permutation schedules, batched-collective for packet-duplicating
-broadcast/collective schedules, reference as the last resort)::
-
+    pops-repro route --d 8 --g 4 --backend konig --sim-backend reference
     pops-repro route --d 32 --g 32 --sim-backend auto
-
-Route with the array-native front end end to end — vectorized edge colouring
-(``konig-array`` / ``euler-array``) feeding the compiled-schedule fast path of
-the batched engine, no per-packet Python objects::
-
-    pops-repro route --d 32 --g 32 --backend euler-array --sim-backend batched
 
 Run the collective-scale experiment on the multi-location engine::
 
@@ -67,7 +60,7 @@ Profile where a run spends its time (``--profile`` prints the per-stage
 time/percentage tree; ``--trace-out`` exports the raw spans, in JSONL or
 chrome://tracing format — both also work on ``sweep`` and ``run``)::
 
-    pops-repro route --d 32 --g 32 --sim-backend batched --profile
+    pops-repro route --d 32 --g 32 --profile
     pops-repro sweep --configs 16:16 --trace-out trace.jsonl
     pops-repro route --d 8 --g 4 --trace-out trace.json --trace-format chrome
 
@@ -214,6 +207,48 @@ def _add_plan_store_flag(subparser: argparse.ArgumentParser, required: bool = Fa
     )
 
 
+def _add_backend_flags(
+    subparser: argparse.ArgumentParser,
+    sim_help: str | None = None,
+    router_help: str = "edge-colouring backend for the fair distribution",
+) -> None:
+    """``--backend`` (and ``--sim-backend`` when ``sim_help`` is given).
+
+    Both default to ``None``, which :meth:`RunConfig.from_cli_args` lowers
+    to the :class:`RunConfig` defaults — one default pair for every command.
+    """
+    subparser.add_argument(
+        "--backend",
+        choices=ROUTER_BACKENDS.names(),
+        default=None,
+        help=f"{router_help} (default: {RunConfig.router_backend})",
+    )
+    if sim_help is not None:
+        subparser.add_argument(
+            "--sim-backend",
+            choices=SIM_ENGINES.names(),
+            default=None,
+            help=f"{sim_help} (default: {RunConfig.sim_backend})",
+        )
+
+
+def _add_sweep_flags(subparser: argparse.ArgumentParser) -> None:
+    """``--configs`` / ``--trials`` / ``--seed`` of the Theorem 2 sweep."""
+    subparser.add_argument(
+        "--configs",
+        type=_parse_sweep_configs,
+        default=None,
+        help="comma-separated d:g pairs (e.g. 8:4,16:4); default: the E1 sweep",
+    )
+    subparser.add_argument(
+        "--trials", type=int, default=None,
+        help=f"trials per configuration (default: {RunConfig.trials})",
+    )
+    subparser.add_argument(
+        "--seed", type=int, default=None, help=f"RNG seed (default: {RunConfig.seed})"
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Build the argument parser for the ``pops-repro`` entry point."""
     parser = argparse.ArgumentParser(
@@ -244,21 +279,12 @@ def build_parser() -> argparse.ArgumentParser:
         default="vector_reversal",
         help="named permutation family to route",
     )
-    route.add_argument(
-        "--backend",
-        choices=ROUTER_BACKENDS.names(),
-        default="konig",
-        help="edge-colouring backend for the fair distribution",
-    )
-    route.add_argument(
-        "--sim-backend",
-        choices=SIM_ENGINES.names(),
-        default="reference",
-        help=(
-            "simulator backend (batched = vectorized fast path, "
-            "batched-collective = vectorized multi-location engine for "
-            "broadcast/collective schedules, auto = pick by schedule shape)"
-        ),
+    _add_backend_flags(
+        route,
+        "simulator engine (batched = vectorized fast path, "
+        "batched-collective = vectorized multi-location engine for "
+        "broadcast/collective schedules, auto = pick by schedule shape, "
+        "reference = slot-by-slot arbiter)",
     )
     route.add_argument(
         "--faults",
@@ -279,26 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep",
         help="run the Theorem 2 sweep fanned across worker processes",
     )
-    sweep.add_argument(
-        "--configs",
-        type=_parse_sweep_configs,
-        default=None,
-        help="comma-separated d:g pairs (e.g. 8:4,16:4); default: the E1 sweep",
-    )
-    sweep.add_argument("--trials", type=int, default=3, help="trials per configuration")
-    sweep.add_argument("--seed", type=int, default=2002, help="RNG seed")
-    sweep.add_argument(
-        "--backend",
-        choices=ROUTER_BACKENDS.names(),
-        default="konig",
-        help="edge-colouring backend for the fair distribution",
-    )
-    sweep.add_argument(
-        "--sim-backend",
-        choices=SIM_ENGINES.names(),
-        default="batched",
-        help="simulator backend (batched = vectorized fast path)",
-    )
+    _add_sweep_flags(sweep)
+    _add_backend_flags(sweep, "simulator engine (batched = vectorized fast path)")
     sweep.add_argument(
         "--workers",
         type=int,
@@ -348,17 +356,10 @@ def build_parser() -> argparse.ArgumentParser:
             "scripts starting the daemon with --port 0)"
         ),
     )
-    serve.add_argument(
-        "--backend",
-        choices=ROUTER_BACKENDS.names(),
-        default="euler-array",
-        help="edge-colouring backend requests use unless they name one",
-    )
-    serve.add_argument(
-        "--sim-backend",
-        choices=SIM_ENGINES.names(),
-        default="batched",
-        help="simulator engine (batched = the megabatch fast path)",
+    _add_backend_flags(
+        serve,
+        "simulator engine (batched = the megabatch fast path)",
+        router_help="edge-colouring backend requests use unless they name one",
     )
     serve.add_argument(
         "--batch-window-ms",
@@ -468,20 +469,8 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     _add_plan_store_flag(cache_warm, required=True)
-    cache_warm.add_argument(
-        "--configs",
-        type=_parse_sweep_configs,
-        default=None,
-        help="comma-separated d:g pairs (e.g. 8:4,16:4); default: the E1 sweep",
-    )
-    cache_warm.add_argument("--trials", type=int, default=3, help="trials per configuration")
-    cache_warm.add_argument("--seed", type=int, default=2002, help="RNG seed")
-    cache_warm.add_argument(
-        "--backend",
-        choices=ROUTER_BACKENDS.names(),
-        default="konig",
-        help="edge-colouring backend for the fair distribution",
-    )
+    _add_sweep_flags(cache_warm)
+    _add_backend_flags(cache_warm)
     cache_warm.add_argument(
         "--workers",
         type=int,
@@ -583,7 +572,7 @@ def _command_route(args: argparse.Namespace) -> int:
     else:
         print(f"network          : POPS(d={args.d}, g={args.g}), n={network.n}")
         print(f"family           : {args.family}")
-        print(f"simulator        : {config.resolved_sim_backend()}")
+        print(f"simulator        : {config.sim_backend}")
         print(f"slots used       : {metrics.slots}")
         print(f"theorem 2 bound  : {metrics.theorem2_bound}")
         print(f"lower bound      : {metrics.lower_bound}")
@@ -690,14 +679,9 @@ def _command_serve(args: argparse.Namespace) -> int:
 
     from repro.serve.daemon import ServeDaemon
 
-    config = RunConfig(
-        router_backend=args.backend,
-        sim_backend=args.sim_backend,
-        plan_store_path=args.plan_store,
-    )
     try:
         daemon = ServeDaemon(
-            config,
+            RunConfig.from_cli_args(args),
             host=args.host,
             port=args.port,
             batch_window_ms=args.batch_window_ms,
@@ -783,15 +767,7 @@ def _command_cache(args: argparse.Namespace) -> int:
     from repro.pops.plan_store import PlanStore
 
     if args.cache_command == "warm":
-        config = RunConfig(
-            router_backend=args.backend,
-            sim_backend="batched",
-            trials=args.trials,
-            seed=args.seed,
-            workers=args.workers,
-            plan_store_path=args.plan_store,
-        )
-        session = Session(config)
+        session = Session(RunConfig.from_cli_args(args))
         store = session.cache.store
         before = store.stats()
         result = session.sweep(args.configs)

@@ -3,18 +3,18 @@
 This is what ``--profile`` prints: spans are grouped by their *name path*
 (the chain of span names from a root down), durations and counts are summed
 per path, and the tree is rendered with each stage's share of the total
-traced wall time.  A warm ``n = 1024`` route renders as e.g.::
+traced wall time.  A cold ``n = 1024`` route (the plan is built, so
+``route.compile`` holds the cache miss and ``route.plan``) renders as e.g.::
 
-    session.route                      4.62 ms  100.0%  x1
-      route.setup                      0.03 ms    0.6%  x1
-      route.compile                    0.09 ms    2.0%  x1
-        cache.probe                    0.01 ms    0.2%  x1
-      engine.execute                   1.95 ms   42.2%  x1
-      engine.verify                    0.52 ms   11.3%  x1
-      engine.trace                     0.71 ms   15.4%  x1
-      metrics.bounds                   1.21 ms   26.2%  x1
-      metrics.summarise                0.08 ms    1.7%  x1
-    stage coverage: 99.5% of traced wall time
+    session.route                      1.92 ms  100.0%  x1
+      route.setup                      0.05 ms    2.7%  x1
+      route.compile                    1.66 ms   86.4%  x1
+        cache.probe                    0.05 ms    2.5%  x1
+        route.plan                     1.58 ms   82.3%  x1
+      engine.execute                   0.11 ms    5.9%  x1
+      metrics.bounds                   0.06 ms    3.0%  x1
+      metrics.summarise                0.03 ms    1.7%  x1
+    stage coverage: 99.7% of traced wall time
 
 ``coverage_pct`` — the share of root wall time accounted for by the roots'
 direct children — is the honesty metric: it is asserted >= 95% on the warm

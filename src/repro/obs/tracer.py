@@ -9,11 +9,12 @@ pipeline is instrumented unconditionally::
     with get_tracer().span("engine.execute", n=1024):
         ...
 
-and costs nothing when tracing is off: the module-level default tracer is
-the :data:`NULL_TRACER` singleton, whose ``span`` returns one shared no-op
-context object — no span ids, no timestamps, no allocations that grow with
-use.  Enabling tracing is swapping in a real :class:`Tracer` via
-:func:`set_tracer` (the CLI's ``--profile`` / ``--trace-out`` flags do).
+(a sequential pipeline sets ``span.stage = "route.setup"`` and so on inside
+one span instead) and costs nothing when tracing is off: the module-level
+default tracer is the :data:`NULL_TRACER` singleton, whose ``span`` returns
+one shared no-op context object — no span ids, no timestamps, no allocations
+that grow with use.  Enabling tracing is swapping in a real :class:`Tracer`
+via :func:`set_tracer` (the CLI's ``--profile`` / ``--trace-out`` flags do).
 
 Thread model: span nesting is tracked per thread (a span opened on the
 batcher thread is never parented under a handler thread's span), finished
@@ -49,18 +50,34 @@ __all__ = ["Tracer", "NullTracer", "NULL_TRACER", "get_tracer", "set_tracer"]
 
 
 class _SpanContext:
-    """One open span; a context manager recording on exit."""
+    """One open span; a context manager recording one tuple on exit.
 
-    __slots__ = ("_tracer", "_name", "_attrs", "_span_id", "_parent_id", "_t0")
+    A span can be cut into back-to-back child *stages*: ``span.stage = name``
+    ends the running stage and starts the next on one clock read, so a
+    pipeline's stages leave no untimed gap, and the last one ends with the
+    span.  A boundary only notes ``(name, clock)``; :meth:`Tracer.finished`
+    makes the stage spans and moves each child that started in a stage under
+    it.  A boundary is an attribute store rather than a call, so on the
+    disabled path (:class:`_NullSpanContext`) it costs no Python frame.
+    """
+
+    __slots__ = (
+        "_tracer", "_name", "_attrs", "_span_id", "_parent_id", "_t0", "_stack",
+        "_stages",
+    )
 
     def __init__(self, tracer: "Tracer", name: str, attrs: dict[str, Any]):
         self._tracer = tracer
         self._name = name
         self._attrs = attrs
+        self._stages: list[tuple] = []
 
     def __enter__(self) -> "_SpanContext":
         tracer = self._tracer
-        stack = tracer._stack()
+        try:
+            stack = self._stack = tracer._local.stack
+        except AttributeError:
+            stack = self._stack = tracer._local.stack = []
         self._parent_id = stack[-1] if stack else None
         self._span_id = next(tracer._ids)
         stack.append(self._span_id)
@@ -69,18 +86,21 @@ class _SpanContext:
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         t1 = perf_counter_ns()
-        tracer = self._tracer
-        tracer._stack().pop()
-        tracer._spans.append({
-            "name": self._name,
-            "span_id": self._span_id,
-            "parent_id": self._parent_id,
-            "tid": threading.get_ident(),
-            "ts_ns": self._t0,
-            "dur_ns": t1 - self._t0,
-            "attrs": self._attrs,
-        })
+        self._stack.pop()
+        self._tracer._records.append((
+            self._name, self._span_id, self._parent_id, threading.get_ident(),
+            self._t0, t1 - self._t0, self._attrs, self._stages,
+        ))
         return False
+
+    @property
+    def stage(self) -> str | None:
+        """The running stage's name (``None`` before the first one)."""
+        return self._stages[-1][0] if self._stages else None
+
+    @stage.setter
+    def stage(self, name: str) -> None:
+        self._stages.append((name, perf_counter_ns()))
 
     def annotate(self, **attrs: Any) -> None:
         """Attach attributes discovered mid-span (e.g. cache hit/miss)."""
@@ -92,22 +112,17 @@ class Tracer:
 
     Recording is designed for the hot path: opening a span takes one id from
     an atomic counter and one ``perf_counter_ns`` read; closing appends one
-    dict to a shared list.  No locks are held while user code runs inside
-    the span.
+    tuple to a shared list, and the schema's dicts are built only when
+    :meth:`finished` reads the trace.  No locks are held while user code runs
+    inside the span.
     """
 
     enabled = True
 
     def __init__(self):
-        self._spans: list[dict[str, Any]] = []
+        self._records: list[tuple] = []
         self._ids = itertools.count(1)
         self._local = threading.local()
-
-    def _stack(self) -> list[int]:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = self._local.stack = []
-        return stack
 
     def span(self, name: str, **attrs: Any) -> _SpanContext:
         """Open a nested span named ``name``; use as a context manager."""
@@ -126,33 +141,64 @@ class Tracer:
         so follow-up emits can parent under it.
         """
         span_id = next(self._ids)
-        self._spans.append({
-            "name": name,
-            "span_id": span_id,
-            "parent_id": parent_id,
-            "tid": threading.get_ident(),
-            "ts_ns": int(ts_ns),
-            "dur_ns": int(dur_ns),
-            "attrs": attrs,
-        })
+        self._records.append((
+            name, span_id, parent_id, threading.get_ident(), int(ts_ns),
+            int(dur_ns), attrs, None,
+        ))
         return span_id
 
     def finished(self) -> list[dict[str, Any]]:
-        """Snapshot of all finished span records (chronological by finish)."""
-        return list(self._spans)
+        """Snapshot of all finished span records, in finish order.
+
+        A span's stages come right before it, in pipeline order.
+        """
+        spans: list[dict[str, Any]] = []
+        recorded: list[dict[str, Any]] = []
+        stages_of: dict[int, list[tuple[str, int, int]]] = {}
+        for name, span_id, parent_id, tid, ts, dur, attrs, stages in list(
+            self._records
+        ):
+            if stages:
+                if len(stages[0]) == 2:  # stage ids are drawn on first read
+                    stages[:] = [(stage, t, next(self._ids)) for stage, t in stages]
+                stages_of[span_id] = stages
+                ends = [t for _, t, _ in stages[1:]] + [ts + dur]
+                spans.extend(
+                    {
+                        "name": stage, "span_id": stage_id, "parent_id": span_id,
+                        "tid": tid, "ts_ns": start, "dur_ns": end - start,
+                        "attrs": {},
+                    }
+                    for (stage, start, stage_id), end in zip(stages, ends)
+                )
+            recorded.append({
+                "name": name, "span_id": span_id, "parent_id": parent_id,
+                "tid": tid, "ts_ns": ts, "dur_ns": dur, "attrs": attrs,
+            })
+            spans.append(recorded[-1])
+        for span in recorded:  # a child that started in a stage belongs to it
+            for _, start, stage_id in reversed(stages_of.get(span["parent_id"], ())):
+                if start <= span["ts_ns"]:
+                    span["parent_id"] = stage_id
+                    break
+        return spans
 
     def clear(self) -> None:
         """Drop recorded spans (open spans keep their ids and still record)."""
-        self._spans.clear()
+        self._records.clear()
 
     def __len__(self) -> int:
-        return len(self._spans)
+        return len(self._records)
 
 
 class _NullSpanContext:
-    """The shared no-op span: enter/exit do nothing, annotate discards."""
+    """The shared no-op span: enter/exit do nothing, annotate discards.
 
-    __slots__ = ()
+    ``stage`` is a plain slot: a stage boundary on the disabled path is one
+    ignored store.
+    """
+
+    __slots__ = ("stage",)
 
     def __enter__(self) -> "_NullSpanContext":
         return self
@@ -165,6 +211,8 @@ class _NullSpanContext:
 
 
 _NULL_SPAN = _NullSpanContext()
+
+
 
 
 class NullTracer:

@@ -326,14 +326,15 @@ class ScheduleCache:
         Memory first; on a memory miss an attached persistent store is
         probed, and a disk hit is promoted into the memory tier (without a
         write-back — the blob is already on disk).  ``misses`` counts only
-        accesses both tiers missed.
+        accesses both tiers missed.  A memory hit is one dict lookup, cheaper
+        than the span that would time it, so it is counted but not traced;
+        every access past the memory tier runs under a ``cache.probe`` span.
         """
+        compiled = self._entries.get(key)
+        if compiled is not None:
+            self._hits.inc()
+            return compiled
         with get_tracer().span("cache.probe") as probe:
-            compiled = self._entries.get(key)
-            if compiled is not None:
-                self._hits.inc()
-                probe.annotate(tier="memory", hit=True)
-                return compiled
             if self.store is not None:
                 compiled = self.store.get(key)
                 if compiled is not None:

@@ -26,7 +26,11 @@ import numpy as np
 
 from repro.pops.topology import POPSNetwork
 from repro.utils.permutations import is_derangement
-from repro.utils.validation import check_permutation, check_permutation_stack
+from repro.utils.validation import (
+    check_permutation,
+    check_permutation_array,
+    check_permutation_stack,
+)
 
 __all__ = [
     "is_group_moving",
@@ -103,30 +107,26 @@ def proposition3_lower_bound(network: POPSNetwork, pi: Sequence[int]) -> int | N
 
 
 def best_known_lower_bound(network: POPSNetwork, pi: Sequence[int]) -> int:
-    """The tightest applicable bound among Propositions 1–3 (0 when none applies)."""
-    bounds = [
-        proposition1_lower_bound(network, pi),
-        proposition2_lower_bound(network, pi),
-        proposition3_lower_bound(network, pi),
-    ]
-    applicable = [bound for bound in bounds if bound is not None]
-    # Routing a non-identity permutation always needs at least one slot.
-    images = check_permutation(pi, network.n)
-    if any(images[i] != i for i in range(network.n)):
-        applicable.append(1)
-    return max(applicable, default=0)
+    """The tightest applicable bound among Propositions 1–3 (0 when none applies).
+
+    The B = 1 row of :func:`best_known_lower_bound_stack`.
+    """
+    images = check_permutation_array(pi, network.n)
+    return int(best_known_lower_bound_stack(network, images[None], validate=False)[0])
 
 
 def best_known_lower_bound_stack(
     network: POPSNetwork, pis, *, validate: bool = True
 ) -> np.ndarray:
-    """Batched :func:`best_known_lower_bound` over a ``(B, n)`` stack.
+    """The tightest Proposition 1–3 bound of every row of a ``(B, n)`` stack.
 
-    Returns a ``(B,)`` int64 array; entry ``b`` equals
-    ``best_known_lower_bound(network, pis[b])``.  The Proposition 1–3
-    predicates become axis reductions over the stack.  ``validate=False``
-    skips the permutation-stack check for callers that already hold the
-    validated int64 image stack.
+    Returns a ``(B,)`` int64 array: the maximum over the applicable scalar
+    ``proposition1/2/3_lower_bound`` predicates (the reference, pinned
+    exhaustively in the tests) and, for a non-identity permutation, 1 — it
+    always needs at least one slot; 0 when nothing applies.  The predicates
+    become axis reductions over the stack.  ``validate=False`` skips the
+    permutation-stack check for callers that already hold the validated int64
+    image stack.
     """
     images = (
         check_permutation_stack(pis, network.n)

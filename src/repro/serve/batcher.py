@@ -6,18 +6,17 @@ traffic arrives one permutation at a time.  This module is the piece between
 the two, the same trick inference servers use: requests submitted within a
 configurable window (or until a maximum batch size) that share a routing
 shape — ``(d, g, n, backend)`` — are stacked and routed as *one*
-``route_batch`` call, then fanned back out to their waiting clients.
-Requests whose shape matches nobody else's in the window fall through to the
-single-request ``Session.route`` fast path; a window of zero disables
-coalescing entirely (every request routes singly — the control arm of
-``benchmarks/bench_serve.py``).
+``route_batch`` call, then fanned back out to their waiting clients.  A
+request whose shape matches nobody else's in the window is a ``(1, n)``
+batch on the same path; a window of zero disables coalescing entirely (every
+request routes alone — the control arm of ``benchmarks/bench_serve.py``).
 
 Concurrency contract:
 
-* **One worker thread owns the session.**  All routing — batched or single —
-  happens on the batcher's worker thread, so the session, its schedule cache
-  and the attached plan store are never touched concurrently.  Handler
-  threads only enqueue and wait on futures.
+* **One worker thread owns the session.**  All routing happens on the
+  batcher's worker thread, so the session, its schedule cache and the
+  attached plan store are never touched concurrently.  Handler threads only
+  enqueue and wait on futures.
 * **Bounded queue, explicit shedding.**  :meth:`DynamicBatcher.submit`
   raises :class:`QueueFullError` instead of blocking when ``max_queue``
   requests are already waiting; the daemon turns that into a structured
@@ -303,14 +302,10 @@ class DynamicBatcher:
                     "serve.dispatch", d=d, g=g, backend=backend,
                     batch=len(members),
                 ):
-                    session = self._session_for(backend)
-                    if len(members) == 1:
-                        metrics_list = [
-                            session.route(members[0].pi, network=network)
-                        ]
-                    else:
-                        stack = np.stack([member.pi for member in members])
-                        metrics_list = session.route_batch(stack, network=network)
+                    stack = np.stack([member.pi for member in members])
+                    metrics_list = self._session_for(backend).route_batch(
+                        stack, network=network
+                    )
             except Exception as exc:
                 self._replay_survivors(members, network, backend, exc)
                 continue
@@ -341,7 +336,7 @@ class DynamicBatcher:
 
         One poisoned permutation (or one fault-struck element) must not take
         its batch peers down with it.  A singleton batch just propagates its
-        error; a real batch is replayed per element on the single-route path
+        error; a real batch is replayed per element with ``Session.route``
         so every member that can route still gets a real answer, and only
         the actually-failing members see an exception.
         """

@@ -60,10 +60,9 @@ class ServeDaemon:
     Parameters
     ----------
     config:
-        Session configuration.  Defaults to the serving sweet spot — the
-        ``euler-array`` router on the ``batched`` engine; a config whose
-        ``sim_backend`` is unset is resolved to ``"batched"`` (the daemon
-        exists to feed the megabatch kernels).  Attach a plan store via
+        Session configuration; defaults to ``RunConfig()`` — the
+        ``euler-array`` router on the ``batched`` engine, which feeds the
+        megabatch kernels.  Attach a plan store via
         ``config.plan_store_path`` to start warm.
     host / port:
         Bind address; port ``0`` (default) picks an ephemeral port, read it
@@ -97,12 +96,8 @@ class ServeDaemon:
         fault_seed: int = 0,
     ):
         ensure_builtin_backends()
-        if config is None:
-            config = RunConfig(router_backend="euler-array", sim_backend="batched")
-        elif config.sim_backend is None:
-            config = config.replace(sim_backend="batched")
-        self.config = config
-        self.session = Session(config)
+        self.config = config if config is not None else RunConfig()
+        self.session = Session(self.config)
         self.telemetry = ServeTelemetry()
         self.batcher = DynamicBatcher(
             self.session,
@@ -451,7 +446,7 @@ class ServeDaemon:
         return {
             "protocol": protocol.PROTOCOL_VERSION,
             "router_backend": self.config.router_backend,
-            "sim_backend": self.config.resolved_sim_backend("batched"),
+            "sim_backend": self.config.sim_backend,
             "batch_window_ms": self.batcher.batch_window * 1e3,
             "max_batch": self.batcher.max_batch,
             "queue_depth": self.batcher.queue_depth,

@@ -110,9 +110,8 @@ def check_permutation(pi: Sequence[int], n: int | None = None) -> list[int]:
 def check_permutation_array(pi: Sequence[int], n: int | None = None) -> np.ndarray:
     """Vectorized :func:`check_permutation` returning an ``int64`` array.
 
-    Same contract and messages, with the per-entry Python loop replaced by
-    whole-array range and ``bincount`` checks — the validation path of the
-    array-native router front end.
+    Same contract and messages: a one-dimensionality check, then the B = 1
+    row of :func:`check_permutation_stack`.
     """
     try:
         values = np.asarray(pi, dtype=np.int64)
@@ -122,29 +121,13 @@ def check_permutation_array(pi: Sequence[int], n: int | None = None) -> np.ndarr
         raise ValidationError(
             f"permutation must be one-dimensional, got shape {values.shape}"
         )
-    if n is not None and values.size != n:
-        raise ValidationError(
-            f"permutation has length {values.size}, expected {n}"
-        )
-    size = values.size
-    out_of_range = (values < 0) | (values >= size)
-    if out_of_range.any():
-        image = int(values[np.flatnonzero(out_of_range)[0]])
-        raise ValidationError(
-            f"permutation entry {image} out of range [0, {size})"
-        )
-    counts = np.bincount(values, minlength=size)
-    repeated = np.flatnonzero(counts > 1)
-    if repeated.size:
-        raise ValidationError(f"permutation repeats the image {int(repeated[0])}")
-    return values
+    return check_permutation_stack(values[None], n)[0]
 
 
 def check_permutation_stack(pis: Any, n: int | None = None) -> np.ndarray:
     """Validate a ``(B, n)`` stack of permutations; returns an ``int64`` array.
 
-    Batched :func:`check_permutation_array`: every row must be a permutation
-    of ``{0, ..., n-1}``.  Violations raise with the single-permutation
+    Every row must be a permutation of ``{0, ..., n-1}``.  Violations raise with the single-permutation
     message for the row-major first offender.
     """
     try:

@@ -19,8 +19,8 @@ from repro.exceptions import ConfigurationError
 class TestDefaults:
     def test_default_config_is_valid(self):
         config = RunConfig()
-        assert config.router_backend == "konig"
-        assert config.sim_backend is None
+        assert config.router_backend == "euler-array"
+        assert config.sim_backend == "batched"
         assert config.cache_policy == "on"
         assert config.trace_mode == "compiled"
         assert config.trials == 3
@@ -36,11 +36,9 @@ class TestDefaults:
         with pytest.raises(dataclasses.FrozenInstanceError):
             config.seed = 1
 
-    def test_resolved_sim_backend_falls_back_per_operation(self):
-        assert RunConfig().resolved_sim_backend() == "reference"
-        assert RunConfig().resolved_sim_backend("batched") == "batched"
-        explicit = RunConfig(sim_backend="reference")
-        assert explicit.resolved_sim_backend("batched") == "reference"
+    def test_engine_is_never_unset(self):
+        with pytest.raises(ConfigurationError, match="unknown simulator engine None"):
+            RunConfig(sim_backend=None)
 
 
 class TestValidation:
@@ -151,8 +149,17 @@ class TestFromCliArgs:
         assert config.shard_trials == 2
         assert config.cache_stats is True
         assert config.router_backend == "euler"
-        assert config.sim_backend == "batched"  # the sweep subcommand default
+        assert config.sim_backend == "batched"
 
-    def test_missing_flags_keep_defaults(self):
-        args = build_parser().parse_args(["run", "E2"])
-        assert RunConfig.from_cli_args(args) == RunConfig()
+    @pytest.mark.parametrize("argv, expected", [
+        (["run", "E2"], RunConfig()),
+        (["route", "--d", "4", "--g", "4"], RunConfig()),
+        (["sweep"], RunConfig()),
+        (["serve"], RunConfig()),
+        # ``cache warm`` is serial unless asked (its --workers default).
+        (["cache", "warm", "--plan-store", "plans"], RunConfig(plan_store_path="plans", workers=0)),
+    ], ids=["run", "route", "sweep", "serve", "cache-warm"])
+    def test_missing_flags_keep_defaults(self, argv, expected):
+        config = RunConfig.from_cli_args(build_parser().parse_args(argv))
+        assert config == expected
+        assert (config.router_backend, config.sim_backend) == ("euler-array", "batched")

@@ -49,7 +49,8 @@ class TestSessionBasics:
     def test_simulator_factory_uses_config_engine(self):
         session = Session(RunConfig(sim_backend="batched"))
         assert session.simulator(POPSNetwork(2, 2)).backend == "batched"
-        assert Session().simulator(POPSNetwork(2, 2)).backend == "reference"
+        reference = Session(RunConfig(sim_backend="reference"))
+        assert reference.simulator(POPSNetwork(2, 2)).backend == "reference"
 
 
 class TestSessionRoute:
@@ -91,7 +92,9 @@ class TestSessionRoute:
         materialized = Session(
             RunConfig(sim_backend="batched", trace_mode="materialized")
         ).route(pi, d=4, g=4)
-        reference = Session().route(pi, d=4, g=4)
+        reference = Session(
+            RunConfig(router_backend="konig", sim_backend="reference")
+        ).route(pi, d=4, g=4)
         assert compiled == materialized == reference
 
     def test_simulate_honours_trace_mode(self):

@@ -4,10 +4,22 @@ from __future__ import annotations
 
 import json
 import warnings
+from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _distribution_installed() -> bool:
+    from importlib.metadata import PackageNotFoundError, distribution
+
+    try:
+        return distribution("pops-repro") is not None
+    except PackageNotFoundError:
+        return False
 
 
 class TestParser:
@@ -26,8 +38,7 @@ class TestParser:
     def test_route_defaults(self):
         args = build_parser().parse_args(["route", "--d", "2", "--g", "3"])
         assert args.family == "vector_reversal"
-        assert args.backend == "konig"
-        assert args.sim_backend == "reference"
+        assert (args.backend, args.sim_backend) == (None, None)  # RunConfig's
 
     def test_route_rejects_unknown_sim_backend(self):
         with pytest.raises(SystemExit):
@@ -37,7 +48,7 @@ class TestParser:
 
     def test_sweep_defaults(self):
         args = build_parser().parse_args(["sweep"])
-        assert args.sim_backend == "batched"
+        assert (args.backend, args.sim_backend) == (None, None)
         assert args.workers is None
         assert args.configs is None
 
@@ -45,8 +56,7 @@ class TestParser:
         args = build_parser().parse_args(["serve"])
         assert args.command == "serve"
         assert args.port == 0
-        assert args.backend == "euler-array"
-        assert args.sim_backend == "batched"
+        assert (args.backend, args.sim_backend) == (None, None)
         assert args.batch_window_ms == 2.0
         assert args.max_batch == 64
         assert args.max_queue == 1024
@@ -92,12 +102,25 @@ class TestCommands:
         output = capsys.readouterr().out
         assert "Figure 3" in output
 
+    @pytest.mark.skipif(
+        not _distribution_installed(), reason="pops-repro is not pip-installed"
+    )
     def test_console_script_registered(self):
         from importlib.metadata import entry_points
 
         scripts = entry_points(group="console_scripts")
         names = {entry.name for entry in scripts}
         assert "pops-repro" in names
+
+    def test_console_script_declared_in_pyproject(self):
+        text = (ROOT / "pyproject.toml").read_text()
+        try:
+            import tomllib
+        except ModuleNotFoundError:  # Python 3.10: no TOML parser in the stdlib
+            assert '[project.scripts]\npops-repro = "repro.cli:main"' in text
+        else:
+            scripts = tomllib.loads(text)["project"]["scripts"]
+            assert scripts["pops-repro"] == "repro.cli:main"
 
 
 class TestJsonFormat:

@@ -209,7 +209,9 @@ class TestScheduleCache:
         uncached = Session(
             RunConfig(sim_backend="batched", cache_policy="off")
         ).route(pi, network=network)
-        reference = Session().route(pi, network=network)
+        reference = Session(
+            RunConfig(router_backend="konig", sim_backend="reference")
+        ).route(pi, network=network)
         assert cached_miss == cached_hit == uncached == reference
 
     def test_route_counters_increment(self):
@@ -227,7 +229,7 @@ class TestScheduleCache:
 
     def test_reference_backend_never_touches_cache(self):
         network, pi, _ = self.fresh_workload(seed=31)
-        session = Session()
+        session = Session(RunConfig(router_backend="konig", sim_backend="reference"))
         session.route(pi, network=network)
         assert session.cache.stats() == {"hits": 0, "misses": 0, "entries": 0}
 

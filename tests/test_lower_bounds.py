@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+from itertools import permutations
 from math import ceil
+
+import numpy as np
+import pytest
 
 from repro.api import Session
 from repro.patterns.families import cyclic_shift, group_cyclic_shift, vector_reversal
@@ -14,6 +18,7 @@ from repro.patterns.generators import (
 from repro.pops.topology import POPSNetwork
 from repro.routing.lower_bounds import (
     best_known_lower_bound,
+    best_known_lower_bound_stack,
     is_group_blocked,
     is_group_moving,
     proposition1_lower_bound,
@@ -152,3 +157,30 @@ class TestBestKnownLowerBound:
         pi = random_permutation(network.n, rng)
         metrics = Session().route(pi, network=network)
         assert metrics.slots >= best_known_lower_bound(network, pi)
+
+
+#: Every (d, g) shape with n = d * g <= 6.
+SMALL_SHAPES = [(d, n // d) for n in range(1, 7) for d in range(1, n + 1) if n % d == 0]
+
+
+class TestStackBoundExhaustive:
+    @pytest.mark.parametrize("d,g", SMALL_SHAPES, ids=lambda s: str(s))
+    def test_stack_bound_is_the_max_of_the_scalar_predicates(self, d, g):
+        """Every permutation of n <= 6: the vectorized bound equals the scalar reference."""
+        network = POPSNetwork(d, g)
+        pis = list(permutations(range(network.n)))
+        stack = best_known_lower_bound_stack(network, np.array(pis, dtype=np.int64))
+        for pi, bound in zip(pis, stack.tolist()):
+            applicable = [
+                predicate(network, pi)
+                for predicate in (
+                    proposition1_lower_bound,
+                    proposition2_lower_bound,
+                    proposition3_lower_bound,
+                )
+            ]
+            if list(pi) != list(range(network.n)):
+                applicable.append(1)
+            expected = max((b for b in applicable if b is not None), default=0)
+            assert bound == expected, pi
+            assert best_known_lower_bound(network, pi) == expected

@@ -2,11 +2,12 @@
 
 Pins the ISSUE 6 acceptance criteria:
 
-* ``route_compiled_batch()`` / ``execute_batch()`` / ``route_batch()`` are
-  bit-identical, element by element (field by field, including dtypes), to the
-  per-trial pipeline — across router backends (array backends take the batched
-  array pipeline, others stack object-level plans), batch sizes B ∈ {1, 2, 7,
-  64}, and n up to 1024;
+* ``route_compiled_batch()`` / ``execute_batch()`` are bit-identical, element
+  by element (including dtypes), to the per-trial kernels — across router
+  backends (array backends take the batched array pipeline, others stack
+  object-level plans), batch sizes B ∈ {1, 2, 7, 64}, and n up to 1024;
+* ``Session.route``, the rows of ``route_batch()`` and the object arbiter
+  return equal metrics, field types included, on every shape class;
 * the cache holds one batch-level entry per stack, under a key namespace
   disjoint from the per-permutation keys, and a hit skips routing entirely;
 * sharded sweeps merge deterministically: shard size and engine choice never
@@ -24,7 +25,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.metrics import routing_cache_key, routing_cache_key_batch
+from repro.analysis.metrics import (
+    RoutingMetrics,
+    routing_cache_key,
+    routing_cache_key_batch,
+)
 from repro.api import RunConfig, Session
 from repro.graph.array_coloring import ARRAY_COLORING_KERNELS
 from repro.pops.engine import (
@@ -266,85 +271,41 @@ class TestBatchCache:
         assert second.rows == first.rows
 
 
-class TestBatchDispatchGuard:
-    """``d < g`` stacks take the per-element fast path (ISSUE 8 satellite).
+class TestOnePipelineDifferential:
+    """``Session.route``, the rows of ``route_batch`` and the object arbiter agree.
 
-    The batched plan builders pad every element's round structure to the
-    worst case and measurably lose to the loop for ``d < g`` (0.8x at
-    d=16, g=64), so dispatch is shape-aware — and, because both paths are
-    bit-identical, purely a performance decision.
+    ``Session.route`` is the ``(1, n)`` case of the batch pipeline; the
+    ``euler`` router on the ``reference`` simulator shares no kernel with it.
+    ``d < g`` stacks route row by row, because the padded batch plan builders
+    lose to per-row routing there.
     """
 
-    @pytest.mark.parametrize("d,g", [(2, 8), (3, 7), (1, 6)])
-    def test_both_paths_bit_identical_for_d_lt_g(self, rng, d, g):
-        from repro.analysis.metrics import _measure_routing_batch
+    #: d = 1, d < g, d = g and d > g.
+    SHAPES = [(1, 6), (2, 8), (3, 7), (4, 4), (8, 4), (9, 3)]
 
+    @pytest.mark.parametrize("d,g", SHAPES, ids=lambda s: str(s))
+    def test_entry_points_return_equal_metrics(self, d, g, rng, monkeypatch):
         network = POPSNetwork(d, g)
         pis = permutation_stack(network, rng, 4)
-        kwargs = dict(
-            router_backend="euler-array", sim_backend="batched", use_cache=False
-        )
-        looped = _measure_routing_batch(network, pis, prefer_batch=False, **kwargs)
-        batched = _measure_routing_batch(network, pis, prefer_batch=True, **kwargs)
-        assert looped == batched
-        for fast, slow in zip(batched, looped):
-            for field in dataclasses.fields(fast):
-                assert type(getattr(fast, field.name)) is type(
-                    getattr(slow, field.name)
-                ), field.name
-
-    def test_d_lt_g_dispatches_to_per_element_path(self, rng, monkeypatch):
-        network = POPSNetwork(2, 8)
-        pis = permutation_stack(network, rng, 3)
-
-        def boom(*args, **kwargs):  # pragma: no cover - must not run
-            raise AssertionError("d < g must not take the batched plan builder")
-
-        monkeypatch.setattr(PermutationRouter, "route_compiled_batch", boom)
-        session = Session(
-            RunConfig(router_backend="euler-array", sim_backend="batched")
-        )
-        metrics = session.route_batch(pis, network=network)
-        assert len(metrics) == 3
-
-    def test_d_ge_g_still_dispatches_to_batch_path(self, rng, monkeypatch):
-        network = POPSNetwork(8, 4)
-        pis = permutation_stack(network, rng, 3)
-        seen = []
+        rows_routed = []
         original = PermutationRouter.route_compiled_batch
 
-        def spy(self, *args, **kwargs):
-            seen.append(True)
-            return original(self, *args, **kwargs)
+        def spy(self, stack, **kwargs):
+            rows_routed.append(len(stack))
+            return original(self, stack, **kwargs)
 
         monkeypatch.setattr(PermutationRouter, "route_compiled_batch", spy)
-        Session(
-            RunConfig(router_backend="euler-array", sim_backend="batched")
-        ).route_batch(pis, network=network)
-        assert seen, "d >= g stacks must take the batched plan builder"
-
-    def test_prefer_batch_true_forces_batch_path_for_d_lt_g(self, rng, monkeypatch):
-        from repro.analysis.metrics import _measure_routing_batch
-
-        network = POPSNetwork(2, 8)
-        pis = permutation_stack(network, rng, 2)
-        seen = []
-        original = PermutationRouter.route_compiled_batch
-
-        def spy(self, *args, **kwargs):
-            seen.append(True)
-            return original(self, *args, **kwargs)
-
-        monkeypatch.setattr(PermutationRouter, "route_compiled_batch", spy)
-        _measure_routing_batch(
-            network,
-            pis,
-            router_backend="euler-array",
-            sim_backend="batched",
-            use_cache=False,
-            prefer_batch=True,
-        )
-        assert seen, "prefer_batch=True must override the shape heuristic"
+        fast = Session()
+        rows = fast.route_batch(pis, network=network)
+        assert rows_routed == ([1] * len(pis) if d < g else [len(pis)])
+        singles = [fast.route(pi, network=network) for pi in pis]
+        arbiter = Session(RunConfig(router_backend="euler", sim_backend="reference"))
+        expected = [arbiter.route(pi.tolist(), network=network) for pi in pis]
+        assert rows == singles == expected
+        for triple in zip(rows, singles, expected):
+            for field in dataclasses.fields(RoutingMetrics):
+                types = {type(getattr(metrics, field.name)) for metrics in triple}
+                assert len(types) == 1, (field.name, types)
 
 
 class TestShardMergeDeterminism:

@@ -118,6 +118,36 @@ class TestTracer:
             assert inner["tid"] == outer["tid"]
         assert spans["t1.outer"]["tid"] != spans["t2.outer"]["tid"]
 
+    def test_stages_cut_a_span_back_to_back(self):
+        tracer = Tracer()
+        with tracer.span("root") as root:
+            with tracer.span("before"):
+                pass
+            root.stage = "a"
+            with tracer.span("inner"):
+                pass
+            root.stage = "b"
+            assert root.stage == "b"
+        spans = tracer.finished()
+        before, inner, a, b, root = spans  # a span's stages come right before it
+        assert [s["name"] for s in spans] == ["before", "inner", "a", "b", "root"]
+        assert len({s["span_id"] for s in spans}) == 5
+        assert a["parent_id"] == b["parent_id"] == before["parent_id"] == root["span_id"]
+        assert inner["parent_id"] == a["span_id"]
+        # One clock read per boundary: no gap between stages, and the last
+        # stage ends with its span.
+        assert a["ts_ns"] + a["dur_ns"] == b["ts_ns"]
+        assert b["ts_ns"] + b["dur_ns"] == root["ts_ns"] + root["dur_ns"]
+        assert a["attrs"] == b["attrs"] == {}
+
+    def test_stages_close_when_an_exception_escapes(self):
+        tracer = Tracer()
+        with pytest.raises(RuntimeError):
+            with tracer.span("root") as root:
+                root.stage = "a"
+                raise RuntimeError("boom")
+        assert [s["name"] for s in tracer.finished()] == ["a", "root"]
+
     def test_emit_is_retroactive_and_parentable(self):
         tracer = Tracer()
         root = tracer.emit("serve.request", 1_000, 500, batch_size=4)
@@ -157,6 +187,7 @@ class TestNullTracer:
         assert a is b
         with a as ctx:
             ctx.annotate(hit=True)  # discards silently
+            ctx.stage = "route.setup"  # one ignored store
 
     def test_null_tracer_accumulates_nothing(self):
         for _ in range(100):
@@ -526,11 +557,9 @@ class TestCliObservability:
         assert validate_jsonl(trace) == []
         _header, spans = read_jsonl(trace)
         assert any(s["name"] == "sweep.shard" for s in spans)
-        # The batched sweep routes its trial stack through the megabatch
-        # pipeline, so the root under each shard is session.route_batch.
-        assert any(
-            s["name"] in ("session.route", "session.route_batch") for s in spans
-        )
+        # Each shard routes its trial stack as one session.route root.
+        shard_roots = [s for s in spans if s["name"] == "session.route"]
+        assert shard_roots and shard_roots[0]["attrs"]["batch"] == 2
 
     def test_serve_metrics_op_and_stats_subcommand(self, capsys):
         from repro.serve.client import ServeClient

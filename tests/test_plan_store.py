@@ -284,7 +284,9 @@ class TestCorruption:
         [fresh] = self._blob_paths(store)
         assert fresh.name == blob.name
         assert PlanStore(tmp_path).get(
-            routing_cache_key(config.router_backend, network, np.asarray(pi, dtype=np.int64))
+            routing_cache_key_batch(
+                config.router_backend, network, np.asarray(pi, dtype=np.int64)[None]
+            )
         ) is not None
 
     def test_truncated_blob_quarantined(self, tmp_path):

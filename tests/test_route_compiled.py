@@ -8,8 +8,8 @@ Pins the ISSUE 5 acceptance criteria:
   counts, Theorem 2 bound exact, packets verifiably delivered — on every
   routing regime including hypothesis-generated permutations;
 * the compiled-schedule cache now covers the plan stage;
-* the ``Session`` / ``_measure_routing`` fast path returns metrics identical
-  to the object pipeline.
+* the ``Session`` fast path returns metrics identical to the object
+  pipeline.
 """
 
 from __future__ import annotations

@@ -253,14 +253,14 @@ class TestBackpressure:
     def test_daemon_sheds_with_explicit_queue_full_response(self, monkeypatch):
         entered = threading.Event()
         release = threading.Event()
-        original_route = Session.route
+        original_route_batch = Session.route_batch
 
-        def slow_route(self, pi, **kwargs):
+        def slow_route_batch(self, pis, **kwargs):
             entered.set()
             assert release.wait(timeout=10.0)
-            return original_route(self, pi, **kwargs)
+            return original_route_batch(self, pis, **kwargs)
 
-        monkeypatch.setattr(Session, "route", slow_route)
+        monkeypatch.setattr(Session, "route_batch", slow_route_batch)
         pis = random_pis(16, 3)
         with ServeDaemon(batch_window_ms=0.0, max_queue=1) as daemon:
             host, port = daemon.address
@@ -460,13 +460,13 @@ class TestLoadgen:
 
     def test_loadgen_counts_shed_requests(self, monkeypatch):
         release = threading.Event()
-        original_route = Session.route
+        original_route_batch = Session.route_batch
 
-        def slow_route(self, pi, **kwargs):
+        def slow_route_batch(self, pis, **kwargs):
             release.wait(timeout=10.0)
-            return original_route(self, pi, **kwargs)
+            return original_route_batch(self, pis, **kwargs)
 
-        monkeypatch.setattr(Session, "route", slow_route)
+        monkeypatch.setattr(Session, "route_batch", slow_route_batch)
         with ServeDaemon(batch_window_ms=0.0, max_queue=1) as daemon:
             host, port = daemon.address
 
@@ -574,13 +574,13 @@ class TestClientResilience:
 
     def test_client_side_deadline_raises_deadline_code(self, monkeypatch):
         release = threading.Event()
-        original_route = Session.route
+        original_route_batch = Session.route_batch
 
-        def slow_route(self, pi, **kwargs):
+        def slow_route_batch(self, pis, **kwargs):
             release.wait(timeout=10.0)
-            return original_route(self, pi, **kwargs)
+            return original_route_batch(self, pis, **kwargs)
 
-        monkeypatch.setattr(Session, "route", slow_route)
+        monkeypatch.setattr(Session, "route_batch", slow_route_batch)
         with ServeDaemon(batch_window_ms=0.0) as daemon:
             client = ServeClient(*daemon.address, timeout=0.2)
             try:
@@ -596,13 +596,13 @@ class TestClientResilience:
 
     def test_daemon_deadline_ms_maps_to_deadline_code(self, monkeypatch):
         release = threading.Event()
-        original_route = Session.route
+        original_route_batch = Session.route_batch
 
-        def slow_route(self, pi, **kwargs):
+        def slow_route_batch(self, pis, **kwargs):
             release.wait(timeout=10.0)
-            return original_route(self, pi, **kwargs)
+            return original_route_batch(self, pis, **kwargs)
 
-        monkeypatch.setattr(Session, "route", slow_route)
+        monkeypatch.setattr(Session, "route_batch", slow_route_batch)
         with ServeDaemon(batch_window_ms=0.0) as daemon:
             try:
                 with ServeClient(*daemon.address, timeout=10.0) as client:
