@@ -2,10 +2,10 @@
 
 CI's bench-smoke job emits one JSON artefact per benchmark module
 (``BENCH_collective.json``, ``BENCH_routing.json``, ``BENCH_sweep.json``,
-``BENCH_store.json``, ``BENCH_serve.json``, ``BENCH_obs.json``,
-``BENCH_faults.json``) through :mod:`benchmarks._emit`.  Downstream tooling
-plots these across commits, which only works while every artefact keeps the
-contract; this script is the gate.  For each file it checks:
+``BENCH_serve.json``, ``BENCH_obs.json``, ``BENCH_faults.json``) through
+:mod:`benchmarks._emit`.  Downstream tooling plots these across commits,
+which only works while every artefact keeps the contract; this script is
+the gate.  For each file it checks:
 
 * top-level shape: ``schema == 1``, ``pytest_exit_status == 0``, a
   non-empty ``results`` list of dicts, each with a ``name``;

@@ -166,9 +166,8 @@ def _theorem2_shard(
     entry per ``d >= g`` shard, one per row of a ``d < g`` shard, per the
     shape rule in ``_measure_routing_batch``).
     Returns the sorted slot counts seen, the AND of the
-    per-trial bound checks, and the shard's schedule-cache counter deltas
-    (memory hits/misses, plus the persistent tier's disk hits/misses when a
-    plan store is configured — reported separately, never summed).
+    per-trial bound checks, and the shard's schedule-cache hit/miss
+    counter deltas.
     """
     d, g, trial_seeds, config_fields = task
     if session is None:
@@ -192,7 +191,7 @@ def _theorem2_shard(
         trial_metrics = session.route_batch(pis, network=network)
         after = cache.stats()
         counter_deltas = {
-            name: after[name] - before.get(name, 0)
+            name: after[name] - before[name]
             for name in after
             if name != "entries"
         }
@@ -332,16 +331,7 @@ def _parallel_sweep(
     if config.cache_stats:
         hits = counters.get("hits", 0)
         misses = counters.get("misses", 0)
-        if "disk_hits" in counters:
-            # A plan store is attached: the tiers report separately (memory
-            # hits are this-process warmth, disk hits are cross-process /
-            # cross-run warmth; misses means both tiers missed).
-            notes["schedule cache"] = (
-                f"{hits} memory hits / {counters['disk_hits']} disk hits / "
-                f"{misses} misses"
-            )
-        else:
-            notes["schedule cache"] = f"{hits} hits / {misses} misses"
+        notes["schedule cache"] = f"{hits} hits / {misses} misses"
     return ExperimentResult(
         experiment_id="E1p",
         title="Theorem 2 sweep fanned across worker processes",

@@ -101,14 +101,6 @@ def routing_cache_key(
     permutation)`` fully determines the schedule.  The permutation is folded
     into a 16-byte blake2b digest rather than stored as an n-length tuple, so
     keys stay small even at n in the tens of thousands.
-
-    This tuple is also the *persistent* identity of a compiled plan: the
-    on-disk :class:`~repro.pops.plan_store.PlanStore` addresses its blobs by
-    a digest of exactly this key (see
-    :func:`repro.pops.plan_store.plan_key_digest`), so its stability across
-    processes, platforms and Python versions is part of the contract —
-    changing its shape invalidates every warm store and requires a
-    ``STORE_SCHEMA_VERSION`` bump.
     """
     digest = hashlib.blake2b(
         np.asarray(pi, dtype=np.int64).tobytes(), digest_size=16
@@ -126,10 +118,7 @@ def routing_cache_key_batch(
     ``"batch"`` tag and the batch size keep the key space disjoint from
     :func:`routing_cache_key` — ``(1, n)`` and ``(n,)`` arrays have identical
     bytes, and a ``CompiledScheduleBatch`` must never be returned where a
-    ``CompiledSchedule`` is expected.  Like the single-permutation key, this
-    tuple doubles as the plan's persistent identity in the on-disk
-    :class:`~repro.pops.plan_store.PlanStore`; the same stability contract
-    applies.
+    ``CompiledSchedule`` is expected.
     """
     stack = np.ascontiguousarray(np.asarray(pis, dtype=np.int64))
     digest = hashlib.blake2b(stack.tobytes(), digest_size=16).digest()

@@ -22,18 +22,12 @@ from repro.exceptions import ConfigurationError
 __all__ = [
     "RunConfig",
     "CACHE_POLICIES",
-    "TRACE_MODES",
     "DEFAULT_CACHE_MAX_ENTRIES",
     "DEFAULT_CACHE_MAX_BYTES",
 ]
 
 #: Allowed compiled-schedule cache policies.
 CACHE_POLICIES: tuple[str, ...] = ("on", "off")
-
-#: Allowed trace representations: ``"compiled"`` keeps traces as integer
-#: arrays (statistics are numpy reductions); ``"materialized"`` expands them
-#: to per-slot dicts eagerly.
-TRACE_MODES: tuple[str, ...] = ("compiled", "materialized")
 
 DEFAULT_CACHE_MAX_ENTRIES = 64
 DEFAULT_CACHE_MAX_BYTES = 128 * 1024 * 1024
@@ -47,7 +41,6 @@ _CLI_FIELDS: dict[str, str] = {
     "workers": "workers",
     "shard_trials": "shard_trials",
     "cache_stats": "cache_stats",
-    "plan_store": "plan_store_path",
 }
 
 
@@ -81,12 +74,6 @@ class RunConfig:
         disables lookups entirely.
     cache_max_entries / cache_max_bytes:
         Bounds of the session-owned schedule cache.
-    trace_mode:
-        ``"compiled"`` (default) keeps simulation traces as integer arrays;
-        ``"materialized"`` expands them to per-slot dict objects eagerly.
-        Consumed by :meth:`~repro.api.session.Session.simulate`; routing
-        metrics are representation-agnostic, so ``Session.route`` is
-        unaffected.
     trials:
         Trials per sweep configuration.
     seed:
@@ -103,13 +90,6 @@ class RunConfig:
         many trials (``None`` = one task per configuration).
     cache_stats:
         Report schedule-cache hit/miss counters in sweep notes.
-    plan_store_path:
-        Directory of the persistent content-addressed compiled-plan store
-        (:class:`~repro.pops.plan_store.PlanStore`), attached as a second
-        tier under the session's schedule cache; ``None`` (default) keeps
-        the cache memory-only.  Because the whole config crosses process
-        boundaries, ``sweep --shard-trials`` pool workers all open the same
-        store and share plans instead of recompiling per process.
     """
 
     router_backend: str = "euler-array"
@@ -117,13 +97,11 @@ class RunConfig:
     cache_policy: str = "on"
     cache_max_entries: int = DEFAULT_CACHE_MAX_ENTRIES
     cache_max_bytes: int = DEFAULT_CACHE_MAX_BYTES
-    trace_mode: str = "compiled"
     trials: int = 3
     seed: int = 2002
     workers: int | None = None
     shard_trials: int | None = None
     cache_stats: bool = False
-    plan_store_path: str | None = None
 
     def __post_init__(self) -> None:
         self.validate()
@@ -158,11 +136,6 @@ class RunConfig:
                 f"unknown cache policy {self.cache_policy!r}; "
                 f"expected one of {CACHE_POLICIES}"
             )
-        if self.trace_mode not in TRACE_MODES:
-            raise ConfigurationError(
-                f"unknown trace mode {self.trace_mode!r}; "
-                f"expected one of {TRACE_MODES}"
-            )
         _check_positive_int("cache_max_entries", self.cache_max_entries)
         _check_positive_int("cache_max_bytes", self.cache_max_bytes)
         _check_positive_int("trials", self.trials)
@@ -177,13 +150,6 @@ class RunConfig:
             _check_positive_int("shard_trials", self.shard_trials)
         if not isinstance(self.cache_stats, bool):
             raise ValueError(f"cache_stats must be a bool, got {self.cache_stats!r}")
-        if self.plan_store_path is not None and (
-            not isinstance(self.plan_store_path, str) or not self.plan_store_path
-        ):
-            raise ValueError(
-                "plan_store_path must be a non-empty str or None, "
-                f"got {self.plan_store_path!r}"
-            )
 
     # -- derivation ---------------------------------------------------------
 

@@ -87,11 +87,7 @@ class Session:
         :class:`~repro.pops.engine.ScheduleCache` sized by the config; pass
         :func:`repro.pops.engine.schedule_cache` to share the process-wide
         cache (the deprecation shims do, preserving their historical
-        behaviour).  With ``config.plan_store_path`` set, the session-owned
-        cache is built with the persistent
-        :class:`~repro.pops.plan_store.PlanStore` at that path attached as
-        its disk tier (a caller-provided ``cache`` is taken as-is — its
-        tiering is the caller's decision).
+        behaviour).
     """
 
     def __init__(
@@ -104,19 +100,12 @@ class Session:
                 f"config must be a RunConfig or None, got {type(config).__name__}"
             )
         self.config = config
-        if cache is not None:
-            self.cache = cache
-        else:
-            store = None
-            if config.plan_store_path is not None:
-                from repro.pops.plan_store import PlanStore
-
-                store = PlanStore(config.plan_store_path)
-            self.cache = ScheduleCache(
+        if cache is None:
+            cache = ScheduleCache(
                 max_entries=config.cache_max_entries,
                 max_bytes=config.cache_max_bytes,
-                store=store,
             )
+        self.cache = cache
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Session(config={self.config!r})"
@@ -133,12 +122,7 @@ class Session:
         return derive_trial_seeds(root, trials)
 
     def cache_stats(self) -> dict[str, int]:
-        """Hit/miss/entry counters of the session's schedule cache.
-
-        With a plan store configured the dict additionally carries the
-        ``disk_hits`` / ``disk_misses`` counters of the persistent tier
-        (kept separate from the memory counters, never summed).
-        """
+        """Hit/miss/entry counters of the session's schedule cache."""
         return self.cache.stats()
 
     # -- capabilities -------------------------------------------------------
@@ -155,9 +139,9 @@ class Session:
         """Route ``pi`` with the universal router; simulate, verify, summarise.
 
         The target network is given either as ``network=`` or as ``d=``/``g=``.
-        Router backend, simulator engine, cache policy and trace mode all come
-        from the session config; compiled schedules are memoised in the
-        session's cache.  ``pi`` is validated once and routed as the ``(1, n)``
+        Router backend, simulator engine and cache policy all come from the
+        session config; compiled schedules are memoised in the session's
+        cache.  ``pi`` is validated once and routed as the ``(1, n)``
         row of the batch pipeline, so the result equals ``route_batch``'s
         entry for the same permutation, and both share cache entries.
 
@@ -288,11 +272,11 @@ class Session:
     ) -> SimulationResult:
         """Execute ``schedule`` on the configured engine and return the result.
 
-        The result's trace representation follows ``config.trace_mode``:
-        ``"compiled"`` keeps whatever the engine produced (integer-array
-        traces from compiled engines), ``"materialized"`` expands compiled
-        traces to per-slot dict objects eagerly.  ``verify=True`` additionally
-        asserts every packet reached its destination.
+        Compiled engines return an integer-array
+        :class:`~repro.pops.trace.CompiledTrace`; call
+        ``result.trace.materialize()`` for per-slot dict objects.
+        ``verify=True`` additionally asserts every packet reached its
+        destination.
 
         Pass ``cache_key`` to memoise the compiled schedule in the
         session-owned cache; the caller asserts the key fully determines
@@ -302,8 +286,6 @@ class Session:
         deterministic router's, have no sound generic key.  A set cache
         policy of ``"off"`` drops the key.
         """
-        from repro.pops.trace import CompiledTrace
-
         if self.config.cache_policy == "off":
             cache_key = None
         simulator = self.simulator(schedule.network)
@@ -312,10 +294,6 @@ class Session:
         )
         if verify:
             result.verify_permutation_delivery(packets)
-        if self.config.trace_mode == "materialized" and isinstance(
-            result.trace, CompiledTrace
-        ):
-            result.trace = result.trace.materialize()
         return result
 
     def experiment(self, experiment_id: str, **overrides: Any) -> ExperimentResult:

@@ -42,19 +42,12 @@ compiled-schedule cache counters::
 
     pops-repro sweep --configs 128:128 --trials 16 --shard-trials 2 --cache-stats
 
-Share one persistent compiled-plan store across the pool workers (and any
-later process pointed at the same directory — a second sweep, a CI job
-restored from cache, a future serving daemon starting warm)::
-
-    pops-repro sweep --configs 64:64 --trials 8 --plan-store .plan-store
-
 Serve live route requests from one warm session, dynamically batching
 concurrent same-shape requests onto the megabatch kernels (SIGTERM drains
 in-flight batches and exits; ``stats`` requests report per-stage latency
 percentiles, routes/sec and the batch-size histogram)::
 
-    pops-repro serve --port 8472 --plan-store .plan-store \\
-        --batch-window-ms 2 --max-batch 64
+    pops-repro serve --port 8472 --batch-window-ms 2 --max-batch 64
 
 Profile where a run spends its time (``--profile`` prints the per-stage
 time/percentage tree; ``--trace-out`` exports the raw spans, in JSONL or
@@ -86,13 +79,6 @@ and ``--deadline-ms`` make the fetch resilient to a restarting daemon)::
     pops-repro stats --port 8472
     pops-repro stats --port 8472 --format json
     pops-repro stats --port 8472 --retries 3 --deadline-ms 2000
-
-Inspect, pre-warm, garbage-collect or integrity-check that store::
-
-    pops-repro cache stats --plan-store .plan-store --format json
-    pops-repro cache warm --plan-store .plan-store --configs 64:64 --trials 8
-    pops-repro cache gc --plan-store .plan-store --max-bytes 268435456
-    pops-repro cache verify --plan-store .plan-store
 """
 
 from __future__ import annotations
@@ -194,19 +180,6 @@ def _parse_fault_spec(text: str):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _add_plan_store_flag(subparser: argparse.ArgumentParser, required: bool = False) -> None:
-    subparser.add_argument(
-        "--plan-store",
-        default=None,
-        required=required,
-        metavar="DIR",
-        help=(
-            "directory of the persistent compiled-plan store shared across "
-            "processes and runs (created if absent)"
-        ),
-    )
-
-
 def _add_backend_flags(
     subparser: argparse.ArgumentParser,
     sim_help: str | None = None,
@@ -230,23 +203,6 @@ def _add_backend_flags(
             default=None,
             help=f"{sim_help} (default: {RunConfig.sim_backend})",
         )
-
-
-def _add_sweep_flags(subparser: argparse.ArgumentParser) -> None:
-    """``--configs`` / ``--trials`` / ``--seed`` of the Theorem 2 sweep."""
-    subparser.add_argument(
-        "--configs",
-        type=_parse_sweep_configs,
-        default=None,
-        help="comma-separated d:g pairs (e.g. 8:4,16:4); default: the E1 sweep",
-    )
-    subparser.add_argument(
-        "--trials", type=int, default=None,
-        help=f"trials per configuration (default: {RunConfig.trials})",
-    )
-    subparser.add_argument(
-        "--seed", type=int, default=None, help=f"RNG seed (default: {RunConfig.seed})"
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -297,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
             "recover the residual traffic online over the survivors"
         ),
     )
-    _add_plan_store_flag(route)
     _add_obs_flags(route)
     _add_format_flag(route)
 
@@ -305,7 +260,19 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep",
         help="run the Theorem 2 sweep fanned across worker processes",
     )
-    _add_sweep_flags(sweep)
+    sweep.add_argument(
+        "--configs",
+        type=_parse_sweep_configs,
+        default=None,
+        help="comma-separated d:g pairs (e.g. 8:4,16:4); default: the E1 sweep",
+    )
+    sweep.add_argument(
+        "--trials", type=int, default=None,
+        help=f"trials per configuration (default: {RunConfig.trials})",
+    )
+    sweep.add_argument(
+        "--seed", type=int, default=None, help=f"RNG seed (default: {RunConfig.seed})"
+    )
     _add_backend_flags(sweep, "simulator engine (batched = vectorized fast path)")
     sweep.add_argument(
         "--workers",
@@ -327,12 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--cache-stats",
         action="store_true",
-        help=(
-            "report compiled-schedule cache counters in the sweep notes "
-            "(memory and disk tiers reported separately with --plan-store)"
-        ),
+        help="report compiled-schedule cache counters in the sweep notes",
     )
-    _add_plan_store_flag(sweep)
     _add_obs_flags(sweep)
     _add_format_flag(sweep)
 
@@ -414,7 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         help="seed of the fault-strike stream",
     )
-    _add_plan_store_flag(serve)
     _add_format_flag(serve)
 
     stats = subparsers.add_parser(
@@ -444,63 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     _add_format_flag(stats)
-
-    cache = subparsers.add_parser(
-        "cache",
-        help="manage the persistent compiled-plan store (stats/warm/gc/verify)",
-    )
-    cache_commands = cache.add_subparsers(dest="cache_command", required=True)
-
-    cache_stats = cache_commands.add_parser(
-        "stats",
-        help=(
-            "blob count, byte total and cumulative disk hit/miss counters "
-            "aggregated over every process that used the store"
-        ),
-    )
-    _add_plan_store_flag(cache_stats, required=True)
-    _add_format_flag(cache_stats)
-
-    cache_warm = cache_commands.add_parser(
-        "warm",
-        help=(
-            "pre-populate the store by routing the Theorem 2 sweep "
-            "permutations for the given configs/seed into it"
-        ),
-    )
-    _add_plan_store_flag(cache_warm, required=True)
-    _add_sweep_flags(cache_warm)
-    _add_backend_flags(cache_warm)
-    cache_warm.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="worker processes (default 0 = serial)",
-    )
-    _add_format_flag(cache_warm)
-
-    cache_gc = cache_commands.add_parser(
-        "gc", help="delete oldest blobs until the store fits a byte budget"
-    )
-    _add_plan_store_flag(cache_gc, required=True)
-    cache_gc.add_argument(
-        "--max-bytes",
-        type=int,
-        required=True,
-        metavar="N",
-        help="byte budget the store must fit after collection",
-    )
-    _add_format_flag(cache_gc)
-
-    cache_verify = cache_commands.add_parser(
-        "verify",
-        help=(
-            "open and checksum every blob, quarantining corrupt ones "
-            "(exit 1 if any blob failed)"
-        ),
-    )
-    _add_plan_store_flag(cache_verify, required=True)
-    _add_format_flag(cache_verify)
 
     subparsers.add_parser("list", help="list experiments and permutation families")
     return parser
@@ -757,62 +662,6 @@ def _command_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_store_summary(stats: dict[str, object]) -> None:
-    for name, value in stats.items():
-        print(f"{name:<19}: {value}")
-
-
-def _command_cache(args: argparse.Namespace) -> int:
-    """The ``pops-repro cache`` store-management subcommands."""
-    from repro.pops.plan_store import PlanStore
-
-    if args.cache_command == "warm":
-        session = Session(RunConfig.from_cli_args(args))
-        store = session.cache.store
-        before = store.stats()
-        result = session.sweep(args.configs)
-        after = store.stats()
-        payload = {
-            "path": after["path"],
-            "written": after["writes"] - before["writes"],
-            "disk_hits": after["disk_hits"] - before["disk_hits"],
-            "entries": after["entries"],
-            "total_bytes": after["total_bytes"],
-            "all_pass": result.all_pass,
-        }
-        if args.format == "json":
-            _print_json(payload)
-        else:
-            _print_store_summary(payload)
-        return 0 if result.all_pass else 1
-
-    store = PlanStore(args.plan_store)
-    if args.cache_command == "stats":
-        payload = store.stats()
-        if args.format == "json":
-            _print_json(payload)
-        else:
-            _print_store_summary(payload)
-        return 0
-    if args.cache_command == "gc":
-        if args.max_bytes < 0:
-            print("--max-bytes must be >= 0", file=sys.stderr)
-            return 2
-        payload = {"path": str(store.path), **store.gc(args.max_bytes)}
-        if args.format == "json":
-            _print_json(payload)
-        else:
-            _print_store_summary(payload)
-        return 0
-    # verify
-    payload = {"path": str(store.path), **store.verify()}
-    if args.format == "json":
-        _print_json(payload)
-    else:
-        _print_store_summary(payload)
-    return 0 if payload["quarantined"] == 0 else 1
-
-
 def _command_list() -> int:
     print("experiments:")
     for experiment_id in sorted(EXPERIMENTS.names()):
@@ -842,8 +691,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             return _command_serve(args)
         if args.command == "stats":
             return _command_stats(args)
-        if args.command == "cache":
-            return _command_cache(args)
         if args.command == "list":
             return _command_list()
     except BrokenPipeError:

@@ -1,11 +1,10 @@
 """Process-wide metrics: named counters, gauges and histograms.
 
 One model for every counting surface of the pipeline: the schedule cache's
-hit/miss counters, the plan store's per-process shard counters and the serve
-daemon's telemetry are all built from the metric classes here, and anything
-registered in a :class:`MetricsRegistry` can be snapshotted as JSON or
-rendered as Prometheus-style text exposition (the serve daemon's ``metrics``
-op and ``pops-repro stats``).
+hit/miss counters and the serve daemon's telemetry are both built from the
+metric classes here, and anything registered in a :class:`MetricsRegistry`
+can be snapshotted as JSON or rendered as Prometheus-style text exposition
+(the serve daemon's ``metrics`` op and ``pops-repro stats``).
 
 Metrics are cheap and thread-safe: counters/gauges guard a scalar with one
 lock acquisition per update; histograms delegate their bounded sample

@@ -9,7 +9,6 @@ traced wall time.  A cold ``n = 1024`` route (the plan is built, so
     session.route                      1.92 ms  100.0%  x1
       route.setup                      0.05 ms    2.7%  x1
       route.compile                    1.66 ms   86.4%  x1
-        cache.probe                    0.05 ms    2.5%  x1
         route.plan                     1.58 ms   82.3%  x1
       engine.execute                   0.11 ms    5.9%  x1
       metrics.bounds                   0.06 ms    3.0%  x1

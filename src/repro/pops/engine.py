@@ -41,7 +41,7 @@ message.
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Sequence
+from collections.abc import Hashable
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,9 +81,7 @@ class CompiledSchedule:
     network:
         The network the schedule targets.
     packets:
-        The packet universe; array entries index into this sequence (a
-        plain list when lowered in-process, a lazily materialized sequence
-        when loaded from the persistent plan store).
+        The packet universe; array entries index into this list.
     tx_sender / tx_packet / tx_ptr:
         Per-slot transmissions, for the dynamic ownership check.
     pay_coupler / pay_packet / pay_ptr:
@@ -104,7 +102,7 @@ class CompiledSchedule:
     """
 
     network: POPSNetwork
-    packets: Sequence[Packet]
+    packets: list[Packet]
     n_slots: int
     tx_sender: np.ndarray
     tx_packet: np.ndarray
@@ -258,30 +256,15 @@ class ScheduleCache:
     misses; ``pops-repro sweep --cache-stats`` surfaces the counters.
     Compiled schedules are immutable after compilation, so sharing one object
     between executions is safe (``execute`` copies the location array).
-
-    ``store`` attaches a second, *persistent* tier — a
-    :class:`~repro.pops.plan_store.PlanStore` probed on every memory miss
-    and written through on every fill.  A disk hit promotes the plan into
-    the memory tier and is counted separately (``disk_hits`` — the ``hits``
-    counter stays memory-only, ``misses`` means both tiers missed), so
-    ``--cache-stats`` can distinguish "warm in this process" from "warm on
-    disk from another process or an earlier run".  Without a store the
-    cache behaves — and reports — exactly as before.
     """
 
-    def __init__(
-        self,
-        max_entries: int = 64,
-        max_bytes: int = 128 * 1024 * 1024,
-        store=None,
-    ):
+    def __init__(self, max_entries: int = 64, max_bytes: int = 128 * 1024 * 1024):
         if max_entries < 1:
             raise ValueError(f"max_entries must be positive, got {max_entries}")
         if max_bytes < 1:
             raise ValueError(f"max_bytes must be positive, got {max_bytes}")
         self.max_entries = max_entries
         self.max_bytes = max_bytes
-        self.store = store
         self._entries: dict[Hashable, CompiledSchedule | CompiledScheduleBatch] = {}
         self._total_bytes = 0
         # The counters are repro.obs metrics (the one counting model every
@@ -289,28 +272,16 @@ class ScheduleCache:
         # historical ``cache.hits``-style reads working unchanged.
         self._hits = Counter("cache_hits")
         self._misses = Counter("cache_misses")
-        self._disk_hits = Counter("cache_disk_hits")
-        self._disk_misses = Counter("cache_disk_misses")
 
     @property
     def hits(self) -> int:
-        """Memory-tier hits (cumulative since construction or :meth:`clear`)."""
+        """Cache hits (cumulative since construction or :meth:`clear`)."""
         return self._hits.value
 
     @property
     def misses(self) -> int:
-        """Accesses both tiers missed."""
+        """Cache misses (cumulative since construction or :meth:`clear`)."""
         return self._misses.value
-
-    @property
-    def disk_hits(self) -> int:
-        """Persistent-tier hits (0 without a store)."""
-        return self._disk_hits.value
-
-    @property
-    def disk_misses(self) -> int:
-        """Persistent-tier misses (0 without a store)."""
-        return self._disk_misses.value
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -323,29 +294,15 @@ class ScheduleCache:
     def get(self, key: Hashable) -> CompiledSchedule | CompiledScheduleBatch | None:
         """Look up ``key``, counting the access as a hit or a miss.
 
-        Memory first; on a memory miss an attached persistent store is
-        probed, and a disk hit is promoted into the memory tier (without a
-        write-back — the blob is already on disk).  ``misses`` counts only
-        accesses both tiers missed.  A memory hit is one dict lookup, cheaper
-        than the span that would time it, so it is counted but not traced;
-        every access past the memory tier runs under a ``cache.probe`` span.
+        Either way the access is one dict lookup, cheaper than the span that
+        would time it, so it is counted but not traced.
         """
         compiled = self._entries.get(key)
-        if compiled is not None:
-            self._hits.inc()
-            return compiled
-        with get_tracer().span("cache.probe") as probe:
-            if self.store is not None:
-                compiled = self.store.get(key)
-                if compiled is not None:
-                    self._disk_hits.inc()
-                    self._put_memory(key, compiled)
-                    probe.annotate(tier="disk", hit=True)
-                    return compiled
-                self._disk_misses.inc()
+        if compiled is None:
             self._misses.inc()
-            probe.annotate(hit=False)
-            return None
+        else:
+            self._hits.inc()
+        return compiled
 
     def peek(self, key: Hashable) -> CompiledSchedule | CompiledScheduleBatch | None:
         """Look up ``key`` without touching the hit/miss counters.
@@ -360,20 +317,8 @@ class ScheduleCache:
     def put(self, key: Hashable, compiled: CompiledSchedule | CompiledScheduleBatch) -> None:
         """Store ``compiled`` under ``key``, FIFO-evicting until within bounds.
 
-        A schedule larger than ``max_bytes`` on its own is not cached at all
-        in memory; with a persistent store attached the plan is still
-        written through to disk (the disk tier has its own budget policy),
-        so later processes can warm-start even from plans this process's
-        memory bounds rejected.
+        A schedule larger than ``max_bytes`` on its own is not cached at all.
         """
-        if self.store is not None:
-            self.store.put(key, compiled)
-        self._put_memory(key, compiled)
-
-    def _put_memory(
-        self, key: Hashable, compiled: CompiledSchedule | CompiledScheduleBatch
-    ) -> None:
-        """The memory-tier insert (no write-through); FIFO-evicts to bounds."""
         nbytes = compiled.nbytes
         if nbytes > self.max_bytes:
             return
@@ -390,32 +335,19 @@ class ScheduleCache:
         self._total_bytes += nbytes
 
     def stats(self) -> dict[str, int]:
-        """Counters as a plain dict: ``hits``, ``misses``, ``entries``.
-
-        With a persistent store attached, ``disk_hits`` / ``disk_misses``
-        are reported as *separate* keys (``hits`` stays memory-only; the
-        tiers are never summed), so consumers can tell a warm process from
-        a warm disk.  Without a store the dict keeps its historical
-        three-key shape exactly.
-        """
-        stats = {
+        """Counters as a plain dict: ``hits``, ``misses``, ``entries``."""
+        return {
             "hits": self.hits,
             "misses": self.misses,
             "entries": len(self._entries),
         }
-        if self.store is not None:
-            stats["disk_hits"] = self.disk_hits
-            stats["disk_misses"] = self.disk_misses
-        return stats
 
     def clear(self) -> None:
-        """Drop all memory entries and reset the counters (disk untouched)."""
+        """Drop all entries and reset the counters."""
         self._entries.clear()
         self._total_bytes = 0
         self._hits.reset()
         self._misses.reset()
-        self._disk_hits.reset()
-        self._disk_misses.reset()
 
 
 #: Process-wide default cache; worker processes each hold their own instance.
@@ -551,11 +483,11 @@ class BatchedSimulator:
         """
         if cache_key is None or initial_buffers is not None:
             return compile_schedule(self.network, schedule, packets, initial_buffers)
-        store = cache if cache is not None else schedule_cache()
-        compiled = store.get(cache_key)
+        cache = cache if cache is not None else schedule_cache()
+        compiled = cache.get(cache_key)
         if compiled is None:
             compiled = compile_schedule(self.network, schedule, packets, None)
-            store.put(cache_key, compiled)
+            cache.put(cache_key, compiled)
         return compiled
 
     def execute(self, compiled: CompiledSchedule, faults=None) -> np.ndarray:

@@ -29,7 +29,7 @@ Quick start (in-process daemon, e.g. in a test or notebook)::
 
 From a terminal::
 
-    pops-repro serve --port 8472 --plan-store .plan-store
+    pops-repro serve --port 8472
 """
 
 from repro.serve.client import RouteOutcome, ServeClient, ServeError

@@ -14,9 +14,9 @@ request routes alone — the control arm of ``benchmarks/bench_serve.py``).
 Concurrency contract:
 
 * **One worker thread owns the session.**  All routing happens on the
-  batcher's worker thread, so the session, its schedule cache and the
-  attached plan store are never touched concurrently.  Handler threads only
-  enqueue and wait on futures.
+  batcher's worker thread, so the session and its schedule cache are
+  never touched concurrently.  Handler threads only enqueue and wait on
+  futures.
 * **Bounded queue, explicit shedding.**  :meth:`DynamicBatcher.submit`
   raises :class:`QueueFullError` instead of blocking when ``max_queue``
   requests are already waiting; the daemon turns that into a structured
@@ -97,10 +97,9 @@ class DynamicBatcher:
     Parameters
     ----------
     session:
-        The warm session whose config (router backend, engine, cache policy,
-        plan store) all routing uses.  Requests naming a different router
-        backend get a sibling session sharing this session's cache, so every
-        backend benefits from the same plan store.
+        The warm session whose config (router backend, engine, cache policy)
+        all routing uses.  Requests naming a different router backend get a
+        sibling session sharing this session's cache.
     telemetry:
         Where batch sizes are recorded (request stages are recorded by the
         daemon when the response is on the wire).
@@ -272,7 +271,7 @@ class DynamicBatcher:
         session = self._sessions.get(backend)
         if session is None:
             # Sibling session for a per-request backend override, sharing the
-            # primary session's cache (and therefore its plan store tier).
+            # primary session's cache.
             session = Session(
                 self._session.config.replace(router_backend=backend),
                 cache=self._session.cache,

@@ -1,11 +1,11 @@
 """`ServeDaemon`: the socket front end of the serving layer.
 
 One daemon holds one warm :class:`~repro.api.session.Session` — schedule
-cache primed, plan store attached when configured — and serves route
-requests concurrently over a TCP socket bound to localhost, speaking the
-length-prefixed JSON protocol of :mod:`repro.serve.protocol`.  Each accepted
-connection gets a handler thread that parses frames and waits on futures;
-all actual routing happens on the single worker thread of the
+cache primed — and serves route requests concurrently over a TCP socket
+bound to localhost, speaking the length-prefixed JSON protocol of
+:mod:`repro.serve.protocol`.  Each accepted connection gets a handler
+thread that parses frames and waits on futures; all actual routing happens
+on the single worker thread of the
 :class:`~repro.serve.batcher.DynamicBatcher`, which coalesces same-shape
 requests into megabatch kernel calls.
 
@@ -47,6 +47,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.serve import protocol
 from repro.serve.batcher import DynamicBatcher, QueueFullError, ShuttingDownError
 from repro.serve.telemetry import STAGES, ServeTelemetry
+from repro.utils.validation import check_integer_array
 
 __all__ = ["ServeDaemon"]
 
@@ -62,8 +63,7 @@ class ServeDaemon:
     config:
         Session configuration; defaults to ``RunConfig()`` — the
         ``euler-array`` router on the ``batched`` engine, which feeds the
-        megabatch kernels.  Attach a plan store via
-        ``config.plan_store_path`` to start warm.
+        megabatch kernels.
     host / port:
         Bind address; port ``0`` (default) picks an ephemeral port, read it
         from :attr:`address` after :meth:`start`.
@@ -302,10 +302,7 @@ class ServeDaemon:
         pi = request.get("pi")
         if not isinstance(pi, list):
             raise ValidationError(f"pi must be a list of ints, got {type(pi).__name__}")
-        try:
-            images = np.asarray(pi, dtype=np.int64)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValidationError(f"pi must be a list of ints: {exc}") from None
+        images = check_integer_array(pi, "pi")
         if images.ndim != 1:
             raise ValidationError(f"pi must be one-dimensional, got shape {images.shape}")
         if images.shape[0] != d * g:
@@ -441,8 +438,7 @@ class ServeDaemon:
     # -- the stats request ---------------------------------------------------
 
     def stats(self) -> dict[str, Any]:
-        """The ``stats`` response payload: telemetry + cache + store + knobs."""
-        store = self.session.cache.store
+        """The ``stats`` response payload: telemetry + cache + knobs."""
         return {
             "protocol": protocol.PROTOCOL_VERSION,
             "router_backend": self.config.router_backend,
@@ -452,7 +448,6 @@ class ServeDaemon:
             "queue_depth": self.batcher.queue_depth,
             "telemetry": self.telemetry.snapshot(),
             "cache": self.session.cache_stats(),
-            "plan_store": store.stats() if store is not None else None,
             "faults": (
                 self.batcher.faults.describe()
                 if self.batcher.faults is not None
@@ -491,20 +486,12 @@ class ServeDaemon:
         """Prometheus-style text exposition of the whole daemon's state.
 
         The serving metrics come straight from the telemetry's registry;
-        the cache, plan-store, and queue state are point-in-time values,
-        rendered through a transient registry so every series goes out in
-        one consistent format.
+        the cache and queue state are point-in-time values, rendered
+        through a transient registry so every series goes out in one
+        consistent format.
         """
         gauges = MetricsRegistry()
         gauges.gauge("serve_queue_depth").set(self.batcher.queue_depth)
         for key, value in self.session.cache_stats().items():
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                continue
             gauges.gauge(f"cache_{key}").set(value)
-        store = self.session.cache.store
-        if store is not None:
-            for key, value in store.stats().items():
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    continue
-                gauges.gauge(f"store_{key}").set(value)
         return self.telemetry.registry.render_prometheus() + gauges.render_prometheus()

@@ -8,6 +8,7 @@ rather than deep inside the combinatorial machinery.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Sequence
 from typing import Any
 
@@ -20,6 +21,7 @@ __all__ = [
     "check_non_negative_int",
     "check_in_range",
     "check_divides",
+    "check_integer_array",
     "check_permutation",
     "check_permutation_array",
     "check_permutation_stack",
@@ -89,7 +91,10 @@ def check_permutation(pi: Sequence[int], n: int | None = None) -> list[int]:
     list[int]
         A defensive copy of the permutation as a plain list of ints.
     """
-    values = [int(x) for x in pi]
+    try:
+        values = [operator.index(x) for x in pi]
+    except TypeError as error:
+        raise ValidationError(f"permutation is not integer-valued: {error}") from None
     if n is not None and len(values) != n:
         raise ValidationError(
             f"permutation has length {len(values)}, expected {n}"
@@ -107,16 +112,32 @@ def check_permutation(pi: Sequence[int], n: int | None = None) -> list[int]:
     return values
 
 
+def check_integer_array(values: Any, name: str = "permutation") -> np.ndarray:
+    """``values`` as an ``int64`` array, refusing anything not integer-typed.
+
+    The dtype is the one numpy infers, so floats (even whole ones), numeric
+    strings, bool-only input and ragged or oversized nestings all raise
+    instead of being coerced.  Empty input is allowed, since numpy types it
+    as float.
+    """
+    try:
+        array = np.asarray(values)
+    except (TypeError, ValueError) as error:
+        raise ValidationError(f"{name} is not integer-valued: {error}") from None
+    if array.dtype.kind not in "iu" and array.size:
+        raise ValidationError(
+            f"{name} is not integer-valued: got entries of dtype {array.dtype}"
+        )
+    return array.astype(np.int64, copy=False)
+
+
 def check_permutation_array(pi: Sequence[int], n: int | None = None) -> np.ndarray:
     """Vectorized :func:`check_permutation` returning an ``int64`` array.
 
     Same contract and messages: a one-dimensionality check, then the B = 1
     row of :func:`check_permutation_stack`.
     """
-    try:
-        values = np.asarray(pi, dtype=np.int64)
-    except (TypeError, ValueError, OverflowError) as error:
-        raise ValidationError(f"permutation is not integer-valued: {error}") from None
+    values = check_integer_array(pi)
     if values.ndim != 1:
         raise ValidationError(
             f"permutation must be one-dimensional, got shape {values.shape}"
@@ -127,13 +148,10 @@ def check_permutation_array(pi: Sequence[int], n: int | None = None) -> np.ndarr
 def check_permutation_stack(pis: Any, n: int | None = None) -> np.ndarray:
     """Validate a ``(B, n)`` stack of permutations; returns an ``int64`` array.
 
-    Every row must be a permutation of ``{0, ..., n-1}``.  Violations raise with the single-permutation
-    message for the row-major first offender.
+    Every row must be a permutation of ``{0, ..., n-1}``.  Violations raise
+    with the single-permutation message for the row-major first offender.
     """
-    try:
-        values = np.asarray(pis, dtype=np.int64)
-    except (TypeError, ValueError, OverflowError) as error:
-        raise ValidationError(f"permutation is not integer-valued: {error}") from None
+    values = check_integer_array(pis)
     if values.ndim != 2:
         raise ValidationError(
             f"permutation stack must be two-dimensional, got shape {values.shape}"

@@ -22,7 +22,6 @@ class TestDefaults:
         assert config.router_backend == "euler-array"
         assert config.sim_backend == "batched"
         assert config.cache_policy == "on"
-        assert config.trace_mode == "compiled"
         assert config.trials == 3
         assert config.seed == 2002
         assert config.workers is None
@@ -53,10 +52,6 @@ class TestValidation:
     def test_unknown_cache_policy(self):
         with pytest.raises(ConfigurationError, match="unknown cache policy"):
             RunConfig(cache_policy="sometimes")
-
-    def test_unknown_trace_mode(self):
-        with pytest.raises(ConfigurationError, match="unknown trace mode"):
-            RunConfig(trace_mode="holographic")
 
     @pytest.mark.parametrize("trials", [0, -1])
     def test_nonpositive_trials(self, trials):
@@ -109,7 +104,6 @@ class TestRoundTrip:
             router_backend="euler",
             sim_backend="batched",
             cache_policy="off",
-            trace_mode="materialized",
             trials=5,
             seed=99,
             workers=2,
@@ -125,6 +119,14 @@ class TestRoundTrip:
     def test_from_dict_rejects_unknown_fields(self):
         with pytest.raises(ValueError, match="unknown RunConfig fields \\['bakcend'\\]"):
             RunConfig.from_dict({"bakcend": "konig"})
+
+    @pytest.mark.parametrize("field, value", [
+        ("plan_store_path", "plans"),
+        ("trace_mode", "materialized"),
+    ])
+    def test_removed_fields_are_unknown(self, field, value):
+        with pytest.raises(ValueError, match=f"unknown RunConfig fields \\['{field}'\\]"):
+            RunConfig.from_dict({field: value})
 
 
 class TestFromCliArgs:
@@ -156,9 +158,7 @@ class TestFromCliArgs:
         (["route", "--d", "4", "--g", "4"], RunConfig()),
         (["sweep"], RunConfig()),
         (["serve"], RunConfig()),
-        # ``cache warm`` is serial unless asked (its --workers default).
-        (["cache", "warm", "--plan-store", "plans"], RunConfig(plan_store_path="plans", workers=0)),
-    ], ids=["run", "route", "sweep", "serve", "cache-warm"])
+    ], ids=["run", "route", "sweep", "serve"])
     def test_missing_flags_keep_defaults(self, argv, expected):
         config = RunConfig.from_cli_args(build_parser().parse_args(argv))
         assert config == expected

@@ -15,7 +15,7 @@ import pytest
 
 from repro.analysis.metrics import RoutingMetrics
 from repro.api import RunConfig, Session, derive_trial_seeds
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, ValidationError
 from repro.patterns.families import vector_reversal
 from repro.pops.engine import ScheduleCache, schedule_cache
 from repro.pops.topology import POPSNetwork
@@ -86,34 +86,54 @@ class TestSessionRoute:
         assert len(session.cache) == 0
         assert session.cache.stats() == {"hits": 0, "misses": 0, "entries": 0}
 
-    def test_trace_modes_agree_on_metrics(self):
-        pi = vector_reversal(16)
-        compiled = Session(RunConfig(sim_backend="batched")).route(pi, d=4, g=4)
-        materialized = Session(
-            RunConfig(sim_backend="batched", trace_mode="materialized")
-        ).route(pi, d=4, g=4)
-        reference = Session(
-            RunConfig(router_backend="konig", sim_backend="reference")
-        ).route(pi, d=4, g=4)
-        assert compiled == materialized == reference
-
-    def test_simulate_honours_trace_mode(self):
+    def test_simulate_trace_materializes_to_the_reference_trace(self):
         from repro.pops.trace import CompiledTrace, SimulationTrace
         from repro.routing.permutation_router import PermutationRouter
 
         network = POPSNetwork(4, 4)
         plan = PermutationRouter(network).route(vector_reversal(16))
 
-        compiled_session = Session(RunConfig(sim_backend="batched"))
-        result = compiled_session.simulate(plan.schedule, plan.packets, verify=True)
-        assert isinstance(result.trace, CompiledTrace)
-
-        materialized_session = Session(
-            RunConfig(sim_backend="batched", trace_mode="materialized")
+        result = Session(RunConfig(sim_backend="batched")).simulate(
+            plan.schedule, plan.packets, verify=True
         )
-        result = materialized_session.simulate(plan.schedule, plan.packets)
-        assert isinstance(result.trace, SimulationTrace)
-        assert result.n_slots == plan.n_slots
+        assert isinstance(result.trace, CompiledTrace)
+        materialized = result.trace.materialize()
+        assert isinstance(materialized, SimulationTrace)
+        reference = Session(RunConfig(sim_backend="reference")).simulate(
+            plan.schedule, plan.packets
+        )
+        assert materialized.n_slots == reference.trace.n_slots == plan.n_slots
+        assert materialized.coupler_usage() == reference.trace.coupler_usage()
+        assert materialized.receiver_usage() == reference.trace.receiver_usage()
+
+    def test_batched_and_reference_agree_on_metrics(self):
+        pi = vector_reversal(16)
+        batched = Session(RunConfig(sim_backend="batched")).route(pi, d=4, g=4)
+        reference = Session(
+            RunConfig(router_backend="konig", sim_backend="reference")
+        ).route(pi, d=4, g=4)
+        assert batched == reference
+
+    @pytest.mark.parametrize("dtype", [
+        np.int8, np.int16, np.int32, np.int64,
+        np.uint8, np.uint16, np.uint32, np.uint64,
+    ])
+    def test_route_accepts_integer_arrays_of_any_width(self, dtype):
+        pi = vector_reversal(16)
+        expected = Session().route(pi, d=4, g=4)
+        assert Session().route(np.asarray(pi, dtype=dtype), d=4, g=4) == expected
+
+    @pytest.mark.parametrize("pi", [
+        [1.0, 0.0, 3.0, 2.0],
+        ["1", "0", "3", "2"],
+        [True, False],
+    ], ids=["float", "numeric-string", "bool"])
+    def test_route_rejects_non_integer_permutations(self, pi):
+        session = Session()
+        with pytest.raises(ValidationError, match="not integer-valued"):
+            session.route(pi, d=len(pi) // 2, g=2)
+        with pytest.raises(ValidationError, match="not integer-valued"):
+            session.route_batch([pi], d=len(pi) // 2, g=2)
 
 
 class TestSweepAndRunAll:

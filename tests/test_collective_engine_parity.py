@@ -482,10 +482,14 @@ class TestSessionIntegration:
         session.simulate(schedule, [packet], cache_key=("b", 4, 4, 3))
         assert session.cache.stats()["hits"] == 1
 
-        materialized = Session(
-            RunConfig(sim_backend="auto", trace_mode="materialized")
-        ).simulate(schedule, [packet])
-        assert isinstance(materialized.trace, SimulationTrace)
+        materialized = result.trace.materialize()
+        assert isinstance(materialized, SimulationTrace)
+        reference = Session(RunConfig(sim_backend="reference")).simulate(
+            schedule, [packet]
+        )
+        assert materialized.n_slots == reference.trace.n_slots
+        assert materialized.coupler_usage() == reference.trace.coupler_usage()
+        assert materialized.receiver_usage() == reference.trace.receiver_usage()
 
     def test_run_config_accepts_new_engines(self):
         from repro.api import RunConfig

@@ -144,6 +144,33 @@ class TestScheduleCache:
         assert second is first
         assert cache.stats() == {"hits": 1, "misses": 1, "entries": 1}
 
+    def test_fresh_cache_stats_have_three_keys(self):
+        assert ScheduleCache().stats() == {"hits": 0, "misses": 0, "entries": 0}
+
+    def test_get_counts_misses_then_hits_after_put(self):
+        network, _, plan = self.fresh_workload()
+        compiled = BatchedSimulator(network).compile(plan.schedule, plan.packets)
+        cache = ScheduleCache()
+        assert cache.get("k") is None
+        assert cache.stats() == {"hits": 0, "misses": 1, "entries": 0}
+        cache.put("k", compiled)
+        assert cache.get("k") is compiled
+        assert cache.peek("k") is compiled  # peek counts nothing
+        assert cache.stats() == {"hits": 1, "misses": 1, "entries": 1}
+        assert cache.total_bytes == compiled.nbytes
+
+    def test_cached_plan_executes_identically(self):
+        network, _, plan = self.fresh_workload(seed=7)
+        engine = BatchedSimulator(network)
+        cache = ScheduleCache()
+        engine.compile(plan.schedule, plan.packets, cache_key="k", cache=cache)
+        cached = engine.compile(plan.schedule, plan.packets, cache_key="k", cache=cache)
+        fresh = engine.compile(plan.schedule, plan.packets)
+        assert cache.stats()["hits"] == 1
+        loc = engine.execute(cached)
+        assert (loc == engine.execute(fresh)).all()
+        engine.verify_locations(cached, loc)
+
     def test_no_key_no_cache(self):
         network, _, plan = self.fresh_workload()
         cache = ScheduleCache()
@@ -194,6 +221,8 @@ class TestScheduleCache:
         b = engine.compile(plan.schedule, plan.packets, cache_key="k", cache=cache)
         assert a is not b  # never stored, recompiled each time
         assert len(cache) == 0 and cache.total_bytes == 0
+        # ``stats()`` always has exactly the three counter keys.
+        assert cache.stats() == {"hits": 0, "misses": 2, "entries": 0}
 
     def test_invalid_size_rejected(self):
         with pytest.raises(ValueError):

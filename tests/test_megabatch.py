@@ -260,6 +260,20 @@ class TestBatchCache:
         assert key != routing_cache_key_batch("euler-array", network, pis[:1])
         assert key != routing_cache_key_batch("konig-array", network, pis)
 
+    @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.uint16])
+    def test_keys_ignore_the_integer_width_of_the_input(self, rng, dtype):
+        # Callers may pass any integer array; the memory key must not split
+        # one permutation into several entries by its dtype.
+        network = POPSNetwork(2, 8)
+        pis = permutation_stack(network, rng, 2)
+        narrow = pis.astype(dtype)
+        assert routing_cache_key("euler-array", network, narrow[0]) == (
+            routing_cache_key("euler-array", network, pis[0])
+        )
+        assert routing_cache_key_batch("euler-array", network, narrow) == (
+            routing_cache_key_batch("euler-array", network, pis)
+        )
+
     def test_session_sweep_uses_one_entry_per_batch(self, rng):
         session = Session(
             RunConfig(trials=5, seed=13, workers=0, cache_stats=True)

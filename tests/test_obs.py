@@ -217,8 +217,8 @@ def _sample_spans() -> list[dict]:
     tracer = Tracer()
     with tracer.span("session.route", d=8, g=4, n=32):
         with tracer.span("route.compile"):
-            with tracer.span("cache.probe") as probe:
-                probe.annotate(tier="memory", hit=False)
+            with tracer.span("route.plan") as plan:
+                plan.annotate(backend="euler-array", batch=1)
         with tracer.span("engine.execute"):
             pass
     return tracer.finished()
@@ -290,9 +290,9 @@ class TestChromeExport:
         assert all(e["ph"] == "X" for e in events)
         assert min(e["ts"] for e in events) == 0.0
         by_name = {e["name"]: e for e in events}
-        probe = by_name["cache.probe"]
-        assert probe["args"]["tier"] == "memory"
-        assert probe["args"]["parent_id"] is not None
+        plan = by_name["route.plan"]
+        assert plan["args"]["backend"] == "euler-array"
+        assert plan["args"]["parent_id"] is not None
         path = str(tmp_path / "trace.json")
         assert write_chrome(spans, path) == len(spans)
         assert json.loads(open(path).read())["traceEvents"]
@@ -533,7 +533,7 @@ class TestCliObservability:
         assert validate_jsonl(trace) == []
         _header, spans = read_jsonl(trace)
         assert any(s["name"] == "session.route" for s in spans)
-        assert any(s["name"] == "cache.probe" for s in spans)
+        assert any(s["name"] == "route.plan" for s in spans)
 
     def test_route_trace_out_chrome(self, tmp_path, capsys):
         trace = str(tmp_path / "route.json")

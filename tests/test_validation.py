@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError, ValidationError
 from repro.utils.validation import (
     check_divides,
     check_in_range,
+    check_integer_array,
     check_non_negative_int,
     check_permutation,
+    check_permutation_array,
+    check_permutation_stack,
     check_positive_int,
     check_probability,
     check_type,
@@ -118,6 +122,47 @@ class TestCheckPermutation:
 
     def test_empty_is_valid(self):
         assert check_permutation([]) == []
+
+    @pytest.mark.parametrize("pi", [[1.0, 0.0], ["1", "0"]], ids=["float", "string"])
+    def test_non_integer_entries_rejected(self, pi):
+        with pytest.raises(ValidationError, match="not integer-valued"):
+            check_permutation(pi)
+
+
+class TestCheckPermutationArrays:
+    NON_INTEGER = [[1.0, 0.0], ["1", "0"], [True, False]]
+    IDS = ["float", "string", "bool"]
+
+    @pytest.mark.parametrize("pi", NON_INTEGER, ids=IDS)
+    def test_array_rejects_non_integer_entries(self, pi):
+        with pytest.raises(ValidationError, match="not integer-valued"):
+            check_permutation_array(pi)
+
+    @pytest.mark.parametrize("pi", NON_INTEGER, ids=IDS)
+    def test_stack_rejects_non_integer_entries(self, pi):
+        with pytest.raises(ValidationError, match="not integer-valued"):
+            check_permutation_stack([pi, pi])
+
+    def test_integer_stack_of_any_width_is_accepted(self):
+        stack = check_permutation_stack(np.array([[1, 0], [0, 1]], dtype=np.uint8))
+        assert stack.dtype == np.int64 and stack.tolist() == [[1, 0], [0, 1]]
+
+
+class TestCheckIntegerArray:
+    @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.uint16, np.int64])
+    def test_integer_dtypes_become_int64(self, dtype):
+        values = check_integer_array(np.array([2, 0, 1], dtype=dtype))
+        assert values.dtype == np.int64 and values.tolist() == [2, 0, 1]
+
+    @pytest.mark.parametrize("values", [
+        [1.0, 0.0], ["1", "0"], [True, False], [[0, 1], [0]], [2**70, 0],
+    ], ids=["float", "string", "bool", "ragged", "oversized"])
+    def test_non_integer_input_rejected(self, values):
+        with pytest.raises(ValidationError, match="pi is not integer-valued"):
+            check_integer_array(values, "pi")
+
+    def test_empty_is_allowed(self):
+        assert check_integer_array([]).dtype == np.int64
 
 
 class TestCheckProbability:
