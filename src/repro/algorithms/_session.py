@@ -14,13 +14,13 @@ def collective_session(session: Session | None = None) -> Session:
     """The session a collective algorithm executes on.
 
     A caller-supplied session is used as-is (its engine, cache and seed
-    lineage apply); otherwise a fresh session on the ``auto`` engine is built,
-    so broadcast-style schedules run on the vectorized collective engine and
-    permutation rounds on the batched one.
+    lineage apply); otherwise a fresh session on the ``batched`` engine is
+    built, which runs permutation rounds itself and hands broadcast-style
+    schedules to the vectorized collective engine.
     """
     from repro.api.config import RunConfig
     from repro.api.session import Session
 
     if session is not None:
         return session
-    return Session(RunConfig(sim_backend="auto"))
+    return Session(RunConfig(sim_backend="batched"))

@@ -11,8 +11,8 @@ These are the "data movement operations" flavour of the POPS literature
   ``n - 1`` at the root.
 
 Each collective is executed end-to-end on the slot-accurate simulator —
-through the :class:`~repro.api.session.Session` layer on the ``auto`` engine,
-so the consuming h-relation rounds run vectorized — and returns both the
+through the :class:`~repro.api.session.Session` layer on the ``batched``
+engine, so the consuming h-relation rounds run vectorized — and returns both the
 received data and the number of slots consumed, so the benchmarks can compare
 measured slot counts against the ``h · 2⌈d/g⌉`` decomposition bound.
 """

@@ -8,7 +8,7 @@ broadcast semantics (non-consuming transmissions, one coupler read by many
 processors) match the model.
 
 Execution goes through the :class:`~repro.api.session.Session` layer on the
-``auto`` engine by default, which dispatches broadcast schedules to the
+``batched`` engine by default, which dispatches broadcast schedules to the
 vectorized multi-location :mod:`repro.pops.collective_engine` — the reference
 simulator is no longer on the path for any broadcast size.
 """

@@ -5,8 +5,8 @@ Every collective in :mod:`repro.algorithms` decomposes into rounds of
 :class:`PermutationEngine` owns the permute step: it routes payload-carrying
 packets with the universal router (or any other router exposing ``route``),
 executes the schedule through the :class:`~repro.api.session.Session` layer
-(default: the ``auto`` engine, which runs these consuming permutation rounds
-on the vectorized batched engine), verifies delivery and returns both the new
+(default: the vectorized ``batched`` engine, which runs these consuming
+permutation rounds itself), verifies delivery and returns both the new
 value vector and the number of slots consumed.  Slot counts accumulated by
 the engine are what benchmark E8 reports.
 
@@ -49,7 +49,7 @@ class PermutationEngine:
         When ``True`` every executed schedule is checked for correct delivery.
     session:
         Session supplying the simulator engine and schedule cache; defaults
-        to a fresh session on the ``auto`` engine.
+        to a fresh session on the ``batched`` engine.
     """
 
     def __init__(

@@ -40,8 +40,8 @@ def hypercube_allreduce(
     equals the reduction of all inputs.  The processor count must be a power of
     two (the hypercube embedding of [Sahni 2000b]).  Each exchange round
     executes through the :class:`~repro.api.session.Session` layer (``session``
-    or a fresh ``auto``-engine session), so the rounds run on the vectorized
-    batched engine.
+    or a fresh ``batched``-engine session), so the rounds run on the
+    vectorized batched engine.
     """
     n = network.n
     if not is_power_of_two(n):

@@ -140,12 +140,13 @@ def _measure_routing_batch(
 
     The one routing pipeline: :meth:`repro.api.session.Session.route` is its
     ``(1, n)`` case and :meth:`~repro.api.session.Session.route_batch` the
-    general one.  On the batched/auto engines the stack takes the megabatch
+    general one.  On the batched engine the stack takes the megabatch
     path — one batched route, execution, verification, compiled trace and
     bound reduction — with the plan memoised in ``cache`` (the process-wide
     cache when ``None``) under :func:`routing_cache_key_batch`.  Other engines
     measure each row on the object pipeline (:func:`_measure_routing`, the
-    arbiter).  Entry ``b`` is equal, field types included, whichever path ran.
+    arbiter).  Entry ``b`` is equal, field types included, whichever path ran,
+    and an empty ``(0, n)`` stack returns ``[]`` on every engine.
 
     ``d < g`` stacks are routed as ``(1, n)`` slices: the batched plan builders
     pad every element's round structure to the worst case, and the whole stack
@@ -155,11 +156,13 @@ def _measure_routing_batch(
     the validated int64 image stack.
     """
     images = check_permutation_stack(pis, network.n) if validate else pis
+    if not images.shape[0]:
+        return []
     with get_tracer().span(
         "session.route", d=network.d, g=network.g, n=network.n,
         batch=int(images.shape[0]),
     ) as span:
-        if sim_backend not in ("batched", "auto"):
+        if sim_backend != "batched":
             return [
                 _measure_routing(
                     network, row.tolist(), span, router_backend, verify,
@@ -239,7 +242,7 @@ def _measure_routing(
     """Route ``pi`` on the object pipeline, simulate, verify, and summarise.
 
     The arbiter path of :func:`_measure_routing_batch`, taken for every
-    engine except batched/auto: the router builds per-packet schedule objects
+    engine except batched: the router builds per-packet schedule objects
     and ``sim_backend`` (any name registered in
     :data:`repro.api.registry.SIM_ENGINES`) executes them.  With
     ``use_cache``, engines other than ``reference`` — which has no compile

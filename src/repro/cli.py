@@ -23,11 +23,9 @@ router on the ``batched`` engine, no per-packet Python objects::
     pops-repro route --d 32 --g 32 --family perfect_shuffle --format json
 
 Route on the object-level arbiter instead (the ``konig`` router on the
-slot-by-slot ``reference`` simulator), or let the engine be picked by
-schedule shape (``auto``)::
+slot-by-slot ``reference`` simulator)::
 
     pops-repro route --d 8 --g 4 --backend konig --sim-backend reference
-    pops-repro route --d 32 --g 32 --sim-backend auto
 
 Run the collective-scale experiment on the multi-location engine::
 
@@ -237,10 +235,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_backend_flags(
         route,
-        "simulator engine (batched = vectorized fast path, "
+        "simulator engine (batched = vectorized fast path that hands "
+        "duplicating schedules to the collective engine, "
         "batched-collective = vectorized multi-location engine for "
-        "broadcast/collective schedules, auto = pick by schedule shape, "
-        "reference = slot-by-slot arbiter)",
+        "broadcast/collective schedules, reference = slot-by-slot arbiter)",
     )
     route.add_argument(
         "--faults",

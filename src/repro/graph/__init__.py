@@ -26,7 +26,6 @@ from repro.graph.regularize import (
     biregular_pad,
     biregular_pad_arrays,
     pad_to_regular,
-    pad_to_regular_arrays,
 )
 from repro.graph.edge_coloring import (
     EdgeColoring,
@@ -37,9 +36,7 @@ from repro.graph.edge_coloring import (
 )
 from repro.graph.array_coloring import (
     euler_array_colors,
-    euler_split_instances,
     konig_array_colors,
-    verify_instance_coloring,
 )
 from repro.graph.degree_coloring import edge_color_bounded, embed_into_regular
 
@@ -54,11 +51,9 @@ __all__ = [
     "perfect_matching_regular",
     "euler_partition",
     "euler_split",
-    "euler_split_instances",
     "biregular_pad",
     "biregular_pad_arrays",
     "pad_to_regular",
-    "pad_to_regular_arrays",
     "EdgeColoring",
     "konig_edge_coloring",
     "euler_split_edge_coloring",
@@ -66,5 +61,4 @@ __all__ = [
     "euler_array_colors",
     "edge_color",
     "verify_edge_coloring",
-    "verify_instance_coloring",
 ]

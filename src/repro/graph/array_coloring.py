@@ -3,23 +3,25 @@
 The object backends in :mod:`repro.graph.edge_coloring` walk Python dicts one
 edge instance at a time; at routing scale (``n = d·g`` instances for a handful
 of vertices) that per-instance interpreter cost dominates plan construction.
-The two kernels here keep the edge instances as parallel ``int64`` arrays end
-to end and are registered as the ``"konig-array"`` and ``"euler-array"``
-router backends:
+The kernels here keep the edge instances as parallel ``int64`` arrays end to
+end and back the ``"konig-array"`` and ``"euler-array"`` router backends.
 
-``konig_array_colors``
-    König's 1-factorisation by repeated perfect matching, with the matching
-    computed by the numpy-backed :func:`repro.graph.matching.
+The routing pipeline colours ``(B, m)`` instance stacks, one row per
+permutation, through :data:`ARRAY_COLORING_STACK_KERNELS`:
+
+``konig_array_colors_stack``
+    König's 1-factorisation by repeated perfect matching, row by row, with
+    the matching computed by the numpy-backed :func:`repro.graph.matching.
     hopcroft_karp_csr` on the (small) support graph and all multiplicity
     bookkeeping done with ``bincount``/``searchsorted``.  Handles every
     regular degree.
 
-``euler_array_colors``
-    The Gabow-style recursion made iterative: even degrees are halved by a
-    *vectorized* Euler split (:func:`euler_split_instances`) and odd degrees
-    peel one perfect matching first.  A ``2^k``-regular graph — the common
-    power-of-two ``d`` of the benchmarks — is coloured by ``k`` splits with no
-    matching call at all.
+``euler_array_colors_stack``
+    The Gabow-style recursion made iterative and level-synchronous: even
+    degrees are halved by a *vectorized* Euler split over the whole stack and
+    odd degrees peel one perfect matching first.  A ``2^k``-regular graph —
+    the common power-of-two ``d`` of the benchmarks — is coloured by ``k``
+    splits with no matching call at all.
 
 The vectorized Euler split replaces trail-walking with the classic parallel
 formulation: pair consecutive edge instances at every (even-degree) vertex on
@@ -28,11 +30,13 @@ cycles, and a proper 2-colouring of those cycles — computed with pointer
 doubling, no Python loop over edges — puts exactly half of every vertex's
 instances in each half.
 
-Both kernels are *deterministic* pure functions of the canonical
-:class:`~repro.graph.array_multigraph.ArrayMultigraph` arrays.  The compiled
-routing front end (:meth:`repro.routing.permutation_router.PermutationRouter.
-route_compiled`) relies on that determinism to stay bit-identical to the
-object pipeline run with the same backend.
+The single-graph forms :func:`konig_array_colors` / :func:`euler_array_colors`
+colour one :class:`~repro.graph.array_multigraph.ArrayMultigraph`; they back
+the object-level wrappers registered in ``COLORING_BACKENDS``, which the
+object pipeline (:meth:`repro.routing.fair_distribution.
+FairDistributionSolver.solve`) calls.  Every kernel is a *deterministic* pure
+function of the canonical instance arrays, which keeps the array pipeline
+bit-identical to the object pipeline run with the same backend.
 """
 
 from __future__ import annotations
@@ -42,7 +46,6 @@ import numpy as np
 from repro.api.registry import ROUTER_BACKENDS
 from repro.exceptions import (
     EdgeColoringError,
-    GraphError,
     NoPerfectMatchingError,
     NotRegularError,
 )
@@ -53,9 +56,7 @@ from repro.graph.multigraph import BipartiteMultigraph
 from repro.utils.arrayops import shrink_sort_key
 
 __all__ = [
-    "ARRAY_COLORING_KERNELS",
     "ARRAY_COLORING_STACK_KERNELS",
-    "euler_split_instances",
     "konig_array_colors",
     "euler_array_colors",
     "konig_array_colors_stack",
@@ -63,7 +64,6 @@ __all__ = [
     "konig_array_edge_coloring",
     "euler_array_edge_coloring",
     "coloring_from_instances",
-    "verify_instance_coloring",
     "verify_instance_coloring_stack",
 ]
 
@@ -74,39 +74,6 @@ def _check_equal_sides(graph: ArrayMultigraph) -> None:
             f"regular bipartite multigraph must have equal sides, got "
             f"{graph.n_left} and {graph.n_right}"
         )
-
-
-def _pairing_from_order(order: np.ndarray) -> np.ndarray:
-    """Pair consecutive entries of a by-vertex ordering into an involution."""
-    partner = np.empty(order.size, dtype=np.int64)
-    partner[order[0::2]] = order[1::2]
-    partner[order[1::2]] = order[0::2]
-    return partner
-
-
-def _alternate_mask(
-    partner_left: np.ndarray,
-    partner_right: np.ndarray,
-    orbit_bound: int | None = None,
-) -> np.ndarray:
-    """Proper 2-colouring of the union of two instance pairings.
-
-    The union decomposes the instances into even cycles alternating left and
-    right pairings; orbits of the two-step map ``partner_right ∘
-    partner_left`` are the alternate instances of a cycle, found by pointer
-    doubling (orbit minima), no Python loop over edges.
-
-    ``orbit_bound`` caps the doubling window when the caller knows no cycle
-    is longer (e.g. cycles confined to one row of a flattened stack); the
-    dropped iterations are idempotent, so the mask is unchanged.
-    """
-    m = partner_left.size
-    limit = m if orbit_bound is None else min(orbit_bound, m)
-    step = partner_right[partner_left]
-    representative = _orbit_minima(step, limit)
-    # An instance and its left partner sit in complementary orbits of the
-    # same cycle; the orbit holding the cycle's smallest instance goes first.
-    return representative > representative[partner_left]
 
 
 def _iota(m: int, dtype) -> np.ndarray:
@@ -189,31 +156,6 @@ def _orbit_minima(step: np.ndarray, limit: int) -> np.ndarray:
             if window < limit:
                 jump = jump[jump]
     return representative
-
-
-def euler_split_instances(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Vectorized Euler split of edge instances with all-even degrees.
-
-    Returns a boolean mask assigning each instance to one of two halves such
-    that every vertex's degree is exactly halved.  Pair consecutive instances
-    at each vertex (sorted by vertex, blocks start at even offsets because
-    all degrees are even); the two pairings form disjoint even cycles over
-    the instances, and a proper 2-colouring along each cycle
-    (:func:`_alternate_mask`) puts one instance of every pair in each half.
-
-    Raises
-    ------
-    GraphError
-        If some vertex has odd degree (the split would be unbalanced).
-    """
-    m = left.size
-    if m == 0:
-        return np.zeros(0, dtype=bool)
-    if m % 2 or (np.bincount(left) % 2).any() or (np.bincount(right) % 2).any():
-        raise GraphError("cannot Euler-split instances: a vertex has odd degree")
-    partner_left = _pairing_from_order(np.argsort(left, kind="stable"))
-    partner_right = _pairing_from_order(np.argsort(right, kind="stable"))
-    return _alternate_mask(partner_left, partner_right)
 
 
 def _unique_edges(
@@ -313,7 +255,7 @@ def euler_array_colors(graph: ArrayMultigraph) -> np.ndarray:
     """Euler-split 1-factorisation; returns a colour per canonical instance.
 
     Iterative Gabow recursion over instance arrays: even degrees are halved
-    by :func:`euler_split_instances` (colour block split in two), odd degrees
+    by a vectorized Euler split (colour block split in two), odd degrees
     peel one perfect matching into the lowest colour of the block.  Unlike
     :func:`konig_array_colors`, parallel copies of an edge receive colours in
     split order, not ascending order — consumers that need ascending colours
@@ -335,15 +277,20 @@ def euler_array_colors(graph: ArrayMultigraph) -> np.ndarray:
 
 
 def _alternate_mask_stack(order: np.ndarray, m: int) -> np.ndarray:
-    """Row-wise :func:`_alternate_mask` against the consecutive left pairing.
+    """Row-wise proper 2-colouring of the union of two instance pairings.
 
     ``order`` is a ``(rows, seg_len)`` stack of per-segment right-pairing
     orderings covering segments of ``m`` instances; the left pairing is
     ``i ^ 1`` in every segment — globally too, since segment offsets are
-    even.  The flat disjoint union keeps cycles confined to their segment,
-    orbit minima are offset-invariant within a segment, and the extra
-    pointer-doubling iterations of the larger union are idempotent, so each
-    output row is bit-identical to a standalone call on that row.
+    even.  The union decomposes the instances into even cycles alternating
+    left and right pairings; orbits of the two-step map ``partner_right ∘
+    partner_left`` are the alternate instances of a cycle, found by pointer
+    doubling (orbit minima), and the orbit holding the cycle's smallest
+    instance goes first.  The flat disjoint union keeps cycles confined to
+    their segment, orbit minima are offset-invariant within a segment, and
+    the extra pointer-doubling iterations of the larger union are
+    idempotent, so each output row is bit-identical to a standalone call on
+    that row.
 
     The two-step walk ``step(i) = partner_right[i ^ 1]`` is scattered
     directly (no intermediate pairing array): consecutive order entries are
@@ -497,49 +444,12 @@ def konig_array_colors_stack(
     return colors
 
 
-#: Kernels usable by the compiled routing front end, keyed by backend name.
-ARRAY_COLORING_KERNELS = {
-    "konig-array": konig_array_colors,
-    "euler-array": euler_array_colors,
-}
-
-#: Batched twins over ``(B, m)`` canonical instance stacks, same keys.
+#: Colouring kernels over ``(B, m)`` canonical instance stacks, keyed by
+#: router backend; the routing pipeline's one colouring entry point.
 ARRAY_COLORING_STACK_KERNELS = {
     "konig-array": konig_array_colors_stack,
     "euler-array": euler_array_colors_stack,
 }
-
-
-def verify_instance_coloring(graph: ArrayMultigraph, colors: np.ndarray) -> None:
-    """Vectorized properness check of an instance colouring.
-
-    The multiset condition of :func:`repro.graph.edge_coloring.
-    verify_edge_coloring` holds by construction (colours annotate exactly the
-    graph's instances); what remains is properness — no colour repeats a
-    vertex on either side — checked with two sorted-key passes.
-
-    Raises
-    ------
-    EdgeColoringError
-        On the first violation, naming the offending colour and vertex.
-    """
-    left, right = graph.instances()
-    if colors.shape != left.shape:
-        raise EdgeColoringError(
-            f"colouring annotates {colors.size} instances, graph has {left.size}"
-        )
-    for side, vertices, n_vertices in (
-        ("left", left, graph.n_left),
-        ("right", right, graph.n_right),
-    ):
-        key = np.sort(colors * np.int64(n_vertices) + vertices)
-        duplicate = np.flatnonzero(key[1:] == key[:-1])
-        if duplicate.size:
-            clash = int(key[duplicate[0]])
-            raise EdgeColoringError(
-                f"colour {clash // n_vertices} uses {side} vertex "
-                f"{clash % n_vertices} more than once"
-            )
 
 
 def verify_instance_coloring_stack(
@@ -549,9 +459,18 @@ def verify_instance_coloring_stack(
     n_right: int,
     colors: np.ndarray,
 ) -> None:
-    """Row-wise :func:`verify_instance_coloring` over ``(B, m)`` stacks.
+    """Vectorized properness check of ``(B, m)`` instance colouring stacks.
 
-    Raises with the single-graph message for the row-major first violation.
+    The multiset condition of :func:`repro.graph.edge_coloring.
+    verify_edge_coloring` holds by construction (colours annotate exactly the
+    graphs' instances); what remains is properness — no colour repeats a
+    vertex on either side — checked row-wise with two sorted-key passes.
+
+    Raises
+    ------
+    EdgeColoringError
+        On the row-major first violation, naming the offending colour and
+        vertex.
     """
     if colors.shape != left.shape:
         raise EdgeColoringError(

@@ -105,15 +105,6 @@ class ArrayMultigraph:
             graph.n_left, graph.n_right, pairs[:, 0], pairs[:, 1], pairs[:, 2]
         )
 
-    def to_bipartite(self) -> BipartiteMultigraph:
-        """Materialise the equivalent dict-based multigraph."""
-        graph = BipartiteMultigraph(self.n_left, self.n_right)
-        for left, right, mult in zip(
-            self.left.tolist(), self.right.tolist(), self.mult.tolist()
-        ):
-            graph.add_edge(left, right, mult)
-        return graph
-
     # -- accessors ---------------------------------------------------------
 
     @property
@@ -155,17 +146,6 @@ class ArrayMultigraph:
     def instances(self) -> tuple[np.ndarray, np.ndarray]:
         """Edge instances in canonical order (copies of an edge consecutive)."""
         return np.repeat(self.left, self.mult), np.repeat(self.right, self.mult)
-
-    def support_csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """The simple support graph as CSR ``(indptr, indices)`` over left rows.
-
-        Rows are sorted (the canonical edge order groups by ``left`` with
-        ascending ``right``), which :func:`repro.graph.matching.
-        hopcroft_karp_csr` relies on only for determinism, not correctness.
-        """
-        counts = np.bincount(self.left, minlength=self.n_left)
-        indptr = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
-        return indptr, self.right
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ArrayMultigraph):

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.exceptions import GraphError, NotRegularError
-from repro.graph.array_multigraph import ArrayMultigraph
 from repro.graph.multigraph import BipartiteMultigraph
 from repro.utils.validation import check_non_negative_int, check_positive_int
 
@@ -28,9 +27,7 @@ __all__ = [
     "biregular_pad",
     "biregular_pad_arrays",
     "pad_to_regular",
-    "pad_to_regular_arrays",
     "PaddedGraph",
-    "PaddedArrayGraph",
 ]
 
 
@@ -102,8 +99,10 @@ def biregular_pad_arrays(
     ``(new_degree, existing_degree)``-biregular multigraph.  The construction
     mirrors the dict version exactly — round-robin zip first, endpoint-multiset
     fallback when the moduli interact badly — so the two produce identical
-    edge multisets, which the compiled routing front end relies on for
-    bit-identical plans.
+    edge multisets, which the array fair-distribution pipeline
+    (:meth:`repro.routing.fair_distribution.FairDistributionSolver.
+    solve_array_batch`, which pads inline) relies on for bit-identical
+    plans.
     """
     check_positive_int(n_new, "n_new")
     check_positive_int(n_existing, "n_existing")
@@ -218,66 +217,3 @@ def pad_to_regular(core: BipartiteMultigraph, target_degree: int) -> PaddedGraph
     if not padded.is_regular() or padded.regular_degree() != n2:
         raise GraphError("padding failed to produce an n2-regular multigraph")
     return PaddedGraph(padded, n1, n1, n2)
-
-
-@dataclass(frozen=True)
-class PaddedArrayGraph:
-    """Result of :func:`pad_to_regular_arrays`; see :class:`PaddedGraph`."""
-
-    graph: ArrayMultigraph
-    n_core_left: int
-    n_core_right: int
-    target_degree: int
-
-
-def pad_to_regular_arrays(
-    core: ArrayMultigraph, target_degree: int
-) -> PaddedArrayGraph:
-    """Array twin of :func:`pad_to_regular`, producing the same padded multiset.
-
-    The padding parameters, validation messages and the ``H1``/``H2``
-    constructions mirror the dict pipeline, so
-    ``ArrayMultigraph.from_bipartite(pad_to_regular(g, n2).graph)`` equals the
-    graph returned here for the equivalent ``g`` — the property that keeps the
-    array and object fair distributions identical per backend.
-    """
-    if core.n_left != core.n_right:
-        raise NotRegularError(
-            "pad_to_regular expects equal-sized sides, got "
-            f"{core.n_left} and {core.n_right}"
-        )
-    n1 = core.n_left
-    delta1 = core.regular_degree()
-    n2 = check_positive_int(target_degree, "target_degree")
-    if n2 < delta1:
-        raise GraphError(
-            f"target degree {n2} is smaller than the core degree {delta1}"
-        )
-    if (n1 * delta1) % n2 != 0:
-        raise GraphError(
-            f"target degree {n2} does not divide n1*Δ1 = {n1 * delta1}; "
-            "the list system is not proper"
-        )
-    delta2 = (n1 * delta1) // n2
-    n_pad = n1 - delta2
-    pad_degree = n2 - delta1
-
-    if n_pad == 0 or pad_degree == 0:
-        if delta1 != n2:
-            raise GraphError(
-                "inconsistent padding parameters: no padding vertices required "
-                f"but core degree {delta1} != target {n2}"
-            )
-        return PaddedArrayGraph(core, n1, n1, n2)
-
-    core_left, core_right = core.instances()
-    pad_left, pad_right = biregular_pad_arrays(n_pad, n1, n2, pad_degree)
-    padded = ArrayMultigraph.from_instances(
-        n1 + n_pad,
-        n1 + n_pad,
-        np.concatenate((core_left, n1 + pad_left, pad_right)),
-        np.concatenate((core_right, pad_right, n1 + pad_left)),
-    )
-    if not padded.is_regular() or padded.regular_degree() != n2:
-        raise GraphError("padding failed to produce an n2-regular multigraph")
-    return PaddedArrayGraph(padded, n1, n1, n2)

@@ -40,8 +40,8 @@ workloads this engine targets (broadcast trees, reductions, multi-reader
 fan-outs) the universe is small and the matrix is tiny, but a degenerate
 schedule could make it huge, so :func:`compile_collective_schedule` refuses to
 allocate beyond ``max_state_bytes`` with
-:class:`~repro.exceptions.UnsupportedScheduleError` — the ``auto`` engine then
-falls back to the reference simulator instead of exhausting memory.
+:class:`~repro.exceptions.UnsupportedScheduleError` — the dispatching engines
+then fall back to the reference simulator instead of exhausting memory.
 """
 
 from __future__ import annotations

@@ -304,16 +304,6 @@ class ScheduleCache:
             self._hits.inc()
         return compiled
 
-    def peek(self, key: Hashable) -> CompiledSchedule | CompiledScheduleBatch | None:
-        """Look up ``key`` without touching the hit/miss counters.
-
-        For dispatchers that only need to know *whether* a compiled entry
-        exists (the ``auto`` engine skips its schedule-shape probe on a hit);
-        the engine that actually consumes the entry still goes through
-        :meth:`get` and accounts for the access.
-        """
-        return self._entries.get(key)
-
     def put(self, key: Hashable, compiled: CompiledSchedule | CompiledScheduleBatch) -> None:
         """Store ``compiled`` under ``key``, FIFO-evicting until within bounds.
 

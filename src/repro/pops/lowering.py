@@ -14,8 +14,8 @@ end:
   conflicts — reproducing ``schedule.validate()``'s exact exception on the
   slow path), and joins receptions against coupler payloads to produce the
   per-slot delivery and idle-read arrays.
-* :func:`classify_schedule` is the cheap shape probe behind the ``auto``
-  engine: it reports whether a schedule stays in the consuming
+* :func:`classify_schedule` is the cheap shape probe behind the ``batched``
+  engine's dispatch: it reports whether a schedule stays in the consuming
   one-location-per-packet model or duplicates packets (non-consuming sends,
   multi-reader couplers).
 
@@ -43,7 +43,6 @@ __all__ = [
     "lower_schedule",
     "classify_schedule",
     "group_firsts",
-    "assemble_compiled_plan",
     "assemble_compiled_plan_batch",
 ]
 
@@ -121,8 +120,9 @@ def classify_schedule(schedule: RoutingSchedule) -> str:
     intentionally over-approximates "consuming": the rare consuming schedule
     that still duplicates a packet (one sender driving several couplers with
     the same packet, each read once) is only detected by the batched
-    compiler's exact check, so ``auto`` dispatch treats the probe as a hint
-    and falls through on :class:`~repro.exceptions.UnsupportedScheduleError`.
+    compiler's exact check, so the ``batched`` engine treats the probe as a
+    hint and falls through on
+    :class:`~repro.exceptions.UnsupportedScheduleError`.
     """
     for slot in schedule.slots:
         for transmission in slot.transmissions:
@@ -164,68 +164,6 @@ def group_firsts(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return order, same, new_group
 
 
-def assemble_compiled_plan(
-    network: POPSNetwork,
-    packets: list[Packet],
-    tx_sender: np.ndarray,
-    tx_packet: np.ndarray,
-    tx_coupler: np.ndarray,
-    tx_counts: list[int],
-    del_receiver: np.ndarray,
-    del_packet: np.ndarray,
-    del_counts: list[int],
-    initial_loc: np.ndarray,
-    pk_destination: np.ndarray,
-):
-    """Ingest a pre-compiled *conflict-free* routing plan as a
-    :class:`~repro.pops.engine.CompiledSchedule`.
-
-    The array-native router front end builds its per-slot transmission and
-    delivery arrays directly from the permutation; for such plans the full
-    lowering join is redundant structure-recovery: every driven coupler
-    carries exactly one consuming transmission (payloads *are* the
-    transmissions), every sent packet leaves its sender (consumed *are* the
-    sent packets), and every reception reads a driven coupler (no idle
-    reads).  This helper packages those arrays in the exact layout
-    :func:`lower_schedule` + :func:`repro.pops.engine.compile_schedule`
-    produce, so a plan compiled here is bit-identical to lowering the
-    equivalent object schedule.
-
-    ``tx_counts`` / ``del_counts`` give the per-slot segment lengths of the
-    concatenated arrays.
-    """
-    from repro.pops.engine import CompiledSchedule
-
-    n_slots = len(tx_counts)
-    tx_ptr = np.concatenate(
-        ([0], np.cumsum(np.asarray(tx_counts, dtype=np.int64)))
-    )
-    del_ptr = np.concatenate(
-        ([0], np.cumsum(np.asarray(del_counts, dtype=np.int64)))
-    )
-    no_idle = np.full(n_slots, -1, dtype=np.int64)
-    return CompiledSchedule(
-        network=network,
-        packets=packets,
-        n_slots=n_slots,
-        tx_sender=tx_sender,
-        tx_packet=tx_packet,
-        tx_ptr=tx_ptr,
-        pay_coupler=tx_coupler,
-        pay_packet=tx_packet,
-        pay_ptr=tx_ptr,
-        del_receiver=del_receiver,
-        del_packet=del_packet,
-        del_ptr=del_ptr,
-        con_packet=tx_packet,
-        con_ptr=tx_ptr,
-        idle_receiver=no_idle,
-        idle_coupler=no_idle.copy(),
-        initial_loc=initial_loc,
-        pk_destination=pk_destination,
-    )
-
-
 def _batch_plane(values: np.ndarray, n_batch: int, length: int) -> np.ndarray:
     """Normalise a plan array to a ``(B, L)`` int64 plane.
 
@@ -249,17 +187,27 @@ def assemble_compiled_plan_batch(
     initial_loc: np.ndarray,
     pk_destination: np.ndarray,
 ):
-    """Batched :func:`assemble_compiled_plan`: one
-    :class:`~repro.pops.engine.CompiledScheduleBatch` for ``B`` conflict-free
-    plans sharing their CSR slot structure.
+    """Ingest ``B`` pre-compiled *conflict-free* routing plans sharing their
+    CSR slot structure as one :class:`~repro.pops.engine.CompiledScheduleBatch`.
 
-    The key invariant of Theorem 2 plans makes this exact, not approximate:
-    for fixed ``(d, g)`` the slot segmentation (``tx_counts`` /
-    ``del_counts`` and hence every ``*_ptr`` array) is identical across
-    permutations — only the per-slot *contents* differ.  Each plan array may
-    therefore be passed as a shared ``(L,)`` array (broadcast across the
-    batch) or a per-batch ``(B, L)`` plane; ``element(b)`` of the result is
-    bit-identical to :func:`assemble_compiled_plan` on row ``b``.
+    The array-native router front end builds its per-slot transmission and
+    delivery arrays directly from the permutations; for such plans the full
+    lowering join is redundant structure-recovery: every driven coupler
+    carries exactly one consuming transmission (payloads *are* the
+    transmissions), every sent packet leaves its sender (consumed *are* the
+    sent packets), and every reception reads a driven coupler (no idle
+    reads).  This helper packages those arrays in the exact layout
+    :func:`lower_schedule` + :func:`repro.pops.engine.compile_schedule`
+    produce, so ``element(b)`` of the result is bit-identical to lowering
+    the equivalent object schedule of row ``b``.
+
+    The key invariant of Theorem 2 plans makes the batching exact, not
+    approximate: for fixed ``(d, g)`` the slot segmentation (``tx_counts`` /
+    ``del_counts``, the per-slot segment lengths of the concatenated arrays,
+    and hence every ``*_ptr`` array) is identical across permutations — only
+    the per-slot *contents* differ.  Each plan array may therefore be passed
+    as a shared ``(L,)`` array (broadcast across the batch) or a per-batch
+    ``(B, L)`` plane.
     """
     from repro.pops.engine import CompiledScheduleBatch
 

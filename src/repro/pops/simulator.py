@@ -137,16 +137,15 @@ class POPSSimulator:
         ``"batched-collective"`` is the vectorized engine for
         packet-duplicating schedules — broadcast-style sends, multi-reader
         couplers — on a multi-location copy-count state (see
-        :mod:`repro.pops.collective_engine`); ``"auto"`` picks
-        batched → batched-collective → reference by schedule shape.  All
-        backends produce equivalent results and traces; buffer ordering
-        within a processor may differ.
+        :mod:`repro.pops.collective_engine`), to which ``"batched"`` hands
+        the duplicating shapes itself.  All backends produce equivalent
+        results and traces; buffer ordering within a processor may differ.
     """
 
     #: The built-in engines.  The authoritative table is the SIM_ENGINES
     #: registry — engines registered there dispatch without touching this
     #: class.
-    BACKENDS = ("reference", "batched", "batched-collective", "auto")
+    BACKENDS = ("reference", "batched", "batched-collective")
 
     def __init__(
         self,
@@ -438,12 +437,18 @@ def _batched_engine(
     cache_key: Hashable | None = None,
     cache: ScheduleCache | None = None,
 ) -> SimulationResult:
-    """Vectorized consuming-model engine; schedules that duplicate packets
-    (broadcast-style sends, multi-reader couplers) fall through to the
-    vectorized collective engine, and only past *its* state budget to the
-    reference path — pure broadcast/collective schedules never hit the slow
-    simulator.  Obviously-duplicating shapes are detected by the cheap probe
-    before compiling, so the fallback does not lower the schedule twice."""
+    """Shape-dispatching engine: batched → batched-collective → reference.
+
+    A cheap one-pass probe (:func:`repro.pops.lowering.classify_schedule`)
+    routes consuming schedules to the flat-location batched engine and
+    duplicating ones (broadcast-style sends, multi-reader couplers) straight
+    to the collective engine, so the fallback does not lower the schedule
+    twice.  The probe is a hint, not a guarantee — the batched compiler
+    still rejects the rare consuming-shaped schedule that duplicates a
+    packet, and the collective compiler rejects state past its memory
+    budget — so each stage falls through on
+    :class:`UnsupportedScheduleError`, and pure broadcast/collective
+    schedules never hit the slow reference simulator."""
     from repro.pops.engine import BatchedSimulator
     from repro.pops.lowering import classify_schedule
 
@@ -487,56 +492,3 @@ def _collective_engine(
         )
     except UnsupportedScheduleError:
         return simulator.run_reference(schedule, packets, initial_buffers)
-
-
-@SIM_ENGINES.register("auto")
-def _auto_engine(
-    simulator: POPSSimulator,
-    schedule: RoutingSchedule,
-    packets: list[Packet],
-    initial_buffers: dict[int, list[Packet]] | None = None,
-    *,
-    cache_key: Hashable | None = None,
-    cache: ScheduleCache | None = None,
-) -> SimulationResult:
-    """Shape-dispatching engine: batched → batched-collective → reference.
-
-    A cheap one-pass probe (:func:`repro.pops.lowering.classify_schedule`)
-    routes consuming schedules to the flat-location batched engine and
-    duplicating ones (broadcast-style sends, multi-reader couplers) straight
-    to the collective engine, skipping the doomed batched compile.  The probe
-    is a hint, not a guarantee — the batched compiler still rejects the rare
-    consuming-shaped schedule that duplicates a packet, and the collective
-    compiler rejects state past its memory budget — so each stage falls
-    through on :class:`UnsupportedScheduleError`.  When a ``cache_key`` is
-    given and an engine's compiled entry is already cached, the cached entry
-    decides the engine directly and even the probe (a Python pass over the
-    schedule objects) is skipped, so cache-served sweep iterations pay no
-    per-call dispatch cost.
-    """
-    from repro.pops.engine import BatchedSimulator, schedule_cache
-    from repro.pops.lowering import classify_schedule
-
-    consuming = None
-    if cache_key is not None and initial_buffers is None:
-        store = cache if cache is not None else schedule_cache()
-        if store.peek(cache_key) is not None:
-            consuming = True
-        elif store.peek(("batched-collective", cache_key)) is not None:
-            consuming = False
-    if consuming is None:
-        consuming = classify_schedule(schedule) == "consuming"
-    if consuming:
-        try:
-            return BatchedSimulator(
-                simulator.network, simulator.strict_receptions
-            ).run(
-                schedule, packets, initial_buffers,
-                cache_key=cache_key, cache=cache,
-            )
-        except UnsupportedScheduleError:
-            pass
-    return _collective_engine(
-        simulator, schedule, packets, initial_buffers,
-        cache_key=cache_key, cache=cache,
-    )

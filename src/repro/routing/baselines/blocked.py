@@ -26,8 +26,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-import numpy as np
-
 from repro.exceptions import RoutingError
 from repro.pops.packet import Packet
 from repro.pops.schedule import RoutingSchedule
@@ -102,41 +100,3 @@ class BlockedPermutationRouter:
             description="blocked-permutation specialised baseline",
         )
         return schedule
-
-    def route_compiled(self, pi: Sequence[int]):
-        """Compile the specialised schedule for ``pi`` straight to arrays.
-
-        Array-native twin of :meth:`route` + lowering, bit-identical to
-        ``compile_schedule(network, self.route(pi), packets)``: the
-        closed-formula fair-value plane is fed to the shared Theorem 2 batch
-        plan builders at batch size one — no edge colouring, no object
-        schedule.
-
-        Raises
-        ------
-        RoutingError
-            If ``pi`` is not group-blocked.
-        """
-        from repro.routing.permutation_router import (
-            _compile_d1_plan_batch,
-            _compile_round_plan_batch,
-            _compile_two_slot_plan_batch,
-        )
-        from repro.utils.validation import check_permutation_array
-
-        network = self.network
-        d, g = network.d, network.g
-        images = check_permutation_array(pi, network.n)
-        if not is_group_blocked(network, images.tolist()):
-            raise RoutingError(
-                "BlockedPermutationRouter requires a group-blocked permutation; "
-                "use PermutationRouter for arbitrary permutations"
-            )
-        stack = images[None, :]
-        if d == 1:
-            return _compile_d1_plan_batch(network, stack).element(0)
-        src = np.arange(network.n, dtype=np.int64)
-        fair_value = ((src // d + src % d) % (g if d <= g else d))[None, :]
-        if d <= g:
-            return _compile_two_slot_plan_batch(network, stack, fair_value).element(0)
-        return _compile_round_plan_batch(network, stack, fair_value).element(0)

@@ -21,8 +21,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-import numpy as np
-
 from repro.pops.packet import Packet
 from repro.pops.schedule import RoutingSchedule
 from repro.pops.topology import POPSNetwork
@@ -94,57 +92,6 @@ class DirectRouter:
             slots[index].add_transmission(packet.source, coupler, packet)
             slots[index].add_reception(packet.destination, coupler)
         return schedule
-
-    def route_compiled(self, pi: Sequence[int]):
-        """Compile the direct schedule for ``pi`` straight to schedule arrays.
-
-        Array-native twin of :meth:`route` + lowering, bit-identical to
-        ``compile_schedule(network, self.route(pi), packets)``.  The
-        round-robin slot of each moving packet is its rank among the packets
-        of its (source group, destination group) pair in source order,
-        computed with a sorted-run scan; the identity permutation compiles to
-        zero slots.
-        """
-        from repro.pops.lowering import assemble_compiled_plan
-        from repro.utils.validation import check_permutation_array
-
-        network = self.network
-        d, g = network.d, network.g
-        images = check_permutation_array(pi, network.n)
-        src = np.arange(network.n, dtype=np.int64)
-        moving = np.flatnonzero(images != src)
-        packets = list(map(Packet, range(network.n), images.tolist()))
-        m = moving.size
-        source_group = moving // d
-        dest_group = images[moving] // d
-        pair = source_group * g + dest_group
-        order = np.argsort(pair, kind="stable")
-        sorted_pair = pair[order]
-        is_start = np.empty(m, dtype=bool)
-        if m:
-            is_start[0] = True
-            is_start[1:] = sorted_pair[1:] != sorted_pair[:-1]
-        idx = np.arange(m, dtype=np.int64)
-        run_start = np.maximum.accumulate(np.where(is_start, idx, 0))
-        slot_of = np.empty(m, dtype=np.int64)
-        slot_of[order] = idx - run_start
-        n_slots = int(slot_of.max()) + 1 if m else 0
-        order2 = np.argsort(slot_of, kind="stable")
-        senders = moving[order2]
-        counts = np.bincount(slot_of, minlength=n_slots).tolist()
-        return assemble_compiled_plan(
-            network,
-            packets,
-            tx_sender=senders,
-            tx_packet=senders,
-            tx_coupler=dest_group[order2] * g + source_group[order2],
-            tx_counts=counts,
-            del_receiver=images[senders],
-            del_packet=senders,
-            del_counts=counts,
-            initial_loc=src,
-            pk_destination=images,
-        )
 
     def route_packets(self, packets: list[Packet]) -> RoutingSchedule:
         """Direct-route an arbitrary packet set (at most one packet per source,

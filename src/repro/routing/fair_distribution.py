@@ -23,25 +23,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.exceptions import EdgeColoringError, FairnessViolationError, GraphError
-from repro.graph.array_multigraph import ArrayMultigraph
 from repro.graph.edge_coloring import edge_color, verify_edge_coloring
-from repro.graph.regularize import (
-    biregular_pad_arrays,
-    pad_to_regular,
-    pad_to_regular_arrays,
-)
-from repro.routing.list_system import (
-    ListSystem,
-    check_proper_lists_array,
-    check_proper_lists_stack,
-)
+from repro.graph.regularize import biregular_pad_arrays, pad_to_regular
+from repro.routing.list_system import ListSystem, check_proper_lists_stack
 from repro.utils.arrayops import shrink_sort_key
 
 __all__ = [
     "FairDistribution",
     "FairDistributionSolver",
     "verify_fair_distribution",
-    "verify_fair_distribution_arrays",
     "verify_fair_distribution_stack",
 ]
 
@@ -134,70 +124,20 @@ def verify_fair_distribution(
             )
 
 
-def verify_fair_distribution_arrays(
+def verify_fair_distribution_stack(
     lists: np.ndarray, assignment: np.ndarray, n_targets: int
 ) -> None:
-    """Vectorized fair-distribution check for the array solving path.
+    """Vectorized :func:`verify_fair_distribution` over ``(B, n1, Δ1)`` stacks.
 
-    ``lists`` and ``assignment`` are the ``(n1, Δ1)`` list and target arrays;
-    conditions (1)–(3) are verified with sorted-key passes and ``bincount``.
+    ``lists`` and ``assignment`` are the list and target stacks, one system
+    per row; conditions (1)–(3) are verified with sorted-key passes and
+    ``bincount``.
 
     Raises
     ------
     FairnessViolationError
-        On the first violation, mirroring :func:`verify_fair_distribution`'s
-        messages.
-    """
-    n_sources, delta1 = lists.shape
-    delta2 = (n_sources * delta1) // n_targets
-    if assignment.shape != lists.shape:
-        raise FairnessViolationError(
-            f"assignment has shape {assignment.shape}, expected {lists.shape}"
-        )
-    if assignment.size and (
-        assignment.min() < 0 or assignment.max() >= n_targets
-    ):
-        bad = np.flatnonzero((assignment < 0) | (assignment >= n_targets))[0]
-        raise FairnessViolationError(
-            f"target {int(assignment.ravel()[bad])} of source "
-            f"{int(bad) // delta1} outside T = [0, {n_targets})"
-        )
-    # Condition (1): all Δ1 targets of a source are distinct.
-    row_sorted = np.sort(assignment, axis=1)
-    repeats = (row_sorted[:, 1:] == row_sorted[:, :-1]).any(axis=1)
-    if repeats.any():
-        source = int(np.flatnonzero(repeats)[0])
-        raise FairnessViolationError(
-            f"source {source} reuses a target: {assignment[source].tolist()}"
-        )
-    # Condition (3): pairs sharing the same list value get distinct targets.
-    pair_key = np.sort(lists.ravel() * np.int64(n_targets) + assignment.ravel())
-    clash = np.flatnonzero(pair_key[1:] == pair_key[:-1])
-    if clash.size:
-        key = int(pair_key[clash[0]])
-        raise FairnessViolationError(
-            f"two pairs with list value {key // n_targets} share target "
-            f"{key % n_targets}"
-        )
-    # Condition (2): every target carries exactly Δ2 pairs.
-    load = np.bincount(assignment.ravel(), minlength=n_targets)
-    unbalanced = np.flatnonzero(load != delta2)
-    if unbalanced.size:
-        target = int(unbalanced[0])
-        raise FairnessViolationError(
-            f"target {target} is assigned {int(load[target])} pairs, "
-            f"expected Δ2={delta2}"
-        )
-
-
-def verify_fair_distribution_stack(
-    lists: np.ndarray, assignment: np.ndarray, n_targets: int
-) -> None:
-    """Batched :func:`verify_fair_distribution_arrays` over ``(B, n1, Δ1)``.
-
-    ``lists`` may be a single shared ``(B, n1, Δ1)`` stack or broadcastable
-    to ``assignment``'s shape.  Violations raise with the single-system
-    message for the row-major first offender.
+        On the row-major first violation, with
+        :func:`verify_fair_distribution`'s message.
     """
     batch, n_sources, delta1 = assignment.shape
     delta2 = (n_sources * delta1) // n_targets
@@ -327,22 +267,23 @@ class FairDistributionSolver:
             distribution.verify()
         return distribution
 
-    def solve_array(self, lists: np.ndarray, n_targets: int) -> np.ndarray:
-        """Array-native fair distribution: ``(n1, Δ1)`` lists in, targets out.
+    def solve_array_batch(self, lists: np.ndarray, n_targets: int) -> np.ndarray:
+        """Array-native fair distributions: ``(B, n1, Δ1)`` lists in, targets out.
 
-        The whole Theorem 1 pipeline without Python object structures: the
-        list-system multigraph is scatter-built
-        (:meth:`~repro.graph.array_multigraph.ArrayMultigraph.from_instances`),
-        padded with :func:`~repro.graph.regularize.pad_to_regular_arrays`,
-        coloured by the backend's array kernel, and the colours are read back
-        into the ``(n1, Δ1)`` assignment with two sorts.  For a given array
-        backend the result is *identical* to :meth:`solve` on the equivalent
-        :class:`~repro.routing.list_system.ListSystem` — both pipelines hand
+        The whole Theorem 1 pipeline for a batch of list systems in one call,
+        without Python object structures.  The padding construction is
+        permutation-independent, so ``H1``/``H2`` are built once
+        (:func:`~repro.graph.regularize.biregular_pad_arrays`) and broadcast;
+        the canonical instance stacks are produced by a single row-wise sort
+        of composite ``left·nv + right`` keys (the sort *is*
+        :meth:`~repro.graph.array_multigraph.ArrayMultigraph.from_instances`'s
+        canonical expansion); colouring runs through the backend's stack
+        kernel; and the colours are read back into the ``(B, n1, Δ1)``
+        assignment with two row-wise sorts.  For a given array backend, row
+        ``b`` is *identical* to :meth:`solve` on the equivalent
+        :class:`~repro.routing.list_system.ListSystem`: both pipelines hand
         the same canonical arrays to the same deterministic kernel and read
         colours back per edge in ascending order.
-
-        B=1 front of :meth:`solve_array_batch`, which is bit-identical per
-        batch row.
 
         Raises
         ------
@@ -352,24 +293,7 @@ class FairDistributionSolver:
         ImproperListSystemError / FairnessViolationError
             As :meth:`solve`.
         """
-        lists = np.asarray(lists, dtype=np.int64)
-        return self.solve_array_batch(lists[None, ...], n_targets)[0]
-
-    def solve_array_batch(self, lists: np.ndarray, n_targets: int) -> np.ndarray:
-        """Batched :meth:`solve_array`: ``(B, n1, Δ1)`` lists in, targets out.
-
-        One Theorem 1 pipeline call for the whole batch.  The padding
-        construction is permutation-independent, so ``H1``/``H2`` are built
-        once and broadcast; the canonical instance stacks are produced by a
-        single row-wise sort of composite ``left·nv + right`` keys (the sort
-        *is* :meth:`~repro.graph.array_multigraph.ArrayMultigraph.
-        from_instances`'s canonical expansion); colouring runs through the
-        backend's stack kernel; and the readback is the same two sorts as
-        :meth:`solve_array`, row-wise.  Row ``b`` of the result is
-        bit-identical to ``solve_array(lists[b], n_targets)``.
-        """
         from repro.graph.array_coloring import (
-            ARRAY_COLORING_KERNELS,
             ARRAY_COLORING_STACK_KERNELS,
             verify_instance_coloring_stack,
         )
@@ -378,7 +302,7 @@ class FairDistributionSolver:
         if kernel is None:
             raise EdgeColoringError(
                 f"backend {self.backend!r} has no array colouring kernel; "
-                f"available: {sorted(ARRAY_COLORING_KERNELS)}"
+                f"available: {sorted(ARRAY_COLORING_STACK_KERNELS)}"
             )
         lists = np.asarray(lists, dtype=np.int64)
         batch, n_sources, delta1 = lists.shape
@@ -386,7 +310,7 @@ class FairDistributionSolver:
 
         # Padding parameters and the H1/H2 biregular graphs depend only on
         # (n1, Δ1, n2) — shared across the batch.  Validation mirrors
-        # pad_to_regular_arrays message for message.
+        # pad_to_regular message for message.
         n1, n2 = n_sources, n_targets
         if n2 < delta1:
             raise GraphError(
@@ -450,9 +374,10 @@ class FairDistributionSolver:
                 instance_left, instance_right, nv, nv, colors
             )
 
-        # Read back, row-wise: core instances carry the assigned targets;
-        # the (source, value, ascending colour) / (source, value, ascending
-        # position) pairing of solve_array, with the sorts along axis 1.
+        # Read back, row-wise: core instances carry the assigned targets,
+        # pairing (source, value, ascending colour) with (source, value,
+        # ascending position) — the object readback of solve — by two sorts
+        # along axis 1.
         core_mask = (instance_left < n1) & (instance_right < n1)
         core_key = (
             instance_left[core_mask] * np.int64(n1) + instance_right[core_mask]

@@ -21,63 +21,32 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.exceptions import ImproperListSystemError, ValidationError
-from repro.graph.array_multigraph import ArrayMultigraph
 from repro.graph.multigraph import BipartiteMultigraph
 from repro.utils.validation import check_permutation, check_positive_int
 
 __all__ = [
     "ListSystem",
-    "destination_group_lists",
     "destination_group_lists_stack",
-    "check_proper_lists_array",
     "check_proper_lists_stack",
 ]
 
 
-def destination_group_lists(images: np.ndarray, d: int, g: int) -> np.ndarray:
-    """The Theorem 2 list system of a permutation, as a ``(g, d)`` array.
-
-    Row ``h`` holds ``L(h, i) = group(π(i + h·d))`` — exactly the lists of
-    :meth:`ListSystem.from_permutation`, without per-entry Python objects.
-    ``images`` must already be a validated length-``d·g`` permutation array.
-    """
-    return images.reshape(g, d) // d
-
-
 def destination_group_lists_stack(images: np.ndarray, d: int, g: int) -> np.ndarray:
-    """Batched :func:`destination_group_lists`: ``(B, d·g)`` → ``(B, g, d)``.
+    """The Theorem 2 list systems of a permutation stack, as ``(B, g, d)``.
 
-    ``images`` must already be a validated ``(B, d·g)`` permutation stack.
+    Row ``b`` holds the lists of :meth:`ListSystem.from_permutation` for
+    ``images[b]`` — ``L(h, i) = group(π(i + h·d))`` — without per-entry
+    Python objects.  ``images`` must already be a validated ``(B, d·g)``
+    permutation stack.
     """
     return images.reshape(-1, g, d) // d
 
 
-def check_proper_lists_array(lists: np.ndarray, n_targets: int) -> None:
-    """Vectorized twin of :meth:`ListSystem.check_proper` for list arrays.
-
-    ``lists`` is the ``(n_sources, Δ1)`` list array whose entries are source
-    indices; raises :class:`ImproperListSystemError` with the object-path
-    messages on the first violation.
-    """
-    n_sources, delta1 = lists.shape
-    if (n_sources * delta1) % n_targets != 0:
-        raise ImproperListSystemError(
-            f"n2={n_targets} does not divide n1*Δ1={n_sources * delta1}"
-        )
-    occurrences = np.bincount(lists.ravel(), minlength=n_sources)
-    bad = np.flatnonzero(occurrences != delta1)
-    if bad.size:
-        element = int(bad[0])
-        raise ImproperListSystemError(
-            f"element {element} appears {int(occurrences[element])} times "
-            f"across all lists, expected Δ1={delta1}"
-        )
-
-
 def check_proper_lists_stack(lists: np.ndarray, n_targets: int) -> None:
-    """Batched :func:`check_proper_lists_array` over a ``(B, n1, Δ1)`` stack.
+    """Vectorized :meth:`ListSystem.check_proper` over a ``(B, n1, Δ1)`` stack.
 
-    Raises with the single-system message for the row-major first violation.
+    Entries are source indices; raises :class:`ImproperListSystemError` with
+    the object-path message for the row-major first violation.
     """
     batch, n_sources, delta1 = lists.shape
     if (n_sources * delta1) % n_targets != 0:
@@ -227,20 +196,6 @@ class ListSystem:
             for element in row:
                 graph.add_edge(source, element)
         return graph
-
-    def lists_array(self) -> np.ndarray:
-        """The lists as an ``(n_sources, Δ1)`` int64 array."""
-        return np.array(self.lists, dtype=np.int64)
-
-    def to_array_multigraph(self) -> ArrayMultigraph:
-        """Canonical array twin of :meth:`to_multigraph` (same edge multiset)."""
-        lists = self.lists_array()
-        return ArrayMultigraph.from_instances(
-            self.n_sources,
-            self.n_sources,
-            np.repeat(np.arange(self.n_sources, dtype=np.int64), self.delta1),
-            lists.ravel(),
-        )
 
     def __repr__(self) -> str:
         return (

@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-import numpy as np
-
 from repro.exceptions import NotRoutableInOneSlotError
 from repro.pops.packet import Packet
 from repro.pops.schedule import RoutingSchedule
@@ -125,46 +123,3 @@ class OneSlotRouter:
             )
         packets = [Packet(source=i, destination=images[i]) for i in range(self.network.n)]
         return one_slot_schedule(self.network, packets, description="one-slot permutation")
-
-    def route_compiled(self, pi: Sequence[int]):
-        """Compile the one-slot schedule for ``pi`` straight to schedule arrays.
-
-        Array-native twin of :meth:`route` + lowering: the routability check is
-        a vectorized duplicate scan over the (source group, destination group)
-        pairs of the moving packets, and the single slot's transmission and
-        delivery arrays are emitted directly.  Bit-identical to
-        ``compile_schedule(network, self.route(pi), packets)``.
-
-        Raises
-        ------
-        NotRoutableInOneSlotError
-            If ``pi`` does not satisfy the Gravenstreter–Melhem condition.
-        """
-        from repro.pops.lowering import assemble_compiled_plan
-        from repro.utils.validation import check_permutation_array
-
-        network = self.network
-        d, g = network.d, network.g
-        images = check_permutation_array(pi, network.n)
-        src = np.arange(network.n, dtype=np.int64)
-        moving = np.flatnonzero(images != src)
-        key = np.sort(moving // d * g + images[moving] // d)
-        if (key[1:] == key[:-1]).any():
-            raise NotRoutableInOneSlotError(
-                "permutation has two same-group packets with a common destination group"
-            )
-        packets = list(map(Packet, range(network.n), images.tolist()))
-        count = [int(moving.size)]
-        return assemble_compiled_plan(
-            network,
-            packets,
-            tx_sender=moving,
-            tx_packet=moving,
-            tx_coupler=images[moving] // d * g + moving // d,
-            tx_counts=count,
-            del_receiver=images[moving],
-            del_packet=moving,
-            del_counts=count,
-            initial_loc=src,
-            pk_destination=images,
-        )

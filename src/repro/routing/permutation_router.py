@@ -175,17 +175,19 @@ class PermutationRouter:
     ) -> CompiledSchedule:
         """Route ``pi`` straight to compiled-schedule arrays.
 
-        The array-native fast path of :meth:`route`: the fair distribution is
-        solved on integer arrays (:meth:`~repro.routing.fair_distribution.
-        FairDistributionSolver.solve_array`) and the Theorem 2 scatter/deliver
-        structure is emitted directly as the per-slot arrays of a
-        :class:`~repro.pops.engine.CompiledSchedule` — no ``Transmission`` /
-        ``Reception`` / ``SlotProgram`` objects and no lowering pass.  The
-        result is bit-identical to ``compile_schedule(network,
-        plan.schedule, plan.packets)`` over this router's :meth:`route` plan:
-        array backends (``"konig-array"``, ``"euler-array"``) take the array
-        pipeline; other backends transparently fall back to routing
-        object-level and compiling, so the method is safe for any backend.
+        The array-native fast path of :meth:`route`, as the ``(1, n)`` row of
+        :meth:`route_compiled_batch`: the fair distribution is solved on
+        integer arrays (:meth:`~repro.routing.fair_distribution.
+        FairDistributionSolver.solve_array_batch`) and the Theorem 2
+        scatter/deliver structure is emitted directly as the per-slot arrays
+        of a :class:`~repro.pops.engine.CompiledSchedule` — no
+        ``Transmission`` / ``Reception`` / ``SlotProgram`` objects and no
+        lowering pass.  The result is bit-identical to
+        ``compile_schedule(network, plan.schedule, plan.packets)`` over this
+        router's :meth:`route` plan: array backends (``"konig-array"``,
+        ``"euler-array"``) take the array pipeline; other backends
+        transparently fall back to routing object-level and compiling, so the
+        method is safe for any backend.
 
         ``cache_key`` extends the compiled-schedule cache to the *plan*
         stage: under the usual deterministic-router contract
@@ -252,7 +254,7 @@ class PermutationRouter:
     def _route_compiled_batch_uncached(
         self, pis, *, validate: bool = True
     ) -> CompiledScheduleBatch:
-        from repro.graph.array_coloring import ARRAY_COLORING_KERNELS
+        from repro.graph.array_coloring import ARRAY_COLORING_STACK_KERNELS
 
         network = self.network
         d, g = network.d, network.g
@@ -262,7 +264,7 @@ class PermutationRouter:
             else np.asarray(pis, dtype=np.int64)
         )
 
-        if d > 1 and self.solver.backend not in ARRAY_COLORING_KERNELS:
+        if d > 1 and self.solver.backend not in ARRAY_COLORING_STACK_KERNELS:
             return self._stack_object_plans(images)
 
         if d == 1:
@@ -355,10 +357,8 @@ class PermutationRouter:
 
 # -- batched plan builders ----------------------------------------------------------
 #
-# Module-level so the specialised routers (e.g. the blocked-permutation router,
-# which computes its fair values in closed form) can reuse the Theorem 2 plan
-# assembly with their own fair-value planes.  All builders take (B, n) image
-# stacks, validate vectorized with row-major first-offender reporting (the
+# The Theorem 2 plan assembly from a fair-value plane.  All builders take (B, n)
+# image stacks, validate vectorized with row-major first-offender reporting (the
 # raised message is exactly what routing the offending element alone would
 # raise), and emit one CompiledScheduleBatch over the shared CSR structure.
 

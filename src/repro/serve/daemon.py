@@ -54,6 +54,9 @@ __all__ = ["ServeDaemon"]
 #: How long shutdown waits for handler threads to flush drained responses.
 _FLUSH_TIMEOUT = 10.0
 
+#: The largest ``deadline_ms`` a route request may carry.
+_MAX_DEADLINE_MS = threading.TIMEOUT_MAX * 1e3
+
 
 class ServeDaemon:
     """Long-lived routing daemon with dynamic megabatching.
@@ -312,11 +315,14 @@ class ServeDaemon:
             )
         deadline_ms = request.get("deadline_ms")
         if deadline_ms is not None:
+            # JSON admits NaN/Infinity, and Future.result rejects timeouts
+            # past threading.TIMEOUT_MAX, so bound the value here.
             if isinstance(deadline_ms, bool) or not isinstance(
                 deadline_ms, (int, float)
-            ) or deadline_ms <= 0:
+            ) or not 0 < deadline_ms <= _MAX_DEADLINE_MS:
                 raise ValidationError(
-                    f"deadline_ms must be a positive number, got {deadline_ms!r}"
+                    f"deadline_ms must be a finite number in "
+                    f"(0, {_MAX_DEADLINE_MS:g}], got {deadline_ms!r}"
                 )
         deadline_s = float(deadline_ms) / 1e3 if deadline_ms is not None else None
         return images, d, g, backend, deadline_s

@@ -76,6 +76,21 @@ def check_divides(divisor: int, dividend: int, context: str) -> None:
         )
 
 
+def _has_bool_entry(values: list | tuple) -> bool:
+    """True iff a (nested) list or tuple holds a ``bool`` entry.
+
+    numpy promotes ``[True, False, 2, 3]`` to int64 and ``operator.index``
+    accepts ``True``, so bools are caught here, before either sees them.
+    Only Python sequences are scanned; numpy rows are left to the dtype check.
+    """
+    kinds = set(map(type, values))
+    if bool in kinds or np.bool_ in kinds:
+        return True
+    return bool(kinds & {list, tuple}) and any(
+        _has_bool_entry(row) for row in values if isinstance(row, (list, tuple))
+    )
+
+
 def check_permutation(pi: Sequence[int], n: int | None = None) -> list[int]:
     """Validate that ``pi`` is a permutation of ``{0, ..., len(pi) - 1}``.
 
@@ -91,6 +106,8 @@ def check_permutation(pi: Sequence[int], n: int | None = None) -> list[int]:
     list[int]
         A defensive copy of the permutation as a plain list of ints.
     """
+    if isinstance(pi, (list, tuple)) and _has_bool_entry(pi):
+        raise ValidationError("permutation is not integer-valued: got a bool entry")
     try:
         values = [operator.index(x) for x in pi]
     except TypeError as error:
@@ -117,9 +134,12 @@ def check_integer_array(values: Any, name: str = "permutation") -> np.ndarray:
 
     The dtype is the one numpy infers, so floats (even whole ones), numeric
     strings, bool-only input and ragged or oversized nestings all raise
-    instead of being coerced.  Empty input is allowed, since numpy types it
-    as float.
+    instead of being coerced.  A bool anywhere in list or tuple input raises
+    too, although numpy would promote it.  Empty input is allowed, since
+    numpy types it as float.
     """
+    if isinstance(values, (list, tuple)) and _has_bool_entry(values):
+        raise ValidationError(f"{name} is not integer-valued: got a bool entry")
     try:
         array = np.asarray(values)
     except (TypeError, ValueError) as error:

@@ -172,7 +172,7 @@ class TestSessionInjection:
         from repro.api import RunConfig, Session
 
         network = POPSNetwork(2, 4)
-        session = Session(RunConfig(router_backend="euler", sim_backend="auto"))
+        session = Session(RunConfig(router_backend="euler", sim_backend="batched"))
         engine = PermutationEngine(network, session=session)
         values = list(range(network.n))
         pi = random_permutation(network.n, rng)
@@ -185,7 +185,25 @@ class TestSessionInjection:
 
         network = POPSNetwork(4, 4)
         data = [rng.randint(0, 50) for _ in range(network.n)]
-        session = Session(RunConfig(sim_backend="auto"))
+        session = Session(RunConfig(sim_backend="batched"))
         with_session = hypercube_allreduce(network, data, operator.add, session=session)
         default = hypercube_allreduce(network, data, operator.add)
         assert with_session == default
+
+    def test_default_session_runs_rounds_on_the_batched_engine(
+        self, monkeypatch, rng
+    ):
+        from repro.algorithms._session import collective_session
+        from repro.pops.simulator import POPSSimulator
+
+        session = collective_session()
+        assert session.config.sim_backend == "batched"
+        assert collective_session(session) is session
+        monkeypatch.setattr(
+            POPSSimulator, "run_reference",
+            lambda *a, **k: pytest.fail("a permutation round fell back to the reference"),
+        )
+        network = POPSNetwork(4, 4)
+        data = [rng.randint(0, 50) for _ in range(network.n)]
+        reduced, _ = hypercube_allreduce(network, data, operator.add)
+        assert reduced == [sum(data)] * network.n

@@ -45,9 +45,10 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="unknown router backend 'frobnicate'"):
             RunConfig(router_backend="frobnicate")
 
-    def test_unknown_sim_backend(self):
-        with pytest.raises(ConfigurationError, match="unknown simulator engine 'quantum'"):
-            RunConfig(sim_backend="quantum")
+    @pytest.mark.parametrize("engine", ["quantum", "auto"])
+    def test_unknown_sim_backend(self, engine):
+        with pytest.raises(ConfigurationError, match=f"unknown simulator engine '{engine}'"):
+            RunConfig(sim_backend=engine)
 
     def test_unknown_cache_policy(self):
         with pytest.raises(ConfigurationError, match="unknown cache policy"):

@@ -196,9 +196,10 @@ class TestPluggability:
         assert proc.returncode == 0, proc.stderr
         assert "reload-ok" in proc.stdout
 
-    def test_unknown_sim_backend_rejected_by_simulator(self):
-        with pytest.raises(ConfigurationError, match="unknown simulator backend 'quantum'"):
-            POPSSimulator(POPSNetwork(2, 2), backend="quantum")
+    @pytest.mark.parametrize("engine", ["quantum", "auto"])
+    def test_unknown_sim_backend_rejected_by_simulator(self, engine):
+        with pytest.raises(ConfigurationError, match=f"unknown simulator backend '{engine}'"):
+            POPSSimulator(POPSNetwork(2, 2), backend=engine)
 
     def test_custom_experiment_runs_through_session(self):
         from repro.analysis.experiments import ExperimentResult

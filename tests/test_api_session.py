@@ -127,7 +127,9 @@ class TestSessionRoute:
         [1.0, 0.0, 3.0, 2.0],
         ["1", "0", "3", "2"],
         [True, False],
-    ], ids=["float", "numeric-string", "bool"])
+        [True, False, 2, 3],
+        (1, 0, True, 3),
+    ], ids=["float", "numeric-string", "bool", "mixed-bool-list", "mixed-bool-tuple"])
     def test_route_rejects_non_integer_permutations(self, pi):
         session = Session()
         with pytest.raises(ValidationError, match="not integer-valued"):

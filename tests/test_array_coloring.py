@@ -3,9 +3,9 @@
 Pins the ``konig-array`` / ``euler-array`` colouring backends to the
 reference backends on generated regular multigraphs (proper colourings, same
 colour count), the numpy Hopcroft–Karp to the list implementation (same
-cardinality), the array padding to the object padding (same edge multiset),
-and the array fair-distribution pipeline to the object solver
-(bit-identical assignments per array backend).
+cardinality), and the rows of the batched array fair-distribution pipeline
+to the object solver (bit-identical assignments per array backend, which
+needs the inline array padding to match the object padding).
 """
 
 from __future__ import annotations
@@ -17,12 +17,11 @@ from hypothesis import strategies as st
 
 from repro.exceptions import EdgeColoringError, GraphError
 from repro.graph.array_coloring import (
-    ARRAY_COLORING_KERNELS,
+    ARRAY_COLORING_STACK_KERNELS,
     coloring_from_instances,
     euler_array_colors,
-    euler_split_instances,
     konig_array_colors,
-    verify_instance_coloring,
+    verify_instance_coloring_stack,
 )
 from repro.graph.array_multigraph import ArrayMultigraph
 from repro.graph.edge_coloring import (
@@ -32,17 +31,16 @@ from repro.graph.edge_coloring import (
 )
 from repro.graph.matching import hopcroft_karp, hopcroft_karp_csr
 from repro.graph.multigraph import BipartiteMultigraph
-from repro.graph.regularize import pad_to_regular, pad_to_regular_arrays
 from repro.routing.fair_distribution import (
     FairDistributionSolver,
     verify_fair_distribution,
-    verify_fair_distribution_arrays,
+    verify_fair_distribution_stack,
 )
 from repro.routing.list_system import ListSystem
 from repro.utils.permutations import random_permutation
 
 ALL_BACKENDS = sorted(COLORING_BACKENDS)
-ARRAY_BACKENDS = sorted(ARRAY_COLORING_KERNELS)
+ARRAY_BACKENDS = sorted(ARRAY_COLORING_STACK_KERNELS)
 
 
 def regular_multigraph(n_vertices: int, permutations: list[list[int]]) -> BipartiteMultigraph:
@@ -78,7 +76,14 @@ class TestArrayMultigraph:
                 n, [random_permutation(n, rng) for _ in range(degree)]
             )
             array_graph = ArrayMultigraph.from_bipartite(graph)
-            assert array_graph.to_bipartite() == graph
+            assert [
+                (left, right, mult)
+                for left, right, mult in zip(
+                    array_graph.left.tolist(),
+                    array_graph.right.tolist(),
+                    array_graph.mult.tolist(),
+                )
+            ] == sorted(graph.edges_with_multiplicity())
             assert array_graph.n_edges == graph.n_edges
             assert array_graph.regular_degree() == degree
             # Canonical ordering: distinct edges ascending, multiplicities positive.
@@ -91,7 +96,9 @@ class TestArrayMultigraph:
             2, 2, np.array([0, 0, 1, 0]), np.array([1, 1, 0, 0])
         )
         assert graph.n_edges == 4
-        assert graph.to_bipartite().multiplicity(0, 1) == 2
+        assert graph.left.tolist() == [0, 0, 1]
+        assert graph.right.tolist() == [0, 1, 0]
+        assert graph.mult.tolist() == [1, 2, 1]
 
     def test_out_of_range_endpoint_rejected(self):
         with pytest.raises(GraphError):
@@ -141,8 +148,9 @@ class TestHopcroftKarpCsr:
         n = 64
         graph = regular_multigraph(n, [random_permutation(n, rng) for _ in range(64)])
         array_graph = ArrayMultigraph.from_bipartite(graph)
-        indptr, indices = array_graph.support_csr()
-        match_left = hopcroft_karp_csr(indptr, indices, n)
+        counts = np.bincount(array_graph.left, minlength=n)
+        indptr = np.concatenate(([0], np.cumsum(counts, dtype=np.int64)))
+        match_left = hopcroft_karp_csr(indptr, array_graph.right, n)
         assert (match_left >= 0).all()
 
     @given(
@@ -198,29 +206,6 @@ class TestHopcroftKarpCsr:
         assert (match_left >= 0).all()
 
 
-class TestEulerSplitInstances:
-    def test_halves_every_degree(self, rng):
-        for _ in range(10):
-            n = rng.randint(1, 6)
-            degree = 2 * rng.randint(1, 8)
-            graph = regular_multigraph(
-                n, [random_permutation(n, rng) for _ in range(degree)]
-            )
-            left, right = ArrayMultigraph.from_bipartite(graph).instances()
-            mask = euler_split_instances(left, right)
-            for half in (mask, ~mask):
-                assert (
-                    np.bincount(left[half], minlength=n) == degree // 2
-                ).all()
-                assert (
-                    np.bincount(right[half], minlength=n) == degree // 2
-                ).all()
-
-    def test_rejects_odd_degree(self):
-        with pytest.raises(GraphError):
-            euler_split_instances(np.array([0]), np.array([0]))
-
-
 class TestColoringBackendParity:
     @given(graph=regular_multigraphs(), backend=st.sampled_from(ALL_BACKENDS))
     @settings(max_examples=80, deadline=None)
@@ -239,7 +224,10 @@ class TestColoringBackendParity:
             (euler_array_colors, "euler-array"),
         ):
             colors = kernel(array_graph)
-            verify_instance_coloring(array_graph, colors)
+            left, right = array_graph.instances()
+            verify_instance_coloring_stack(
+                left[None], right[None], graph.n_left, graph.n_right, colors[None]
+            )
             rebuilt = coloring_from_instances(array_graph, colors)
             verify_edge_coloring(graph, rebuilt)
             via_backend = edge_color(graph, backend=backend)
@@ -256,51 +244,50 @@ class TestColoringBackendParity:
                 assert coloring.n_colors == degree
 
     def test_verify_instance_coloring_catches_clash(self):
-        graph = ArrayMultigraph.from_instances(
-            2, 2, np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])
-        )
+        left = np.array([[0, 0, 1, 1]] * 2)
+        right = np.array([[0, 1, 0, 1]] * 2)
+        good = np.array([0, 1, 1, 0])
         bad = np.zeros(4, dtype=np.int64)  # one colour reuses every vertex
-        with pytest.raises(EdgeColoringError):
-            verify_instance_coloring(graph, bad)
-
-
-class TestPaddingParity:
-    @pytest.mark.parametrize("d,g", [(2, 4), (3, 7), (2, 8), (4, 6), (5, 7)])
-    def test_array_padding_matches_object_padding(self, d, g, rng):
-        pi = random_permutation(d * g, rng)
-        system = ListSystem.from_permutation(pi, d, g)
-        n_targets = g if d <= g else d
-        padded = pad_to_regular(system.to_multigraph(), n_targets)
-        padded_arrays = pad_to_regular_arrays(system.to_array_multigraph(), n_targets)
-        assert padded_arrays.graph == ArrayMultigraph.from_bipartite(padded.graph)
-        assert padded_arrays.n_core_left == padded.n_core_left
-        assert padded_arrays.target_degree == padded.target_degree
+        verify_instance_coloring_stack(left, right, 2, 2, np.stack([good, good]))
+        # The row-major first offender is reported, even past a clean row.
+        with pytest.raises(EdgeColoringError, match="colour 0 uses left vertex 0"):
+            verify_instance_coloring_stack(left, right, 2, 2, np.stack([good, bad]))
 
 
 class TestArrayFairDistribution:
+    """Rows of ``solve_array_batch`` equal the object solver's assignments.
+
+    The grid includes shapes that need padding vertices on both sides
+    (``(2, 4)``, ``(3, 7)``, ``(2, 8)``, ``(4, 6)``, ``(5, 7)``): equality
+    there requires the inline array padding to reproduce ``pad_to_regular``'s
+    edge multiset exactly.
+    """
+
     @pytest.mark.parametrize("backend", ARRAY_BACKENDS)
     @pytest.mark.parametrize(
-        "d,g", [(2, 4), (4, 4), (3, 3), (8, 4), (9, 3), (7, 5), (5, 7), (6, 1), (32, 2)]
+        "d,g",
+        [
+            (2, 4), (4, 4), (3, 3), (8, 4), (9, 3), (7, 5), (5, 7), (6, 1),
+            (32, 2), (3, 7), (2, 8), (4, 6),
+        ],
     )
-    def test_solve_array_identical_to_object_solver(self, d, g, backend, rng):
-        for _ in range(3):
-            pi = random_permutation(d * g, rng)
-            system = ListSystem.from_permutation(pi, d, g)
-            solver = FairDistributionSolver(backend=backend)
+    def test_batch_rows_identical_to_object_solver(self, d, g, backend, rng):
+        systems = [
+            ListSystem.from_permutation(random_permutation(d * g, rng), d, g)
+            for _ in range(3)
+        ]
+        n_targets = systems[0].n_targets
+        lists = np.array([system.lists for system in systems], dtype=np.int64)
+        solver = FairDistributionSolver(backend=backend)
+        assignment = solver.solve_array_batch(lists, n_targets)
+        assert assignment.shape == lists.shape
+        verify_fair_distribution_stack(lists, assignment, n_targets)
+        for system, row in zip(systems, assignment):
             object_assignment = solver.solve(system).assignment
-            array_assignment = solver.solve_array(
-                system.lists_array(), system.n_targets
-            )
-            assert array_assignment.tolist() == [
-                list(row) for row in object_assignment
-            ]
-            # The array assignment passes both verifiers.
-            verify_fair_distribution(system, array_assignment.tolist())
-            verify_fair_distribution_arrays(
-                system.lists_array(), array_assignment, system.n_targets
-            )
+            assert row.tolist() == [list(entry) for entry in object_assignment]
+            verify_fair_distribution(system, row.tolist())
 
-    def test_solve_array_rejects_non_array_backend(self):
+    def test_solve_array_batch_rejects_non_array_backend(self):
         solver = FairDistributionSolver(backend="konig")
-        with pytest.raises(EdgeColoringError):
-            solver.solve_array(np.array([[0, 1], [0, 1]]), 2)
+        with pytest.raises(EdgeColoringError, match="no array colouring kernel"):
+            solver.solve_array_batch(np.array([[[0, 1], [0, 1]]]), 2)

@@ -53,10 +53,11 @@ class TestParser:
         assert args.family == "vector_reversal"
         assert (args.backend, args.sim_backend) == (None, None)  # RunConfig's
 
-    def test_route_rejects_unknown_sim_backend(self):
+    @pytest.mark.parametrize("engine", ["quantum", "auto"])
+    def test_route_rejects_unknown_sim_backend(self, engine):
         with pytest.raises(SystemExit):
             build_parser().parse_args(
-                ["route", "--d", "2", "--g", "3", "--sim-backend", "quantum"]
+                ["route", "--d", "2", "--g", "3", "--sim-backend", engine]
             )
 
     def test_sweep_defaults(self):

@@ -7,7 +7,7 @@ on a per-packet/per-processor copy-count matrix.  These tests pin it to the
 reference simulator over generated broadcast/multi-reader schedules: final
 buffers (as per-processor multisets, copy multiplicity included), slot-by-slot
 traces, delivery verdicts, and dynamic-error slot/offender/message must all
-agree.  They also pin the ``auto`` dispatch mode (batched →
+agree.  They also pin the ``batched`` engine's dispatch (batched →
 batched-collective → reference by schedule shape) and the acceptance
 criterion that pure broadcast/collective schedules never fall back to the
 reference simulator.
@@ -142,11 +142,11 @@ class TestGeneratedCollectiveParity:
 
         reference = POPSSimulator(network).run(schedule, packets)
         collective = CollectiveSimulator(network).run(schedule, packets)
-        auto = POPSSimulator(network, backend="auto").run(schedule, packets)
+        batched = POPSSimulator(network, backend="batched").run(schedule, packets)
 
         expected = buffers_as_multisets(reference)
         assert expected == buffers_as_multisets(collective)
-        assert expected == buffers_as_multisets(auto)
+        assert expected == buffers_as_multisets(batched)
         assert_same_traces(reference, collective)
         assert delivery_verdict(reference, packets) == delivery_verdict(
             collective, packets
@@ -211,7 +211,7 @@ class TestGeneratedCollectiveParity:
         for runner in (
             POPSSimulator(network).run,
             CollectiveSimulator(network).run,
-            POPSSimulator(network, backend="auto").run,
+            POPSSimulator(network, backend="batched").run,
             POPSSimulator(network, backend="batched-collective").run,
         ):
             with pytest.raises(SimulationError) as exc_info:
@@ -270,8 +270,8 @@ class TestGeneratedCollectiveParity:
         collective.verify_permutation_delivery(plan.packets)
 
 
-class TestAutoDispatch:
-    """`auto` picks batched -> batched-collective -> reference by shape."""
+class TestBatchedDispatch:
+    """`batched` picks batched -> batched-collective -> reference by shape."""
 
     @pytest.fixture
     def net(self) -> POPSNetwork:
@@ -303,7 +303,7 @@ class TestAutoDispatch:
             POPSSimulator, "run_reference",
             lambda *a, **k: pytest.fail("reference used for consuming schedule"),
         )
-        result = POPSSimulator(net, backend="auto").run(plan.schedule, plan.packets)
+        result = POPSSimulator(net, backend="batched").run(plan.schedule, plan.packets)
         result.verify_permutation_delivery(plan.packets)
 
     def test_broadcast_skips_batched_and_reference(self, net, monkeypatch):
@@ -316,7 +316,7 @@ class TestAutoDispatch:
             POPSSimulator, "run_reference",
             lambda *a, **k: pytest.fail("reference used for broadcast"),
         )
-        result = POPSSimulator(net, backend="auto").run(schedule, [packet])
+        result = POPSSimulator(net, backend="batched").run(schedule, [packet])
         assert all(result.packets_at(p) for p in net.processors())
 
     def test_no_reference_fallback_for_collective_schedules(self, net, monkeypatch):
@@ -327,7 +327,7 @@ class TestAutoDispatch:
             lambda *a, **k: pytest.fail("reference fallback still happens"),
         )
         schedule, packet = one_to_all_broadcast(net, speaker=2, payload="y")
-        for backend in ("batched", "batched-collective", "auto"):
+        for backend in ("batched", "batched-collective"):
             result = POPSSimulator(net, backend=backend).run(schedule, [packet])
             assert result.packets_at(5)[0].payload == "y"
 
@@ -342,7 +342,7 @@ class TestAutoDispatch:
 
         monkeypatch.setattr(ce, "compile_collective_schedule", tiny_budget_compile)
         schedule, packet = one_to_all_broadcast(net, speaker=0, payload="z")
-        for backend in ("batched-collective", "auto"):
+        for backend in ("batched", "batched-collective"):
             result = POPSSimulator(net, backend=backend).run(schedule, [packet])
             assert result.packets_at(4)[0].payload == "z"
 
@@ -373,38 +373,11 @@ class TestAutoDispatch:
             schedule, [], initial_buffers={p: list(h) for p, h in buffers.items()}
         )
         assert sorted(p.payload for p in expected.packets_at(2)) == ["A", "B"]
-        for backend in ("batched", "batched-collective", "auto"):
+        for backend in ("batched", "batched-collective"):
             result = POPSSimulator(net, backend=backend).run(
                 schedule, [], initial_buffers={p: list(h) for p, h in buffers.items()}
             )
             assert sorted(q.payload for q in result.packets_at(2)) == ["A", "B"]
-
-    def test_cached_entry_decides_auto_dispatch_without_probe(self, monkeypatch):
-        """On a schedule-cache hit the auto engine skips even the shape probe."""
-        import repro.pops.lowering as lowering
-        import repro.pops.simulator as simulator_module
-
-        network = POPSNetwork(3, 3)
-        schedule, packet = one_to_all_broadcast(network, speaker=1, payload="c")
-        cache = ScheduleCache()
-        first = POPSSimulator(network, backend="auto").run(
-            schedule, [packet], cache_key=("probe", 3, 3), cache=cache
-        )
-        monkeypatch.setattr(
-            simulator_module, "classify_schedule",
-            lambda *a, **k: pytest.fail("probe ran despite a cached entry"),
-            raising=False,
-        )
-        monkeypatch.setattr(
-            lowering, "classify_schedule",
-            lambda *a, **k: pytest.fail("probe ran despite a cached entry"),
-        )
-        second = POPSSimulator(network, backend="auto").run(
-            schedule, [packet], cache_key=("probe", 3, 3), cache=cache
-        )
-        assert buffers_as_multisets(first) == buffers_as_multisets(second)
-        assert cache.stats()["hits"] >= 1
-
 
 class TestCollectiveCaching:
     def workload(self):
@@ -468,13 +441,13 @@ class TestCollectiveCaching:
 
 
 class TestSessionIntegration:
-    def test_session_simulate_auto_on_broadcast(self):
+    def test_session_simulate_batched_on_broadcast(self):
         from repro.api import RunConfig, Session
         from repro.pops.trace import SimulationTrace
 
         network = POPSNetwork(4, 4)
         schedule, packet = one_to_all_broadcast(network, speaker=3, payload="s")
-        session = Session(RunConfig(sim_backend="auto"))
+        session = Session(RunConfig(sim_backend="batched"))
         result = session.simulate(schedule, [packet], cache_key=("b", 4, 4, 3))
         assert isinstance(result.trace, CompiledTrace)
         assert all(result.packets_at(p) for p in network.processors())
@@ -494,8 +467,8 @@ class TestSessionIntegration:
     def test_run_config_accepts_new_engines(self):
         from repro.api import RunConfig
 
-        assert RunConfig(sim_backend="auto").sim_backend == "auto"
         assert (
             RunConfig(sim_backend="batched-collective").sim_backend
             == "batched-collective"
         )
+

@@ -203,14 +203,13 @@ class TestCorruptionParityAcrossEngines:
     """Corrupted schedules fail identically on every engine.
 
     The reference simulator defines the failure semantics; the vectorized
-    engines (and the shape-dispatching ``auto``) must raise the *same
-    exception class* for the same corruption — otherwise callers handling
-    failures portably across engines (the session facade, the serving
-    daemon's error mapping) would behave differently depending on which
-    engine happened to execute the schedule.
+    engines must raise the *same exception class* for the same corruption —
+    otherwise callers handling failures portably across engines (the session
+    facade, the serving daemon's error mapping) would behave differently
+    depending on which engine happened to execute the schedule.
     """
 
-    @pytest.mark.parametrize("backend", ("batched", "batched-collective", "auto"))
+    @pytest.mark.parametrize("backend", ("batched", "batched-collective"))
     @pytest.mark.parametrize("corruption", sorted(_CORRUPTIONS))
     @given(seed=st.integers(min_value=0, max_value=2**20))
     @settings(max_examples=6, deadline=None)

@@ -12,8 +12,7 @@ Pins the ISSUE 6 acceptance criteria:
   disjoint from the per-permutation keys, and a hit skips routing entirely;
 * sharded sweeps merge deterministically: shard size and engine choice never
   change the report rows;
-* the family routers' ``route_compiled()`` is bit-identical to
-  compile-after-route.
+* an empty ``(0, n)`` stack routes to ``[]`` on every engine and shape.
 """
 
 from __future__ import annotations
@@ -31,24 +30,15 @@ from repro.analysis.metrics import (
     routing_cache_key_batch,
 )
 from repro.api import RunConfig, Session
-from repro.graph.array_coloring import ARRAY_COLORING_KERNELS
-from repro.pops.engine import (
-    BatchedSimulator,
-    CompiledSchedule,
-    ScheduleCache,
-    compile_schedule,
-)
-from repro.pops.packet import Packet
+from repro.graph.array_coloring import ARRAY_COLORING_STACK_KERNELS
+from repro.pops.engine import BatchedSimulator, CompiledSchedule, ScheduleCache
 from repro.pops.topology import POPSNetwork
-from repro.routing.baselines.blocked import BlockedPermutationRouter
-from repro.routing.baselines.direct import DirectRouter
-from repro.routing.one_slot import OneSlotRouter, is_one_slot_routable
 from repro.routing.permutation_router import PermutationRouter
 from repro.utils.permutations import random_permutation
 from repro.utils.validation import check_permutation_stack
 
 ALL_SHAPES = [(1, 6), (2, 8), (4, 4), (3, 7), (8, 4), (9, 3), (7, 5), (5, 1)]
-ARRAY_BACKENDS = sorted(ARRAY_COLORING_KERNELS)
+ARRAY_BACKENDS = sorted(ARRAY_COLORING_STACK_KERNELS)
 
 ARRAY_FIELDS = [
     field.name
@@ -196,7 +186,9 @@ class TestBatchedRoutingBitIdentity:
 
 
 class TestSessionRouteBatch:
-    @pytest.mark.parametrize("sim_backend", ["reference", "batched", "auto"])
+    @pytest.mark.parametrize(
+        "sim_backend", ["reference", "batched", "batched-collective"]
+    )
     def test_metrics_identical_to_per_trial_route(self, network, rng, sim_backend):
         pis = permutation_stack(network, rng, 4)
         batched = Session(
@@ -221,6 +213,24 @@ class TestSessionRouteBatch:
 
         with pytest.raises(ConfigurationError, match="route_batch"):
             Session().route_batch(np.zeros((1, 4), dtype=np.int64))
+
+    #: d = 1, d < g, d = g and d > g.
+    EMPTY_SHAPES = [(1, 6), (2, 8), (4, 4), (8, 4)]
+
+    @pytest.mark.parametrize(
+        "router_backend,sim_backend",
+        [("euler-array", "batched"), ("konig", "batched"), ("euler", "reference")],
+    )
+    @pytest.mark.parametrize("d,g", EMPTY_SHAPES, ids=lambda s: str(s))
+    def test_empty_stack_routes_to_empty_list(
+        self, d, g, router_backend, sim_backend
+    ):
+        session = Session(
+            RunConfig(router_backend=router_backend, sim_backend=sim_backend)
+        )
+        empty = np.zeros((0, d * g), dtype=np.int64)
+        assert session.route_batch(empty, d=d, g=g) == []
+        assert session.cache_stats() == {"hits": 0, "misses": 0, "entries": 0}
 
 
 class TestBatchCache:
@@ -348,77 +358,3 @@ class TestShardMergeDeterminism:
             RunConfig(trials=4, seed=47, workers=0, shard_trials=3)
         ).sweep(self.CONFIGS)
         assert sharded.rows == serial.rows
-
-
-class TestFamilyRouterCompiledParity:
-    def test_one_slot_router(self, rng):
-        network = POPSNetwork(2, 8)
-        router = OneSlotRouter(network)
-        pis = [list(range(network.n))]
-        while len(pis) < 4:
-            pi = random_permutation(network.n, rng)
-            if is_one_slot_routable(network, pi):
-                pis.append(pi)
-        for pi in pis:
-            packets = [
-                Packet(source=i, destination=pi[i]) for i in range(network.n)
-            ]
-            reference = compile_schedule(network, router.route(pi), packets)
-            assert_bit_identical(reference, router.route_compiled(pi))
-
-    def test_one_slot_router_rejects_with_reference_message(self, rng):
-        from repro.exceptions import NotRoutableInOneSlotError
-
-        network = POPSNetwork(4, 4)
-        router = OneSlotRouter(network)
-        while True:
-            pi = random_permutation(network.n, rng)
-            if not is_one_slot_routable(network, pi):
-                break
-        with pytest.raises(
-            NotRoutableInOneSlotError, match="common destination group"
-        ):
-            router.route_compiled(pi)
-
-    @pytest.mark.parametrize("d,g", ALL_SHAPES, ids=lambda s: str(s))
-    def test_direct_router(self, d, g, rng):
-        network = POPSNetwork(d, g)
-        router = DirectRouter(network)
-        pis = [list(range(network.n))] + [
-            random_permutation(network.n, rng) for _ in range(3)
-        ]
-        for pi in pis:
-            packets = [
-                Packet(source=i, destination=pi[i]) for i in range(network.n)
-            ]
-            reference = compile_schedule(network, router.route(pi), packets)
-            compiled = router.route_compiled(pi)
-            assert_bit_identical(reference, compiled)
-            assert compiled.n_slots == router.slots_required(pi)
-
-    @pytest.mark.parametrize("d,g", ALL_SHAPES, ids=lambda s: str(s))
-    def test_blocked_router(self, d, g, rng):
-        from repro.patterns.generators import PermutationGenerator
-
-        network = POPSNetwork(d, g)
-        router = BlockedPermutationRouter(network)
-        generator = PermutationGenerator(network, 0xC0FFEE)
-        for _ in range(3):
-            pi = generator.group_blocked()
-            packets = [
-                Packet(source=i, destination=pi[i]) for i in range(network.n)
-            ]
-            reference = compile_schedule(network, router.route(pi), packets)
-            assert_bit_identical(reference, router.route_compiled(pi))
-
-    def test_blocked_router_rejects_with_reference_message(self, rng):
-        from repro.exceptions import RoutingError
-
-        network = POPSNetwork(4, 4)
-        router = BlockedPermutationRouter(network)
-        while True:
-            pi = random_permutation(network.n, rng)
-            if not router.can_route(pi):
-                break
-        with pytest.raises(RoutingError, match="group-blocked"):
-            router.route_compiled(pi)

@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from repro.api import RunConfig, Session
 from repro.exceptions import ValidationError
-from repro.graph.array_coloring import ARRAY_COLORING_KERNELS
+from repro.graph.array_coloring import ARRAY_COLORING_STACK_KERNELS
 from repro.pops.engine import BatchedSimulator, CompiledSchedule, ScheduleCache, compile_schedule
 from repro.pops.simulator import POPSSimulator
 from repro.pops.topology import POPSNetwork
@@ -31,7 +31,7 @@ from repro.routing.permutation_router import PermutationRouter, theorem2_slot_bo
 from repro.utils.permutations import random_permutation
 
 ALL_SHAPES = [(1, 1), (1, 6), (2, 8), (4, 4), (3, 7), (8, 4), (9, 3), (7, 5), (5, 1), (6, 4)]
-ARRAY_BACKENDS = sorted(ARRAY_COLORING_KERNELS)
+ARRAY_BACKENDS = sorted(ARRAY_COLORING_STACK_KERNELS)
 
 ARRAY_FIELDS = [
     field.name

@@ -226,6 +226,16 @@ class TestDaemonProtocolEdges:
                     {"op": "route", "pi": [0.9, 1.2, 2.5, 3.1], "d": 2, "g": 2},  # floats
                     {"op": "route", "pi": ["1", "0", "3", "2"], "d": 2, "g": 2},  # strings
                     {"op": "route", "pi": [True, False], "d": 1, "g": 2},  # bools
+                    {"op": "route", "pi": [True, False, 2, 3], "d": 2, "g": 2},
+                ] + [
+                    # JSON admits NaN/Infinity; Future.result cannot wait
+                    # past threading.TIMEOUT_MAX.
+                    {"op": "route", "pi": [0, 1, 2, 3], "d": 2, "g": 2,
+                     "deadline_ms": deadline}
+                    for deadline in (
+                        float("nan"), float("inf"), float("-inf"), 1e300, 1e13,
+                        0, -5, "100", True,
+                    )
                 ]
                 for request in cases:
                     with pytest.raises(ServeError) as excinfo:
@@ -612,6 +622,18 @@ class TestClientResilience:
                         "deadline_ms": -5,
                     })
                 assert excinfo.value.code == protocol.ERR_BAD_REQUEST
+
+    def test_largest_deadline_is_honoured(self):
+        # The upper bound of deadline_ms is the longest wait Future.result
+        # accepts; a request carrying it routes normally.
+        pi = random_pis(16, 1)[0]
+        expected = Session().route(pi, d=4, g=4)
+        with ServeDaemon(batch_window_ms=0.0) as daemon:
+            with ServeClient(*daemon.address) as client:
+                outcome = client.route(
+                    pi, d=4, g=4, deadline_ms=threading.TIMEOUT_MAX * 1e3
+                )
+        assert outcome.metrics == expected
 
     def test_retry_backoff_recovers_across_daemon_restart(self):
         first = ServeDaemon(batch_window_ms=0.0)

@@ -123,15 +123,21 @@ class TestCheckPermutation:
     def test_empty_is_valid(self):
         assert check_permutation([]) == []
 
-    @pytest.mark.parametrize("pi", [[1.0, 0.0], ["1", "0"]], ids=["float", "string"])
+    @pytest.mark.parametrize(
+        "pi",
+        [[1.0, 0.0], ["1", "0"], [True, False, 2, 3], (1, 0, True, 3)],
+        ids=["float", "string", "mixed-bool-list", "mixed-bool-tuple"],
+    )
     def test_non_integer_entries_rejected(self, pi):
         with pytest.raises(ValidationError, match="not integer-valued"):
             check_permutation(pi)
 
 
 class TestCheckPermutationArrays:
-    NON_INTEGER = [[1.0, 0.0], ["1", "0"], [True, False]]
-    IDS = ["float", "string", "bool"]
+    NON_INTEGER = [
+        [1.0, 0.0], ["1", "0"], [True, False], [True, False, 2, 3], (1, 0, True, 3),
+    ]
+    IDS = ["float", "string", "bool", "mixed-bool-list", "mixed-bool-tuple"]
 
     @pytest.mark.parametrize("pi", NON_INTEGER, ids=IDS)
     def test_array_rejects_non_integer_entries(self, pi):
@@ -156,7 +162,11 @@ class TestCheckIntegerArray:
 
     @pytest.mark.parametrize("values", [
         [1.0, 0.0], ["1", "0"], [True, False], [[0, 1], [0]], [2**70, 0],
-    ], ids=["float", "string", "bool", "ragged", "oversized"])
+        [1, True], [[0, 1], (True, 0)], [np.True_, 1],
+    ], ids=[
+        "float", "string", "bool", "ragged", "oversized", "mixed-bool",
+        "nested-mixed-bool", "numpy-bool-entry",
+    ])
     def test_non_integer_input_rejected(self, values):
         with pytest.raises(ValidationError, match="pi is not integer-valued"):
             check_integer_array(values, "pi")
