@@ -7,8 +7,7 @@ schedule objects, lowering — dominated route+simulate wall-clock on the
 batched engines.  This module measures the pure-Python pipeline (object-level
 ``route`` followed by ``compile_schedule``) against ``route_compiled`` on the
 same permutations and asserts the >= 5x route-construction speedup floor, the
-same contract ``bench_one_slot.py`` pins for the batched engine.  The
-plan-stage cache path (re-routing a seen permutation) is reported alongside.
+same contract ``bench_one_slot.py`` pins for the batched engine.
 
 Results are also recorded through the shared ``bench_emit`` fixture, so::
 
@@ -25,7 +24,7 @@ import pytest
 
 from repro.api import RunConfig, Session
 from repro.obs.stats import best_of as _best_of
-from repro.pops.engine import BatchedSimulator, ScheduleCache, compile_schedule
+from repro.pops.engine import BatchedSimulator, compile_schedule
 from repro.pops.topology import POPSNetwork
 from repro.routing.permutation_router import PermutationRouter
 from repro.utils.permutations import random_permutation
@@ -67,19 +66,6 @@ def test_route_compiled_array_backend(benchmark, d, g, backend):
     router = PermutationRouter(network, backend=backend)
     compiled = benchmark(lambda: router.route_compiled(pi))
     assert compiled.n_slots == router.slots_required()
-
-
-@pytest.mark.parametrize("d,g", ROUTER_SHAPES, ids=SHAPE_IDS)
-def test_route_compiled_plan_cache(benchmark, d, g):
-    """The sweep path: a seen permutation served from the plan-stage cache."""
-    network, pi = _workload(d, g)
-    cache = ScheduleCache()
-    router = PermutationRouter(network, backend=FLOOR_BACKEND)
-    key = ("bench-plan", d, g)
-    router.route_compiled(pi, cache_key=key, cache=cache)  # prime
-    compiled = benchmark(lambda: router.route_compiled(pi, cache_key=key, cache=cache))
-    assert compiled.n_slots == router.slots_required()
-    assert cache.stats()["hits"] >= 1
 
 
 @pytest.mark.parametrize("d,g", ROUTER_SHAPES, ids=SHAPE_IDS)
@@ -149,12 +135,8 @@ def test_session_route_fast_path_end_to_end(bench_emit):
     reference_session = Session(
         RunConfig(router_backend="konig", sim_backend="reference")
     )
-    # Cache off so the measurement is the uncached end-to-end pipeline (the
-    # plan-cache path is timed separately above).
     array_session = Session(
-        RunConfig(
-            router_backend=FLOOR_BACKEND, sim_backend="batched", cache_policy="off"
-        )
+        RunConfig(router_backend=FLOOR_BACKEND, sim_backend="batched")
     )
     t_reference = _best_of(
         lambda: reference_session.route(pi, network=network), repeats=5

@@ -24,10 +24,9 @@ import random
 import numpy as np
 import pytest
 
-from repro.analysis.metrics import routing_cache_key_batch
 from repro.api import RunConfig, Session
 from repro.obs.stats import interleaved_minima
-from repro.pops.engine import BatchedSimulator, ScheduleCache
+from repro.pops.engine import BatchedSimulator
 from repro.pops.topology import POPSNetwork
 from repro.routing.permutation_router import PermutationRouter, theorem2_slot_bound
 from repro.utils.permutations import random_permutation
@@ -88,21 +87,6 @@ def test_sweep_per_trial(benchmark, d, g):
     benchmark(run)
 
 
-@pytest.mark.parametrize("d,g", SWEEP_SHAPES, ids=SHAPE_IDS)
-def test_route_compiled_batch_cache(benchmark, d, g):
-    """A re-swept stack served from the batch-level plan cache."""
-    network, pis = _workload(d, g)
-    cache = ScheduleCache()
-    router = PermutationRouter(network, backend=BACKEND)
-    key = routing_cache_key_batch(BACKEND, network, pis)
-    router.route_compiled_batch(pis, cache_key=key, cache=cache)  # prime
-    batch = benchmark(
-        lambda: router.route_compiled_batch(pis, cache_key=key, cache=cache)
-    )
-    assert batch.n_batch == BATCH
-    assert cache.stats()["hits"] >= 1
-
-
 #: Budget of the B = 64 megabatch in ms per route, per shape.  Twelve runs on
 #: a 2-core x86-64 VM measured 0.50–0.79 ms (32x32, median 0.62) and
 #: 0.73–1.01 ms (64x16, median 0.96); each budget is ~1.5x the slowest run.
@@ -116,7 +100,7 @@ def test_megabatch_sweep_budget(bench_emit, d, g):
     Both sides run the full sweep pipeline the Theorem 2 experiment uses —
     validation, ``euler-array`` routing, batched execution, delivery
     verification, lower bounds, metrics — over the same 64 permutations of
-    n = 1024, cache off: one ``route_batch`` call against 64 ``Session.route``
+    n = 1024: one ``route_batch`` call against 64 ``Session.route``
     calls, whose outputs are asserted equal.  The ratio between them is
     recorded with ``floor=None``.  The measurement interleaves both sides,
     takes best-of minima, and retries up to three times keeping the fastest
@@ -124,11 +108,7 @@ def test_megabatch_sweep_budget(bench_emit, d, g):
     """
     network, pis = _workload(d, g)
     trials = [pis[b].tolist() for b in range(pis.shape[0])]
-    # Cache off so the measurement is the uncached end-to-end sweep (the
-    # batch-level cache path is timed separately above).
-    config = RunConfig(
-        router_backend=BACKEND, sim_backend="batched", cache_policy="off"
-    )
+    config = RunConfig(router_backend=BACKEND, sim_backend="batched")
     loop_session = Session(config)
     batch_session = Session(config)
 

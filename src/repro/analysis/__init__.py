@@ -9,7 +9,6 @@ source of truth for every entry of EXPERIMENTS.md; they are registered in
 
 from repro.analysis.metrics import (
     RoutingMetrics,
-    routing_cache_key,
     slots_vs_bound,
     coupler_utilisation,
 )
@@ -18,7 +17,6 @@ from repro.analysis.experiments import ExperimentResult
 
 __all__ = [
     "RoutingMetrics",
-    "routing_cache_key",
     "slots_vs_bound",
     "coupler_utilisation",
     "format_table",

@@ -9,8 +9,8 @@ their reports from the command line.
 
 Runners are registered in :data:`repro.api.registry.EXPERIMENTS` under their
 experiment ids and executed through a :class:`repro.api.session.Session`,
-which supplies the router backend, simulator engine, schedule cache and the
-root of the seed lineage; per-experiment sizes remain overridable via
+which supplies the router backend, simulator engine and the root of the
+seed lineage; per-experiment sizes remain overridable via
 ``session.experiment(id, **overrides)``.  (The historical free functions —
 ``run_theorem2_sweep`` and friends, deprecated in 1.1 — were removed in 1.2
 along with the ``ALL_EXPERIMENTS`` mapping, per the one-release timeline.)
@@ -93,10 +93,10 @@ _TABLE_BACKEND_NOTE = f"{TABLE_BACKEND} (pinned; the session's backend is not us
 
 
 def _table_session(session: Session) -> Session:
-    """``session`` on :data:`TABLE_BACKEND`, sharing its schedule cache."""
+    """``session`` on :data:`TABLE_BACKEND`."""
     from repro.api.session import Session
 
-    return Session(session.config.replace(router_backend=TABLE_BACKEND), cache=session.cache)
+    return Session(session.config.replace(router_backend=TABLE_BACKEND))
 
 
 @dataclass
@@ -148,26 +148,20 @@ class ExperimentResult:
 def _theorem2_shard(
     task: tuple[int, int, tuple[int, ...], dict[str, Any]],
     session: Session | None = None,
-) -> tuple[list[int], bool, dict[str, int]]:
+) -> tuple[list[int], bool]:
     """Run one shard (an explicit list of trial seeds) of a (d, g) configuration.
 
     Top-level so process-pool workers can pickle it.  With no ``session`` (a
     pool worker: sessions do not cross process boundaries) the worker builds
-    one from the task's config fields — router backend, engine, cache policy
-    *and* cache bounds all survive the hop, so a worker's cache respects the
-    configured byte budget; in-process callers pass their own session so the
-    session-owned cache is honoured directly.
+    one from the task's config fields, so it routes exactly as the caller's
+    session; in-process callers pass their own session.
 
     The shard's permutations are drawn per trial seed exactly as the
     historical per-trial loop did, then routed as *one* ``(B, n)`` megabatch
     through :meth:`~repro.api.session.Session.route_batch`; the per-trial
-    metrics are bit-identical, so merged sweep reports are unchanged (only
-    cache-counter granularity differs on the batched engine: one batch-level
-    entry per ``d >= g`` shard, one per row of a ``d < g`` shard, per the
-    shape rule in ``_measure_routing_batch``).
-    Returns the sorted slot counts seen, the AND of the
-    per-trial bound checks, and the shard's schedule-cache hit/miss
-    counter deltas.
+    metrics are bit-identical, so merged sweep reports are unchanged.
+    Returns the sorted slot counts seen and the AND of the per-trial bound
+    checks.
     """
     d, g, trial_seeds, config_fields = task
     if session is None:
@@ -177,8 +171,6 @@ def _theorem2_shard(
         session = Session(RunConfig(**config_fields))
     with get_tracer().span("sweep.shard", d=d, g=g, trials=len(trial_seeds)):
         network = POPSNetwork(d, g)
-        cache = session.cache
-        before = cache.stats()
         pis = np.stack(
             [
                 np.asarray(
@@ -189,16 +181,9 @@ def _theorem2_shard(
             ]
         )
         trial_metrics = session.route_batch(pis, network=network)
-        after = cache.stats()
-        counter_deltas = {
-            name: after[name] - before[name]
-            for name in after
-            if name != "entries"
-        }
         return (
             sorted({metrics.slots for metrics in trial_metrics}),
             all(metrics.meets_theorem2_bound for metrics in trial_metrics),
-            counter_deltas,
         )
 
 
@@ -236,7 +221,7 @@ def _theorem2_sweep(
     rows: list[list[Any]] = []
     for d, g in configs:
         trial_seeds = tuple(derive_trial_seeds(rng.randrange(2**31), trials).tolist())
-        slots_seen, verified, _ = _theorem2_shard(
+        slots_seen, verified = _theorem2_shard(
             (d, g, trial_seeds, config_fields), session=session
         )
         rows.append(_sweep_row(d, g, set(slots_seen), verified))
@@ -269,8 +254,7 @@ def _parallel_sweep(
     cores instead of one, and the merged result is bit-for-bit identical to
     the unsharded run with the same seed.  ``workers=0`` (or a single task)
     runs serially in-process, which is also the fallback when the platform
-    cannot spawn worker processes.  ``cache_stats=True`` aggregates the
-    workers' compiled-schedule-cache counters into the report notes.
+    cannot spawn worker processes.
     """
     config = session.config
     trials = config.trials
@@ -294,7 +278,7 @@ def _parallel_sweep(
             tasks.append((d, g, chunk, config_fields))
             task_config.append(ci)
 
-    shards: list[tuple[list[int], bool, dict[str, int]]] | None = None
+    shards: list[tuple[list[int], bool]] | None = None
     if max_workers != 0 and len(tasks) > 1:
         from concurrent.futures import ProcessPoolExecutor
         from concurrent.futures.process import BrokenProcessPool
@@ -310,12 +294,9 @@ def _parallel_sweep(
     # Merge shard results per configuration (set-union / AND, order-free).
     merged_slots: list[set[int]] = [set() for _ in configs]
     merged_verified = [True] * len(configs)
-    counters: dict[str, int] = {}
-    for ci, (slots_seen, verified, shard_counters) in zip(task_config, shards):
+    for ci, (slots_seen, verified) in zip(task_config, shards):
         merged_slots[ci].update(slots_seen)
         merged_verified[ci] = merged_verified[ci] and verified
-        for name, delta in shard_counters.items():
-            counters[name] = counters.get(name, 0) + delta
     rows = [
         _sweep_row(d, g, merged_slots[ci], merged_verified[ci])
         for ci, (d, g) in enumerate(configs)
@@ -328,10 +309,6 @@ def _parallel_sweep(
     }
     if shard_trials is not None:
         notes["trials per shard"] = shard
-    if config.cache_stats:
-        hits = counters.get("hits", 0)
-        misses = counters.get("misses", 0)
-        notes["schedule cache"] = f"{hits} hits / {misses} misses"
     return ExperimentResult(
         experiment_id="E1p",
         title="Theorem 2 sweep fanned across worker processes",

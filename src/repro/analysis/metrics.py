@@ -11,10 +11,9 @@ the one-release timeline.)
 
 from __future__ import annotations
 
-import hashlib
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 import numpy as np
 
@@ -32,13 +31,8 @@ from repro.routing.permutation_router import (
 )
 from repro.utils.validation import check_permutation_stack
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.pops.engine import ScheduleCache
-
 __all__ = [
     "RoutingMetrics",
-    "routing_cache_key",
-    "routing_cache_key_batch",
     "slots_vs_bound",
     "coupler_utilisation",
 ]
@@ -92,39 +86,6 @@ class RoutingMetrics:
         }
 
 
-def routing_cache_key(
-    backend: str, network: POPSNetwork, pi: Sequence[int]
-) -> tuple[str, int, int, bytes]:
-    """Compiled-schedule cache key for routing ``pi`` on ``network``.
-
-    Sound because the router is deterministic: ``(backend, d, g,
-    permutation)`` fully determines the schedule.  The permutation is folded
-    into a 16-byte blake2b digest rather than stored as an n-length tuple, so
-    keys stay small even at n in the tens of thousands.
-    """
-    digest = hashlib.blake2b(
-        np.asarray(pi, dtype=np.int64).tobytes(), digest_size=16
-    ).digest()
-    return (backend, network.d, network.g, digest)
-
-
-def routing_cache_key_batch(
-    backend: str, network: POPSNetwork, pis
-) -> tuple[str, int, int, str, int, bytes]:
-    """Compiled-batch cache key for routing a ``(B, n)`` permutation stack.
-
-    The digest covers the whole stack in order, so two batches share an entry
-    only when they contain the same permutations in the same positions.  The
-    ``"batch"`` tag and the batch size keep the key space disjoint from
-    :func:`routing_cache_key` — ``(1, n)`` and ``(n,)`` arrays have identical
-    bytes, and a ``CompiledScheduleBatch`` must never be returned where a
-    ``CompiledSchedule`` is expected.
-    """
-    stack = np.ascontiguousarray(np.asarray(pis, dtype=np.int64))
-    digest = hashlib.blake2b(stack.tobytes(), digest_size=16).digest()
-    return (backend, network.d, network.g, "batch", stack.shape[0], digest)
-
-
 def _measure_routing_batch(
     network: POPSNetwork,
     pis,
@@ -132,8 +93,6 @@ def _measure_routing_batch(
     router_backend: str,
     sim_backend: str,
     verify: bool = True,
-    use_cache: bool = True,
-    cache: ScheduleCache | None = None,
     validate: bool = True,
 ) -> list[RoutingMetrics]:
     """Route a ``(B, n)`` permutation stack; simulate, verify and summarise.
@@ -142,8 +101,8 @@ def _measure_routing_batch(
     ``(1, n)`` case and :meth:`~repro.api.session.Session.route_batch` the
     general one.  On the batched engine the stack takes the megabatch
     path — one batched route, execution, verification, compiled trace and
-    bound reduction — with the plan memoised in ``cache`` (the process-wide
-    cache when ``None``) under :func:`routing_cache_key_batch`.  Other engines
+    bound reduction.  Nothing is cached: routed traffic almost never repeats a
+    permutation stack, so cached plans would only hold memory.  Other engines
     measure each row on the object pipeline (:func:`_measure_routing`, the
     arbiter).  Entry ``b`` is equal, field types included, whichever path ran,
     and an empty ``(0, n)`` stack returns ``[]`` on every engine.
@@ -165,20 +124,14 @@ def _measure_routing_batch(
         if sim_backend != "batched":
             return [
                 _measure_routing(
-                    network, row.tolist(), span, router_backend, verify,
-                    sim_backend, use_cache, cache,
+                    network, row.tolist(), span, router_backend, verify, sim_backend
                 )
                 for row in images
             ]
         if network.d >= network.g:
-            return _route_stack(
-                network, images, span, router_backend, verify, use_cache, cache
-            )
+            return _route_stack(network, images, span, router_backend, verify)
         return [
-            _route_stack(
-                network, images[b:b + 1], span, router_backend, verify,
-                use_cache, cache,
-            )[0]
+            _route_stack(network, images[b:b + 1], span, router_backend, verify)[0]
             for b in range(images.shape[0])
         ]
 
@@ -189,22 +142,13 @@ def _route_stack(
     span,
     router_backend: str,
     verify: bool,
-    use_cache: bool,
-    cache: ScheduleCache | None,
 ) -> list[RoutingMetrics]:
     """The megabatch path of :func:`_measure_routing_batch`: one stack, as stages of ``span``."""
     span.stage = "route.setup"
     router = PermutationRouter(network, backend=router_backend, verify=verify)
-    cache_key = (
-        routing_cache_key_batch(router_backend, network, images)
-        if use_cache
-        else None
-    )
     engine = BatchedSimulator(network)
     span.stage = "route.compile"
-    batch = router.route_compiled_batch(
-        images, cache_key=cache_key, cache=cache, validate=False
-    )
+    batch = router.route_compiled_batch(images, validate=False)
     span.stage = "engine.execute"
     locations = engine.execute_batch(batch)
     engine.verify_locations_batch(batch, locations)
@@ -236,19 +180,13 @@ def _measure_routing(
     router_backend: str,
     verify: bool,
     sim_backend: str,
-    use_cache: bool,
-    cache: ScheduleCache | None,
 ) -> RoutingMetrics:
     """Route ``pi`` on the object pipeline, simulate, verify, and summarise.
 
     The arbiter path of :func:`_measure_routing_batch`, taken for every
     engine except batched: the router builds per-packet schedule objects
     and ``sim_backend`` (any name registered in
-    :data:`repro.api.registry.SIM_ENGINES`) executes them.  With
-    ``use_cache``, engines other than ``reference`` — which has no compile
-    step — memoise their compiled schedule in ``cache`` under
-    :func:`routing_cache_key`, sound because the router is deterministic.
-    Its steps are timed as stages of ``span``, the ``session.route`` span.
+    :data:`repro.api.registry.SIM_ENGINES`) executes them.  Its steps are timed as stages of ``span``, the ``session.route`` span.
     """
     span.stage = "route.setup"
     router = PermutationRouter(network, backend=router_backend, verify=verify)
@@ -256,14 +194,7 @@ def _measure_routing(
     span.stage = "route.compile"
     plan = router.route(pi)
     span.stage = "engine.execute"
-    cache_key = (
-        routing_cache_key(router_backend, network, plan.permutation)
-        if use_cache and sim_backend != "reference"
-        else None
-    )
-    result = simulator.route_and_verify(
-        plan.schedule, plan.packets, cache_key=cache_key, cache=cache
-    )
+    result = simulator.route_and_verify(plan.schedule, plan.packets)
     span.stage = "metrics.bounds"
     bound = theorem2_slot_bound(network.d, network.g)
     lower = best_known_lower_bound(network, plan.permutation)

@@ -19,18 +19,7 @@ from typing import Any
 
 from repro.exceptions import ConfigurationError
 
-__all__ = [
-    "RunConfig",
-    "CACHE_POLICIES",
-    "DEFAULT_CACHE_MAX_ENTRIES",
-    "DEFAULT_CACHE_MAX_BYTES",
-]
-
-#: Allowed compiled-schedule cache policies.
-CACHE_POLICIES: tuple[str, ...] = ("on", "off")
-
-DEFAULT_CACHE_MAX_ENTRIES = 64
-DEFAULT_CACHE_MAX_BYTES = 128 * 1024 * 1024
+__all__ = ["RunConfig"]
 
 #: argparse attribute -> RunConfig field, for :meth:`RunConfig.from_cli_args`.
 _CLI_FIELDS: dict[str, str] = {
@@ -40,7 +29,6 @@ _CLI_FIELDS: dict[str, str] = {
     "seed": "seed",
     "workers": "workers",
     "shard_trials": "shard_trials",
-    "cache_stats": "cache_stats",
 }
 
 
@@ -68,12 +56,6 @@ class RunConfig:
         feeds the megabatch pipeline; ``"reference"`` is the slot-by-slot
         arbiter.  Every operation — routes, sweeps, experiments, the serving
         daemon — uses this one engine.
-    cache_policy:
-        ``"on"`` (default) lets batched runs memoise compiled schedules in the
-        session's :class:`~repro.pops.engine.ScheduleCache`; ``"off"``
-        disables lookups entirely.
-    cache_max_entries / cache_max_bytes:
-        Bounds of the session-owned schedule cache.
     trials:
         Trials per sweep configuration.
     seed:
@@ -88,20 +70,14 @@ class RunConfig:
     shard_trials:
         Split each sweep configuration's trials into shards of at most this
         many trials (``None`` = one task per configuration).
-    cache_stats:
-        Report schedule-cache hit/miss counters in sweep notes.
     """
 
     router_backend: str = "euler-array"
     sim_backend: str = "batched"
-    cache_policy: str = "on"
-    cache_max_entries: int = DEFAULT_CACHE_MAX_ENTRIES
-    cache_max_bytes: int = DEFAULT_CACHE_MAX_BYTES
     trials: int = 3
     seed: int = 2002
     workers: int | None = None
     shard_trials: int | None = None
-    cache_stats: bool = False
 
     def __post_init__(self) -> None:
         self.validate()
@@ -131,13 +107,6 @@ class RunConfig:
                 f"unknown simulator engine {self.sim_backend!r}; "
                 f"available: {sorted(SIM_ENGINES.names())}"
             )
-        if self.cache_policy not in CACHE_POLICIES:
-            raise ConfigurationError(
-                f"unknown cache policy {self.cache_policy!r}; "
-                f"expected one of {CACHE_POLICIES}"
-            )
-        _check_positive_int("cache_max_entries", self.cache_max_entries)
-        _check_positive_int("cache_max_bytes", self.cache_max_bytes)
         _check_positive_int("trials", self.trials)
         if isinstance(self.seed, bool) or not isinstance(self.seed, int):
             raise ValueError(f"seed must be an int, got {self.seed!r}")
@@ -148,8 +117,6 @@ class RunConfig:
                 raise ValueError(f"workers must be >= 0, got {self.workers}")
         if self.shard_trials is not None:
             _check_positive_int("shard_trials", self.shard_trials)
-        if not isinstance(self.cache_stats, bool):
-            raise ValueError(f"cache_stats must be a bool, got {self.cache_stats!r}")
 
     # -- derivation ---------------------------------------------------------
 

@@ -1,8 +1,9 @@
 """The :class:`Session` facade: one config, one cache, one RNG lineage.
 
 A session binds a validated :class:`~repro.api.config.RunConfig` to the
-resources a run needs — a compiled-schedule cache and a deterministic seed
-lineage — and exposes the reproduction's capabilities as methods::
+resources a run needs — a deterministic seed lineage, and a compiled-schedule
+cache for callers that key their own schedules (:meth:`Session.simulate`) —
+and exposes the reproduction's capabilities as methods::
 
     from repro.api import RunConfig, Session
 
@@ -83,11 +84,11 @@ class Session:
     config:
         The run configuration; defaults to ``RunConfig()``.
     cache:
-        Compiled-schedule cache to use.  By default the session owns a fresh
-        :class:`~repro.pops.engine.ScheduleCache` sized by the config; pass
-        :func:`repro.pops.engine.schedule_cache` to share the process-wide
-        cache (the deprecation shims do, preserving their historical
-        behaviour).
+        Compiled-schedule cache behind :meth:`simulate`'s ``cache_key``.  By
+        default the session owns a fresh :class:`~repro.pops.engine.
+        ScheduleCache`; pass :func:`repro.pops.engine.schedule_cache` to share
+        the process-wide cache.  Routes never touch it: routed traffic almost
+        never repeats a permutation, so the router plans every call.
     """
 
     def __init__(
@@ -100,12 +101,7 @@ class Session:
                 f"config must be a RunConfig or None, got {type(config).__name__}"
             )
         self.config = config
-        if cache is None:
-            cache = ScheduleCache(
-                max_entries=config.cache_max_entries,
-                max_bytes=config.cache_max_bytes,
-            )
-        self.cache = cache
+        self.cache = ScheduleCache() if cache is None else cache
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Session(config={self.config!r})"
@@ -139,18 +135,17 @@ class Session:
         """Route ``pi`` with the universal router; simulate, verify, summarise.
 
         The target network is given either as ``network=`` or as ``d=``/``g=``.
-        Router backend, simulator engine and cache policy all come from the
-        session config; compiled schedules are memoised in the session's
-        cache.  ``pi`` is validated once and routed as the ``(1, n)``
-        row of the batch pipeline, so the result equals ``route_batch``'s
-        entry for the same permutation, and both share cache entries.
+        Router backend and simulator engine come from the session config.
+        ``pi`` is validated once and routed as the ``(1, n)`` row of the
+        batch pipeline, so the result equals ``route_batch``'s entry for the
+        same permutation.
 
         The call is span-instrumented: when a tracer is installed via
         :func:`repro.obs.set_tracer` (the CLI's ``--profile``/``--trace-out``
         do this), it emits a ``session.route`` root span (``batch=1``) cut
         into ``route.setup``/``route.compile``/``engine.execute``/
         ``metrics.*`` stages; with the default :data:`repro.obs.NULL_TRACER`
-        the instrumentation is a no-op (<1% of a warm route, see
+        the instrumentation costs at most a few microseconds per route (see
         ``benchmarks/bench_obs.py``).
         """
         network = _resolve_network("route", network, d, g)
@@ -170,10 +165,8 @@ class Session:
 
         Entry ``b`` of the returned list equals ``route(pis[b])``, field types
         included.  Configuration comes from the session, as for
-        :meth:`route`; on the batched engines the cache holds one batch-level
-        entry per stack (per row for ``d < g``, which routes row by row — see
-        ``_measure_routing_batch``).  Span-instrumented like :meth:`route`,
-        under one ``session.route`` root with ``batch=B``.
+        :meth:`route`.  Span-instrumented like :meth:`route`, under one
+        ``session.route`` root with ``batch=B``.
         """
         network = _resolve_network("route_batch", network, d, g)
         return self._measure(network, pis, verify)
@@ -189,8 +182,6 @@ class Session:
             router_backend=self.config.router_backend,
             verify=verify,
             sim_backend=self.config.sim_backend,
-            use_cache=self.config.cache_policy == "on",
-            cache=self.cache,
             validate=validate,
         )
 
@@ -209,25 +200,16 @@ class Session:
         batched engines, bit-identical to routing object-level and compiling:
         element 0 of the ``(1, n)`` batch plan
         (:meth:`~repro.routing.permutation_router.PermutationRouter.
-        route_compiled_batch`).  With the cache policy ``"on"`` the batch plan
-        is memoised in the session cache under the same key :meth:`route`
-        uses, so either call warms the other.
+        route_compiled_batch`).
         """
-        from repro.analysis.metrics import routing_cache_key_batch
         from repro.routing.permutation_router import PermutationRouter
 
         network = _resolve_network("route_compiled", network, d, g)
         images = check_permutation_array(pi, network.n)[None, :]
-        backend = self.config.router_backend
-        cache_key = (
-            routing_cache_key_batch(backend, network, images)
-            if self.config.cache_policy == "on"
-            else None
+        router = PermutationRouter(
+            network, backend=self.config.router_backend, verify=verify
         )
-        router = PermutationRouter(network, backend=backend, verify=verify)
-        return router.route_compiled_batch(
-            images, cache_key=cache_key, cache=self.cache, validate=False
-        ).element(0)
+        return router.route_compiled_batch(images, validate=False).element(0)
 
     def route_degraded(
         self,
@@ -283,11 +265,8 @@ class Session:
         ``(schedule, packets)`` — the contract of
         :meth:`repro.pops.engine.BatchedSimulator.compile`.  No key is
         derived automatically because arbitrary schedules, unlike the
-        deterministic router's, have no sound generic key.  A set cache
-        policy of ``"off"`` drops the key.
+        deterministic router's, have no sound generic key.
         """
-        if self.config.cache_policy == "off":
-            cache_key = None
         simulator = self.simulator(schedule.network)
         result = simulator.run(
             schedule, packets, cache_key=cache_key, cache=self.cache
@@ -314,9 +293,8 @@ class Session:
     ) -> ExperimentResult:
         """The Theorem 2 sweep over ``configs``, fanned across workers.
 
-        Shard size, worker count, cache statistics, trials and seed all come
-        from the session config (``shard_trials``, ``workers``,
-        ``cache_stats``, ``trials``, ``seed``).
+        Shard size, worker count, trials and seed all come from the session
+        config (``shard_trials``, ``workers``, ``trials``, ``seed``).
         """
         if configs is None:
             return self.experiment("E1p")

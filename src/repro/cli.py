@@ -35,10 +35,9 @@ Fan the Theorem 2 sweep across worker processes::
 
     pops-repro sweep --configs 8:4,16:8,32:32 --workers 4
 
-Shard a single huge configuration's trials across all cores and report the
-compiled-schedule cache counters::
+Shard a single huge configuration's trials across all cores::
 
-    pops-repro sweep --configs 128:128 --trials 16 --shard-trials 2 --cache-stats
+    pops-repro sweep --configs 128:128 --trials 16 --shard-trials 2
 
 Serve live route requests from one warm session, dynamically batching
 concurrent same-shape requests onto the megabatch kernels (SIGTERM drains
@@ -83,6 +82,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from collections.abc import Sequence
@@ -178,6 +178,39 @@ def _parse_fault_spec(text: str):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _int_in(low: int, what: str, high: int | None = None):
+    """argparse type: an int in ``[low, high]``, else a usage error naming ``what``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low or (high is not None and value > high):
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_in(1, "a positive integer")
+_non_negative_int = _int_in(0, "a non-negative integer")
+_port = _int_in(0, "a port number in 0-65535", high=65535)
+
+
+def _positive_ms(text: str) -> float:
+    """argparse type: finite milliseconds greater than zero."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite positive number of milliseconds, got {text!r}"
+        )
+    return value
+
+
 def _add_backend_flags(
     subparser: argparse.ArgumentParser,
     sim_help: str | None = None,
@@ -225,8 +258,12 @@ def build_parser() -> argparse.ArgumentParser:
     route = subparsers.add_parser(
         "route", help="route one permutation family and print the metrics"
     )
-    route.add_argument("--d", type=int, required=True, help="processors per group")
-    route.add_argument("--g", type=int, required=True, help="number of groups")
+    route.add_argument(
+        "--d", type=_positive_int, required=True, help="processors per group"
+    )
+    route.add_argument(
+        "--g", type=_positive_int, required=True, help="number of groups"
+    )
     route.add_argument(
         "--family",
         choices=sorted(NAMED_FAMILIES),
@@ -265,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated d:g pairs (e.g. 8:4,16:4); default: the E1 sweep",
     )
     sweep.add_argument(
-        "--trials", type=int, default=None,
+        "--trials", type=_positive_int, default=None,
         help=f"trials per configuration (default: {RunConfig.trials})",
     )
     sweep.add_argument(
@@ -274,13 +311,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_backend_flags(sweep, "simulator engine (batched = vectorized fast path)")
     sweep.add_argument(
         "--workers",
-        type=int,
+        type=_non_negative_int,
         default=None,
         help="worker processes (0 = serial; default: one per core)",
     )
     sweep.add_argument(
         "--shard-trials",
-        type=int,
+        type=_positive_int,
         default=None,
         metavar="K",
         help=(
@@ -288,11 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
             "trials so a single huge configuration saturates all workers; "
             "results are bit-identical to the unsharded sweep"
         ),
-    )
-    sweep.add_argument(
-        "--cache-stats",
-        action="store_true",
-        help="report compiled-schedule cache counters in the sweep notes",
     )
     _add_obs_flags(sweep)
     _add_format_flag(sweep)
@@ -306,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--host", default="127.0.0.1", help="bind address")
     serve.add_argument(
-        "--port", type=int, default=0, help="bind port (0 = pick an ephemeral port)"
+        "--port", type=_port, default=0, help="bind port (0 = pick an ephemeral port)"
     )
     serve.add_argument(
         "--port-file",
@@ -385,17 +417,17 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     stats.add_argument("--host", default="127.0.0.1", help="daemon address")
-    stats.add_argument("--port", type=int, required=True, help="daemon port")
+    stats.add_argument("--port", type=_port, required=True, help="daemon port")
     stats.add_argument(
         "--deadline-ms",
-        type=float,
+        type=_positive_ms,
         default=10_000.0,
         metavar="MS",
         help="per-operation deadline; expiry is a structured deadline error",
     )
     stats.add_argument(
         "--retries",
-        type=int,
+        type=_non_negative_int,
         default=0,
         metavar="N",
         help=(

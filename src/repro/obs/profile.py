@@ -3,8 +3,8 @@
 This is what ``--profile`` prints: spans are grouped by their *name path*
 (the chain of span names from a root down), durations and counts are summed
 per path, and the tree is rendered with each stage's share of the total
-traced wall time.  A cold ``n = 1024`` route (the plan is built, so
-``route.compile`` holds the cache miss and ``route.plan``) renders as e.g.::
+traced wall time.  An ``n = 1024`` route (``route.compile`` holds
+``route.plan``) renders as e.g.::
 
     session.route                      1.92 ms  100.0%  x1
       route.setup                      0.05 ms    2.7%  x1

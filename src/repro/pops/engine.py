@@ -241,19 +241,18 @@ class ScheduleCache:
     """Cache of :class:`CompiledSchedule` / :class:`CompiledScheduleBatch`
     objects keyed by caller-chosen keys.
 
-    Lowering a schedule is the dominant fixed cost of the batched engine, and
-    sweeps recompile identical schedules on every iteration: the same
-    ``(router backend, permutation, d, g, n)`` always lowers to the same
-    arrays.  Callers that can prove that determinism pass the corresponding
-    key (:func:`repro.analysis.metrics.routing_cache_key`, as
-    :meth:`repro.api.session.Session.route` does) and repeated compilations
-    become dictionary lookups.
+    Lowering a schedule is the dominant fixed cost of the batched engine.
+    Callers that replay one schedule many times and can prove it is fully
+    determined by a key pass that key (the E9 broadcast keys on
+    ``(d, g, speaker)``) and repeated compilations become dictionary
+    lookups.  Routing never consults the cache: routed traffic almost never
+    repeats a permutation, so cached plans only held memory.
 
     The cache is doubly bounded — at most ``max_entries`` schedules *and*
-    at most ``max_bytes`` of compiled arrays, FIFO-evicted — so sweeping
-    huge networks (a compiled n≈20k schedule is megabytes of arrays) cannot
-    balloon a worker's memory even at a 0% hit rate.  It counts hits and
-    misses; ``pops-repro sweep --cache-stats`` surfaces the counters.
+    at most ``max_bytes`` of compiled arrays, FIFO-evicted — so huge
+    networks (a compiled n≈20k schedule is megabytes of arrays) cannot
+    balloon memory.  It counts hits and misses
+    (:meth:`repro.api.session.Session.cache_stats`).
     Compiled schedules are immutable after compilation, so sharing one object
     between executions is safe (``execute`` copies the location array).
     """

@@ -33,7 +33,7 @@ conflict-free.
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -55,7 +55,7 @@ from repro.utils.validation import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.pops.engine import CompiledSchedule, CompiledScheduleBatch, ScheduleCache
+    from repro.pops.engine import CompiledSchedule, CompiledScheduleBatch
 
 __all__ = ["PermutationRouter", "RoutingPlan", "theorem2_slot_bound"]
 
@@ -166,13 +166,7 @@ class PermutationRouter:
         """Slot count Theorem 2 guarantees on this router's network."""
         return theorem2_slot_bound(self.network.d, self.network.g)
 
-    def route_compiled(
-        self,
-        pi: Sequence[int],
-        *,
-        cache_key: Hashable | None = None,
-        cache: ScheduleCache | None = None,
-    ) -> CompiledSchedule:
+    def route_compiled(self, pi: Sequence[int]) -> CompiledSchedule:
         """Route ``pi`` straight to compiled-schedule arrays.
 
         The array-native fast path of :meth:`route`, as the ``(1, n)`` row of
@@ -188,34 +182,12 @@ class PermutationRouter:
         ``"euler-array"``) take the array pipeline; other backends
         transparently fall back to routing object-level and compiling, so the
         method is safe for any backend.
-
-        ``cache_key`` extends the compiled-schedule cache to the *plan*
-        stage: under the usual deterministic-router contract
-        (:func:`repro.analysis.metrics.routing_cache_key`), a hit skips route
-        construction entirely, not just lowering.  ``cache`` overrides the
-        process-wide cache.
         """
-        store = None
-        if cache_key is not None:
-            from repro.pops.engine import schedule_cache
-
-            store = cache if cache is not None else schedule_cache()
-            compiled = store.get(cache_key)
-            if compiled is not None:
-                return compiled
-        with get_tracer().span("route.plan", backend=self.solver.backend):
-            compiled = self._route_compiled_uncached(pi)
-        if store is not None:
-            store.put(cache_key, compiled)
-        return compiled
+        images = check_permutation_array(pi, self.network.n)
+        return self.route_compiled_batch(images[None, :], validate=False).element(0)
 
     def route_compiled_batch(
-        self,
-        pis,
-        *,
-        cache_key: Hashable | None = None,
-        cache: ScheduleCache | None = None,
-        validate: bool = True,
+        self, pis, *, validate: bool = True
     ) -> CompiledScheduleBatch:
         """Route a ``(B, n)`` permutation stack to one compiled batch.
 
@@ -223,35 +195,16 @@ class PermutationRouter:
         distribution, one batched plan assembly — per-call Python overhead is
         paid once for ``B`` permutations instead of ``B`` times.
         ``element(b)`` of the result is bit-identical to
-        ``route_compiled(pis[b])``.
-
-        ``cache_key`` caches the whole batch under one entry (use
-        :func:`repro.analysis.metrics.routing_cache_key_batch`, which covers
-        batch membership and order); there is no per-element cache fill.
-        ``validate=False`` skips the permutation-stack check for callers that
-        already hold the validated int64 image stack.
+        ``route_compiled(pis[b])``.  ``validate=False`` skips the
+        permutation-stack check for callers that already hold the validated
+        int64 image stack.
         """
-        store = None
-        if cache_key is not None:
-            from repro.pops.engine import schedule_cache
-
-            store = cache if cache is not None else schedule_cache()
-            compiled = store.get(cache_key)
-            if compiled is not None:
-                return compiled
         with get_tracer().span("route.plan", backend=self.solver.backend):
-            compiled = self._route_compiled_batch_uncached(pis, validate=validate)
-        if store is not None:
-            store.put(cache_key, compiled)
-        return compiled
+            return self._plan_batch(pis, validate=validate)
 
     # -- array-native plan construction --------------------------------------------
 
-    def _route_compiled_uncached(self, pi: Sequence[int]) -> CompiledSchedule:
-        images = check_permutation_array(pi, self.network.n)
-        return self._route_compiled_batch_uncached(images[None, :]).element(0)
-
-    def _route_compiled_batch_uncached(
+    def _plan_batch(
         self, pis, *, validate: bool = True
     ) -> CompiledScheduleBatch:
         from repro.graph.array_coloring import ARRAY_COLORING_STACK_KERNELS

@@ -14,9 +14,8 @@ request routes alone — the control arm of ``benchmarks/bench_serve.py``).
 Concurrency contract:
 
 * **One worker thread owns the session.**  All routing happens on the
-  batcher's worker thread, so the session and its schedule cache are
-  never touched concurrently.  Handler threads only enqueue and wait on
-  futures.
+  batcher's worker thread, so the session is never touched concurrently.
+  Handler threads only enqueue and wait on futures.
 * **Bounded queue, explicit shedding.**  :meth:`DynamicBatcher.submit`
   raises :class:`QueueFullError` instead of blocking when ``max_queue``
   requests are already waiting; the daemon turns that into a structured
@@ -97,9 +96,9 @@ class DynamicBatcher:
     Parameters
     ----------
     session:
-        The warm session whose config (router backend, engine, cache policy)
-        all routing uses.  Requests naming a different router backend get a
-        sibling session sharing this session's cache.
+        The warm session whose config (router backend, engine) all routing
+        uses.  Requests naming a different router backend get a sibling
+        session with that backend.
     telemetry:
         Where batch sizes are recorded (request stages are recorded by the
         daemon when the response is on the wire).
@@ -136,8 +135,13 @@ class DynamicBatcher:
         fault_rate: float = 1.0,
         fault_seed: int = 0,
     ):
-        if batch_window < 0:
-            raise ValueError(f"batch_window must be >= 0, got {batch_window}")
+        # Also rejects nan (no comparison holds) and windows too long for
+        # ``queue.get(timeout=...)``, which would hang or kill the worker.
+        if not 0 <= batch_window <= threading.TIMEOUT_MAX:
+            raise ValueError(
+                f"batch_window must be finite, >= 0 and <= "
+                f"{threading.TIMEOUT_MAX} s, got {batch_window}"
+            )
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         if max_queue < 1:
@@ -270,12 +274,8 @@ class DynamicBatcher:
     def _session_for(self, backend: str) -> Session:
         session = self._sessions.get(backend)
         if session is None:
-            # Sibling session for a per-request backend override, sharing the
-            # primary session's cache.
-            session = Session(
-                self._session.config.replace(router_backend=backend),
-                cache=self._session.cache,
-            )
+            # Sibling session for a per-request backend override.
+            session = Session(self._session.config.replace(router_backend=backend))
             self._sessions[backend] = session
         return session
 

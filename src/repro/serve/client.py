@@ -264,7 +264,7 @@ class ServeClient:
         )
 
     def stats(self) -> dict[str, Any]:
-        """The daemon's ``stats`` payload: telemetry, cache, store, knobs."""
+        """The daemon's ``stats`` payload: telemetry, cache, knobs."""
         return self.request({"op": "stats"})["stats"]
 
     def metrics(self) -> str:

@@ -1,9 +1,8 @@
 """`ServeDaemon`: the socket front end of the serving layer.
 
-One daemon holds one warm :class:`~repro.api.session.Session` — schedule
-cache primed — and serves route requests concurrently over a TCP socket
-bound to localhost, speaking the length-prefixed JSON protocol of
-:mod:`repro.serve.protocol`.  Each accepted connection gets a handler
+One daemon holds one warm :class:`~repro.api.session.Session` and serves
+route requests concurrently over a TCP socket bound to localhost, speaking
+the length-prefixed JSON protocol of :mod:`repro.serve.protocol`.  Each accepted connection gets a handler
 thread that parses frames and waits on futures; all actual routing happens
 on the single worker thread of the
 :class:`~repro.serve.batcher.DynamicBatcher`, which coalesces same-shape

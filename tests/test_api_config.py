@@ -7,11 +7,7 @@ import json
 
 import pytest
 
-from repro.api.config import (
-    DEFAULT_CACHE_MAX_BYTES,
-    DEFAULT_CACHE_MAX_ENTRIES,
-    RunConfig,
-)
+from repro.api.config import RunConfig
 from repro.cli import build_parser
 from repro.exceptions import ConfigurationError
 
@@ -21,14 +17,14 @@ class TestDefaults:
         config = RunConfig()
         assert config.router_backend == "euler-array"
         assert config.sim_backend == "batched"
-        assert config.cache_policy == "on"
         assert config.trials == 3
         assert config.seed == 2002
         assert config.workers is None
         assert config.shard_trials is None
-        assert config.cache_stats is False
-        assert config.cache_max_entries == DEFAULT_CACHE_MAX_ENTRIES
-        assert config.cache_max_bytes == DEFAULT_CACHE_MAX_BYTES
+        assert [f.name for f in dataclasses.fields(RunConfig)] == [
+            "router_backend", "sim_backend", "trials", "seed", "workers",
+            "shard_trials",
+        ]
 
     def test_frozen(self):
         config = RunConfig()
@@ -49,10 +45,6 @@ class TestValidation:
     def test_unknown_sim_backend(self, engine):
         with pytest.raises(ConfigurationError, match=f"unknown simulator engine '{engine}'"):
             RunConfig(sim_backend=engine)
-
-    def test_unknown_cache_policy(self):
-        with pytest.raises(ConfigurationError, match="unknown cache policy"):
-            RunConfig(cache_policy="sometimes")
 
     @pytest.mark.parametrize("trials", [0, -1])
     def test_nonpositive_trials(self, trials):
@@ -78,15 +70,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="seed must be an int"):
             RunConfig(seed=True)
 
-    def test_nonpositive_cache_bounds(self):
-        with pytest.raises(ValueError, match="cache_max_entries must be positive"):
-            RunConfig(cache_max_entries=0)
-        with pytest.raises(ValueError, match="cache_max_bytes must be positive"):
-            RunConfig(cache_max_bytes=0)
-
-    def test_non_bool_cache_stats(self):
-        with pytest.raises(ValueError, match="cache_stats must be a bool"):
-            RunConfig(cache_stats=1)
 
 
 class TestReplace:
@@ -104,12 +87,10 @@ class TestRoundTrip:
         config = RunConfig(
             router_backend="euler",
             sim_backend="batched",
-            cache_policy="off",
             trials=5,
             seed=99,
             workers=2,
             shard_trials=1,
-            cache_stats=True,
         )
         assert RunConfig.from_dict(config.to_dict()) == config
 
@@ -124,6 +105,10 @@ class TestRoundTrip:
     @pytest.mark.parametrize("field, value", [
         ("plan_store_path", "plans"),
         ("trace_mode", "materialized"),
+        ("cache_policy", "off"),
+        ("cache_max_entries", 64),
+        ("cache_max_bytes", 1024),
+        ("cache_stats", True),
     ])
     def test_removed_fields_are_unknown(self, field, value):
         with pytest.raises(ValueError, match=f"unknown RunConfig fields \\['{field}'\\]"):
@@ -143,14 +128,13 @@ class TestFromCliArgs:
     def test_sweep_flags_lower_one_to_one(self):
         args = build_parser().parse_args(
             ["sweep", "--trials", "7", "--seed", "5", "--workers", "0",
-             "--shard-trials", "2", "--cache-stats", "--backend", "euler"]
+             "--shard-trials", "2", "--backend", "euler"]
         )
         config = RunConfig.from_cli_args(args)
         assert config.trials == 7
         assert config.seed == 5
         assert config.workers == 0
         assert config.shard_trials == 2
-        assert config.cache_stats is True
         assert config.router_backend == "euler"
         assert config.sim_backend == "batched"
 

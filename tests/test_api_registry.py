@@ -137,10 +137,9 @@ class TestPluggability:
             assert metrics.slots == 2
             backend, cache_key, cache = calls[0]
             assert backend == "recording-reference"
-            # Plugin engines participate in schedule caching like "batched":
-            # they receive the sound routing key and the session-owned cache.
-            assert cache_key is not None
-            assert cache is session.cache
+            # Routing never caches, so plugin engines get no key and no cache.
+            assert cache_key is None
+            assert cache is None
         finally:
             SIM_ENGINES.unregister("recording-reference")
 

@@ -41,12 +41,37 @@ class TestParser:
         ["sweep", "--plan-store", "plans"],
         ["route", "--d", "2", "--g", "2", "--plan-store", "plans"],
         ["serve", "--plan-store", "plans"],
-    ], ids=["cache-stats", "cache-warm", "sweep-flag", "route-flag", "serve-flag"])
+        ["sweep", "--cache-stats"],
+    ], ids=["cache-stats", "cache-warm", "sweep-flag", "route-flag", "serve-flag",
+            "sweep-cache-stats"])
     def test_removed_plan_store_surface_is_a_usage_error(self, argv, capsys):
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args(argv)
         assert excinfo.value.code == 2
         assert "usage:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["route", "--d", "0", "--g", "2"],
+        ["route", "--d", "2", "--g", "-3"],
+        ["sweep", "--trials", "0"],
+        ["sweep", "--shard-trials", "0"],
+        ["sweep", "--workers", "-1"],
+        ["serve", "--port", "70000"],
+        ["serve", "--port", "-1"],
+        ["stats", "--port", "70000"],
+        ["stats", "--port", "1", "--retries", "-1"],
+        ["stats", "--port", "1", "--deadline-ms", "nan"],
+        ["stats", "--port", "1", "--deadline-ms", "inf"],
+        ["stats", "--port", "1", "--deadline-ms", "-5"],
+        ["stats", "--port", "1", "--deadline-ms", "0"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_bad_numeric_flag_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert "Traceback" not in err
 
     def test_route_defaults(self):
         args = build_parser().parse_args(["route", "--d", "2", "--g", "3"])
@@ -164,14 +189,14 @@ class TestJsonFormat:
     def test_sweep_json(self, capsys):
         assert main(
             ["sweep", "--configs", "2:2,3:2", "--trials", "1", "--workers", "0",
-             "--cache-stats", "--format", "json"]
+             "--format", "json"]
         ) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["experiment_id"] == "E1p"
         assert payload["headers"][0] == "d"
         assert payload["rows"][0][:2] == [2, 2]
         assert payload["all_pass"] is True
-        assert "schedule cache" in payload["notes"]
+        assert "schedule cache" not in payload["notes"]
 
     def test_sweep_json_matches_text_rows(self, capsys):
         args = ["sweep", "--configs", "2:2", "--trials", "1", "--workers", "0"]

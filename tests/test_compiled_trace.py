@@ -6,8 +6,9 @@ Three contracts are pinned here:
 * ``CompiledTrace``'s numpy-reduction statistics equal the materialized
   ``SimulationTrace`` statistics (and the reference simulator's trace) on
   random routed schedules — property-tested with hypothesis.
-* The compiled-schedule cache changes nothing observable: identical metrics
-  with the cache on, off, hit or missed, and counters that actually count.
+* The compiled-schedule cache changes nothing observable: a keyed compile
+  hits or misses with counters that actually count, and routing (which
+  never consults it) gives identical metrics on every repeat.
 * A trial-sharded ``Session.sweep`` reproduces the unsharded sweep
   bit-for-bit given the same seed.
 """
@@ -229,31 +230,15 @@ class TestScheduleCache:
         with pytest.raises(ValueError):
             ScheduleCache(max_bytes=0)
 
-    def test_route_same_results_cache_on_off(self):
+    def test_repeated_route_matches_reference(self):
         network, pi, _ = self.fresh_workload(seed=23)
-        caching_session = Session(RunConfig(sim_backend="batched"))
-        cached_miss = caching_session.route(pi, network=network)
-        cached_hit = caching_session.route(pi, network=network)
-        uncached = Session(
-            RunConfig(sim_backend="batched", cache_policy="off")
-        ).route(pi, network=network)
+        session = Session(RunConfig(sim_backend="batched"))
+        first = session.route(pi, network=network)
+        repeat = session.route(pi, network=network)
         reference = Session(
             RunConfig(router_backend="konig", sim_backend="reference")
         ).route(pi, network=network)
-        assert cached_miss == cached_hit == uncached == reference
-
-    def test_route_counters_increment(self):
-        network, pi, _ = self.fresh_workload(seed=29)
-        session = Session(RunConfig(sim_backend="batched"))
-        cache = session.cache
-        session.route(pi, network=network)
-        assert cache.stats()["misses"] == 1 and cache.stats()["hits"] == 0
-        session.route(pi, network=network)
-        assert cache.stats()["misses"] == 1 and cache.stats()["hits"] == 1
-        Session(
-            RunConfig(sim_backend="batched", cache_policy="off"), cache=cache
-        ).route(pi, network=network)
-        assert cache.stats() == {"hits": 1, "misses": 1, "entries": 1}
+        assert first == repeat == reference
 
     def test_reference_backend_never_touches_cache(self):
         network, pi, _ = self.fresh_workload(seed=31)
@@ -287,24 +272,6 @@ class TestShardedSweeps:
         ).experiment("E1", configs=self.CONFIGS)
         e1p = sweep(self.CONFIGS, trials=3, seed=19, workers=0, shard_trials=2)
         assert e1p.rows == e1.rows
-
-    def test_repeated_sweep_skips_lowering(self):
-        """Re-running the same sweep in one session serves compiles from cache."""
-        session = Session(
-            RunConfig(trials=4, seed=11, workers=0, cache_stats=True)
-        )
-        first = session.sweep(((4, 4),))
-        second = session.sweep(((4, 4),))
-        # The megabatch pipeline compiles each shard as one batch-level
-        # cache entry, so the counters tick once per sweep, not per trial.
-        assert first.notes["schedule cache"] == "0 hits / 1 misses"
-        assert second.notes["schedule cache"] == "1 hits / 0 misses"
-        assert second.rows == first.rows
-
-    def test_cache_stats_note(self):
-        result = sweep(((2, 2),), trials=2, seed=3, workers=0, cache_stats=True)
-        note = result.notes["schedule cache"]
-        assert "hits" in note and "misses" in note
 
     def test_shard_note_records_shard_size(self):
         result = sweep(((2, 2),), trials=4, seed=3, workers=0, shard_trials=3)

@@ -8,8 +8,6 @@ Pins the ISSUE 6 acceptance criteria:
   object-level plans), batch sizes B ∈ {1, 2, 7, 64}, and n up to 1024;
 * ``Session.route``, the rows of ``route_batch()`` and the object arbiter
   return equal metrics, field types included, on every shape class;
-* the cache holds one batch-level entry per stack, under a key namespace
-  disjoint from the per-permutation keys, and a hit skips routing entirely;
 * sharded sweeps merge deterministically: shard size and engine choice never
   change the report rows;
 * an empty ``(0, n)`` stack routes to ``[]`` on every engine and shape.
@@ -24,14 +22,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.metrics import (
-    RoutingMetrics,
-    routing_cache_key,
-    routing_cache_key_batch,
-)
+from repro.analysis.metrics import RoutingMetrics
 from repro.api import RunConfig, Session
 from repro.graph.array_coloring import ARRAY_COLORING_STACK_KERNELS
-from repro.pops.engine import BatchedSimulator, CompiledSchedule, ScheduleCache
+from repro.pops.engine import BatchedSimulator, CompiledSchedule
 from repro.pops.topology import POPSNetwork
 from repro.routing.permutation_router import PermutationRouter
 from repro.utils.permutations import random_permutation
@@ -231,68 +225,6 @@ class TestSessionRouteBatch:
         empty = np.zeros((0, d * g), dtype=np.int64)
         assert session.route_batch(empty, d=d, g=g) == []
         assert session.cache_stats() == {"hits": 0, "misses": 0, "entries": 0}
-
-
-class TestBatchCache:
-    def test_hit_skips_routing_and_returns_same_object(self, rng):
-        network = POPSNetwork(4, 4)
-        pis = permutation_stack(network, rng, 3)
-        cache = ScheduleCache()
-        router = PermutationRouter(network, backend="euler-array")
-        key = routing_cache_key_batch("euler-array", network, pis)
-        first = router.route_compiled_batch(pis, cache_key=key, cache=cache)
-        assert cache.stats() == {"hits": 0, "misses": 1, "entries": 1}
-
-        def boom(*args, **kwargs):  # pragma: no cover - must not run
-            raise AssertionError("cache hit must not re-route")
-
-        router._route_compiled_batch_uncached = boom
-        second = router.route_compiled_batch(pis, cache_key=key, cache=cache)
-        assert second is first
-        assert cache.stats() == {"hits": 1, "misses": 1, "entries": 1}
-
-    def test_batch_keys_are_namespaced_away_from_single_keys(self, rng):
-        # A (1, n) stack and its (n,) row have identical bytes; the key must
-        # still differ so a CompiledScheduleBatch is never returned where a
-        # CompiledSchedule is expected.
-        network = POPSNetwork(2, 8)
-        pi = np.asarray(random_permutation(network.n, rng), dtype=np.int64)
-        single = routing_cache_key("euler-array", network, pi)
-        batch = routing_cache_key_batch("euler-array", network, pi[None, :])
-        assert single != batch
-
-    def test_batch_keys_cover_membership_and_order(self, rng):
-        network = POPSNetwork(2, 8)
-        pis = permutation_stack(network, rng, 2)
-        key = routing_cache_key_batch("euler-array", network, pis)
-        assert key == routing_cache_key_batch("euler-array", network, pis.copy())
-        assert key != routing_cache_key_batch("euler-array", network, pis[::-1])
-        assert key != routing_cache_key_batch("euler-array", network, pis[:1])
-        assert key != routing_cache_key_batch("konig-array", network, pis)
-
-    @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.uint16])
-    def test_keys_ignore_the_integer_width_of_the_input(self, rng, dtype):
-        # Callers may pass any integer array; the memory key must not split
-        # one permutation into several entries by its dtype.
-        network = POPSNetwork(2, 8)
-        pis = permutation_stack(network, rng, 2)
-        narrow = pis.astype(dtype)
-        assert routing_cache_key("euler-array", network, narrow[0]) == (
-            routing_cache_key("euler-array", network, pis[0])
-        )
-        assert routing_cache_key_batch("euler-array", network, narrow) == (
-            routing_cache_key_batch("euler-array", network, pis)
-        )
-
-    def test_session_sweep_uses_one_entry_per_batch(self, rng):
-        session = Session(
-            RunConfig(trials=5, seed=13, workers=0, cache_stats=True)
-        )
-        first = session.sweep(((4, 4),))
-        assert first.notes["schedule cache"] == "0 hits / 1 misses"
-        second = session.sweep(((4, 4),))
-        assert second.notes["schedule cache"] == "1 hits / 0 misses"
-        assert second.rows == first.rows
 
 
 class TestOnePipelineDifferential:

@@ -1,4 +1,4 @@
-"""The array-native routing front end: ``route_compiled`` parity and caching.
+"""The array-native routing front end: ``route_compiled`` parity.
 
 Pins the ISSUE 5 acceptance criteria:
 
@@ -7,7 +7,6 @@ Pins the ISSUE 5 acceptance criteria:
 * array-backend plans are equivalent to reference-backend plans — same slot
   counts, Theorem 2 bound exact, packets verifiably delivered — on every
   routing regime including hypothesis-generated permutations;
-* the compiled-schedule cache now covers the plan stage;
 * the ``Session`` fast path returns metrics identical to the object
   pipeline.
 """
@@ -24,7 +23,7 @@ from hypothesis import strategies as st
 from repro.api import RunConfig, Session
 from repro.exceptions import ValidationError
 from repro.graph.array_coloring import ARRAY_COLORING_STACK_KERNELS
-from repro.pops.engine import BatchedSimulator, CompiledSchedule, ScheduleCache, compile_schedule
+from repro.pops.engine import BatchedSimulator, CompiledSchedule, compile_schedule
 from repro.pops.simulator import POPSSimulator
 from repro.pops.topology import POPSNetwork
 from repro.routing.permutation_router import PermutationRouter, theorem2_slot_bound
@@ -121,58 +120,13 @@ class TestPlanEquivalenceAcrossBackends:
         assert fast == reference
 
 
-class TestPlanStageCache:
-    def test_cache_hit_skips_route_construction(self, rng):
-        network = POPSNetwork(4, 4)
-        pi = random_permutation(network.n, rng)
-        cache = ScheduleCache()
-        router = PermutationRouter(network, backend="euler-array")
-        first = router.route_compiled(pi, cache_key="plan", cache=cache)
-        assert cache.stats() == {"hits": 0, "misses": 1, "entries": 1}
-
-        def boom(*args, **kwargs):  # pragma: no cover - must not run
-            raise AssertionError("cache hit must not re-route")
-
-        router._route_compiled_uncached = boom
-        second = router.route_compiled(pi, cache_key="plan", cache=cache)
-        assert second is first
-        assert cache.stats() == {"hits": 1, "misses": 1, "entries": 1}
-
-    def test_plan_entry_is_shared_with_engine_compile_stage(self, rng):
-        # The plan-stage entry and the compile-stage entry live under the
-        # same key namespace (they are bit-identical), so either populates
-        # the cache for the other.
-        network = POPSNetwork(2, 8)
-        pi = random_permutation(network.n, rng)
-        cache = ScheduleCache()
-        session = Session(
-            RunConfig(router_backend="konig-array", sim_backend="batched"),
-            cache=cache,
-        )
-        session.route(pi, network=network)
-        assert cache.stats()["misses"] == 1
-        compiled = session.route_compiled(pi, network=network)
-        assert cache.stats()["hits"] == 1
-        engine = BatchedSimulator(network)
-        engine.verify_locations(compiled, engine.execute(compiled))
-
+class TestValidationAndFallback:
     def test_session_route_compiled_validates_network_args(self):
         from repro.exceptions import ConfigurationError
 
         with pytest.raises(ConfigurationError):
             Session().route_compiled([0, 1, 2, 3], d=2)
 
-    def test_cache_policy_off_skips_cache(self, rng):
-        network = POPSNetwork(2, 4)
-        pi = random_permutation(network.n, rng)
-        session = Session(
-            RunConfig(router_backend="euler-array", cache_policy="off")
-        )
-        session.route_compiled(pi, network=network)
-        assert session.cache_stats() == {"hits": 0, "misses": 0, "entries": 0}
-
-
-class TestValidationAndFallback:
     def test_invalid_permutation_rejected(self):
         router = PermutationRouter(POPSNetwork(2, 2), backend="euler-array")
         with pytest.raises(ValidationError):

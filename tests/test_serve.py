@@ -263,6 +263,22 @@ class TestBackpressure:
         with pytest.raises(QueueFullError):
             batcher.submit(pi, d=2, g=2, backend="euler-array")
 
+    @pytest.mark.parametrize(
+        "window", [float("nan"), float("inf"), threading.TIMEOUT_MAX * 2],
+        ids=["nan", "inf", "above-timeout-max"],
+    )
+    def test_batcher_rejects_a_window_queue_get_cannot_wait(self, window):
+        # nan never times out (the daemon answers nothing) and inf kills the
+        # worker thread with OverflowError; both must fail at construction.
+        with pytest.raises(ValueError, match="batch_window"):
+            DynamicBatcher(
+                Session(RunConfig(sim_backend="batched")),
+                ServeTelemetry(),
+                batch_window=window,
+            )
+        with pytest.raises(ValueError, match="batch_window"):
+            ServeDaemon(batch_window_ms=window * 1e3)
+
     def test_daemon_sheds_with_explicit_queue_full_response(self, monkeypatch):
         entered = threading.Event()
         release = threading.Event()
@@ -420,7 +436,7 @@ class TestStats:
                 "fault_rate",
             }
             assert set(stats["cache"]) == {"hits", "misses", "entries"}
-            assert stats["cache"]["misses"] >= 1
+            assert stats["cache"]["misses"] == 0
             telemetry = stats["telemetry"]
             assert telemetry["requests"] == 1
             assert telemetry["responses"] == 1
@@ -487,12 +503,17 @@ class TestLoadgen:
 
 
 class TestServeCli:
-    def _start_daemon(self, tmp_path, *extra_args):
-        port_file = tmp_path / "port"
+    @staticmethod
+    def _env() -> dict[str, str]:
+        """The environment with this checkout's ``src`` on ``PYTHONPATH``."""
         env = dict(os.environ)
         src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
         existing = env.get("PYTHONPATH")
         env["PYTHONPATH"] = src if not existing else src + os.pathsep + existing
+        return env
+
+    def _start_daemon(self, tmp_path, *extra_args):
+        port_file = tmp_path / "port"
         process = subprocess.Popen(
             [
                 sys.executable, "-W", "error::DeprecationWarning", "-m", "repro",
@@ -501,7 +522,7 @@ class TestServeCli:
             ],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
-            env=env,
+            env=self._env(),
             text=True,
         )
         deadline = time.perf_counter() + 30.0
@@ -517,6 +538,28 @@ class TestServeCli:
             time.sleep(0.02)
         process.kill()
         raise AssertionError("daemon never wrote its port file")
+
+    @pytest.mark.parametrize("window", ["nan", "inf"])
+    def test_non_finite_batch_window_exits_2(self, window):
+        process = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro", "serve", "--port", "0",
+                "--batch-window-ms", window,
+            ],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=self._env(),
+            text=True,
+        )
+        try:
+            _, stderr = process.communicate(timeout=30.0)
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.communicate()
+        assert process.returncode == 2, stderr
+        assert "batch_window" in stderr
+        assert "Traceback" not in stderr
 
     def test_sigterm_drains_and_exits_cleanly(self, tmp_path):
         process, port = self._start_daemon(
