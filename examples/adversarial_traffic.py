@@ -17,11 +17,12 @@ This example sweeps d for a fixed g and prints the slot counts of
 
 together with the Proposition 2 lower bound — reproducing the crossover the
 paper's worst-case guarantee is about.  A burst of concurrent requests then
-shows the daemon's dynamic batcher coalescing same-shape traffic into one
-megabatch kernel call, and a final act kills one of the couplers the clean
-plan drives mid-schedule: execution trips, the residual packets are rerouted
-online over the surviving couplers, and the degraded totals are printed next
-to the clean Theorem 2 bound they stay within 2x of.
+shows the daemon's dynamic batcher coalescing the same-shape requests that
+queue up while it routes into megabatch kernel calls, and a final act kills
+one of the couplers the clean plan drives mid-schedule: execution trips, the
+residual packets are rerouted online over the surviving couplers, and the
+degraded totals are printed next to the clean Theorem 2 bound they stay
+within 2x of.
 
 Run with::
 
@@ -46,7 +47,7 @@ from repro.serve import ServeClient, ServeDaemon
 def main() -> None:
     g = 4
     rows = []
-    with ServeDaemon(batch_window_ms=5.0) as daemon:
+    with ServeDaemon() as daemon:
         host, port = daemon.address
         with ServeClient(host, port) as client:
             for d in (4, 8, 16, 32, 64):
@@ -99,8 +100,8 @@ def main() -> None:
         print("The universal and specialised routers sit exactly on the lower bound;")
         print("the single-hop baseline degrades linearly in d.")
 
-        # Concurrent same-shape requests coalesce into one megabatch kernel
-        # call — the daemon's dynamic batcher at work.
+        # Same-shape requests that queue up while the worker is busy coalesce
+        # into megabatch kernel calls — the daemon's dynamic batcher at work.
         d = 16
         network = POPSNetwork(d, g)
         batch_sizes = []

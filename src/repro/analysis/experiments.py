@@ -1117,7 +1117,6 @@ def _serving_under_faults(
     spec = FaultSpec.random(network, n_couplers=1, seed=root_seed, onset_slot=0)
     daemon = ServeDaemon(
         session.config,
-        batch_window_ms=1.0,
         faults=spec,
         fault_rate=1.0,
     )

@@ -44,7 +44,7 @@ concurrent same-shape requests onto the megabatch kernels (SIGTERM drains
 in-flight batches and exits; ``stats`` requests report per-stage latency
 percentiles, routes/sec and the batch-size histogram)::
 
-    pops-repro serve --port 8472 --batch-window-ms 2 --max-batch 64
+    pops-repro serve --port 8472 --max-batch 64
 
 Profile where a run spends its time (``--profile`` prints the per-stage
 time/percentage tree; ``--trace-out`` exports the raw spans, in JSONL or
@@ -355,21 +355,14 @@ def build_parser() -> argparse.ArgumentParser:
         router_help="edge-colouring backend requests use unless they name one",
     )
     serve.add_argument(
-        "--batch-window-ms",
-        type=float,
-        default=2.0,
-        metavar="MS",
-        help=(
-            "dynamic-batching window: how long to hold a request waiting "
-            "for same-shape company (0 disables coalescing)"
-        ),
-    )
-    serve.add_argument(
         "--max-batch",
         type=int,
         default=64,
         metavar="B",
-        help="close a batch early once this many requests coalesced",
+        help=(
+            "most queued same-shape requests routed as one batch "
+            "(1 disables coalescing)"
+        ),
     )
     serve.add_argument(
         "--max-queue",
@@ -619,7 +612,6 @@ def _command_serve(args: argparse.Namespace) -> int:
             RunConfig.from_cli_args(args),
             host=args.host,
             port=args.port,
-            batch_window_ms=args.batch_window_ms,
             max_batch=args.max_batch,
             max_queue=args.max_queue,
             faults=args.faults,
@@ -633,9 +625,14 @@ def _command_serve(args: argparse.Namespace) -> int:
     if args.port_file:
         # Write-then-rename so a polling starter never reads a torn file.
         tmp_path = f"{args.port_file}.tmp"
-        with open(tmp_path, "w") as fh:
-            fh.write(f"{port}\n")
-        os.replace(tmp_path, args.port_file)
+        try:
+            with open(tmp_path, "w") as fh:
+                fh.write(f"{port}\n")
+            os.replace(tmp_path, args.port_file)
+        except OSError as exc:
+            daemon.shutdown(drain=False)
+            print(f"serve: cannot write --port-file: {exc}", file=sys.stderr)
+            return 2
     if args.format == "json":
         print(json.dumps({"listening": {"host": host, "port": port}}), flush=True)
     else:

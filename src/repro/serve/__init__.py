@@ -9,9 +9,9 @@ traffic onto the megabatch kernels:
   request/response vocabulary shared by daemon and client;
 * :mod:`repro.serve.telemetry` — per-stage latency percentiles, throughput
   and batch-size accounting, exposed through the ``stats`` request;
-* :mod:`repro.serve.batcher` — the dynamic batcher: requests arriving within
-  a window for the same ``(d, g, n, backend)`` shape coalesce into one
-  :meth:`~repro.api.session.Session.route_batch` call;
+* :mod:`repro.serve.batcher` — the dynamic batcher: requests for the same
+  ``(d, g, n, backend)`` shape that queue up while the worker is busy
+  coalesce into one :meth:`~repro.api.session.Session.route_batch` call;
 * :mod:`repro.serve.daemon` — :class:`ServeDaemon`, the socket front end
   holding one warm :class:`~repro.api.session.Session`;
 * :mod:`repro.serve.client` — :class:`ServeClient`, the blocking client;
@@ -22,7 +22,7 @@ Quick start (in-process daemon, e.g. in a test or notebook)::
 
     from repro.serve import ServeClient, ServeDaemon
 
-    with ServeDaemon(batch_window_ms=2.0) as daemon:
+    with ServeDaemon() as daemon:
         with ServeClient(*daemon.address) as client:
             outcome = client.route(pi, d=32, g=32)
             print(outcome.metrics.slots, outcome.batch_size)

@@ -3,13 +3,16 @@
 The megabatch kernels (:meth:`~repro.api.session.Session.route_batch`) amortise
 per-call Python overhead across a ``(B, n)`` permutation stack — but live
 traffic arrives one permutation at a time.  This module is the piece between
-the two, the same trick inference servers use: requests submitted within a
-configurable window (or until a maximum batch size) that share a routing
-shape — ``(d, g, n, backend)`` — are stacked and routed as *one*
-``route_batch`` call, then fanned back out to their waiting clients.  A
-request whose shape matches nobody else's in the window is a ``(1, n)``
-batch on the same path; a window of zero disables coalescing entirely (every
-request routes alone — the control arm of ``benchmarks/bench_serve.py``).
+the two, the same trick inference servers use: requests that queue up while
+the worker is busy routing, and that share a routing shape —
+``(d, g, n, backend)`` — are stacked and routed as *one* ``route_batch``
+call, then fanned back out to their waiting clients.  Batching is natural:
+the worker takes whatever is already queued (up to ``max_batch``) and never
+waits for more, so an idle daemon routes a lone request at once and a busy
+one batches exactly the backlog its last call built up.  A request whose
+shape matches nobody else's in the batch is a ``(1, n)`` batch on the same
+path; ``max_batch=1`` disables coalescing entirely (every request routes
+alone — the control arm of ``benchmarks/bench_serve.py``).
 
 Concurrency contract:
 
@@ -102,11 +105,9 @@ class DynamicBatcher:
     telemetry:
         Where batch sizes are recorded (request stages are recorded by the
         daemon when the response is on the wire).
-    batch_window:
-        Seconds the worker waits for same-shape company after the first
-        request of a batch arrives.  ``0`` disables coalescing.
     max_batch:
-        A batch closes early once this many requests are collected.
+        Most requests one batch takes off the queue; ``1`` disables
+        coalescing.
     max_queue:
         Bound of the request queue; beyond it :meth:`submit` sheds.
     faults:
@@ -128,20 +129,12 @@ class DynamicBatcher:
         session: Session,
         telemetry: ServeTelemetry,
         *,
-        batch_window: float = 0.002,
         max_batch: int = 64,
         max_queue: int = 1024,
         faults: FaultSpec | None = None,
         fault_rate: float = 1.0,
         fault_seed: int = 0,
     ):
-        # Also rejects nan (no comparison holds) and windows too long for
-        # ``queue.get(timeout=...)``, which would hang or kill the worker.
-        if not 0 <= batch_window <= threading.TIMEOUT_MAX:
-            raise ValueError(
-                f"batch_window must be finite, >= 0 and <= "
-                f"{threading.TIMEOUT_MAX} s, got {batch_window}"
-            )
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         if max_queue < 1:
@@ -150,7 +143,6 @@ class DynamicBatcher:
             raise ValueError(f"fault_rate must be in [0, 1], got {fault_rate}")
         self._session = session
         self._telemetry = telemetry
-        self.batch_window = batch_window
         self.max_batch = max_batch
         self.faults = faults
         self.fault_rate = fault_rate
@@ -218,23 +210,19 @@ class DynamicBatcher:
     def _collect(self) -> tuple[list[_Pending], bool]:
         """One batch off the queue: ``(items, keep_running)``.
 
-        Blocks for the first item, then keeps collecting until the batching
-        window expires, ``max_batch`` is reached, or the stop sentinel
-        arrives (the sentinel is FIFO-last, so everything accepted before
-        shutdown is popped first).
+        Blocks for the first item, then takes whatever is already queued —
+        never waiting for more — until ``max_batch`` is reached or the stop
+        sentinel is popped (the sentinel is FIFO-last, so everything accepted
+        before shutdown is popped first).
         """
         first = self._queue.get()
         if first is _STOP:
             return [], False
         first.t_collected = time.perf_counter()
         items = [first]
-        deadline = first.t_collected + self.batch_window
         while len(items) < self.max_batch:
-            remaining = deadline - time.perf_counter()
-            if remaining <= 0:
-                break
             try:
-                item = self._queue.get(timeout=remaining)
+                item = self._queue.get_nowait()
             except queue.Empty:
                 break
             if item is _STOP:

@@ -5,8 +5,8 @@ route requests concurrently over a TCP socket bound to localhost, speaking
 the length-prefixed JSON protocol of :mod:`repro.serve.protocol`.  Each accepted connection gets a handler
 thread that parses frames and waits on futures; all actual routing happens
 on the single worker thread of the
-:class:`~repro.serve.batcher.DynamicBatcher`, which coalesces same-shape
-requests into megabatch kernel calls.
+:class:`~repro.serve.batcher.DynamicBatcher`, which coalesces the same-shape
+requests that queued up while it was busy into megabatch kernel calls.
 
 The operational contract (pinned in ``tests/test_serve.py``):
 
@@ -69,11 +69,8 @@ class ServeDaemon:
     host / port:
         Bind address; port ``0`` (default) picks an ephemeral port, read it
         from :attr:`address` after :meth:`start`.
-    batch_window_ms:
-        Dynamic-batching window: how long the batcher waits for same-shape
-        company after a request arrives.  ``0`` disables coalescing.
     max_batch:
-        Batch closes early at this many coalesced requests.
+        Most queued requests one batch takes; ``1`` disables coalescing.
     max_queue:
         Bound of the request queue (beyond it requests are shed).
     faults / fault_rate / fault_seed:
@@ -90,7 +87,6 @@ class ServeDaemon:
         *,
         host: str = "127.0.0.1",
         port: int = 0,
-        batch_window_ms: float = 2.0,
         max_batch: int = 64,
         max_queue: int = 1024,
         faults: FaultSpec | None = None,
@@ -104,7 +100,6 @@ class ServeDaemon:
         self.batcher = DynamicBatcher(
             self.session,
             self.telemetry,
-            batch_window=batch_window_ms / 1e3,
             max_batch=max_batch,
             max_queue=max_queue,
             faults=faults,
@@ -448,7 +443,6 @@ class ServeDaemon:
             "protocol": protocol.PROTOCOL_VERSION,
             "router_backend": self.config.router_backend,
             "sim_backend": self.config.sim_backend,
-            "batch_window_ms": self.batcher.batch_window * 1e3,
             "max_batch": self.batcher.max_batch,
             "queue_depth": self.batcher.queue_depth,
             "telemetry": self.telemetry.snapshot(),

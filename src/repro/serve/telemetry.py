@@ -5,7 +5,7 @@ of view:
 
 * ``queue_wait`` — submitted to the batcher until the worker popped it;
 * ``batch_assembly`` — popped until its batch closed and routing began (the
-  time spent waiting for same-shape peers inside the batching window);
+  time spent taking the rest of the backlog off the queue and grouping it);
 * ``route`` — the ``Session.route`` / ``route_batch`` call itself;
 * ``respond`` — serialising and writing the response frame.
 

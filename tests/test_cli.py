@@ -96,7 +96,6 @@ class TestParser:
         assert args.command == "serve"
         assert args.port == 0
         assert (args.backend, args.sim_backend) == (None, None)
-        assert args.batch_window_ms == 2.0
         assert args.max_batch == 64
         assert args.max_queue == 1024
         assert args.port_file is None

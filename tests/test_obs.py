@@ -566,7 +566,7 @@ class TestCliObservability:
         from repro.serve.daemon import ServeDaemon
 
         rng = np.random.default_rng(5)
-        with ServeDaemon(batch_window_ms=0.0) as daemon:
+        with ServeDaemon() as daemon:
             host, port = daemon.address
             with ServeClient(host, port) as client:
                 client.route(rng.permutation(16), d=4, g=4)
@@ -598,7 +598,7 @@ class TestCliObservability:
         set_tracer(tracer)
         try:
             rng = np.random.default_rng(6)
-            with ServeDaemon(batch_window_ms=0.0) as daemon:
+            with ServeDaemon() as daemon:
                 host, port = daemon.address
                 with ServeClient(host, port) as client:
                     client.route(rng.permutation(16), d=4, g=4)

@@ -8,8 +8,9 @@ Pins the ISSUE 8 contract:
   connection, truncation raises instead of masquerading as a clean EOF;
 * responses are bit-identical to a local ``Session.route`` — dynamic
   batching is invisible except in the ``batch_size`` field;
-* concurrent same-shape requests coalesce into one megabatch kernel call;
-  mismatched shapes fall through to the single-request path;
+* same-shape requests that queue up while the worker is busy coalesce into
+  one megabatch kernel call; mismatched shapes fall through to the
+  single-request path;
 * the bounded queue sheds with an explicit ``queue-full`` response;
 * a client disconnecting mid-batch never poisons its batch peers;
 * shutdown drains: every request accepted before the signal is answered
@@ -51,6 +52,54 @@ def wait_until(predicate, timeout: float = 5.0, interval: float = 0.005) -> None
 def random_pis(n: int, count: int, seed: int = 7) -> list[np.ndarray]:
     rng = np.random.default_rng(seed)
     return [rng.permutation(n).astype(np.int64) for _ in range(count)]
+
+
+class WorkerGate:
+    """Holds the batcher's worker inside its first dispatch until released.
+
+    Batching is natural — the worker takes what is already queued and never
+    waits for more — so a test makes a batch by parking the worker on one
+    request, queueing the batch behind it, then releasing.  ``dispatches``
+    records the shape keys of every dispatch, i.e. what each ``_collect``
+    took off the queue.
+    """
+
+    def __init__(self, monkeypatch):
+        self.entered = threading.Event()
+        self.release = threading.Event()
+        self.dispatches: list[list[tuple]] = []
+        original_dispatch = DynamicBatcher._dispatch
+
+        def held_dispatch(batcher, items):
+            self.dispatches.append([item.key for item in items])
+            if not self.entered.is_set():
+                self.entered.set()
+                self.release.wait(timeout=10.0)
+            return original_dispatch(batcher, items)
+
+        monkeypatch.setattr(DynamicBatcher, "_dispatch", held_dispatch)
+
+    def hold(self, daemon) -> threading.Thread:
+        """Park the worker on one ``(d=4, g=4)`` request; returns its client."""
+
+        def blocker():
+            with ServeClient(*daemon.address, timeout=30.0) as client:
+                try:
+                    client.route(np.arange(16, dtype=np.int64), d=4, g=4)
+                except ServeError:
+                    pass  # only its place in the queue matters
+
+        thread = threading.Thread(target=blocker)
+        thread.start()
+        assert self.entered.wait(timeout=10.0)
+        return thread
+
+
+@pytest.fixture
+def gate(monkeypatch):
+    held = WorkerGate(monkeypatch)
+    yield held
+    held.release.set()  # never leave a worker parked past its test
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +154,7 @@ class TestProtocol:
 
 class TestRouteRequests:
     def test_metrics_bit_identical_to_local_session(self):
-        with ServeDaemon(batch_window_ms=0.0) as daemon:
+        with ServeDaemon() as daemon:
             local = Session(
                 RunConfig(router_backend="euler-array", sim_backend="batched")
             )
@@ -118,16 +167,16 @@ class TestRouteRequests:
                     assert outcome.batch_size == 1
 
     def test_backend_override_per_request(self):
-        with ServeDaemon(batch_window_ms=0.0) as daemon:
+        with ServeDaemon() as daemon:
             local = Session(RunConfig(router_backend="konig", sim_backend="batched"))
             with ServeClient(*daemon.address) as client:
                 pi = random_pis(16, 1)[0]
                 outcome = client.route(pi, d=4, g=4, backend="konig")
                 assert outcome.metrics == local.route(pi, d=4, g=4)
 
-    def test_concurrent_same_shape_requests_coalesce(self):
+    def test_concurrent_same_shape_requests_coalesce(self, gate):
         n_clients = 4
-        with ServeDaemon(batch_window_ms=250.0, max_batch=n_clients) as daemon:
+        with ServeDaemon(max_batch=n_clients) as daemon:
             host, port = daemon.address
             pis = random_pis(32, n_clients)
             outcomes = [None] * n_clients
@@ -136,12 +185,15 @@ class TestRouteRequests:
                 with ServeClient(host, port) as client:
                     outcomes[i] = client.route(pis[i], d=8, g=4)
 
+            blocker = gate.hold(daemon)
             threads = [
                 threading.Thread(target=go, args=(i,)) for i in range(n_clients)
             ]
             for thread in threads:
                 thread.start()
-            for thread in threads:
+            wait_until(lambda: daemon.batcher.queue_depth == n_clients)
+            gate.release.set()
+            for thread in [blocker, *threads]:
                 thread.join(timeout=10.0)
 
             local = Session(
@@ -155,8 +207,8 @@ class TestRouteRequests:
                 histogram = client.stats()["telemetry"]["batch_size_histogram"]
             assert histogram.get(str(n_clients)) == 1
 
-    def test_mismatched_shapes_fall_through_to_single_path(self):
-        with ServeDaemon(batch_window_ms=250.0) as daemon:
+    def test_mismatched_shapes_fall_through_to_single_path(self, gate):
+        with ServeDaemon() as daemon:
             host, port = daemon.address
             outcomes = [None, None]
             requests = [(random_pis(32, 1)[0], 8, 4), (random_pis(16, 1, seed=3)[0], 4, 4)]
@@ -166,12 +218,19 @@ class TestRouteRequests:
                 with ServeClient(host, port) as client:
                     outcomes[i] = client.route(pi, d=d, g=g)
 
+            blocker = gate.hold(daemon)
             threads = [threading.Thread(target=go, args=(i,)) for i in range(2)]
             for thread in threads:
                 thread.start()
-            for thread in threads:
+            wait_until(lambda: daemon.batcher.queue_depth == 2)
+            gate.release.set()
+            for thread in [blocker, *threads]:
                 thread.join(timeout=10.0)
             assert all(outcome is not None for outcome in outcomes)
+            # Both rode one _collect, which split them by shape.
+            assert sorted(gate.dispatches[1]) == sorted(
+                [(8, 4, 32, "euler-array"), (4, 4, 16, "euler-array")]
+            )
             assert [outcome.batch_size for outcome in outcomes] == [1, 1]
             assert outcomes[0].metrics.n == 32
             assert outcomes[1].metrics.n == 16
@@ -188,7 +247,7 @@ class TestDaemonProtocolEdges:
         return conn
 
     def test_malformed_json_gets_structured_error_and_connection_survives(self):
-        with ServeDaemon(batch_window_ms=0.0) as daemon:
+        with ServeDaemon() as daemon:
             with self._raw_connection(daemon) as conn:
                 body = b"{definitely not json"
                 conn.sendall(struct.pack(">I", len(body)) + body)
@@ -200,7 +259,7 @@ class TestDaemonProtocolEdges:
                 assert protocol.recv_frame(conn)["ok"] is True
 
     def test_oversized_frame_rejected_then_connection_closed(self):
-        with ServeDaemon(batch_window_ms=0.0) as daemon:
+        with ServeDaemon() as daemon:
             with self._raw_connection(daemon) as conn:
                 conn.sendall(struct.pack(">I", protocol.MAX_FRAME_BYTES + 1))
                 response = protocol.recv_frame(conn)
@@ -210,7 +269,7 @@ class TestDaemonProtocolEdges:
                 assert protocol.recv_frame(conn) is None
 
     def test_unknown_op_and_bad_requests(self):
-        with ServeDaemon(batch_window_ms=0.0) as daemon:
+        with ServeDaemon() as daemon:
             with ServeClient(*daemon.address) as client:
                 with pytest.raises(ServeError) as excinfo:
                     client.request({"op": "make-coffee"})
@@ -246,6 +305,88 @@ class TestDaemonProtocolEdges:
 
 
 # ---------------------------------------------------------------------------
+# natural batching: take what is queued, never wait for more
+
+
+class TestNaturalBatching:
+    @staticmethod
+    def _batcher(**kwargs) -> DynamicBatcher:
+        # Unstarted: the test drives ``_collect`` itself on a filled queue.
+        return DynamicBatcher(
+            Session(RunConfig(sim_backend="batched")), ServeTelemetry(), **kwargs
+        )
+
+    @staticmethod
+    def _submit(batcher, count: int) -> None:
+        for pi in random_pis(16, count):
+            batcher.submit(pi, d=4, g=4, backend="euler-array")
+
+    def test_collect_takes_the_backlog_up_to_max_batch(self):
+        batcher = self._batcher(max_batch=3)
+        self._submit(batcher, 5)
+        gets: list[tuple[bool, float | None]] = []
+        original_get = batcher._queue.get
+
+        def recording_get(block=True, timeout=None):
+            gets.append((block, timeout))
+            return original_get(block, timeout)
+
+        batcher._queue.get = recording_get  # get_nowait calls get(False)
+        first, keep_running = batcher._collect()
+        assert len(first) == 3 and keep_running
+        assert gets == [(True, None), (False, None), (False, None)]
+        # The rest is taken at once; an emptied queue ends the batch instead
+        # of waiting for company.
+        gets.clear()
+        second, keep_running = batcher._collect()
+        assert len(second) == 2 and keep_running
+        assert gets == [(True, None), (False, None), (False, None)]
+        assert batcher.queue_depth == 0
+        assert all(item.t_collected >= item.t_submit for item in first + second)
+
+    def test_stop_sentinel_closes_the_batch_it_trails(self):
+        batcher = self._batcher()
+        self._submit(batcher, 3)
+        batcher.shutdown(drain=True)  # unstarted: only enqueues the sentinel
+        items, keep_running = batcher._collect()
+        assert len(items) == 3 and not keep_running
+        assert batcher.queue_depth == 0
+
+    def test_lone_stop_sentinel_ends_the_worker(self):
+        batcher = self._batcher()
+        batcher.shutdown(drain=True)
+        assert batcher._collect() == ([], False)
+
+    @pytest.mark.parametrize("kwargs", [{"max_batch": 0}, {"max_queue": 0}])
+    def test_batcher_bounds_validated(self, kwargs):
+        with pytest.raises(ValueError):
+            self._batcher(**kwargs)
+
+    def test_max_batch_one_routes_a_backlog_alone(self, gate):
+        # The control arm of benchmarks/bench_serve.py: even a queued backlog
+        # routes one request per dispatch.
+        with ServeDaemon(max_batch=1) as daemon:
+            host, port = daemon.address
+            pis = random_pis(32, 3)
+            outcomes = [None] * 3
+
+            def go(i):
+                with ServeClient(host, port) as client:
+                    outcomes[i] = client.route(pis[i], d=8, g=4)
+
+            blocker = gate.hold(daemon)
+            threads = [threading.Thread(target=go, args=(i,)) for i in range(3)]
+            for thread in threads:
+                thread.start()
+            wait_until(lambda: daemon.batcher.queue_depth == 3)
+            gate.release.set()
+            for thread in [blocker, *threads]:
+                thread.join(timeout=10.0)
+        assert [outcome.batch_size for outcome in outcomes] == [1, 1, 1]
+        assert [len(keys) for keys in gate.dispatches] == [1, 1, 1, 1]
+
+
+# ---------------------------------------------------------------------------
 # backpressure and fault isolation
 
 
@@ -263,22 +404,6 @@ class TestBackpressure:
         with pytest.raises(QueueFullError):
             batcher.submit(pi, d=2, g=2, backend="euler-array")
 
-    @pytest.mark.parametrize(
-        "window", [float("nan"), float("inf"), threading.TIMEOUT_MAX * 2],
-        ids=["nan", "inf", "above-timeout-max"],
-    )
-    def test_batcher_rejects_a_window_queue_get_cannot_wait(self, window):
-        # nan never times out (the daemon answers nothing) and inf kills the
-        # worker thread with OverflowError; both must fail at construction.
-        with pytest.raises(ValueError, match="batch_window"):
-            DynamicBatcher(
-                Session(RunConfig(sim_backend="batched")),
-                ServeTelemetry(),
-                batch_window=window,
-            )
-        with pytest.raises(ValueError, match="batch_window"):
-            ServeDaemon(batch_window_ms=window * 1e3)
-
     def test_daemon_sheds_with_explicit_queue_full_response(self, monkeypatch):
         entered = threading.Event()
         release = threading.Event()
@@ -291,7 +416,7 @@ class TestBackpressure:
 
         monkeypatch.setattr(Session, "route_batch", slow_route_batch)
         pis = random_pis(16, 3)
-        with ServeDaemon(batch_window_ms=0.0, max_queue=1) as daemon:
+        with ServeDaemon(max_queue=1) as daemon:
             host, port = daemon.address
             outcomes: dict[int, object] = {}
 
@@ -325,26 +450,41 @@ class TestBackpressure:
             assert telemetry["shed"] == 1
             assert telemetry["errors"]["queue-full"] == 1
 
-    def test_client_disconnect_mid_batch_does_not_poison_peers(self):
-        with ServeDaemon(batch_window_ms=300.0, max_batch=2) as daemon:
+    def test_client_disconnect_mid_batch_does_not_poison_peers(self, gate):
+        with ServeDaemon(max_batch=2) as daemon:
             host, port = daemon.address
             pis = random_pis(32, 2)
+            blocker = gate.hold(daemon)
 
-            # Client A: fire a route request and hang up immediately (RST via
+            # Client A: queue a route request, then hang up (RST via
             # SO_LINGER 0, so the daemon's response write genuinely fails).
             ghost = socket.create_connection((host, port), timeout=5.0)
             protocol.send_frame(
                 ghost,
                 {"op": "route", "pi": [int(x) for x in pis[0]], "d": 8, "g": 4},
             )
+            wait_until(lambda: daemon.batcher.queue_depth == 1)
             ghost.setsockopt(
                 socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
             )
             ghost.close()
 
-            # Client B joins the same batch window and must be unaffected.
-            with ServeClient(host, port) as client:
-                outcome = client.route(pis[1], d=8, g=4)
+            # Client B queues behind A, shares its batch, and must be
+            # unaffected.
+            outcomes = []
+
+            def peer():
+                with ServeClient(host, port) as client:
+                    outcomes.append(client.route(pis[1], d=8, g=4))
+
+            peer_thread = threading.Thread(target=peer)
+            peer_thread.start()
+            wait_until(lambda: daemon.batcher.queue_depth == 2)
+            gate.release.set()
+            for thread in (blocker, peer_thread):
+                thread.join(timeout=10.0)
+            (outcome,) = outcomes
+            assert outcome.batch_size == 2
             local = Session(
                 RunConfig(router_backend="euler-array", sim_backend="batched")
             )
@@ -362,10 +502,9 @@ class TestBackpressure:
 
 
 class TestShutdown:
-    def test_drain_completes_in_flight_work(self):
+    def test_drain_completes_in_flight_work(self, gate):
         n_clients = 5
-        # A window far longer than the test: only the drain can close the batch.
-        with ServeDaemon(batch_window_ms=30_000.0, max_batch=64) as daemon:
+        with ServeDaemon(max_batch=64) as daemon:
             host, port = daemon.address
             pis = random_pis(32, n_clients)
             outcomes = [None] * n_clients
@@ -374,20 +513,23 @@ class TestShutdown:
                 with ServeClient(host, port) as client:
                     outcomes[i] = client.route(pis[i], d=8, g=4)
 
+            blocker = gate.hold(daemon)
             threads = [
                 threading.Thread(target=go, args=(i,)) for i in range(n_clients)
             ]
             for thread in threads:
                 thread.start()
-            wait_until(
-                lambda: daemon.telemetry.requests == n_clients
-                and daemon.batcher.queue_depth == 0
-            )
-            time.sleep(0.05)  # let the last submit land in the open batch
+            wait_until(lambda: daemon.batcher.queue_depth == n_clients)
+            # Shutdown begins while the batch is still queued: the stop
+            # sentinel lands behind it, and only then is the worker released.
             t_shutdown = time.perf_counter()
-            daemon.shutdown(drain=True)
+            shutter = threading.Thread(target=daemon.shutdown, kwargs={"drain": True})
+            shutter.start()
+            wait_until(lambda: daemon.batcher.queue_depth == n_clients + 1)
+            gate.release.set()
+            shutter.join(timeout=30.0)
             elapsed = time.perf_counter() - t_shutdown
-            for thread in threads:
+            for thread in [blocker, *threads]:
                 thread.join(timeout=10.0)
 
             local = Session(
@@ -396,11 +538,11 @@ class TestShutdown:
             for i, outcome in enumerate(outcomes):
                 assert outcome is not None, "drain lost a request"
                 assert outcome.metrics == local.route(pis[i], d=8, g=4)
-            assert outcomes[0].batch_size == n_clients
-            assert elapsed < 10.0, "drain must not wait out the batching window"
+            assert all(outcome.batch_size == n_clients for outcome in outcomes)
+            assert not shutter.is_alive() and elapsed < 10.0
 
     def test_route_after_shutdown_began_gets_structured_error(self):
-        with ServeDaemon(batch_window_ms=0.0) as daemon:
+        with ServeDaemon() as daemon:
             with ServeClient(*daemon.address) as client:
                 assert client.ping()
                 daemon._shutting_down = True  # white-box: intake closed
@@ -411,7 +553,7 @@ class TestShutdown:
             daemon.shutdown(drain=True)
 
     def test_shutdown_is_idempotent(self):
-        daemon = ServeDaemon(batch_window_ms=0.0)
+        daemon = ServeDaemon()
         daemon.start()
         daemon.shutdown(drain=True)
         daemon.shutdown(drain=True)
@@ -423,7 +565,7 @@ class TestShutdown:
 
 class TestStats:
     def test_stats_payload_shape(self):
-        with ServeDaemon(batch_window_ms=0.0) as daemon:
+        with ServeDaemon() as daemon:
             with ServeClient(*daemon.address) as client:
                 client.route(random_pis(16, 1)[0], d=4, g=4)
                 stats = client.stats()
@@ -431,8 +573,7 @@ class TestStats:
             assert stats["router_backend"] == "euler-array"
             assert stats["sim_backend"] == "batched"
             assert set(stats) == {
-                "protocol", "router_backend", "sim_backend", "batch_window_ms",
-                "max_batch", "queue_depth", "telemetry", "cache", "faults",
+                "protocol", "router_backend", "sim_backend", "max_batch", "queue_depth", "telemetry", "cache", "faults",
                 "fault_rate",
             }
             assert set(stats["cache"]) == {"hits", "misses", "entries"}
@@ -455,7 +596,7 @@ class TestStats:
 
 class TestLoadgen:
     def test_poisson_load_round_trip(self):
-        with ServeDaemon(batch_window_ms=2.0, max_batch=16) as daemon:
+        with ServeDaemon(max_batch=16) as daemon:
             host, port = daemon.address
             report = run_poisson_load(
                 host, port, rate=500.0, n_requests=24, d=4, g=4,
@@ -479,7 +620,7 @@ class TestLoadgen:
             return original_route_batch(self, pis, **kwargs)
 
         monkeypatch.setattr(Session, "route_batch", slow_route_batch)
-        with ServeDaemon(batch_window_ms=0.0, max_queue=1) as daemon:
+        with ServeDaemon(max_queue=1) as daemon:
             host, port = daemon.address
 
             def unblock():
@@ -502,6 +643,25 @@ class TestLoadgen:
 # the CLI daemon as a real process (SIGTERM drain path)
 
 
+#: ``python -c`` entry running the CLI with the batcher's first dispatch held
+#: until ``<dir>/release`` exists (it touches ``<dir>/entered`` on arrival).
+_GATED_CLI = """
+import pathlib, sys, time
+from repro.serve.batcher import DynamicBatcher
+gate = pathlib.Path(sys.argv.pop(1))
+original_dispatch = DynamicBatcher._dispatch
+def held_dispatch(batcher, items):
+    if not (gate / "entered").exists():
+        (gate / "entered").touch()
+        while not (gate / "release").exists():
+            time.sleep(0.01)
+    return original_dispatch(batcher, items)
+DynamicBatcher._dispatch = held_dispatch
+from repro.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
 class TestServeCli:
     @staticmethod
     def _env() -> dict[str, str]:
@@ -512,11 +672,11 @@ class TestServeCli:
         env["PYTHONPATH"] = src if not existing else src + os.pathsep + existing
         return env
 
-    def _start_daemon(self, tmp_path, *extra_args):
+    def _start_daemon(self, tmp_path, *extra_args, entry=("-m", "repro")):
         port_file = tmp_path / "port"
         process = subprocess.Popen(
             [
-                sys.executable, "-W", "error::DeprecationWarning", "-m", "repro",
+                sys.executable, "-W", "error::DeprecationWarning", *entry,
                 "serve", "--port", "0", "--port-file", str(port_file),
                 *extra_args,
             ],
@@ -539,12 +699,11 @@ class TestServeCli:
         process.kill()
         raise AssertionError("daemon never wrote its port file")
 
-    @pytest.mark.parametrize("window", ["nan", "inf"])
-    def test_non_finite_batch_window_exits_2(self, window):
+    def test_unwritable_port_file_exits_2(self, tmp_path):
         process = subprocess.Popen(
             [
                 sys.executable, "-m", "repro", "serve", "--port", "0",
-                "--batch-window-ms", window,
+                "--port-file", str(tmp_path / "no-such-dir" / "port"),
             ],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
@@ -558,28 +717,36 @@ class TestServeCli:
                 process.kill()
                 process.communicate()
         assert process.returncode == 2, stderr
-        assert "batch_window" in stderr
+        assert "serve:" in stderr
         assert "Traceback" not in stderr
 
     def test_sigterm_drains_and_exits_cleanly(self, tmp_path):
+        # The CLI daemon with its first dispatch held until a release file
+        # appears, so two requests deterministically queue behind it.
+        entered, release = tmp_path / "entered", tmp_path / "release"
         process, port = self._start_daemon(
-            tmp_path, "--batch-window-ms", "100", "--format", "json"
+            tmp_path, "--format", "json", entry=("-c", _GATED_CLI, str(tmp_path))
         )
         try:
-            pis = random_pis(32, 2, seed=23)
-            outcomes = [None, None]
+            pis = random_pis(32, 3, seed=23)
+            outcomes = [None, None, None]
 
             def go(i):
                 with ServeClient("127.0.0.1", port, timeout=30.0) as client:
                     outcomes[i] = client.route(pis[i], d=8, g=4)
 
-            threads = [threading.Thread(target=go, args=(i,)) for i in range(2)]
-            for thread in threads:
+            threads = [threading.Thread(target=go, args=(i,)) for i in range(3)]
+            threads[0].start()
+            wait_until(entered.exists, timeout=30.0)
+            for thread in threads[1:]:
                 thread.start()
+            with ServeClient("127.0.0.1", port, timeout=30.0) as client:
+                wait_until(lambda: client.stats()["queue_depth"] == 2, timeout=30.0)
+            release.touch()
             for thread in threads:
                 thread.join(timeout=30.0)
             assert all(outcome is not None for outcome in outcomes)
-            assert {outcome.batch_size for outcome in outcomes} == {2}
+            assert [outcome.batch_size for outcome in outcomes] == [1, 2, 2]
 
             process.send_signal(signal.SIGTERM)
             stdout, stderr = process.communicate(timeout=30.0)
@@ -592,8 +759,8 @@ class TestServeCli:
         lines = [line for line in stdout.splitlines() if line.strip()]
         assert json.loads(lines[0])["listening"]["port"] == port
         summary = json.loads("\n".join(lines[1:]))
-        assert summary["telemetry"]["responses"] == 2
-        assert summary["telemetry"]["batch_size_histogram"] == {"2": 1}
+        assert summary["telemetry"]["responses"] == 3
+        assert summary["telemetry"]["batch_size_histogram"] == {"1": 1, "2": 1}
 
 
 # ---------------------------------------------------------------------------
@@ -605,7 +772,7 @@ class TestClientResilience:
         from repro.serve.client import DEFAULT_TIMEOUT
 
         assert DEFAULT_TIMEOUT == 30.0
-        with ServeDaemon(batch_window_ms=0.0) as daemon:
+        with ServeDaemon() as daemon:
             with ServeClient(*daemon.address) as client:
                 # A hung daemon must never hang the client forever: the
                 # default socket timeout is the finite module default.
@@ -620,7 +787,7 @@ class TestClientResilience:
             return original_route_batch(self, pis, **kwargs)
 
         monkeypatch.setattr(Session, "route_batch", slow_route_batch)
-        with ServeDaemon(batch_window_ms=0.0) as daemon:
+        with ServeDaemon() as daemon:
             client = ServeClient(*daemon.address, timeout=0.2)
             try:
                 with pytest.raises(ServeError) as excinfo:
@@ -642,7 +809,7 @@ class TestClientResilience:
             return original_route_batch(self, pis, **kwargs)
 
         monkeypatch.setattr(Session, "route_batch", slow_route_batch)
-        with ServeDaemon(batch_window_ms=0.0) as daemon:
+        with ServeDaemon() as daemon:
             try:
                 with ServeClient(*daemon.address, timeout=10.0) as client:
                     with pytest.raises(ServeError) as excinfo:
@@ -654,7 +821,7 @@ class TestClientResilience:
                 release.set()
 
     def test_bad_deadline_rejected_as_bad_request(self):
-        with ServeDaemon(batch_window_ms=0.0) as daemon:
+        with ServeDaemon() as daemon:
             with ServeClient(*daemon.address) as client:
                 with pytest.raises(ServeError) as excinfo:
                     client.request({
@@ -671,7 +838,7 @@ class TestClientResilience:
         # accepts; a request carrying it routes normally.
         pi = random_pis(16, 1)[0]
         expected = Session().route(pi, d=4, g=4)
-        with ServeDaemon(batch_window_ms=0.0) as daemon:
+        with ServeDaemon() as daemon:
             with ServeClient(*daemon.address) as client:
                 outcome = client.route(
                     pi, d=4, g=4, deadline_ms=threading.TIMEOUT_MAX * 1e3
@@ -679,14 +846,14 @@ class TestClientResilience:
         assert outcome.metrics == expected
 
     def test_retry_backoff_recovers_across_daemon_restart(self):
-        first = ServeDaemon(batch_window_ms=0.0)
+        first = ServeDaemon()
         host, port = first.start()
         pi = random_pis(16, 1)[0]
         local = Session(RunConfig(router_backend="euler-array", sim_backend="batched"))
         client = ServeClient(
             host, port, timeout=10.0, retries=8, backoff_base=0.02
         )
-        second = ServeDaemon(batch_window_ms=0.0, host=host, port=port)
+        second = ServeDaemon(host=host, port=port)
         try:
             assert client.route(pi, d=4, g=4).metrics == local.route(pi, d=4, g=4)
             first.shutdown(drain=True)
@@ -734,7 +901,7 @@ class TestFaultDegradedServing:
         spec = _driven_coupler_spec(pi, 4, 4)
         local = Session(RunConfig(router_backend="euler-array", sim_backend="batched"))
         clean = local.route(pi, d=4, g=4)
-        with ServeDaemon(batch_window_ms=0.0, faults=spec, fault_rate=1.0) as daemon:
+        with ServeDaemon(faults=spec, fault_rate=1.0) as daemon:
             with ServeClient(*daemon.address) as client:
                 outcome = client.route(pi, d=4, g=4)
                 health = client.health()
@@ -752,7 +919,7 @@ class TestFaultDegradedServing:
             assert stats["telemetry"]["degraded"] == 1
 
     def test_clean_daemon_reports_no_fault_config(self):
-        with ServeDaemon(batch_window_ms=0.0) as daemon:
+        with ServeDaemon() as daemon:
             with ServeClient(*daemon.address) as client:
                 client.route(random_pis(16, 1)[0], d=4, g=4)
                 health = client.health()
@@ -762,7 +929,7 @@ class TestFaultDegradedServing:
             assert stats["faults"] is None
 
     def test_health_answers_during_shutdown(self):
-        with ServeDaemon(batch_window_ms=0.0) as daemon:
+        with ServeDaemon() as daemon:
             with ServeClient(*daemon.address) as client:
                 daemon._shutting_down = True  # white-box: intake closed
                 health = client.health()
@@ -778,7 +945,7 @@ class TestFaultDegradedServing:
         # structured ``degraded`` code instead of a generic internal error.
         spec = FaultSpec(failed_couplers=((1, 0),))
         pi = np.asarray([(i + 4) % 8 for i in range(8)], dtype=np.int64)
-        with ServeDaemon(batch_window_ms=0.0, faults=spec, fault_rate=1.0) as daemon:
+        with ServeDaemon(faults=spec, fault_rate=1.0) as daemon:
             with ServeClient(*daemon.address) as client:
                 with pytest.raises(ServeError) as excinfo:
                     client.route(pi, d=4, g=2)
@@ -786,13 +953,11 @@ class TestFaultDegradedServing:
                 # The connection and the daemon survive the failure.
                 assert client.ping()
 
-    def test_drain_under_faults_answers_every_accepted_request(self):
+    def test_drain_under_faults_answers_every_accepted_request(self, gate):
         n_clients = 4
         pis = random_pis(32, n_clients, seed=17)
         spec = _driven_coupler_spec(pis[0], 8, 4)
-        with ServeDaemon(
-            batch_window_ms=30_000.0, max_batch=64, faults=spec, fault_rate=1.0
-        ) as daemon:
+        with ServeDaemon(max_batch=64, faults=spec, fault_rate=1.0) as daemon:
             host, port = daemon.address
             outcomes = [None] * n_clients
 
@@ -800,33 +965,49 @@ class TestFaultDegradedServing:
                 with ServeClient(host, port, timeout=30.0) as client:
                     outcomes[i] = client.route(pis[i], d=8, g=4)
 
+            blocker = gate.hold(daemon)
             threads = [
                 threading.Thread(target=go, args=(i,)) for i in range(n_clients)
             ]
             for thread in threads:
                 thread.start()
-            wait_until(
-                lambda: daemon.telemetry.requests == n_clients
-                and daemon.batcher.queue_depth == 0
-            )
-            time.sleep(0.05)
-            daemon.shutdown(drain=True)
-            for thread in threads:
+            wait_until(lambda: daemon.batcher.queue_depth == n_clients)
+            shutter = threading.Thread(target=daemon.shutdown, kwargs={"drain": True})
+            shutter.start()
+            wait_until(lambda: daemon.batcher.queue_depth == n_clients + 1)
+            gate.release.set()
+            shutter.join(timeout=30.0)
+            for thread in [blocker, *threads]:
                 thread.join(timeout=10.0)
 
-        # Zero unanswered accepted requests, even with every dispatch struck.
+        # Zero unanswered accepted requests, even with every dispatch struck;
+        # all of them were drained by one _collect.
+        assert gate.dispatches[1] == [(8, 4, 32, "euler-array")] * n_clients
         assert all(outcome is not None for outcome in outcomes)
-        assert daemon.telemetry.responses == n_clients
+        assert daemon.telemetry.responses == n_clients + 1
         assert daemon.telemetry.degraded >= 1
 
-    def test_batch_replay_isolates_poisoned_member(self):
+    def test_batch_replay_isolates_poisoned_member(self, gate, monkeypatch):
         # Two requests coalesce; one carries a non-permutation.  The batch
         # kernel call fails, the batcher replays singly: the healthy member
         # still gets its real answer, only the poisoned one sees an error.
         good = random_pis(16, 1)[0]
         bad = np.zeros(16, dtype=np.int64)
         local = Session(RunConfig(router_backend="euler-array", sim_backend="batched"))
-        with ServeDaemon(batch_window_ms=400.0, max_batch=2) as daemon:
+        calls: list[tuple[tuple[int, ...], bool]] = []
+        original_route_batch = Session.route_batch
+
+        def recording_route_batch(self, pis, **kwargs):
+            try:
+                result = original_route_batch(self, pis, **kwargs)
+            except Exception:
+                calls.append((np.shape(pis), False))
+                raise
+            calls.append((np.shape(pis), True))
+            return result
+
+        monkeypatch.setattr(Session, "route_batch", recording_route_batch)
+        with ServeDaemon(max_batch=2) as daemon:
             host, port = daemon.address
             results = [None, None]
 
@@ -837,17 +1018,23 @@ class TestFaultDegradedServing:
                     except ServeError as exc:
                         results[i] = exc
 
+            blocker = gate.hold(daemon)
             threads = [
                 threading.Thread(target=go, args=(0, good)),
                 threading.Thread(target=go, args=(1, bad)),
             ]
             for thread in threads:
                 thread.start()
-            for thread in threads:
+            wait_until(lambda: daemon.batcher.queue_depth == 2)
+            gate.release.set()
+            for thread in [blocker, *threads]:
                 thread.join(timeout=30.0)
 
+        # The (2, n) stack failed as a whole, then its members were replayed.
+        assert calls == [((1, 16), True), ((2, 16), False)]
         assert not isinstance(results[0], ServeError), results[0]
         assert results[0].metrics == local.route(good, d=4, g=4)
+        assert results[0].batch_size == 1
         assert isinstance(results[1], ServeError)
 
 
@@ -864,7 +1051,7 @@ class TestHotspotLoad:
             assert set(int(x) // d for x in block) == {(a + 1) % g}
 
     def test_load_report_carries_per_class_percentiles(self):
-        with ServeDaemon(batch_window_ms=2.0, max_batch=16) as daemon:
+        with ServeDaemon(max_batch=16) as daemon:
             host, port = daemon.address
             report = run_poisson_load(
                 host, port, rate=500.0, n_requests=24, d=4, g=4,
