@@ -191,7 +191,7 @@ def test_serve_dynamic_batching_budget(bench_emit, tmp_path):
         max_batch1_routes_per_second=single.achieved_routes_per_second,
         max_batch1_p50_ms=single.latency_p50_ms,
         max_batch1_p99_ms=single.latency_p99_ms,
-        routes_per_second_budget=ROUTES_PER_S_BUDGET,
+        batched_routes_per_second_floor=ROUTES_PER_S_BUDGET,
         speedup=best_speedup,
         floor=None,
     )

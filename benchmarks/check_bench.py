@@ -14,7 +14,11 @@ the gate.  For each file it checks:
   committed artefact always says which commit and machine produced it;
 * floor discipline: every entry reporting a ``speedup`` must carry an
   explicit ``floor`` key — ``None`` for informational entries, a number for
-  gated ones — and a numeric floor must be met (``speedup >= floor``).
+  gated ones — and a numeric floor must be met (``speedup >= floor``);
+* bound discipline: a numeric ``X_budget`` key is an upper bound on the
+  entry's ``X`` (``X <= X_budget``, e.g. ``ms_per_route_budget``) and a
+  numeric ``X_floor`` key a lower bound (``X >= X_floor``); either one
+  requires ``X`` to be present and numeric.
 
 Usage (exit status 1 on any violation, 2 when no artefact matched)::
 
@@ -37,6 +41,35 @@ EXPECTED_SCHEMA = 1
 
 #: The machine identity every artefact must stamp (see ``_emit.provenance``).
 PROVENANCE_FIELDS = ("git_commit", "hostname", "python_version", "numpy_version")
+
+
+def _check_bounds(entry: dict, where: str) -> list[str]:
+    """Bound-discipline violations of one result entry."""
+    problems: list[str] = []
+    for key, bound in entry.items():
+        metric, _, kind = key.rpartition("_")
+        if kind not in ("budget", "floor") or not metric:
+            continue
+        if not _is_number(bound):
+            problems.append(f"{where}: {key} {bound!r} is not a number")
+            continue
+        value = entry.get(metric)
+        if not _is_number(value):
+            problems.append(
+                f"{where}: {key} given but {metric} is "
+                f"{'missing' if metric not in entry else repr(value)}, "
+                "expected a number"
+            )
+        elif kind == "budget" and value > bound:
+            problems.append(f"{where}: {metric} {value:g} is over its budget {bound:g}")
+        elif kind == "floor" and value < bound:
+            problems.append(f"{where}: {metric} {value:g} is below its floor {bound:g}")
+    return problems
+
+
+def _is_number(value) -> bool:
+    """A real, non-bool, non-NaN number (a NaN would pass every comparison)."""
+    return isinstance(value, Real) and not isinstance(value, bool) and value == value
 
 
 def check_file(path: str) -> list[str]:
@@ -87,6 +120,7 @@ def check_file(path: str) -> list[str]:
             problems.append(f"{where}: missing result name")
         else:
             where = f"results[{i}] ({name})"
+        problems.extend(_check_bounds(entry, where))
         if "speedup" not in entry:
             continue
         speedup = entry["speedup"]

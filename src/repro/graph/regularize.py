@@ -11,6 +11,12 @@ has exactly ``Δ2 = n1 Δ1 / n2`` edges.  The proof pads ``G`` with
 
 so that the padded graph is ``n2``-regular and König's theorem applies.  This
 module provides those constructions.
+
+The fair-distribution solver (:mod:`repro.routing.fair_distribution`) pads
+only when ``Δ1`` does not divide ``n2`` (e.g. routing 12×64 or 3×7).  When
+``Δ1 | n2`` it colours the unpadded ``Δ1``-regular core with ``Δ1`` colours
+and spreads each colour class over ``n2 / Δ1`` targets instead, which avoids
+colouring the ``n2 / Δ1``-fold larger padded graph.
 """
 
 from __future__ import annotations
@@ -192,13 +198,8 @@ def pad_to_regular(core: BipartiteMultigraph, target_degree: int) -> PaddedGraph
     n_pad = n1 - delta2
     pad_degree = n2 - delta1
 
-    if n_pad == 0 or pad_degree == 0:
-        # Already n2-regular (n2 == Δ1 forces Δ2 == n1 and vice versa).
-        if delta1 != n2:
-            raise GraphError(
-                "inconsistent padding parameters: no padding vertices required "
-                f"but core degree {delta1} != target {n2}"
-            )
+    if pad_degree == 0:
+        # Already n2-regular (n2 == Δ1 forces Δ2 == n1, so n_pad == 0 too).
         return PaddedGraph(core.copy(), n1, n1, n2)
 
     padded = BipartiteMultigraph(n1 + n_pad, n1 + n_pad)

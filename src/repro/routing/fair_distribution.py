@@ -8,12 +8,36 @@ assignment ``f : S × N_Δ1 -> T`` such that
 3. pairs whose list entries coincide (``L(s1, i1) = L(s2, i2)``) receive
    distinct targets.
 
-Theorem 1 proves every proper list system admits one, constructively: build
-the bipartite multigraph ``G = (S, S'; E)`` with ``l(s, s')`` parallel edges,
-pad it to an ``n2``-regular multigraph with the biregular graphs ``H1``/``H2``
-of the proof, 1-factorise the padded graph with König's theorem, and read the
-colour of each core edge back as the assigned target.  This module implements
-exactly that pipeline on top of :mod:`repro.graph`.
+Theorem 1 proves every proper list system admits one, constructively, from
+the bipartite multigraph ``G = (S, S'; E)`` with ``l(s, s')`` parallel edges.
+``G`` is ``Δ1``-regular.  This module runs one of two constructions, chosen
+by the shape alone:
+
+``Δ1`` divides ``n2`` (pad-free)
+    1-factorise ``G`` itself with ``Δ1`` colours and set
+    ``f(s, i) = colour(s, i) · k + s // Δ2`` with ``k = n2 / Δ1``.  Each
+    colour class is a perfect matching over all ``n1 = k·Δ2`` sources, so it
+    cuts into ``k`` runs of ``Δ2`` consecutive sources, and run ``r`` of
+    colour ``c`` becomes target ``c·k + r``.  Conditions (1) and (3) hold
+    because the edges at any left or right vertex carry distinct colours and
+    ``c·k + r`` (with ``r < k``) is injective in ``c``, and
+    condition (2) because target ``c·k + r`` receives exactly the ``Δ2``
+    sources of its run — the equal-class case of de Werra's equitable
+    edge-colouring theorem.  ``Δ1 = n2`` is its ``k = 1`` case: the colour
+    is the target.  In Theorem 2 routing this covers every ``d ≥ g`` shape
+    and every ``d < g`` shape with ``d | g``, all power-of-two shapes
+    included.
+
+``Δ1`` does not divide ``n2`` (padded, the proof's construction)
+    Pad ``G`` to an ``n2``-regular multigraph with the biregular graphs
+    ``H1``/``H2`` of the proof (:mod:`repro.graph.regularize`), 1-factorise
+    the padded graph with König's theorem, and read the colour of each core
+    edge back as the assigned target.  Routing reaches it only at
+    ``d < g`` with ``d ∤ g`` (e.g. 12×64, 3×7).
+
+Both solver entry points (:meth:`FairDistributionSolver.solve` and
+:meth:`FairDistributionSolver.solve_array_batch`) pick the same construction,
+so their outputs stay identical per array backend.
 """
 
 from __future__ import annotations
@@ -22,11 +46,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.exceptions import EdgeColoringError, FairnessViolationError, GraphError
+from repro.exceptions import (
+    EdgeColoringError,
+    FairnessViolationError,
+    GraphError,
+    ValidationError,
+)
 from repro.graph.edge_coloring import edge_color, verify_edge_coloring
 from repro.graph.regularize import biregular_pad_arrays, pad_to_regular
 from repro.routing.list_system import ListSystem, check_proper_lists_stack
 from repro.utils.arrayops import shrink_sort_key
+from repro.utils.validation import check_integer_array, check_positive_int
 
 __all__ = [
     "FairDistribution",
@@ -145,6 +175,8 @@ def verify_fair_distribution_stack(
         raise FairnessViolationError(
             f"assignment has shape {assignment.shape}, expected {lists.shape}"
         )
+    if batch == 0:
+        return
     out_of_range = (assignment < 0) | (assignment >= n_targets)
     if out_of_range.any():
         flat = out_of_range.reshape(batch, n_sources * delta1)
@@ -196,6 +228,39 @@ def verify_fair_distribution_stack(
         )
 
 
+def _check_list_stack(lists, n_targets: int) -> np.ndarray:
+    """Validate a ``(B, n1, Δ1)`` list stack; returns it as ``int64``.
+
+    The array twin of :meth:`ListSystem.from_lists`'s checks, message for
+    message: ``n_targets`` a positive integer, integer-typed entries in a
+    3-d stack, non-empty lists no longer than ``n2`` and every entry a
+    source in ``[0, n1)``.
+    """
+    check_positive_int(n_targets, "n_targets")
+    lists = check_integer_array(lists, "list stack")
+    if lists.ndim != 3:
+        raise ValidationError(
+            f"list stack must be three-dimensional (B, n1, Δ1), got shape "
+            f"{lists.shape}"
+        )
+    _, n_sources, delta1 = lists.shape
+    check_positive_int(n_sources, "n_sources")
+    if delta1 == 0:
+        raise ValidationError("lists must be non-empty")
+    if delta1 > n_targets:
+        raise ValidationError(
+            f"list length Δ1={delta1} exceeds the number of targets n2={n_targets}"
+        )
+    if lists.size and (lists.min() < 0 or lists.max() >= n_sources):
+        outside = (lists < 0) | (lists >= n_sources)
+        b, source, index = np.unravel_index(int(np.argmax(outside)), lists.shape)
+        raise ValidationError(
+            f"list entry {int(lists[b, source, index])} of source {int(source)} "
+            f"is not in S = [0, {n_sources})"
+        )
+    return lists
+
+
 class FairDistributionSolver:
     """Computes fair distributions by the constructive proof of Theorem 1.
 
@@ -217,6 +282,13 @@ class FairDistributionSolver:
     def solve(self, system: ListSystem) -> FairDistribution:
         """Compute a fair distribution for ``system``.
 
+        When ``Δ1`` divides ``n2`` the ``Δ1``-regular core is coloured with
+        ``Δ1`` colours and colour ``c`` of source ``s`` maps to target
+        ``c · (n2/Δ1) + s // Δ2`` (the module docstring proves it fair);
+        otherwise the core is padded to an ``n2``-regular multigraph
+        (:func:`~repro.graph.regularize.pad_to_regular`) whose ``n2``
+        colours are the targets.
+
         Raises
         ------
         ImproperListSystemError
@@ -227,24 +299,31 @@ class FairDistributionSolver:
         """
         system.check_proper()
         n2 = system.n_targets
+        delta1 = system.delta1
 
         core = system.to_multigraph()
-        padded = pad_to_regular(core, n2)
-        coloring = edge_color(padded.graph, backend=self.backend)
+        padded = None if n2 % delta1 == 0 else pad_to_regular(core, n2)
+        graph = core if padded is None else padded.graph
+        coloring = edge_color(graph, backend=self.backend)
         if self.verify:
-            verify_edge_coloring(padded.graph, coloring)
+            verify_edge_coloring(graph, coloring)
 
-        # Read back: for each core edge copy, its colour is the assigned target.
-        # Parallel copies of the same (s, s') edge are distributed over the list
-        # positions holding that value in ascending position order.
+        # Read back: for each core edge copy, its colour names the assigned
+        # target.  Parallel copies of the same (s, s') edge are distributed
+        # over the list positions holding that value in ascending position
+        # order.
         colors_of_edge: dict[tuple[int, int], list[int]] = {}
         for color, edges in enumerate(coloring.classes):
             for left, right in edges:
-                if padded.is_core_edge(left, right):
+                if padded is None or padded.is_core_edge(left, right):
                     colors_of_edge.setdefault((left, right), []).append(color)
 
+        # Pad-free with k = n2/Δ1 > 1: source s sits in run s // Δ2 of its
+        # colour class, and run r of colour c is target c·k + r.
+        k = n2 // delta1 if padded is None else 1
         assignment: list[list[int]] = []
         for source, row in enumerate(system.lists):
+            run = source // system.delta2 if k > 1 else 0
             row_assignment = [-1] * len(row)
             cursor: dict[int, int] = {}
             for index, value in enumerate(row):
@@ -255,7 +334,7 @@ class FairDistributionSolver:
                         "internal error: fewer coloured copies of edge "
                         f"({source}, {value}) than list occurrences"
                     )
-                row_assignment[index] = colors[position]
+                row_assignment[index] = colors[position] * k + run
                 cursor[value] = position + 1
             assignment.append(row_assignment)
 
@@ -271,11 +350,17 @@ class FairDistributionSolver:
         """Array-native fair distributions: ``(B, n1, Δ1)`` lists in, targets out.
 
         The whole Theorem 1 pipeline for a batch of list systems in one call,
-        without Python object structures.  The padding construction is
+        without Python object structures, running :meth:`solve`'s
+        construction.  When ``Δ1`` divides ``n2`` the unpadded
+        ``Δ1``-regular cores are coloured with ``Δ1`` colours and colour
+        ``c`` of source ``s`` becomes target ``c · (n2/Δ1) + s // Δ2`` in
+        one elementwise pass (skipped when ``Δ1 == n2``, where the colour is
+        the target).  Otherwise the proof's padding applies: it is
         permutation-independent, so ``H1``/``H2`` are built once
-        (:func:`~repro.graph.regularize.biregular_pad_arrays`) and broadcast;
-        the canonical instance stacks are produced by a single row-wise sort
-        of composite ``left·nv + right`` keys (the sort *is*
+        (:func:`~repro.graph.regularize.biregular_pad_arrays`) and
+        broadcast, and the ``n2``-regular padded graphs are coloured.
+        Either way the canonical instance stacks are produced by a single
+        row-wise sort of composite ``left·nv + right`` keys (the sort *is*
         :meth:`~repro.graph.array_multigraph.ArrayMultigraph.from_instances`'s
         canonical expansion); colouring runs through the backend's stack
         kernel; and the colours are read back into the ``(B, n1, Δ1)``
@@ -285,11 +370,18 @@ class FairDistributionSolver:
         the same canonical arrays to the same deterministic kernel and read
         colours back per edge in ascending order.
 
+        An empty ``(0, n1, Δ1)`` stack returns an empty assignment.
+
         Raises
         ------
         EdgeColoringError
             If the configured backend has no array kernel (only
             ``"konig-array"`` / ``"euler-array"`` qualify).
+        ValidationError
+            If ``lists`` is not a 3-d integer stack of non-empty lists no
+            longer than ``n_targets`` with entries in ``[0, n1)``, or
+            ``n_targets`` is not a positive integer — the checks of
+            :meth:`ListSystem.from_lists`.
         ImproperListSystemError / FairnessViolationError
             As :meth:`solve`.
         """
@@ -304,41 +396,29 @@ class FairDistributionSolver:
                 f"backend {self.backend!r} has no array colouring kernel; "
                 f"available: {sorted(ARRAY_COLORING_STACK_KERNELS)}"
             )
-        lists = np.asarray(lists, dtype=np.int64)
+        lists = _check_list_stack(lists, n_targets)
         batch, n_sources, delta1 = lists.shape
+        if batch == 0:
+            return lists.copy()
         check_proper_lists_stack(lists, n_targets)
 
-        # Padding parameters and the H1/H2 biregular graphs depend only on
-        # (n1, Δ1, n2) — shared across the batch.  Validation mirrors
-        # pad_to_regular message for message.
         n1, n2 = n_sources, n_targets
-        if n2 < delta1:
-            raise GraphError(
-                f"target degree {n2} is smaller than the core degree {delta1}"
-            )
-        if (n1 * delta1) % n2 != 0:
-            raise GraphError(
-                f"target degree {n2} does not divide n1*Δ1 = {n1 * delta1}; "
-                "the list system is not proper"
-            )
-        delta2 = (n1 * delta1) // n2
-        n_pad = n1 - delta2
-        pad_degree = n2 - delta1
         m_core = n1 * delta1
         core_left = np.repeat(np.arange(n1, dtype=np.int64), delta1)
         core_right = lists.reshape(batch, m_core)
-
-        if n_pad == 0 or pad_degree == 0:
-            if delta1 != n2:
-                raise GraphError(
-                    "inconsistent padding parameters: no padding vertices "
-                    f"required but core degree {delta1} != target {n2}"
-                )
-            nv = n1
+        padded = n2 % delta1 != 0
+        if not padded:
+            # Pad-free: colour the Δ1-regular core itself.
+            nv, degree = n1, delta1
             key = core_left[None, :] * np.int64(nv) + core_right
         else:
-            pad_left, pad_right = biregular_pad_arrays(n_pad, n1, n2, pad_degree)
-            nv = n1 + n_pad
+            # The proof's padding: H1/H2 depend only on (n1, Δ1, n2) and are
+            # shared across the batch.  Δ1 ∤ n2 implies Δ1 < n2 and Δ2 < n1,
+            # so both padding sides are non-empty.
+            delta2 = m_core // n2
+            n_pad = n1 - delta2
+            pad_left, pad_right = biregular_pad_arrays(n_pad, n1, n2, n2 - delta1)
+            nv, degree = n1 + n_pad, n2
             pad_key = np.concatenate(
                 (
                     (n1 + pad_left) * np.int64(nv) + pad_right,
@@ -357,54 +437,58 @@ class FairDistributionSolver:
         sorted_key = np.sort(shrink_sort_key(key, nv * nv - 1), axis=1)
         instance_left = sorted_key // nv
         instance_right = sorted_key % nv
-        left_degrees = np.bincount(
-            (instance_left + np.arange(batch, dtype=np.int64)[:, None] * nv).ravel(),
-            minlength=batch * nv,
-        )
-        right_degrees = np.bincount(
-            (instance_right + np.arange(batch, dtype=np.int64)[:, None] * nv).ravel(),
-            minlength=batch * nv,
-        )
-        if not ((left_degrees == n2).all() and (right_degrees == n2).all()):
-            raise GraphError("padding failed to produce an n2-regular multigraph")
+        if padded:
+            offsets = np.arange(batch, dtype=np.int64)[:, None] * nv
+            left_degrees = np.bincount(
+                (instance_left + offsets).ravel(), minlength=batch * nv
+            )
+            right_degrees = np.bincount(
+                (instance_right + offsets).ravel(), minlength=batch * nv
+            )
+            if not ((left_degrees == n2).all() and (right_degrees == n2).all()):
+                raise GraphError("padding failed to produce an n2-regular multigraph")
 
-        colors = kernel(instance_left, instance_right, nv, nv, n2)
+        colors = kernel(instance_left, instance_right, nv, nv, degree)
         if self.verify:
             verify_instance_coloring_stack(
                 instance_left, instance_right, nv, nv, colors
             )
 
-        # Read back, row-wise: core instances carry the assigned targets,
-        # pairing (source, value, ascending colour) with (source, value,
-        # ascending position) — the object readback of solve — by two sorts
-        # along axis 1.
-        core_mask = (instance_left < n1) & (instance_right < n1)
-        core_key = (
-            instance_left[core_mask] * np.int64(n1) + instance_right[core_mask]
-        ).reshape(batch, m_core)
-        core_colors = colors[core_mask].reshape(batch, m_core)
+        # Read back, row-wise: core instances carry the colours, pairing
+        # (source, value, ascending colour) with (source, value, ascending
+        # position) — the object readback of solve — by two sorts along
+        # axis 1.
+        if padded:
+            core_mask = (instance_left < n1) & (instance_right < n1)
+            instance_left = instance_left[core_mask].reshape(batch, m_core)
+            instance_right = instance_right[core_mask].reshape(batch, m_core)
+            colors = colors[core_mask].reshape(batch, m_core)
+        pair_bound = n1 * n1 - 1
+        instance_key = instance_left * np.int64(n1) + instance_right
         instance_order = np.lexsort(
             (
-                shrink_sort_key(core_colors, n2 - 1),
-                shrink_sort_key(core_key, n1 * n1 - 1),
+                shrink_sort_key(colors, degree - 1),
+                shrink_sort_key(instance_key, pair_bound),
             ),
             axis=-1,
         )
-        position_key = core_left * np.int64(n1)
-        position_key = position_key[None, :] + core_right
+        position_key = core_left[None, :] * np.int64(n1) + core_right
         position_order = np.argsort(
-            shrink_sort_key(position_key, (n1 - 1) * n1 + n2 - 1),
-            axis=1,
-            kind="stable",
+            shrink_sort_key(position_key, pair_bound), axis=1, kind="stable"
         )
         assignment = np.empty((batch, m_core), dtype=np.int64)
         np.put_along_axis(
             assignment,
             position_order,
-            np.take_along_axis(core_colors, instance_order, axis=1),
+            np.take_along_axis(colors, instance_order, axis=1),
             axis=1,
         )
         assignment = assignment.reshape(batch, n_sources, delta1)
+        if not padded and delta1 != n2:
+            # Run r of colour c is target c·k + r, k = n2/Δ1, r = s // Δ2.
+            run = np.arange(n1, dtype=np.int64) // (m_core // n2)
+            assignment *= n2 // delta1
+            assignment += run[None, :, None]
         if self.verify:
             verify_fair_distribution_stack(lists, assignment, n_targets)
         return assignment

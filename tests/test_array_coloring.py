@@ -257,10 +257,12 @@ class TestColoringBackendParity:
 class TestArrayFairDistribution:
     """Rows of ``solve_array_batch`` equal the object solver's assignments.
 
-    The grid includes shapes that need padding vertices on both sides
-    (``(2, 4)``, ``(3, 7)``, ``(2, 8)``, ``(4, 6)``, ``(5, 7)``): equality
-    there requires the inline array padding to reproduce ``pad_to_regular``'s
-    edge multiset exactly.
+    The grid covers both constructions.  ``d ≥ g`` and ``d | g`` shapes
+    (``(2, 4)``, ``(2, 8)``, ``(4, 4)``, ``(8, 4)``, ...) colour the unpadded
+    core.  Shapes with ``d ∤ g`` need padding vertices on both sides
+    (``(3, 7)``, ``(4, 6)``, ``(5, 7)``, ``(6, 9)``, ``(4, 10)``): equality
+    there requires the inline array padding (``biregular_pad_arrays``) to
+    reproduce ``pad_to_regular``'s edge multiset exactly.
     """
 
     @pytest.mark.parametrize("backend", ARRAY_BACKENDS)
@@ -268,7 +270,7 @@ class TestArrayFairDistribution:
         "d,g",
         [
             (2, 4), (4, 4), (3, 3), (8, 4), (9, 3), (7, 5), (5, 7), (6, 1),
-            (32, 2), (3, 7), (2, 8), (4, 6),
+            (32, 2), (3, 7), (2, 8), (4, 6), (6, 9), (4, 10),
         ],
     )
     def test_batch_rows_identical_to_object_solver(self, d, g, backend, rng):

@@ -2,7 +2,8 @@
 
 The script is CI's guarantee that every ``BENCH_*.json`` stays
 machine-readable (schema 1, floors present, speedups at or above their
-floors); these tests pin its verdicts — clean pass, each violation class,
+floors, metrics within their ``X_budget`` / ``X_floor`` bounds); these tests
+pin its verdicts — clean pass, each violation class,
 and the exit codes the workflow relies on (0 ok / 1 violation / 2 nothing
 to check).
 """
@@ -13,6 +14,8 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 CHECK_BENCH = Path(__file__).resolve().parent.parent / "benchmarks" / "check_bench.py"
 
@@ -46,6 +49,9 @@ def _good_payload() -> dict:
             {"name": "gated", "speedup": 12.5, "floor": 10.0},
             {"name": "informational", "speedup": 1.2, "floor": None},
             {"name": "no_speedup_metric", "seconds": 0.5},
+            {"name": "budgeted", "ms_per_route": 1.0, "ms_per_route_budget": 1.5},
+            {"name": "floored", "routes_per_second": 900.0,
+             "routes_per_second_floor": 400.0},
         ],
     }
 
@@ -54,7 +60,51 @@ def test_clean_artefact_passes(tmp_path):
     artefact = _artefact(tmp_path, "BENCH_good.json", _good_payload())
     proc = _run(artefact)
     assert proc.returncode == 0, proc.stderr
-    assert "ok (3 results)" in proc.stdout
+    assert "ok (5 results)" in proc.stdout
+
+
+def test_metric_at_its_budget_or_floor_passes(tmp_path):
+    payload = _good_payload()
+    payload["results"][3]["ms_per_route"] = 1.5
+    payload["results"][4]["routes_per_second"] = 400.0
+    proc = _run(_artefact(tmp_path, "BENCH_edge.json", payload))
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_metric_over_budget_fails(tmp_path):
+    payload = _good_payload()
+    payload["results"][3]["ms_per_route"] = 1.6
+    proc = _run(_artefact(tmp_path, "BENCH_overbudget.json", payload))
+    assert proc.returncode == 1
+    assert "ms_per_route 1.6 is over its budget 1.5" in proc.stderr
+
+
+def test_metric_below_named_floor_fails(tmp_path):
+    payload = _good_payload()
+    payload["results"][4]["routes_per_second"] = 399.0
+    proc = _run(_artefact(tmp_path, "BENCH_underfloor.json", payload))
+    assert proc.returncode == 1
+    assert "routes_per_second 399 is below its floor 400" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "mutate,message",
+    [
+        (lambda e: e.pop("ms_per_route"), "ms_per_route is missing"),
+        (lambda e: e.update(ms_per_route="fast"), "ms_per_route is 'fast'"),
+        (lambda e: e.update(ms_per_route=None), "ms_per_route is None"),
+        (lambda e: e.update(ms_per_route=float("nan")), "ms_per_route is nan"),
+        (lambda e: e.update(ms_per_route_budget="1.5"), "ms_per_route_budget '1.5'"),
+        (lambda e: e.update(ms_per_route_budget=True), "ms_per_route_budget True"),
+    ],
+    ids=["missing", "string", "none", "nan", "string-budget", "bool-budget"],
+)
+def test_budget_needs_numeric_metric_and_bound(tmp_path, mutate, message):
+    payload = _good_payload()
+    mutate(payload["results"][3])
+    proc = _run(_artefact(tmp_path, "BENCH_badbudget.json", payload))
+    assert proc.returncode == 1
+    assert message in proc.stderr
 
 
 def test_globs_cwd_when_no_args(tmp_path):
@@ -166,8 +216,6 @@ def test_repo_artefacts_validate_if_present():
     repo_root = CHECK_BENCH.parent.parent
     artefacts = sorted(repo_root.glob("BENCH_*.json"))
     if not artefacts:
-        import pytest
-
         pytest.skip("no emitted BENCH_*.json artefacts in the repo root")
     proc = _run(*artefacts)
     assert proc.returncode == 0, proc.stderr

@@ -4,21 +4,40 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.exceptions import FairnessViolationError, ImproperListSystemError
+from repro.api import RunConfig, Session
+from repro.exceptions import (
+    FairnessViolationError,
+    ImproperListSystemError,
+    ValidationError,
+)
 from repro.patterns.families import figure3_permutation
+from repro.pops.topology import POPSNetwork
 from repro.routing.fair_distribution import (
     FairDistribution,
     FairDistributionSolver,
     verify_fair_distribution,
+    verify_fair_distribution_stack,
 )
 from repro.routing.list_system import ListSystem
 from repro.utils.permutations import random_permutation
 
 BACKENDS = ["konig", "euler"]
+ARRAY_BACKENDS = ["konig-array", "euler-array"]
+
+#: Every routing shape the pad-free construction serves at d < g: 2 <= d < g,
+#: d | g, n = d·g <= 256.
+PAD_FREE_SHAPES = [
+    (d, g) for d in range(2, 17) for g in range(d + 1, 129)
+    if g % d == 0 and d * g <= 256
+]
+
+#: General proper list systems (n1, Δ1, n2) with n1 != n2 and Δ1 | n2.
+GENERAL_PAD_FREE = [(6, 2, 4), (12, 3, 9), (10, 2, 4), (8, 4, 8), (9, 3, 3), (6, 3, 6)]
 
 
 class TestSolverBasics:
@@ -155,3 +174,100 @@ class TestPropertyBased:
         distribution = FairDistributionSolver(backend=backend).solve(system)
         distribution.verify()
         assert isinstance(distribution, FairDistribution)
+
+
+def random_proper_lists(n_sources: int, delta1: int, rng: np.random.Generator):
+    """Lists of a random proper system: every source appears Δ1 times."""
+    pool = np.repeat(np.arange(n_sources, dtype=np.int64), delta1)
+    return rng.permutation(pool).reshape(n_sources, delta1)
+
+
+class TestPadFreeConstruction:
+    """Δ1 | n2: the core is coloured unpadded.
+
+    Validity is judged by the object :func:`verify_fair_distribution` alone,
+    never by the solver's own verification.
+    """
+
+    @pytest.mark.parametrize("d,g", PAD_FREE_SHAPES, ids=lambda s: str(s))
+    @given(data=st.data())
+    @settings(max_examples=2, deadline=None)
+    def test_routing_shapes(self, d, g, data):
+        pi = data.draw(st.permutations(range(d * g)), label="pi")
+        system = ListSystem.from_permutation(pi, d, g)
+        lists = np.array([system.lists], dtype=np.int64)
+        for backend in ARRAY_BACKENDS:
+            solver = FairDistributionSolver(backend=backend, verify=False)
+            (row,) = solver.solve_array_batch(lists, system.n_targets)
+            verify_fair_distribution(system, row.tolist())
+        metrics = Session(RunConfig()).route(pi, network=POPSNetwork(d, g))
+        assert metrics.slots == 2
+
+    @pytest.mark.parametrize("n1,delta1,n2", GENERAL_PAD_FREE)
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=10, deadline=None)
+    def test_general_list_systems(self, n1, delta1, n2, seed):
+        rng = np.random.default_rng(seed)
+        lists = np.stack([random_proper_lists(n1, delta1, rng) for _ in range(3)])
+        systems = [ListSystem.from_lists(n1, n2, row.tolist()) for row in lists]
+        for backend in BACKENDS:
+            solver = FairDistributionSolver(backend=backend, verify=False)
+            for system in systems:
+                verify_fair_distribution(system, solver.solve(system).assignment)
+        for backend in ARRAY_BACKENDS:
+            solver = FairDistributionSolver(backend=backend, verify=False)
+            assignment = solver.solve_array_batch(lists, n2)
+            for system, row in zip(systems, assignment):
+                verify_fair_distribution(system, row.tolist())
+                assert row.tolist() == [
+                    list(entry) for entry in solver.solve(system).assignment
+                ]
+
+
+class TestSolveArrayBatchBoundary:
+    """Malformed input to ``solve_array_batch`` raises ``ValidationError``,
+    with :meth:`ListSystem.from_lists`'s checks."""
+
+    @pytest.mark.parametrize(
+        "lists,n_targets,match",
+        [
+            ([[[0.5, 1], [0, 1]]], 2, "not integer-valued"),
+            ([[[0.0, 1.0], [1.0, 0.0]]], 2, "not integer-valued"),
+            ([[[True, False], [False, True]]], 2, "not integer-valued"),
+            ([[0, 1], [1, 0]], 2, "three-dimensional"),
+            ([[[[0, 1], [1, 0]]]], 2, "three-dimensional"),
+            ([[[0, -1], [1, 0]]], 2, r"list entry -1 of source 0 is not in S"),
+            ([[[0, 1], [2, 0]]], 2, r"list entry 2 of source 1 is not in S"),
+            ([[[0, 1], [1, 0]]], 0, "n_targets must be positive"),
+            ([[[0, 1], [1, 0]]], 2.0, "n_targets must be an integer"),
+            (np.zeros((1, 2, 0), dtype=np.int64), 2, "lists must be non-empty"),
+            (np.zeros((1, 0, 2), dtype=np.int64), 2, "n_sources must be positive"),
+            ([[[0, 1, 2], [1, 2, 0], [2, 0, 1]]], 2, r"Δ1=3 exceeds .* n2=2"),
+        ],
+        ids=[
+            "fractional", "float", "bool", "two-d", "four-d", "negative-entry",
+            "entry-too-large", "zero-targets", "float-targets", "zero-delta1",
+            "zero-sources", "delta1-above-n2",
+        ],
+    )
+    def test_rejects_malformed_input(self, lists, n_targets, match):
+        solver = FairDistributionSolver(backend="euler-array")
+        with pytest.raises(ValidationError, match=match):
+            solver.solve_array_batch(lists, n_targets)
+
+    @pytest.mark.parametrize("backend", ARRAY_BACKENDS)
+    @pytest.mark.parametrize("n1,delta1,n2", [(4, 2, 4), (3, 2, 3), (4, 3, 6)])
+    def test_empty_stack_returns_empty_assignment(self, backend, n1, delta1, n2):
+        lists = np.zeros((0, n1, delta1), dtype=np.int64)
+        assignment = FairDistributionSolver(backend=backend).solve_array_batch(
+            lists, n2
+        )
+        assert assignment.shape == (0, n1, delta1)
+        assert assignment.dtype == np.int64
+        verify_fair_distribution_stack(lists, assignment, n2)
+
+    def test_improper_stack_still_raises_improper(self):
+        with pytest.raises(ImproperListSystemError):
+            FairDistributionSolver(backend="euler-array").solve_array_batch(
+                [[[0, 0], [0, 1]]], 2
+            )
