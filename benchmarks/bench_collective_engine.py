@@ -1,7 +1,8 @@
 """Collective engine benchmarks: broadcast schedules at n >= 1024.
 
-The batched-collective engine (`repro.pops.collective_engine`) is this PR's
-acceptance surface: packet-duplicating schedules — exactly the broadcast /
+The collective engine (`repro.pops.collective_engine`), to which the
+``batched`` engine hands duplicating schedules, is measured here:
+packet-duplicating schedules — exactly the broadcast /
 multi-reader shapes the collective algorithms produce — used to fall back to
 the slow reference simulator.  This module measures both engines on one-slot
 and multi-round broadcast schedules at n >= 1024 and asserts the >= 4x
@@ -71,7 +72,7 @@ def test_broadcast_collective_engine(benchmark, d, g):
 def test_broadcast_collective_engine_cached(benchmark, d, g):
     """The sweep path: lowering served from the schedule cache, execute only."""
     network, schedule, packets = broadcast_rounds_workload(d, g)
-    session = Session(RunConfig(sim_backend="batched-collective"))
+    session = Session(RunConfig(sim_backend="batched"))
     key = ("bench-broadcast", d, g)
     session.simulate(schedule, packets, cache_key=key)  # prime the cache
     result = benchmark(lambda: session.simulate(schedule, packets, cache_key=key))

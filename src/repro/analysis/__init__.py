@@ -7,18 +7,12 @@ source of truth for every entry of EXPERIMENTS.md; they are registered in
 ``benchmarks/`` and the command-line interface both go through that layer.
 """
 
-from repro.analysis.metrics import (
-    RoutingMetrics,
-    slots_vs_bound,
-    coupler_utilisation,
-)
+from repro.analysis.metrics import RoutingMetrics
 from repro.analysis.reporting import format_table, format_experiment_report
 from repro.analysis.experiments import ExperimentResult
 
 __all__ = [
     "RoutingMetrics",
-    "slots_vs_bound",
-    "coupler_utilisation",
     "format_table",
     "format_experiment_report",
     "ExperimentResult",

@@ -1,4 +1,4 @@
-"""Routing metrics: slot counts, bound ratios, coupler utilisation.
+"""Routing metrics: slot counts, bounds and coupler utilisation.
 
 These helpers wrap "route the permutation, simulate the schedule, verify
 delivery, and summarise" into one call, so experiments never accidentally
@@ -17,6 +17,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.graph.array_coloring import ARRAY_COLORING_STACK_KERNELS
 from repro.obs import get_tracer
 from repro.pops.engine import BatchedSimulator
 from repro.pops.simulator import POPSSimulator
@@ -31,11 +32,7 @@ from repro.routing.permutation_router import (
 )
 from repro.utils.validation import check_permutation_stack
 
-__all__ = [
-    "RoutingMetrics",
-    "slots_vs_bound",
-    "coupler_utilisation",
-]
+__all__ = ["RoutingMetrics"]
 
 
 @dataclass(frozen=True)
@@ -99,18 +96,21 @@ def _measure_routing_batch(
 
     The one routing pipeline: :meth:`repro.api.session.Session.route` is its
     ``(1, n)`` case and :meth:`~repro.api.session.Session.route_batch` the
-    general one.  On the batched engine the stack takes the megabatch
-    path — one batched route, execution, verification, compiled trace and
-    bound reduction.  Nothing is cached: routed traffic almost never repeats a
-    permutation stack, so cached plans would only hold memory.  Other engines
-    measure each row on the object pipeline (:func:`_measure_routing`, the
-    arbiter).  Entry ``b`` is equal, field types included, whichever path ran,
-    and an empty ``(0, n)`` stack returns ``[]`` on every engine.
+    general one.  It takes one of two paths, chosen by one rule: an array
+    router backend (a key of :data:`~repro.graph.array_coloring.
+    ARRAY_COLORING_STACK_KERNELS`) on the ``batched`` engine routes the whole
+    stack through :func:`_route_stack` — one batched route, execution,
+    verification, compiled trace and bound reduction, at every shape; every
+    other backend/engine pair measures each row on the object pipeline
+    (:func:`_measure_routing`, the arbiter).  How many rows the colouring
+    kernel takes per call is decided by the fair-distribution solver, the
+    one module that knows the instance count
+    (:meth:`~repro.routing.fair_distribution.FairDistributionSolver.
+    solve_array_batch`).  Nothing is cached: routed traffic almost never
+    repeats a permutation stack, so cached plans would only hold memory.
+    Entry ``b`` is equal, field types included, whichever path ran, and an
+    empty ``(0, n)`` stack returns ``[]`` on every pair.
 
-    ``d < g`` stacks are routed as ``(1, n)`` slices: the batched plan builders
-    pad every element's round structure to the worst case, and the whole stack
-    loses at shapes like 8×128 (0.36–0.41x the speed of per-row routing for
-    B = 8 and 64 on a 2-core x86-64 VM).
     ``validate=False`` skips the stack check for callers that already hold
     the validated int64 image stack.
     """
@@ -121,18 +121,13 @@ def _measure_routing_batch(
         "session.route", d=network.d, g=network.g, n=network.n,
         batch=int(images.shape[0]),
     ) as span:
-        if sim_backend != "batched":
-            return [
-                _measure_routing(
-                    network, row.tolist(), span, router_backend, verify, sim_backend
-                )
-                for row in images
-            ]
-        if network.d >= network.g:
+        if sim_backend == "batched" and router_backend in ARRAY_COLORING_STACK_KERNELS:
             return _route_stack(network, images, span, router_backend, verify)
         return [
-            _route_stack(network, images[b:b + 1], span, router_backend, verify)[0]
-            for b in range(images.shape[0])
+            _measure_routing(
+                network, row.tolist(), span, router_backend, verify, sim_backend
+            )
+            for row in images
         ]
 
 
@@ -184,9 +179,10 @@ def _measure_routing(
     """Route ``pi`` on the object pipeline, simulate, verify, and summarise.
 
     The arbiter path of :func:`_measure_routing_batch`, taken for every
-    engine except batched: the router builds per-packet schedule objects
-    and ``sim_backend`` (any name registered in
-    :data:`repro.api.registry.SIM_ENGINES`) executes them.  Its steps are timed as stages of ``span``, the ``session.route`` span.
+    backend/engine pair except an array backend on ``batched``: the router
+    builds per-packet schedule objects and ``sim_backend`` (any name
+    registered in :data:`repro.api.registry.SIM_ENGINES`) executes them.
+    Its steps are timed as stages of ``span``, the ``session.route`` span.
     """
     span.stage = "route.setup"
     router = PermutationRouter(network, backend=router_backend, verify=verify)
@@ -211,16 +207,3 @@ def _measure_routing(
             network.n_couplers
         ),
     )
-
-
-def slots_vs_bound(network: POPSNetwork, slots: int) -> float:
-    """Ratio of measured slots to Theorem 2's bound for ``network``."""
-    return slots / theorem2_slot_bound(network.d, network.g)
-
-
-def coupler_utilisation(network: POPSNetwork, pi: Sequence[int], backend: str = "konig") -> float:
-    """Mean fraction of couplers busy per slot for the routed permutation."""
-    (metrics,) = _measure_routing_batch(
-        network, [pi], router_backend=backend, sim_backend="reference"
-    )
-    return metrics.mean_coupler_utilisation

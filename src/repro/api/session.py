@@ -185,32 +185,6 @@ class Session:
             validate=validate,
         )
 
-    def route_compiled(
-        self,
-        pi: Sequence[int],
-        *,
-        network: POPSNetwork | None = None,
-        d: int | None = None,
-        g: int | None = None,
-        verify: bool = True,
-    ):
-        """Compile the Theorem 2 plan for ``pi`` straight to schedule arrays.
-
-        Returns the :class:`~repro.pops.engine.CompiledSchedule` ready for the
-        batched engines, bit-identical to routing object-level and compiling:
-        element 0 of the ``(1, n)`` batch plan
-        (:meth:`~repro.routing.permutation_router.PermutationRouter.
-        route_compiled_batch`).
-        """
-        from repro.routing.permutation_router import PermutationRouter
-
-        network = _resolve_network("route_compiled", network, d, g)
-        images = check_permutation_array(pi, network.n)[None, :]
-        router = PermutationRouter(
-            network, backend=self.config.router_backend, verify=verify
-        )
-        return router.route_compiled_batch(images, validate=False).element(0)
-
     def route_degraded(
         self,
         pi: Sequence[int],

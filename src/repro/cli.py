@@ -274,8 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
         route,
         "simulator engine (batched = vectorized fast path that hands "
         "duplicating schedules to the collective engine, "
-        "batched-collective = vectorized multi-location engine for "
-        "broadcast/collective schedules, reference = slot-by-slot arbiter)",
+        "reference = slot-by-slot arbiter)",
     )
     route.add_argument(
         "--faults",

@@ -265,7 +265,7 @@ class CollectiveSimulator:
         :meth:`repro.pops.engine.BatchedSimulator.compile`: the caller asserts
         the key fully determines ``(schedule, packets)`` including payloads,
         and runs with explicit ``initial_buffers`` never consult the cache.
-        Keys are namespaced under ``"batched-collective"`` inside the shared
+        Keys are namespaced under ``"collective"`` inside the shared
         :class:`~repro.pops.engine.ScheduleCache`, so a caller reusing one key
         across engines (as ``Session.route`` does) can never receive the
         other engine's compiled layout.
@@ -276,7 +276,7 @@ class CollectiveSimulator:
                 max_state_bytes=self.max_state_bytes,
             )
         store = cache if cache is not None else schedule_cache()
-        namespaced = ("batched-collective", cache_key)
+        namespaced = ("collective", cache_key)
         compiled = store.get(namespaced)
         if compiled is None:
             compiled = compile_collective_schedule(

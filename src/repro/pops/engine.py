@@ -378,7 +378,7 @@ def compile_schedule(
         if not lowered.tx_consume.all():
             raise UnsupportedScheduleError(
                 "non-consuming (broadcast-style) transmissions duplicate packets; "
-                "use the batched-collective engine"
+                "use the collective engine (CollectiveSimulator)"
             )
         universe = lowered.packets
         u_size = lowered.u_size
@@ -399,7 +399,7 @@ def compile_schedule(
             raise UnsupportedScheduleError(
                 f"slot {int(del_key[dup[0]] // max(u_size, 1))}: a packet is read "
                 "by several receivers, which duplicates it; use the "
-                "batched-collective engine"
+                "collective engine (CollectiveSimulator)"
             )
 
         # Fold the (packet, processor) holder pairs into the flat location array.

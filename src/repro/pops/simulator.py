@@ -133,19 +133,18 @@ class POPSSimulator:
         The built-ins: ``"reference"`` (default) executes transmissions one
         Python object at a time with full dynamic checking; ``"batched"``
         lowers the schedule to integer arrays and executes each slot as
-        vectorized numpy operations (see :mod:`repro.pops.engine`);
-        ``"batched-collective"`` is the vectorized engine for
+        vectorized numpy operations (see :mod:`repro.pops.engine`) and hands
         packet-duplicating schedules — broadcast-style sends, multi-reader
-        couplers — on a multi-location copy-count state (see
-        :mod:`repro.pops.collective_engine`), to which ``"batched"`` hands
-        the duplicating shapes itself.  All backends produce equivalent
-        results and traces; buffer ordering within a processor may differ.
+        couplers — to the vectorized multi-location collective engine (see
+        :mod:`repro.pops.collective_engine`).  All backends produce
+        equivalent results and traces; buffer ordering within a processor
+        may differ.
     """
 
     #: The built-in engines.  The authoritative table is the SIM_ENGINES
     #: registry — engines registered there dispatch without touching this
     #: class.
-    BACKENDS = ("reference", "batched", "batched-collective")
+    BACKENDS = ("reference", "batched")
 
     def __init__(
         self,
@@ -437,18 +436,19 @@ def _batched_engine(
     cache_key: Hashable | None = None,
     cache: ScheduleCache | None = None,
 ) -> SimulationResult:
-    """Shape-dispatching engine: batched → batched-collective → reference.
+    """Shape-dispatching engine: flat-location → collective → reference.
 
     A cheap one-pass probe (:func:`repro.pops.lowering.classify_schedule`)
     routes consuming schedules to the flat-location batched engine and
     duplicating ones (broadcast-style sends, multi-reader couplers) straight
-    to the collective engine, so the fallback does not lower the schedule
-    twice.  The probe is a hint, not a guarantee — the batched compiler
-    still rejects the rare consuming-shaped schedule that duplicates a
-    packet, and the collective compiler rejects state past its memory
-    budget — so each stage falls through on
+    to the collective engine (:mod:`repro.pops.collective_engine`), so the
+    fallback does not lower the schedule twice.  The probe is a hint, not a
+    guarantee — the batched compiler still rejects the rare consuming-shaped
+    schedule that duplicates a packet, and the collective compiler rejects
+    state past its memory budget — so each stage falls through on
     :class:`UnsupportedScheduleError`, and pure broadcast/collective
     schedules never hit the slow reference simulator."""
+    from repro.pops.collective_engine import CollectiveSimulator
     from repro.pops.engine import BatchedSimulator
     from repro.pops.lowering import classify_schedule
 
@@ -462,28 +462,6 @@ def _batched_engine(
             )
         except UnsupportedScheduleError:
             pass
-    return _collective_engine(
-        simulator, schedule, packets, initial_buffers,
-        cache_key=cache_key, cache=cache,
-    )
-
-
-@SIM_ENGINES.register("batched-collective")
-def _collective_engine(
-    simulator: POPSSimulator,
-    schedule: RoutingSchedule,
-    packets: list[Packet],
-    initial_buffers: dict[int, list[Packet]] | None = None,
-    *,
-    cache_key: Hashable | None = None,
-    cache: ScheduleCache | None = None,
-) -> SimulationResult:
-    """Vectorized multi-location engine for packet-duplicating schedules
-    (see :mod:`repro.pops.collective_engine`).  Handles every schedule shape;
-    the one fallback to the reference path is a copy-count state that would
-    blow the engine's memory budget."""
-    from repro.pops.collective_engine import CollectiveSimulator
-
     try:
         return CollectiveSimulator(
             simulator.network, simulator.strict_receptions

@@ -60,10 +60,8 @@ class POPSNetwork:
     fault_spec = None
 
     def __init__(self, d: int, g: int):
-        check_positive_int(d, "d")
-        check_positive_int(g, "g")
-        self._d = d
-        self._g = g
+        self._d = check_positive_int(d, "d")
+        self._g = check_positive_int(g, "g")
 
     # -- construction helpers ------------------------------------------------
 

@@ -39,7 +39,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.exceptions import RoutingError
+from repro.exceptions import ConfigurationError, RoutingError
 from repro.obs import get_tracer
 from repro.pops.packet import Packet
 from repro.pops.schedule import RoutingSchedule
@@ -178,10 +178,14 @@ class PermutationRouter:
         ``Transmission`` / ``Reception`` / ``SlotProgram`` objects and no
         lowering pass.  The result is bit-identical to
         ``compile_schedule(network, plan.schedule, plan.packets)`` over this
-        router's :meth:`route` plan: array backends (``"konig-array"``,
-        ``"euler-array"``) take the array pipeline; other backends
-        transparently fall back to routing object-level and compiling, so the
-        method is safe for any backend.
+        router's :meth:`route` plan.
+
+        Raises
+        ------
+        ConfigurationError
+            If the backend has no array colouring kernel (only
+            ``"konig-array"`` / ``"euler-array"`` qualify); route object
+            backends with :meth:`route`.
         """
         images = check_permutation_array(pi, self.network.n)
         return self.route_compiled_batch(images[None, :], validate=False).element(0)
@@ -197,8 +201,17 @@ class PermutationRouter:
         ``element(b)`` of the result is bit-identical to
         ``route_compiled(pis[b])``.  ``validate=False`` skips the
         permutation-stack check for callers that already hold the validated
-        int64 image stack.
+        int64 image stack.  Raises :class:`~repro.exceptions.
+        ConfigurationError` for a backend without an array colouring kernel,
+        as :meth:`route_compiled` does.
         """
+        from repro.graph.array_coloring import ARRAY_COLORING_STACK_KERNELS
+
+        if self.solver.backend not in ARRAY_COLORING_STACK_KERNELS:
+            raise ConfigurationError(
+                f"backend {self.solver.backend!r} has no array colouring kernel; "
+                f"compiled routing needs one of {sorted(ARRAY_COLORING_STACK_KERNELS)}"
+            )
         with get_tracer().span("route.plan", backend=self.solver.backend):
             return self._plan_batch(pis, validate=validate)
 
@@ -207,8 +220,6 @@ class PermutationRouter:
     def _plan_batch(
         self, pis, *, validate: bool = True
     ) -> CompiledScheduleBatch:
-        from repro.graph.array_coloring import ARRAY_COLORING_STACK_KERNELS
-
         network = self.network
         d, g = network.d, network.g
         images = (
@@ -216,9 +227,6 @@ class PermutationRouter:
             if validate
             else np.asarray(pis, dtype=np.int64)
         )
-
-        if d > 1 and self.solver.backend not in ARRAY_COLORING_STACK_KERNELS:
-            return self._stack_object_plans(images)
 
         if d == 1:
             compiled = _compile_d1_plan_batch(network, images)
@@ -239,58 +247,6 @@ class PermutationRouter:
                 f"Theorem 2 promises {expected}"
             )
         return compiled
-
-    def _stack_object_plans(self, images: np.ndarray) -> CompiledScheduleBatch:
-        """Non-array-backend fallback: route each element object-level, lower,
-        and stack the compiled planes over the shared CSR structure.
-
-        Theorem 2 plans of a fixed (d, g) share their slot segmentation, so
-        the per-element compiled schedules always agree on the ``*_ptr`` /
-        idle arrays; a mismatch would mean the router emitted a structurally
-        different plan and is reported as an internal error.
-        """
-        from repro.pops.engine import CompiledScheduleBatch, compile_schedule
-
-        network = self.network
-        elements = []
-        for b in range(images.shape[0]):
-            plan = self.route(images[b].tolist())
-            elements.append(
-                compile_schedule(network, plan.schedule, plan.packets)
-            )
-        first = elements[0]
-        for other in elements[1:]:
-            if first.n_slots != other.n_slots or not all(
-                np.array_equal(getattr(first, name), getattr(other, name))
-                for name in (
-                    "tx_ptr", "pay_ptr", "del_ptr", "con_ptr",
-                    "idle_receiver", "idle_coupler",
-                )
-            ):
-                raise RoutingError(
-                    "internal error: per-element plans disagree on the shared "
-                    "slot structure; cannot stack them into a batch"
-                )
-        return CompiledScheduleBatch(
-            network=network,
-            n_batch=len(elements),
-            n_slots=first.n_slots,
-            tx_sender=np.stack([e.tx_sender for e in elements]),
-            tx_packet=np.stack([e.tx_packet for e in elements]),
-            tx_ptr=first.tx_ptr,
-            pay_coupler=np.stack([e.pay_coupler for e in elements]),
-            pay_packet=np.stack([e.pay_packet for e in elements]),
-            pay_ptr=first.pay_ptr,
-            del_receiver=np.stack([e.del_receiver for e in elements]),
-            del_packet=np.stack([e.del_packet for e in elements]),
-            del_ptr=first.del_ptr,
-            con_packet=np.stack([e.con_packet for e in elements]),
-            con_ptr=first.con_ptr,
-            idle_receiver=first.idle_receiver,
-            idle_coupler=first.idle_coupler,
-            initial_loc=np.stack([e.initial_loc for e in elements]),
-            pk_destination=np.stack([e.pk_destination for e in elements]),
-        )
 
     # -- case d == 1 --------------------------------------------------------------------
 

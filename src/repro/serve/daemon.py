@@ -43,6 +43,7 @@ from repro.exceptions import ConfigurationError, RoutingError, SimulationError, 
 from repro.faults import FaultSpec
 from repro.obs import get_tracer
 from repro.obs.metrics import MetricsRegistry
+from repro.routing.fair_distribution import coloring_instance_count
 from repro.serve import protocol
 from repro.serve.batcher import DynamicBatcher, QueueFullError, ShuttingDownError
 from repro.serve.telemetry import STAGES, ServeTelemetry
@@ -55,6 +56,12 @@ _FLUSH_TIMEOUT = 10.0
 
 #: The largest ``deadline_ms`` a route request may carry.
 _MAX_DEADLINE_MS = threading.TIMEOUT_MAX * 1e3
+
+#: Most edge instances one request may ask Theorem 1 to colour per
+#: permutation.  Padded shapes (d < g, d ∤ g) colour g(2g − d) instances: at
+#: d = 3, g = 2048 that is 8.4 M, 37 s and 1.3 GB on the single worker thread.
+#: Pad-free shapes colour n instances, which the frame limit already bounds.
+_MAX_COLORING_INSTANCES = 2**22
 
 
 class ServeDaemon:
@@ -290,6 +297,14 @@ class ServeDaemon:
                 raise ValidationError(
                     f"{name} must be a positive integer, got {value!r}"
                 )
+        # Routing's list system on POPS(d, g) is (n1, Δ1, n2) = (g, d, max(d, g)).
+        instances = coloring_instance_count(g, d, max(d, g))
+        if instances > _MAX_COLORING_INSTANCES:
+            raise ValidationError(
+                f"POPS(d={d}, g={g}) needs {instances} edge instances coloured "
+                f"per permutation; this daemon colours at most "
+                f"{_MAX_COLORING_INSTANCES}"
+            )
         backend = request.get("backend", self.config.router_backend)
         if backend not in ROUTER_BACKENDS.names():
             raise ValidationError(

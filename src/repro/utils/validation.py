@@ -39,19 +39,37 @@ def check_type(value: Any, types: type | tuple[type, ...], name: str) -> Any:
     return value
 
 
-def check_positive_int(value: Any, name: str) -> int:
-    """Ensure ``value`` is an ``int`` (not bool) strictly greater than zero."""
-    if isinstance(value, bool) or not isinstance(value, int):
+def _as_int(value: Any, name: str) -> int:
+    """``value`` as a Python ``int`` via ``operator.index``; bools rejected.
+
+    numpy integer scalars pass (``np.int64(4)`` becomes ``4``); ``bool``,
+    ``np.True_`` and floats such as ``2.0`` do not.
+    """
+    if isinstance(value, bool):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
+
+
+def check_positive_int(value: Any, name: str) -> int:
+    """Ensure ``value`` is an integer (not bool) strictly greater than zero.
+
+    Returns it as a Python ``int`` (numpy integer scalars are accepted).
+    """
+    value = _as_int(value, name)
     if value <= 0:
         raise ValidationError(f"{name} must be positive, got {value}")
     return value
 
 
 def check_non_negative_int(value: Any, name: str) -> int:
-    """Ensure ``value`` is an ``int`` (not bool) greater than or equal to zero."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    """Ensure ``value`` is an integer (not bool) greater than or equal to zero.
+
+    Returns it as a Python ``int`` (numpy integer scalars are accepted).
+    """
+    value = _as_int(value, name)
     if value < 0:
         raise ValidationError(f"{name} must be non-negative, got {value}")
     return value

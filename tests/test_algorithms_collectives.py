@@ -161,7 +161,7 @@ class TestSessionInjection:
         from repro.api import RunConfig, Session
 
         network = POPSNetwork(3, 3)
-        session = Session(RunConfig(sim_backend="batched-collective"))
+        session = Session(RunConfig(sim_backend="batched"))
         key = ("bcast", 3, 3, 0, "v")
         first, _ = execute_broadcast(network, 0, "v", session=session, cache_key=key)
         second, _ = execute_broadcast(network, 0, "v", session=session, cache_key=key)

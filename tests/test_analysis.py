@@ -4,11 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.metrics import (
-    RoutingMetrics,
-    coupler_utilisation,
-    slots_vs_bound,
-)
+from repro.analysis.metrics import RoutingMetrics
 from repro.analysis.reporting import format_experiment_report, format_table
 from repro.api import RunConfig, Session
 from repro.patterns.families import vector_reversal
@@ -45,14 +41,14 @@ class TestMetrics:
         assert metrics.lower_bound == 0
         assert metrics.optimality_ratio == float("inf")
 
-    def test_slots_vs_bound(self):
-        assert slots_vs_bound(POPSNetwork(8, 4), 4) == 1.0
-        assert slots_vs_bound(POPSNetwork(8, 4), 8) == 2.0
-
     def test_coupler_utilisation_full_for_square_reversal(self):
         # Vector reversal on POPS(4,4): all 16 packets move in each of 2 slots
         # through 16 couplers -> utilisation 1.0.
-        assert coupler_utilisation(POPSNetwork(4, 4), vector_reversal(16)) == 1.0
+        metrics = route(
+            POPSNetwork(4, 4), vector_reversal(16),
+            router_backend="konig", sim_backend="reference",
+        )
+        assert metrics.mean_coupler_utilisation == 1.0
 
 
 class TestReporting:

@@ -76,7 +76,6 @@ class TestSessionRoute:
             session.route(pi, d=4, g=4)
             session.route_batch([pi, pi[::-1]], d=4, g=4)
             session.route_batch([pi], d=2, g=8)
-            session.route_compiled(pi, d=4, g=4)
         session.sweep([(2, 2), (4, 4), (2, 4)])
         assert session.cache_stats() == empty
         assert schedule_cache().stats() == empty
@@ -117,6 +116,17 @@ class TestSessionRoute:
         pi = vector_reversal(16)
         expected = Session().route(pi, d=4, g=4)
         assert Session().route(np.asarray(pi, dtype=dtype), d=4, g=4) == expected
+
+    def test_route_accepts_numpy_integer_sizes(self):
+        # The network stores Python ints, so the metrics' field types match
+        # the int-argument route exactly.
+        pi = vector_reversal(16)
+        expected = Session().route(pi, d=4, g=4)
+        got = Session().route(pi, d=np.int64(4), g=np.int64(4))
+        assert got == expected
+        for name, value in vars(got).items():
+            assert type(value) is type(getattr(expected, name)), name
+        assert type(POPSNetwork(np.int64(4), np.int32(2)).d) is int
 
     @pytest.mark.parametrize("pi", [
         [1.0, 0.0, 3.0, 2.0],

@@ -7,8 +7,8 @@ on a per-packet/per-processor copy-count matrix.  These tests pin it to the
 reference simulator over generated broadcast/multi-reader schedules: final
 buffers (as per-processor multisets, copy multiplicity included), slot-by-slot
 traces, delivery verdicts, and dynamic-error slot/offender/message must all
-agree.  They also pin the ``batched`` engine's dispatch (batched →
-batched-collective → reference by schedule shape) and the acceptance
+agree.  They also pin the ``batched`` engine's dispatch (flat-location →
+collective → reference by schedule shape) and the acceptance
 criterion that pure broadcast/collective schedules never fall back to the
 reference simulator.
 """
@@ -212,7 +212,6 @@ class TestGeneratedCollectiveParity:
             POPSSimulator(network).run,
             CollectiveSimulator(network).run,
             POPSSimulator(network, backend="batched").run,
-            POPSSimulator(network, backend="batched-collective").run,
         ):
             with pytest.raises(SimulationError) as exc_info:
                 runner(schedule, packets)
@@ -237,9 +236,9 @@ class TestGeneratedCollectiveParity:
         )
 
         errors = []
-        for backend in ("reference", "batched-collective"):
+        for runner in (POPSSimulator(network).run, CollectiveSimulator(network).run):
             with pytest.raises(SimulationError) as exc_info:
-                POPSSimulator(network, backend=backend).run(schedule, packets)
+                runner(schedule, packets)
             errors.append(str(exc_info.value))
         assert errors[0] == errors[1]
         assert "reads idle" in errors[0]
@@ -247,9 +246,9 @@ class TestGeneratedCollectiveParity:
         lenient_ref = POPSSimulator(network, strict_receptions=False).run(
             schedule, packets
         )
-        lenient_col = POPSSimulator(
-            network, strict_receptions=False, backend="batched-collective"
-        ).run(schedule, packets)
+        lenient_col = CollectiveSimulator(network, strict_receptions=False).run(
+            schedule, packets
+        )
         assert buffers_as_multisets(lenient_ref) == buffers_as_multisets(lenient_col)
 
     @settings(max_examples=20, deadline=None)
@@ -271,7 +270,7 @@ class TestGeneratedCollectiveParity:
 
 
 class TestBatchedDispatch:
-    """`batched` picks batched -> batched-collective -> reference by shape."""
+    """`batched` picks flat-location -> collective -> reference by shape."""
 
     @pytest.fixture
     def net(self) -> POPSNetwork:
@@ -321,15 +320,14 @@ class TestBatchedDispatch:
 
     def test_no_reference_fallback_for_collective_schedules(self, net, monkeypatch):
         """Acceptance criterion: pure broadcast/collective schedules never
-        reach the reference simulator on any compiled backend."""
+        reach the reference simulator on the batched engine."""
         monkeypatch.setattr(
             POPSSimulator, "run_reference",
             lambda *a, **k: pytest.fail("reference fallback still happens"),
         )
         schedule, packet = one_to_all_broadcast(net, speaker=2, payload="y")
-        for backend in ("batched", "batched-collective"):
-            result = POPSSimulator(net, backend=backend).run(schedule, [packet])
-            assert result.packets_at(5)[0].payload == "y"
+        result = POPSSimulator(net, backend="batched").run(schedule, [packet])
+        assert result.packets_at(5)[0].payload == "y"
 
     def test_state_budget_overflow_falls_back_to_reference(self, net, monkeypatch):
         """Past the copy-count budget the collective engine bows out and the
@@ -342,9 +340,8 @@ class TestBatchedDispatch:
 
         monkeypatch.setattr(ce, "compile_collective_schedule", tiny_budget_compile)
         schedule, packet = one_to_all_broadcast(net, speaker=0, payload="z")
-        for backend in ("batched", "batched-collective"):
-            result = POPSSimulator(net, backend=backend).run(schedule, [packet])
-            assert result.packets_at(4)[0].payload == "z"
+        result = POPSSimulator(net, backend="batched").run(schedule, [packet])
+        assert result.packets_at(4)[0].payload == "z"
 
     def test_oversized_state_raises_unsupported(self, net):
         schedule, packet = one_to_all_broadcast(net, speaker=0)
@@ -354,7 +351,7 @@ class TestBatchedDispatch:
     def test_payload_divergent_copies_fall_back_to_reference(self):
         """Value-equal packets with different payloads cannot be collapsed
         into one universe entry: the collective compiler bows out and every
-        dispatching backend lands on the reference, which tracks each
+        dispatching engine lands on the reference, which tracks each
         buffered instance — so both payloads are delivered."""
         net = POPSNetwork(2, 2)
         copies = [Packet(0, 2, payload="A"), Packet(0, 2, payload="B")]
@@ -373,11 +370,10 @@ class TestBatchedDispatch:
             schedule, [], initial_buffers={p: list(h) for p, h in buffers.items()}
         )
         assert sorted(p.payload for p in expected.packets_at(2)) == ["A", "B"]
-        for backend in ("batched", "batched-collective"):
-            result = POPSSimulator(net, backend=backend).run(
-                schedule, [], initial_buffers={p: list(h) for p, h in buffers.items()}
-            )
-            assert sorted(q.payload for q in result.packets_at(2)) == ["A", "B"]
+        result = POPSSimulator(net, backend="batched").run(
+            schedule, [], initial_buffers={p: list(h) for p, h in buffers.items()}
+        )
+        assert sorted(q.payload for q in result.packets_at(2)) == ["A", "B"]
 
 class TestCollectiveCaching:
     def workload(self):
@@ -464,11 +460,15 @@ class TestSessionIntegration:
         assert materialized.coupler_usage() == reference.trace.coupler_usage()
         assert materialized.receiver_usage() == reference.trace.receiver_usage()
 
-    def test_run_config_accepts_new_engines(self):
+    def test_collective_engine_has_no_engine_name(self):
+        # The collective engine is reached through ``batched``, which hands
+        # it every duplicating schedule.
         from repro.api import RunConfig
+        from repro.api.registry import SIM_ENGINES
+        from repro.exceptions import ConfigurationError
 
-        assert (
-            RunConfig(sim_backend="batched-collective").sim_backend
-            == "batched-collective"
-        )
+        assert SIM_ENGINES.names() == ("reference", "batched")
+        assert POPSSimulator.BACKENDS == SIM_ENGINES.names()
+        with pytest.raises(ConfigurationError, match="batched-collective"):
+            RunConfig(sim_backend="batched-collective")
 

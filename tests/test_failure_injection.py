@@ -23,6 +23,7 @@ from repro.exceptions import (
     SimulationError,
     TransmitterError,
 )
+from repro.pops.collective_engine import CollectiveSimulator
 from repro.pops.packet import Packet
 from repro.pops.schedule import Reception, Transmission
 from repro.pops.simulator import POPSSimulator
@@ -184,12 +185,19 @@ _CORRUPTIONS = {
 }
 
 
-def _failure_class(network, plan, backend: str):
-    """Exception class a corrupted plan raises on ``backend`` (run or verify)."""
+#: Simulator runners by name: the two engines, and the collective engine
+#: that ``batched`` hands duplicating schedules to, called directly.
+_RUNNERS = {
+    "reference": lambda network: POPSSimulator(network).run,
+    "batched": lambda network: POPSSimulator(network, backend="batched").run,
+    "collective": lambda network: CollectiveSimulator(network).run,
+}
+
+
+def _failure_class(network, plan, runner: str):
+    """Exception class a corrupted plan raises on ``runner`` (run or verify)."""
     try:
-        result = POPSSimulator(network, backend=backend).run(
-            plan.schedule, plan.packets
-        )
+        result = _RUNNERS[runner](network)(plan.schedule, plan.packets)
     except Exception as exc:  # noqa: BLE001 - the class is the assertion
         return type(exc)
     try:
@@ -209,7 +217,7 @@ class TestCorruptionParityAcrossEngines:
     depending on which engine happened to execute the schedule.
     """
 
-    @pytest.mark.parametrize("backend", ("batched", "batched-collective"))
+    @pytest.mark.parametrize("backend", ("batched", "collective"))
     @pytest.mark.parametrize("corruption", sorted(_CORRUPTIONS))
     @given(seed=st.integers(min_value=0, max_value=2**20))
     @settings(max_examples=6, deadline=None)

@@ -20,6 +20,7 @@ from repro.pops.topology import POPSNetwork
 from repro.routing.fair_distribution import (
     FairDistribution,
     FairDistributionSolver,
+    coloring_instance_count,
     verify_fair_distribution,
     verify_fair_distribution_stack,
 )
@@ -222,6 +223,30 @@ class TestPadFreeConstruction:
                 assert row.tolist() == [
                     list(entry) for entry in solver.solve(system).assignment
                 ]
+
+
+class TestColoringInstanceCount:
+    """The per-system instance count behind the kernel tile and the daemon's
+    work bound equals the edge count of the graph Theorem 1 colours."""
+
+    @pytest.mark.parametrize(
+        "d,g", [(4, 4), (8, 4), (2, 8), (3, 7), (12, 64), (6, 10)],
+        ids=lambda s: str(s),
+    )
+    def test_matches_the_coloured_graph(self, d, g, rng):
+        from repro.graph.regularize import pad_to_regular
+
+        system = ListSystem.from_permutation(random_permutation(d * g, rng), d, g)
+        core = system.to_multigraph()
+        n2 = system.n_targets
+        graph = core if n2 % d == 0 else pad_to_regular(core, n2).graph
+        assert coloring_instance_count(g, d, n2) == graph.n_edges
+
+    def test_pad_free_shapes_colour_n_instances(self):
+        for d, g in [(32, 32), (64, 16), (16, 64), (4, 256), (1, 8)]:
+            assert coloring_instance_count(g, d, max(d, g)) == d * g
+        # The padded shape the serve daemon refuses: 8.4 M instances.
+        assert coloring_instance_count(2048, 3, 2048) == 2048 * (2 * 2048 - 3)
 
 
 class TestSolveArrayBatchBoundary:

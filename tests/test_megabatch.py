@@ -3,9 +3,9 @@
 Pins the ISSUE 6 acceptance criteria:
 
 * ``route_compiled_batch()`` / ``execute_batch()`` are bit-identical, element
-  by element (including dtypes), to the per-trial kernels — across router
-  backends (array backends take the batched array pipeline, others stack
-  object-level plans), batch sizes B ∈ {1, 2, 7, 64}, and n up to 1024;
+  by element (including dtypes), to the per-trial kernels — across the array
+  router backends, batch sizes B ∈ {1, 2, 7, 64}, n up to 1024, and stacks
+  the colouring kernel takes in several row slices;
 * ``Session.route``, the rows of ``route_batch()`` and the object arbiter
   return equal metrics, field types included, on every shape class;
 * sharded sweeps merge deterministically: shard size and engine choice never
@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 
 from repro.analysis.metrics import RoutingMetrics
 from repro.api import RunConfig, Session
+from repro.exceptions import ConfigurationError
 from repro.graph.array_coloring import ARRAY_COLORING_STACK_KERNELS
 from repro.pops.engine import BatchedSimulator, CompiledSchedule
 from repro.pops.topology import POPSNetwork
@@ -33,6 +34,7 @@ from repro.utils.validation import check_permutation_stack
 
 ALL_SHAPES = [(1, 6), (2, 8), (4, 4), (3, 7), (8, 4), (9, 3), (7, 5), (5, 1)]
 ARRAY_BACKENDS = sorted(ARRAY_COLORING_STACK_KERNELS)
+OBJECT_BACKENDS = ["euler", "konig"]
 
 ARRAY_FIELDS = [
     field.name
@@ -61,9 +63,7 @@ def permutation_stack(network: POPSNetwork, rng, n_batch: int) -> np.ndarray:
 
 
 class TestBatchedRoutingBitIdentity:
-    @pytest.mark.parametrize(
-        "backend", ["konig", "euler", "konig-array", "euler-array"]
-    )
+    @pytest.mark.parametrize("backend", ARRAY_BACKENDS)
     @pytest.mark.parametrize("d,g", ALL_SHAPES, ids=lambda s: str(s))
     def test_elements_match_per_trial_route_compiled(self, d, g, backend, rng):
         network = POPSNetwork(d, g)
@@ -76,6 +76,37 @@ class TestBatchedRoutingBitIdentity:
                 assert_bit_identical(
                     router.route_compiled(pis[b].tolist()), batch.element(b)
                 )
+
+    @pytest.mark.parametrize("backend", OBJECT_BACKENDS)
+    @pytest.mark.parametrize("d,g", ALL_SHAPES, ids=lambda s: str(s))
+    def test_object_backend_stacks_route_row_by_row(
+        self, d, g, backend, rng, monkeypatch
+    ):
+        # An object backend has no stack kernel: ``route_compiled_batch``
+        # refuses it, and ``route_batch`` on ``batched`` measures each row
+        # through the arbiter, equal to the reference simulator's rows.
+        network = POPSNetwork(d, g)
+        with pytest.raises(ConfigurationError, match="no array colouring kernel"):
+            PermutationRouter(network, backend=backend).route_compiled_batch(
+                permutation_stack(network, rng, 2)
+            )
+        monkeypatch.setattr(
+            PermutationRouter, "route_compiled_batch",
+            lambda *a, **k: pytest.fail("object backend reached the stack path"),
+        )
+        on_batched = Session(RunConfig(router_backend=backend, sim_backend="batched"))
+        on_reference = Session(
+            RunConfig(router_backend=backend, sim_backend="reference")
+        )
+        for n_batch in (1, 3):
+            pis = permutation_stack(network, rng, n_batch)
+            rows = on_batched.route_batch(pis, network=network)
+            expected = [on_reference.route(pi, network=network) for pi in pis]
+            assert rows == expected
+            for pair in zip(rows, expected):
+                for field in dataclasses.fields(RoutingMetrics):
+                    types = {type(getattr(metrics, field.name)) for metrics in pair}
+                    assert len(types) == 1, (field.name, types)
 
     @pytest.mark.parametrize("d,g", ALL_SHAPES, ids=lambda s: str(s))
     def test_execute_batch_matches_per_element_execution(self, d, g, rng):
@@ -142,6 +173,34 @@ class TestBatchedRoutingBitIdentity:
                 router.route_compiled(pis[b].tolist()), batch.element(b)
             )
 
+    @pytest.mark.parametrize("backend", ARRAY_BACKENDS)
+    def test_kernel_row_slices_are_bit_identical(self, backend, rng, monkeypatch):
+        # 12×64 pads (12 ∤ 64): m = 64·(2·64 − 12) = 7424 instances a row, so
+        # the 2**14-instance tile holds 2 rows and a B = 3 stack is coloured
+        # in two kernel calls.  The spy only observes the calls.
+        from repro.routing.fair_distribution import (
+            KERNEL_TILE_INSTANCES,
+            coloring_instance_count,
+        )
+
+        assert KERNEL_TILE_INSTANCES // coloring_instance_count(64, 12, 64) == 2
+        network = POPSNetwork(12, 64)
+        pis = permutation_stack(network, rng, 3)
+        kernel = ARRAY_COLORING_STACK_KERNELS[backend]
+        rows_per_call = []
+
+        def spy(left, *args):
+            rows_per_call.append(left.shape[0])
+            return kernel(left, *args)
+
+        monkeypatch.setitem(ARRAY_COLORING_STACK_KERNELS, backend, spy)
+        router = PermutationRouter(network, backend=backend)
+        batch = router.route_compiled_batch(pis)
+        assert rows_per_call == [2, 1]
+        for b in range(pis.shape[0]):
+            assert_bit_identical(router.route_compiled(pis[b]), batch.element(b))
+        assert rows_per_call == [2, 1, 1, 1, 1]
+
     def test_large_stack_at_n_1024(self, rng):
         network = POPSNetwork(32, 32)
         router = PermutationRouter(network, backend="euler-array")
@@ -181,7 +240,7 @@ class TestBatchedRoutingBitIdentity:
 
 class TestSessionRouteBatch:
     @pytest.mark.parametrize(
-        "sim_backend", ["reference", "batched", "batched-collective"]
+        "sim_backend", ["reference", "batched"]
     )
     def test_metrics_identical_to_per_trial_route(self, network, rng, sim_backend):
         pis = permutation_stack(network, rng, 4)
@@ -232,8 +291,9 @@ class TestOnePipelineDifferential:
 
     ``Session.route`` is the ``(1, n)`` case of the batch pipeline; the
     ``euler`` router on the ``reference`` simulator shares no kernel with it.
-    ``d < g`` stacks route row by row, because the padded batch plan builders
-    lose to per-row routing there.
+    The default ``euler-array`` + ``batched`` pair routes every stack whole,
+    in one ``route_compiled_batch`` call, at every shape: the only size rule
+    is the colouring kernel's row tile inside the fair-distribution solver.
     """
 
     #: d = 1, d < g, d = g and d > g.
@@ -253,7 +313,7 @@ class TestOnePipelineDifferential:
         monkeypatch.setattr(PermutationRouter, "route_compiled_batch", spy)
         fast = Session()
         rows = fast.route_batch(pis, network=network)
-        assert rows_routed == ([1] * len(pis) if d < g else [len(pis)])
+        assert rows_routed == [len(pis)]
         singles = [fast.route(pi, network=network) for pi in pis]
         arbiter = Session(RunConfig(router_backend="euler", sim_backend="reference"))
         expected = [arbiter.route(pi.tolist(), network=network) for pi in pis]

@@ -3,7 +3,8 @@
 Pins the ISSUE 5 acceptance criteria:
 
 * ``route_compiled()`` is bit-identical to compile-after-route for every
-  router backend (array backends take the array pipeline, others fall back);
+  array router backend, and raises ``ConfigurationError`` for the object
+  backends, which route only through ``route()``;
 * array-backend plans are equivalent to reference-backend plans — same slot
   counts, Theorem 2 bound exact, packets verifiably delivered — on every
   routing regime including hypothesis-generated permutations;
@@ -21,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import RunConfig, Session
-from repro.exceptions import ValidationError
+from repro.exceptions import ConfigurationError, ValidationError
 from repro.graph.array_coloring import ARRAY_COLORING_STACK_KERNELS
 from repro.pops.engine import BatchedSimulator, CompiledSchedule, compile_schedule
 from repro.pops.simulator import POPSSimulator
@@ -31,6 +32,7 @@ from repro.utils.permutations import random_permutation
 
 ALL_SHAPES = [(1, 1), (1, 6), (2, 8), (4, 4), (3, 7), (8, 4), (9, 3), (7, 5), (5, 1), (6, 4)]
 ARRAY_BACKENDS = sorted(ARRAY_COLORING_STACK_KERNELS)
+OBJECT_BACKENDS = ["euler", "konig"]
 
 ARRAY_FIELDS = [
     field.name
@@ -50,9 +52,7 @@ def assert_bit_identical(a: CompiledSchedule, b: CompiledSchedule) -> None:
 
 
 class TestBitIdenticalToCompileAfterRoute:
-    @pytest.mark.parametrize(
-        "backend", ["konig", "euler", "konig-array", "euler-array"]
-    )
+    @pytest.mark.parametrize("backend", ARRAY_BACKENDS)
     @pytest.mark.parametrize("d,g", ALL_SHAPES, ids=lambda s: str(s))
     def test_route_compiled_equals_lowered_plan(self, d, g, backend, rng):
         network = POPSNetwork(d, g)
@@ -83,6 +83,38 @@ class TestBitIdenticalToCompileAfterRoute:
         assert compiled.n_slots == theorem2_slot_bound(d, g)
         engine = BatchedSimulator(network)
         engine.verify_locations(compiled, engine.execute(compiled))
+
+
+class TestObjectBackendsOnTheBatchedEngine:
+    """The object backends have no array colouring kernel: their plans reach
+    the batched engine only lowered by ``compile_schedule``, and a session
+    pairing them with ``batched`` routes through the row-by-row arbiter."""
+
+    @pytest.mark.parametrize("backend", OBJECT_BACKENDS)
+    @pytest.mark.parametrize("d,g", ALL_SHAPES, ids=lambda s: str(s))
+    def test_lowered_plan_delivers_and_metrics_match_reference(
+        self, d, g, backend, rng
+    ):
+        network = POPSNetwork(d, g)
+        router = PermutationRouter(network, backend=backend)
+        engine = BatchedSimulator(network)
+        on_batched = Session(RunConfig(router_backend=backend, sim_backend="batched"))
+        on_reference = Session(
+            RunConfig(router_backend=backend, sim_backend="reference")
+        )
+        for _ in range(2):
+            pi = random_permutation(network.n, rng)
+            plan = router.route(pi)
+            compiled = compile_schedule(network, plan.schedule, plan.packets)
+            assert compiled.n_slots == plan.n_slots == theorem2_slot_bound(d, g)
+            engine.verify_locations(compiled, engine.execute(compiled))
+            expected = on_reference.route(pi, network=network)
+            got = on_batched.route(pi, network=network)
+            assert got == expected
+            for field in dataclasses.fields(got):
+                assert type(getattr(got, field.name)) is type(
+                    getattr(expected, field.name)
+                ), field.name
 
 
 class TestPlanEquivalenceAcrossBackends:
@@ -120,13 +152,7 @@ class TestPlanEquivalenceAcrossBackends:
         assert fast == reference
 
 
-class TestValidationAndFallback:
-    def test_session_route_compiled_validates_network_args(self):
-        from repro.exceptions import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
-            Session().route_compiled([0, 1, 2, 3], d=2)
-
+class TestValidation:
     def test_invalid_permutation_rejected(self):
         router = PermutationRouter(POPSNetwork(2, 2), backend="euler-array")
         with pytest.raises(ValidationError):
@@ -136,13 +162,18 @@ class TestValidationAndFallback:
         with pytest.raises(ValidationError):
             router.route_compiled([0, 1, 2, 7])  # out of range
 
-    def test_non_array_backend_falls_back_to_object_route(self, rng):
-        network = POPSNetwork(3, 3)
+    @pytest.mark.parametrize("backend", ["konig", "euler"])
+    @pytest.mark.parametrize("d,g", [(1, 6), (3, 3)], ids=lambda s: str(s))
+    def test_non_array_backend_raises_configuration_error(self, d, g, backend, rng):
+        network = POPSNetwork(d, g)
         pi = random_permutation(network.n, rng)
-        router = PermutationRouter(network, backend="konig")
-        plan = router.route(pi)
-        reference = compile_schedule(network, plan.schedule, plan.packets)
-        assert_bit_identical(reference, router.route_compiled(pi))
+        router = PermutationRouter(network, backend=backend)
+        with pytest.raises(ConfigurationError, match="no array colouring kernel"):
+            router.route_compiled(pi)
+        with pytest.raises(ConfigurationError, match="no array colouring kernel"):
+            router.route_compiled_batch([pi])
+        # The object pipeline still routes it.
+        assert router.route(pi).meets_theorem2_bound
 
     def test_verify_false_still_produces_identical_plan(self, rng):
         network = POPSNetwork(4, 4)

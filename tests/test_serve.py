@@ -304,6 +304,25 @@ class TestDaemonProtocolEdges:
                 assert client.ping()
 
 
+    def test_oversized_coloring_work_rejected_before_routing(self):
+        # d = 3, g = 2048 pads to g(2g − d) = 8.4 M edge instances (~37 s and
+        # 1.3 GB on the worker thread); the daemon refuses it at parse time.
+        # Pad-free shapes colour only n instances and are never refused.
+        big = np.random.default_rng(3).permutation(3 * 2048).tolist()
+        with ServeDaemon() as daemon:
+            with ServeClient(*daemon.address, timeout=30.0) as client:
+                start = time.perf_counter()
+                with pytest.raises(ServeError) as excinfo:
+                    client.request({"op": "route", "pi": big, "d": 3, "g": 2048})
+                assert time.perf_counter() - start < 1.0
+                assert excinfo.value.code == protocol.ERR_BAD_REQUEST
+                assert "edge instances" in str(excinfo.value)
+                assert client.health()["status"] == "ok"
+                pi = random_pis(21, 1)[0]
+                outcome = client.route(pi, d=3, g=7)
+                assert outcome.metrics == Session().route(pi, d=3, g=7)
+
+
 # ---------------------------------------------------------------------------
 # natural batching: take what is queued, never wait for more
 

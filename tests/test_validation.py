@@ -44,6 +44,21 @@ class TestCheckPositiveInt:
         with pytest.raises(ValidationError, match="banana"):
             check_positive_int(-1, "banana")
 
+    @pytest.mark.parametrize("value", [np.int64(4), np.int32(4), np.uint8(4)])
+    def test_accepts_numpy_integer_scalars_as_python_int(self, value):
+        result = check_positive_int(value, "x")
+        assert result == 4 and type(result) is int
+
+    @pytest.mark.parametrize(
+        "value", [True, np.True_, 2.0, np.float64(2.0), "2", None],
+        ids=["bool", "numpy-bool", "float", "numpy-float", "str", "none"],
+    )
+    def test_rejects_non_integers(self, value):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            check_positive_int(value, "x")
+        with pytest.raises(ValidationError, match="must be an integer"):
+            check_non_negative_int(value, "x")
+
 
 class TestCheckNonNegativeInt:
     def test_accepts_zero(self):
@@ -56,6 +71,10 @@ class TestCheckNonNegativeInt:
     def test_rejects_bool(self):
         with pytest.raises(ValidationError):
             check_non_negative_int(False, "x")
+
+    def test_accepts_numpy_zero_as_python_int(self):
+        result = check_non_negative_int(np.int64(0), "x")
+        assert result == 0 and type(result) is int
 
 
 class TestCheckInRange:
