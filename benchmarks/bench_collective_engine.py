@@ -1,7 +1,7 @@
 """Collective engine benchmarks: broadcast schedules at n >= 1024.
 
-The collective engine (`repro.pops.collective_engine`), to which the
-``batched`` engine hands duplicating schedules, is measured here:
+The collective engine (`repro.pops.collective_engine`), whose copy-count
+state the ``batched`` engine folds duplicating schedules into, is measured here:
 packet-duplicating schedules — exactly the broadcast /
 multi-reader shapes the collective algorithms produce — used to fall back to
 the slow reference simulator.  This module measures both engines on one-slot
@@ -63,8 +63,8 @@ def test_broadcast_reference_engine(benchmark, d, g):
 @pytest.mark.parametrize("d,g", BROADCAST_SHAPES, ids=SHAPE_IDS)
 def test_broadcast_collective_engine(benchmark, d, g):
     network, schedule, packets = broadcast_rounds_workload(d, g)
-    engine = CollectiveSimulator(network)
-    result = benchmark(lambda: engine.run(schedule, packets))
+    simulator = POPSSimulator(network, backend="batched")
+    result = benchmark(lambda: simulator.run(schedule, packets))
     assert result.n_slots == schedule.n_slots
 
 
@@ -121,7 +121,8 @@ def test_collective_engine_speedup_floor(bench_emit, d, g):
 
     t_reference = _best_of(run_reference)
     t_collective = _best_of(run_collective)
-    t_cold_run = _best_of(lambda: engine.run(schedule, packets))
+    batched = POPSSimulator(network, backend="batched")
+    t_cold_run = _best_of(lambda: batched.run(schedule, packets))
     compiled = engine.compile(schedule, packets)
     t_execute = _best_of(lambda: engine.execute(compiled))
     speedup = t_reference / t_collective

@@ -1,9 +1,9 @@
 """Compiled-trace pipeline benchmarks: numpy reductions vs materialized dicts,
 and the compiled-schedule cache.
 
-PR 1 made slot *execution* vectorized but still materialised per-slot Python
-dicts (``trace_from_compiled``) before any statistic could be read.  This
-module pins the two wins of keeping traces compiled end to end:
+Vectorized slot *execution* alone still materialised per-slot Python dicts
+before any statistic could be read.  This module pins the two wins of keeping
+traces compiled end to end:
 
 * analysis-layer statistics (packets moved, coupler usage, utilisation)
   computed as numpy reductions over the CSR arrays must be at least **5x**

@@ -70,7 +70,8 @@ def execute_broadcast(
     ``session`` to choose the engine/cache explicitly; ``cache_key`` memoises
     the compiled schedule in the session's cache (sound only when the key
     determines network, speaker *and* payload — see
-    :meth:`repro.pops.collective_engine.CollectiveSimulator.compile`).
+    :func:`repro.pops.engine.compile_state`, the one place the cache is
+    read; a broadcast is stored in its copy-count layout).
     """
     schedule, packet = one_to_all_broadcast(network, speaker, payload)
     result = collective_session(session).simulate(

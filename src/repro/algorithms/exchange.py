@@ -13,7 +13,7 @@ the engine are what benchmark E8 reports.
 Compiled schedules are *not* memoised across rounds: the packets carry the
 round's values as payloads, and a cache hit would resurrect the first round's
 payload-carrying universe (the documented key contract of
-:meth:`repro.pops.engine.BatchedSimulator.compile`), so each round compiles
+:func:`repro.pops.engine.compile_state`), so each round compiles
 fresh and only the execution is vectorized.
 """
 

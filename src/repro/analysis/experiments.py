@@ -200,6 +200,60 @@ def _sweep_row(d: int, g: int, slots_seen: set[int], verified: bool) -> list[Any
     ]
 
 
+def _sweep_rows(
+    session: Session,
+    configs: Sequence[tuple[int, int]],
+    trials: int,
+    seed: int | None,
+    shard: int,
+    workers: int | None,
+) -> list[list[Any]]:
+    """The one E1/E1p sweep body: shard every configuration's trials, route
+    the shards (across ``workers`` processes unless ``workers == 0`` or there
+    is a single shard) and merge them into one row per configuration.
+
+    Per-trial seeds are derived once per configuration and sliced into
+    shards of at most ``shard`` trials, so sharding adds no redundant seed
+    derivation and any shard can run in any worker with bit-identical
+    results.  The whole config crosses the process boundary (it round-trips
+    through ``RunConfig(**fields)``), so pool workers route exactly as
+    ``session``.
+    """
+    rng = resolve_rng(seed)
+    config_fields = session.config.to_dict()
+    tasks = []
+    task_config: list[int] = []  # task index -> config index
+    for ci, (d, g) in enumerate(configs):
+        trial_seeds = derive_trial_seeds(rng.randrange(2**31), trials).tolist()
+        for lo in range(0, trials, shard):
+            tasks.append((d, g, tuple(trial_seeds[lo:lo + shard]), config_fields))
+            task_config.append(ci)
+
+    shards: list[tuple[list[int], bool]] | None = None
+    if workers != 0 and len(tasks) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
+        try:
+            with ProcessPoolExecutor(max_workers=workers) as executor:
+                shards = list(executor.map(_theorem2_shard, tasks))
+        except (OSError, BrokenProcessPool):  # pragma: no cover - sandboxed hosts
+            shards = None
+    if shards is None:
+        shards = [_theorem2_shard(task, session=session) for task in tasks]
+
+    # Merge shard results per configuration (set-union / AND, order-free).
+    merged_slots: list[set[int]] = [set() for _ in configs]
+    merged_verified = [True] * len(configs)
+    for ci, (slots_seen, verified) in zip(task_config, shards):
+        merged_slots[ci].update(slots_seen)
+        merged_verified[ci] = merged_verified[ci] and verified
+    return [
+        _sweep_row(d, g, merged_slots[ci], merged_verified[ci])
+        for ci, (d, g) in enumerate(configs)
+    ]
+
+
 @EXPERIMENTS.register("E1")
 def _theorem2_sweep(
     session: Session,
@@ -210,27 +264,18 @@ def _theorem2_sweep(
     """E1: the universal router uses exactly 1 / 2⌈d/g⌉ slots on random permutations.
 
     Every routing is executed on the session's engine and verified for
-    delivery.
+    delivery.  Runs the E1p sweep body serially, one shard per configuration.
     """
     trials = session.config.trials if trials is None else trials
     seed = session.config.seed if seed is None else seed
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
-    rng = resolve_rng(seed)
-    config_fields = session.config.to_dict()
-    rows: list[list[Any]] = []
-    for d, g in configs:
-        trial_seeds = tuple(derive_trial_seeds(rng.randrange(2**31), trials).tolist())
-        slots_seen, verified = _theorem2_shard(
-            (d, g, trial_seeds, config_fields), session=session
-        )
-        rows.append(_sweep_row(d, g, set(slots_seen), verified))
     return ExperimentResult(
         experiment_id="E1",
         title="Theorem 2 slot counts over a (d, g) sweep",
         claim="any permutation routes in 1 slot (d=1) or 2*ceil(d/g) slots (d>1)",
         headers=["d", "g", "n", "bound", "min slots", "max slots", "matches bound"],
-        rows=rows,
+        rows=_sweep_rows(session, configs, trials, seed, shard=trials, workers=0),
         notes={
             "trials per configuration": trials,
             "backend": session.config.router_backend,
@@ -258,56 +303,15 @@ def _parallel_sweep(
     """
     config = session.config
     trials = config.trials
-    max_workers = config.workers
-    shard_trials = config.shard_trials
-    rng = resolve_rng(config.seed)
-    config_seeds = [rng.randrange(2**31) for _ in configs]
-    shard = trials if shard_trials is None else min(shard_trials, trials)
-    # The whole config crosses the process boundary (it round-trips through
-    # ``RunConfig(**fields)``), so pool workers route exactly as this session.
-    config_fields = config.to_dict()
-    tasks = []
-    task_config: list[int] = []  # task index -> config index
-    for ci, (d, g) in enumerate(configs):
-        # Per-trial seeds are derived once per configuration and sliced into
-        # shards, so sharding adds no redundant seed derivation and any shard
-        # can run in any worker with bit-identical results.
-        trial_seeds = derive_trial_seeds(config_seeds[ci], trials).tolist()
-        for lo in range(0, trials, shard):
-            chunk = tuple(trial_seeds[lo:lo + shard])
-            tasks.append((d, g, chunk, config_fields))
-            task_config.append(ci)
-
-    shards: list[tuple[list[int], bool]] | None = None
-    if max_workers != 0 and len(tasks) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
-
-        try:
-            with ProcessPoolExecutor(max_workers=max_workers) as executor:
-                shards = list(executor.map(_theorem2_shard, tasks))
-        except (OSError, BrokenProcessPool):  # pragma: no cover - sandboxed hosts
-            shards = None
-    if shards is None:
-        shards = [_theorem2_shard(task, session=session) for task in tasks]
-
-    # Merge shard results per configuration (set-union / AND, order-free).
-    merged_slots: list[set[int]] = [set() for _ in configs]
-    merged_verified = [True] * len(configs)
-    for ci, (slots_seen, verified) in zip(task_config, shards):
-        merged_slots[ci].update(slots_seen)
-        merged_verified[ci] = merged_verified[ci] and verified
-    rows = [
-        _sweep_row(d, g, merged_slots[ci], merged_verified[ci])
-        for ci, (d, g) in enumerate(configs)
-    ]
+    shard = trials if config.shard_trials is None else min(config.shard_trials, trials)
+    rows = _sweep_rows(session, configs, trials, config.seed, shard, config.workers)
     notes: dict[str, Any] = {
         "trials per configuration": trials,
         "backend": config.router_backend,
         "simulator backend": config.sim_backend,
-        "max workers": max_workers if max_workers is not None else "auto",
+        "max workers": config.workers if config.workers is not None else "auto",
     }
-    if shard_trials is not None:
+    if config.shard_trials is not None:
         notes["trials per shard"] = shard
     return ExperimentResult(
         experiment_id="E1p",

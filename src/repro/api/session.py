@@ -237,7 +237,7 @@ class Session:
         Pass ``cache_key`` to memoise the compiled schedule in the
         session-owned cache; the caller asserts the key fully determines
         ``(schedule, packets)`` — the contract of
-        :meth:`repro.pops.engine.BatchedSimulator.compile`.  No key is
+        :func:`repro.pops.engine.compile_state`.  No key is
         derived automatically because arbitrary schedules, unlike the
         deterministic router's, have no sound generic key.
         """

@@ -437,23 +437,30 @@ def _print_json(payload: object) -> None:
     print(json.dumps(payload, indent=2))
 
 
+def _print_result(
+    args: argparse.Namespace, profile: dict | None, payload: dict, text: str
+) -> None:
+    """Print ``payload`` as JSON (``profile`` merged under a ``"profile"`` key)
+    or ``text`` followed by the rendered ``--profile`` tree."""
+    if args.format == "json":
+        if profile is not None:
+            payload["profile"] = profile
+        _print_json(payload)
+        return
+    print(text)
+    if profile is not None:
+        from repro.obs import render_profile
+
+        print()
+        print(render_profile(profile))
+
+
 def _command_run(args: argparse.Namespace) -> int:
     session = Session(RunConfig.from_cli_args(args))
     tracer = _tracer_from_args(args)
     result = session.experiment(args.experiment)
     profile = _conclude_tracing(args, tracer)
-    if args.format == "json":
-        payload = result.to_dict()
-        if profile is not None:
-            payload["profile"] = profile
-        _print_json(payload)
-    else:
-        print(result.to_report())
-        if profile is not None:
-            from repro.obs import render_profile
-
-            print()
-            print(render_profile(profile))
+    _print_result(args, profile, result.to_dict(), result.to_report())
     return 0 if result.all_pass else 1
 
 
@@ -486,29 +493,22 @@ def _command_route(args: argparse.Namespace) -> int:
     tracer = _tracer_from_args(args)
     metrics = session.route(pi, network=network)
     profile = _conclude_tracing(args, tracer)
-    if args.format == "json":
-        payload = {
-            "network": {"d": args.d, "g": args.g, "n": network.n},
-            "family": args.family,
-            "config": config.to_dict(),
-            "metrics": metrics.to_dict(),
-        }
-        if profile is not None:
-            payload["profile"] = profile
-        _print_json(payload)
-    else:
-        print(f"network          : POPS(d={args.d}, g={args.g}), n={network.n}")
-        print(f"family           : {args.family}")
-        print(f"simulator        : {config.sim_backend}")
-        print(f"slots used       : {metrics.slots}")
-        print(f"theorem 2 bound  : {metrics.theorem2_bound}")
-        print(f"lower bound      : {metrics.lower_bound}")
-        print(f"coupler use/slot : {metrics.mean_coupler_utilisation:.3f}")
-        if profile is not None:
-            from repro.obs import render_profile
-
-            print()
-            print(render_profile(profile))
+    payload = {
+        "network": {"d": args.d, "g": args.g, "n": network.n},
+        "family": args.family,
+        "config": config.to_dict(),
+        "metrics": metrics.to_dict(),
+    }
+    text = "\n".join((
+        f"network          : POPS(d={args.d}, g={args.g}), n={network.n}",
+        f"family           : {args.family}",
+        f"simulator        : {config.sim_backend}",
+        f"slots used       : {metrics.slots}",
+        f"theorem 2 bound  : {metrics.theorem2_bound}",
+        f"lower bound      : {metrics.lower_bound}",
+        f"coupler use/slot : {metrics.mean_coupler_utilisation:.3f}",
+    ))
+    _print_result(args, profile, payload, text)
     return 0 if metrics.meets_theorem2_bound else 1
 
 
@@ -524,34 +524,27 @@ def _route_with_faults(args, config, session, network, pi) -> int:
         print(f"route: {exc}", file=sys.stderr)
         return 2
     profile = _conclude_tracing(args, tracer)
-    if args.format == "json":
-        payload = {
-            "network": {"d": args.d, "g": args.g, "n": network.n},
-            "family": args.family,
-            "faults": args.faults.to_dict(),
-            "config": config.to_dict(),
-            "report": report.to_dict(),
-        }
-        if profile is not None:
-            payload["profile"] = profile
-        _print_json(payload)
-    else:
-        print(f"network          : POPS(d={args.d}, g={args.g}), n={network.n}")
-        print(f"family           : {args.family}")
-        print(f"faults           : {args.faults.describe()}")
-        print(f"fault triggered  : {report.fault_triggered}")
-        print(f"executed slots   : {report.executed_slots}")
-        print(f"residual packets : {report.residual_packets}")
-        print(f"reroute slots    : {report.reroute_slots}")
-        print(f"total slots      : {report.total_slots}")
-        print(f"theorem 2 bound  : {report.theorem2_bound}")
-        print(f"overhead ratio   : {report.overhead_ratio:.3f}")
-        print(f"delivered        : {report.delivered}")
-        if profile is not None:
-            from repro.obs import render_profile
-
-            print()
-            print(render_profile(profile))
+    payload = {
+        "network": {"d": args.d, "g": args.g, "n": network.n},
+        "family": args.family,
+        "faults": args.faults.to_dict(),
+        "config": config.to_dict(),
+        "report": report.to_dict(),
+    }
+    text = "\n".join((
+        f"network          : POPS(d={args.d}, g={args.g}), n={network.n}",
+        f"family           : {args.family}",
+        f"faults           : {args.faults.describe()}",
+        f"fault triggered  : {report.fault_triggered}",
+        f"executed slots   : {report.executed_slots}",
+        f"residual packets : {report.residual_packets}",
+        f"reroute slots    : {report.reroute_slots}",
+        f"total slots      : {report.total_slots}",
+        f"theorem 2 bound  : {report.theorem2_bound}",
+        f"overhead ratio   : {report.overhead_ratio:.3f}",
+        f"delivered        : {report.delivered}",
+    ))
+    _print_result(args, profile, payload, text)
     return 0 if report.delivered else 1
 
 
@@ -584,18 +577,7 @@ def _command_sweep(args: argparse.Namespace) -> int:
     tracer = _tracer_from_args(args)
     result = session.sweep(args.configs)
     profile = _conclude_tracing(args, tracer)
-    if args.format == "json":
-        payload = result.to_dict()
-        if profile is not None:
-            payload["profile"] = profile
-        _print_json(payload)
-    else:
-        print(result.to_report())
-        if profile is not None:
-            from repro.obs import render_profile
-
-            print()
-            print(render_profile(profile))
+    _print_result(args, profile, result.to_dict(), result.to_report())
     return 0 if result.all_pass else 1
 
 

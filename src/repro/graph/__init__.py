@@ -23,7 +23,6 @@ from repro.graph.matching import (
 )
 from repro.graph.euler import euler_partition, euler_split
 from repro.graph.regularize import (
-    biregular_pad,
     biregular_pad_arrays,
     pad_to_regular,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "perfect_matching_regular",
     "euler_partition",
     "euler_split",
-    "biregular_pad",
     "biregular_pad_arrays",
     "pad_to_regular",
     "EdgeColoring",

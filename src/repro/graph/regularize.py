@@ -30,85 +30,30 @@ from repro.graph.multigraph import BipartiteMultigraph
 from repro.utils.validation import check_non_negative_int, check_positive_int
 
 __all__ = [
-    "biregular_pad",
     "biregular_pad_arrays",
     "pad_to_regular",
     "PaddedGraph",
 ]
 
 
-def biregular_pad(
-    n_new: int, n_existing: int, new_degree: int, existing_degree: int
-) -> BipartiteMultigraph:
-    """Construct an ``(new_degree, existing_degree)``-biregular bipartite multigraph.
-
-    The graph has ``n_new`` left vertices of degree ``new_degree`` and
-    ``n_existing`` right vertices of degree ``existing_degree``.  Such a graph
-    exists iff ``n_new * new_degree == n_existing * existing_degree``; it is
-    built by laying out the required edge endpoints of both sides in round-robin
-    order and zipping them, which distributes multiplicities as evenly as
-    possible (a plain multigraph is sufficient for the König argument).
-
-    A graph with zero left vertices (or zero required degree) is represented by
-    an empty multigraph with a single phantom vertex per empty side, because
-    :class:`BipartiteMultigraph` requires positive vertex counts; callers treat
-    ``n_new == 0`` as "no padding needed" and never consult the result, so
-    :func:`pad_to_regular` special-cases it instead of calling this function.
-    """
-    check_positive_int(n_new, "n_new")
-    check_positive_int(n_existing, "n_existing")
-    check_non_negative_int(new_degree, "new_degree")
-    check_non_negative_int(existing_degree, "existing_degree")
-    if n_new * new_degree != n_existing * existing_degree:
-        raise GraphError(
-            "biregular graph does not exist: "
-            f"{n_new} * {new_degree} != {n_existing} * {existing_degree}"
-        )
-    graph = BipartiteMultigraph(n_new, n_existing)
-    total = n_new * new_degree
-    # Left endpoint sequence: vertex i repeated new_degree times (blocks);
-    # right endpoint sequence: round-robin over existing vertices.  Zipping the
-    # two sequences gives every left vertex exactly new_degree incidences and
-    # every right vertex exactly existing_degree incidences.
-    for slot in range(total):
-        left = slot // new_degree if new_degree > 0 else 0
-        right = slot % n_existing
-        graph.add_edge(left, right)
-    # Round-robin is only guaranteed to balance the right side when the block
-    # structure and the modulus interact benignly; verify and rebalance if not.
-    ok, _, right_deg = graph.is_biregular()
-    if not ok or right_deg != existing_degree:
-        graph = _rebalanced_pad(n_new, n_existing, new_degree, existing_degree)
-    return graph
-
-
-def _rebalanced_pad(
-    n_new: int, n_existing: int, new_degree: int, existing_degree: int
-) -> BipartiteMultigraph:
-    """Fallback construction pairing explicit endpoint multisets."""
-    left_slots = [i for i in range(n_new) for _ in range(new_degree)]
-    right_slots = [j for j in range(n_existing) for _ in range(existing_degree)]
-    if len(left_slots) != len(right_slots):
-        raise GraphError("internal error: endpoint multisets differ in size")
-    graph = BipartiteMultigraph(n_new, n_existing)
-    for left, right in zip(left_slots, right_slots):
-        graph.add_edge(left, right)
-    return graph
-
-
 def biregular_pad_arrays(
     n_new: int, n_existing: int, new_degree: int, existing_degree: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Array twin of :func:`biregular_pad`: edge-instance arrays, same multiset.
+    """Construct an ``(new_degree, existing_degree)``-biregular bipartite multigraph.
 
-    Returns ``(left, right)`` instance arrays of the
-    ``(new_degree, existing_degree)``-biregular multigraph.  The construction
-    mirrors the dict version exactly — round-robin zip first, endpoint-multiset
-    fallback when the moduli interact badly — so the two produce identical
-    edge multisets, which the array fair-distribution pipeline
-    (:meth:`repro.routing.fair_distribution.FairDistributionSolver.
-    solve_array_batch`, which pads inline) relies on for bit-identical
-    plans.
+    Returns the ``(left, right)`` edge-instance arrays of a multigraph with
+    ``n_new`` left vertices of degree ``new_degree`` and ``n_existing`` right
+    vertices of degree ``existing_degree``.  Such a graph exists iff
+    ``n_new * new_degree == n_existing * existing_degree``.  The left endpoint
+    sequence repeats vertex ``i`` ``new_degree`` times (blocks) and the right
+    one walks the existing vertices round-robin; zipping them spreads the
+    multiplicities as evenly as possible (a multigraph suffices for the König
+    argument).  When the block structure and the modulus interact badly the
+    round-robin side is unbalanced, and the endpoint multisets are paired in
+    sorted order instead.  Both :func:`pad_to_regular` and the array
+    fair-distribution pipeline (:meth:`repro.routing.fair_distribution.
+    FairDistributionSolver.solve_array_batch`, which pads inline) use this
+    one construction, so their padded graphs hold the same edges.
     """
     check_positive_int(n_new, "n_new")
     check_positive_int(n_existing, "n_existing")
@@ -208,12 +153,12 @@ def pad_to_regular(core: BipartiteMultigraph, target_degree: int) -> PaddedGraph
 
     # H1 joins the new left vertices V (degree n2 each) to the original right
     # side S' (degree n2 - Δ1 each); H2 mirrors it on the other side.
-    h1 = biregular_pad(n_pad, n1, n2, pad_degree)
-    for left, right, mult in h1.edges_with_multiplicity():
-        padded.add_edge(n1 + left, right, mult)
-    h2 = biregular_pad(n_pad, n1, n2, pad_degree)
-    for left, right, mult in h2.edges_with_multiplicity():
-        padded.add_edge(right, n1 + left, mult)
+    new, existing = biregular_pad_arrays(n_pad, n1, n2, pad_degree)
+    h1 = list(zip((n1 + new).tolist(), existing.tolist()))
+    for left, right in h1:
+        padded.add_edge(left, right)
+    for left, right in h1:
+        padded.add_edge(right, left)
 
     if not padded.is_regular() or padded.regular_degree() != n2:
         raise GraphError("padding failed to produce an n2-regular multigraph")

@@ -28,7 +28,6 @@ from repro.pops.collective_engine import (
     CollectiveSimulator,
     compile_collective_schedule,
 )
-from repro.pops.lowering import classify_schedule
 from repro.pops.trace import SlotTrace, SimulationTrace, CompiledTrace
 from repro.pops.render import (
     render_schedule,
@@ -56,7 +55,6 @@ __all__ = [
     "CollectiveCompiledSchedule",
     "CollectiveSimulator",
     "ScheduleCache",
-    "classify_schedule",
     "compile_schedule",
     "compile_collective_schedule",
     "schedule_cache",

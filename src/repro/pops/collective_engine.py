@@ -38,38 +38,41 @@ offender, with the same message as the reference.
 The dense count matrix needs ``universe × n`` cells.  For the collective
 workloads this engine targets (broadcast trees, reductions, multi-reader
 fan-outs) the universe is small and the matrix is tiny, but a degenerate
-schedule could make it huge, so :func:`compile_collective_schedule` refuses to
-allocate beyond ``max_state_bytes`` with
-:class:`~repro.exceptions.UnsupportedScheduleError` — the dispatching engines
-then fall back to the reference simulator instead of exhausting memory.
+schedule could make it huge, so :func:`fold_copy_counts` refuses to allocate
+beyond :data:`DEFAULT_MAX_STATE_BYTES` with
+:class:`~repro.exceptions.UnsupportedScheduleError` — the ``batched`` engine
+then falls back to the reference simulator instead of exhausting memory.
+
+This module has no run layer of its own: ``POPSSimulator(backend="batched")``
+lowers a schedule once, folds it into this engine's state when a flat
+location array cannot hold it, and assembles the ``SimulationResult``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Hashable
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.exceptions import SimulationError, UnsupportedScheduleError
-from repro.pops.engine import ScheduleCache, schedule_cache
-from repro.pops.lowering import group_firsts, lower_schedule
+from repro.pops.lowering import LoweredSchedule, group_firsts, lower_schedule
 from repro.pops.packet import Packet
 from repro.pops.schedule import RoutingSchedule
 from repro.pops.topology import Coupler, POPSNetwork
-from repro.pops.trace import CompiledTrace, SimulationTrace
 
 __all__ = [
     "CollectiveCompiledSchedule",
     "CollectiveSimulator",
     "compile_collective_schedule",
+    "fold_copy_counts",
     "DEFAULT_MAX_STATE_BYTES",
 ]
 
 #: Refuse to allocate a copy-count matrix larger than this (256 MiB).  Dense
 #: state is the right trade for collective universes (few packets, many
 #: holders); schedules whose universe × n product explodes past this budget
-#: fall back to the reference simulator via UnsupportedScheduleError.
+#: fall back to the reference simulator via UnsupportedScheduleError.  Read
+#: at fold time, so tests can monkeypatch it.
 DEFAULT_MAX_STATE_BYTES = 256 * 1024 * 1024
 
 
@@ -150,7 +153,6 @@ def compile_collective_schedule(
     schedule: RoutingSchedule,
     packets: list[Packet],
     initial_buffers: dict[int, list[Packet]] | None = None,
-    max_state_bytes: int = DEFAULT_MAX_STATE_BYTES,
 ) -> CollectiveCompiledSchedule:
     """Lower a (possibly duplicating) schedule to integer arrays.
 
@@ -165,21 +167,29 @@ def compile_collective_schedule(
         (or a subclass) exactly as ``schedule.validate()`` would for static
         violations, at compile time rather than slot by slot.
     UnsupportedScheduleError
-        If the copy-count matrix would exceed ``max_state_bytes`` — the one
-        shape this engine refuses, so dispatchers can fall back.
+        If the copy-count matrix would exceed :data:`DEFAULT_MAX_STATE_BYTES`,
+        or value-equal copies carry different payloads.
     """
-    lowered = lower_schedule(
-        network, schedule, packets, initial_buffers, single_location=False
+    return fold_copy_counts(
+        lower_schedule(network, schedule, packets, initial_buffers)
     )
+
+
+def fold_copy_counts(lowered: LoweredSchedule) -> CollectiveCompiledSchedule:
+    """Fold a lowered schedule into the copy-count state.
+
+    Raises :class:`UnsupportedScheduleError` if the ``(universe, n)`` matrix
+    would exceed :data:`DEFAULT_MAX_STATE_BYTES`.
+    """
     u_size = lowered.u_size
     n_slots = lowered.n_slots
-    n = network.n
+    n = lowered.network.n
 
     state_bytes = u_size * n * np.dtype(np.int32).itemsize
-    if state_bytes > max_state_bytes:
+    if state_bytes > DEFAULT_MAX_STATE_BYTES:
         raise UnsupportedScheduleError(
             f"copy-count state for {u_size} packets x {n} processors needs "
-            f"{state_bytes} bytes (budget {max_state_bytes}); "
+            f"{state_bytes} bytes (budget {DEFAULT_MAX_STATE_BYTES}); "
             "use the reference simulator"
         )
 
@@ -202,7 +212,7 @@ def compile_collective_schedule(
     )
 
     return CollectiveCompiledSchedule(
-        network=network,
+        network=lowered.network,
         packets=lowered.packets,
         n_slots=n_slots,
         tx_sender=lowered.tx_sender,
@@ -235,56 +245,22 @@ class CollectiveSimulator:
         Same contract as :class:`~repro.pops.simulator.POPSSimulator`: a read
         of an idle coupler raises :class:`SimulationError` when ``True`` and
         silently yields nothing when ``False``.
-    max_state_bytes:
-        Budget for the copy-count matrix; compilation raises
-        :class:`UnsupportedScheduleError` beyond it so dispatchers can fall
-        back to the reference simulator.
     """
 
-    def __init__(
-        self,
-        network: POPSNetwork,
-        strict_receptions: bool = True,
-        max_state_bytes: int = DEFAULT_MAX_STATE_BYTES,
-    ):
+    def __init__(self, network: POPSNetwork, strict_receptions: bool = True):
         self.network = network
         self.strict_receptions = strict_receptions
-        self.max_state_bytes = max_state_bytes
 
     def compile(
         self,
         schedule: RoutingSchedule,
         packets: list[Packet],
         initial_buffers: dict[int, list[Packet]] | None = None,
-        cache_key: Hashable | None = None,
-        cache: ScheduleCache | None = None,
     ) -> CollectiveCompiledSchedule:
-        """Lower ``schedule`` once; the result can be executed repeatedly.
-
-        ``cache_key``/``cache`` follow the contract of
-        :meth:`repro.pops.engine.BatchedSimulator.compile`: the caller asserts
-        the key fully determines ``(schedule, packets)`` including payloads,
-        and runs with explicit ``initial_buffers`` never consult the cache.
-        Keys are namespaced under ``"collective"`` inside the shared
-        :class:`~repro.pops.engine.ScheduleCache`, so a caller reusing one key
-        across engines (as ``Session.route`` does) can never receive the
-        other engine's compiled layout.
-        """
-        if cache_key is None or initial_buffers is not None:
-            return compile_collective_schedule(
-                self.network, schedule, packets, initial_buffers,
-                max_state_bytes=self.max_state_bytes,
-            )
-        store = cache if cache is not None else schedule_cache()
-        namespaced = ("collective", cache_key)
-        compiled = store.get(namespaced)
-        if compiled is None:
-            compiled = compile_collective_schedule(
-                self.network, schedule, packets, None,
-                max_state_bytes=self.max_state_bytes,
-            )
-            store.put(namespaced, compiled)
-        return compiled
+        """Lower ``schedule`` once; the result can be executed repeatedly."""
+        return compile_collective_schedule(
+            self.network, schedule, packets, initial_buffers
+        )
 
     def execute(self, compiled: CollectiveCompiledSchedule) -> np.ndarray:
         """Run a compiled schedule, returning the final copy-count matrix."""
@@ -388,59 +364,3 @@ class CollectiveSimulator:
             if lo < hi:
                 buffers[proc] = refs[lo:hi]
         return buffers
-
-    def compiled_trace(self, compiled: CollectiveCompiledSchedule) -> CompiledTrace:
-        """The (static) trace of a compiled schedule as a zero-copy array view."""
-        return CompiledTrace(
-            g=self.network.g,
-            packets=compiled.packets,
-            pay_coupler=compiled.pay_coupler,
-            pay_packet=compiled.pay_packet,
-            pay_ptr=compiled.pay_ptr,
-            del_receiver=compiled.del_receiver,
-            del_packet=compiled.del_packet,
-            del_ptr=compiled.del_ptr,
-        )
-
-    def run(
-        self,
-        schedule: RoutingSchedule,
-        packets: list[Packet],
-        initial_buffers: dict[int, list[Packet]] | None = None,
-        collect_trace: bool = True,
-        cache_key: Hashable | None = None,
-        cache: ScheduleCache | None = None,
-    ):
-        """Compile and execute ``schedule``, packaging a ``SimulationResult``.
-
-        Mirrors :meth:`repro.pops.engine.BatchedSimulator.run`: the result's
-        trace is a :class:`~repro.pops.trace.CompiledTrace` (statistics as
-        numpy reductions, per-slot dicts only on ``materialize()``), and
-        ``cache_key``/``cache`` are forwarded to :meth:`compile`.
-        """
-        from repro.pops.simulator import SimulationResult
-
-        compiled = self.compile(
-            schedule, packets, initial_buffers, cache_key=cache_key, cache=cache
-        )
-        count = self.execute(compiled)
-        trace = (
-            self.compiled_trace(compiled) if collect_trace else SimulationTrace()
-        )
-        return SimulationResult(
-            network=self.network,
-            buffers=self.buffers_from_counts(compiled, count),
-            trace=trace,
-        )
-
-    def route_and_verify(
-        self,
-        schedule: RoutingSchedule,
-        packets: list[Packet],
-        cache_key: Hashable | None = None,
-        cache: ScheduleCache | None = None,
-    ):
-        """Run ``schedule`` and assert every packet reached its destination."""
-        result = self.run(schedule, packets, cache_key=cache_key, cache=cache)
-        result.verify_permutation_delivery(packets)
-        return result

@@ -21,15 +21,16 @@ single packet-location array ``loc`` with ``loc[k]`` the processor currently
 holding packet ``k`` (or ``-1`` when the packet was consumed without being
 read).
 
-The engine covers the consume-and-deliver model used by permutation routing.
-Schedules that *duplicate* packets — non-consuming (broadcast-style) sends, or
-several processors reading the same coupler in one slot — cannot be expressed
-in a flat location array and raise
-:class:`~repro.exceptions.UnsupportedScheduleError` at compile time;
-``POPSSimulator(backend="batched")`` catches that and falls back, first to the
-vectorized multi-location :class:`~repro.pops.collective_engine.
-CollectiveSimulator` and ultimately to the reference implementation, so the
-switch is always safe to flip.
+The flat location array covers the consume-and-deliver model used by
+permutation routing.  Schedules that *duplicate* packets — non-consuming
+(broadcast-style) sends, a packet read by several processors in one slot, or
+a packet starting at several holders — cannot be expressed in it.
+:func:`compile_state` lowers a schedule once and folds it into whichever
+state holds it: the flat array, else the copy-count matrix of
+:class:`~repro.pops.collective_engine.CollectiveSimulator`;
+``POPSSimulator(backend="batched")`` runs the result and falls back to the
+reference implementation only when neither fits, so the switch is always safe
+to flip.
 
 Error parity with the reference simulator: static violations are raised before
 execution (the reference calls ``schedule.validate()`` up front, and the
@@ -52,11 +53,12 @@ from repro.exceptions import (
 )
 from repro.obs import get_tracer
 from repro.obs.metrics import Counter
-from repro.pops.lowering import group_firsts, lower_schedule
+from repro.pops.collective_engine import CollectiveCompiledSchedule, fold_copy_counts
+from repro.pops.lowering import LoweredSchedule, group_firsts, lower_schedule
 from repro.pops.packet import Packet
 from repro.pops.schedule import RoutingSchedule
 from repro.pops.topology import Coupler, POPSNetwork
-from repro.pops.trace import CompiledTrace, CompiledTraceBatch, SimulationTrace
+from repro.pops.trace import CompiledTrace, CompiledTraceBatch
 
 __all__ = [
     "CompiledSchedule",
@@ -64,6 +66,8 @@ __all__ = [
     "BatchedSimulator",
     "ScheduleCache",
     "compile_schedule",
+    "compile_state",
+    "fold_locations",
     "schedule_cache",
 ]
 
@@ -237,16 +241,20 @@ class CompiledScheduleBatch:
         )
 
 
+#: Everything :class:`ScheduleCache` stores.
+_Compiled = CompiledSchedule | CompiledScheduleBatch | CollectiveCompiledSchedule
+
+
 class ScheduleCache:
-    """Cache of :class:`CompiledSchedule` / :class:`CompiledScheduleBatch`
-    objects keyed by caller-chosen keys.
+    """Cache of compiled schedules keyed by caller-chosen keys.
 
     Lowering a schedule is the dominant fixed cost of the batched engine.
     Callers that replay one schedule many times and can prove it is fully
     determined by a key pass that key (the E9 broadcast keys on
     ``(d, g, speaker)``) and repeated compilations become dictionary
-    lookups.  Routing never consults the cache: routed traffic almost never
-    repeats a permutation, so cached plans only held memory.
+    lookups; :func:`compile_state` is the one place that reads and fills it.
+    Routing never consults the cache: routed traffic almost never repeats a
+    permutation, so cached plans only held memory.
 
     The cache is doubly bounded — at most ``max_entries`` schedules *and*
     at most ``max_bytes`` of compiled arrays, FIFO-evicted — so huge
@@ -264,7 +272,7 @@ class ScheduleCache:
             raise ValueError(f"max_bytes must be positive, got {max_bytes}")
         self.max_entries = max_entries
         self.max_bytes = max_bytes
-        self._entries: dict[Hashable, CompiledSchedule | CompiledScheduleBatch] = {}
+        self._entries: dict[Hashable, _Compiled] = {}
         self._total_bytes = 0
         # The counters are repro.obs metrics (the one counting model every
         # layer reports through); the int-valued properties below keep the
@@ -290,7 +298,7 @@ class ScheduleCache:
         """Approximate bytes of compiled arrays currently cached."""
         return self._total_bytes
 
-    def get(self, key: Hashable) -> CompiledSchedule | CompiledScheduleBatch | None:
+    def get(self, key: Hashable) -> _Compiled | None:
         """Look up ``key``, counting the access as a hit or a miss.
 
         Either way the access is one dict lookup, cheaper than the span that
@@ -303,7 +311,7 @@ class ScheduleCache:
             self._hits.inc()
         return compiled
 
-    def put(self, key: Hashable, compiled: CompiledSchedule | CompiledScheduleBatch) -> None:
+    def put(self, key: Hashable, compiled: _Compiled) -> None:
         """Store ``compiled`` under ``key``, FIFO-evicting until within bounds.
 
         A schedule larger than ``max_bytes`` on its own is not cached at all.
@@ -358,9 +366,8 @@ def compile_schedule(
 
     The shared front end (:func:`repro.pops.lowering.lower_schedule`) performs
     the flattening, the vectorized static validation and the
-    reception/payload join; this function adds the consuming-model specifics —
-    the flat location array, the per-slot consumed-packet groups, and the
-    rejection of packet-duplicating shapes.
+    reception/payload join; :func:`fold_locations` adds the flat location
+    array and the per-slot consumed-packet groups.
 
     Raises
     ------
@@ -368,66 +375,125 @@ def compile_schedule(
         (or a subclass) exactly as ``schedule.validate()`` would for static
         violations, at compile time rather than slot by slot.
     UnsupportedScheduleError
-        If the schedule duplicates packets (non-consuming sends, multi-reader
-        couplers) and therefore cannot run on a flat location array.
+        If the schedule duplicates packets and therefore cannot run on a flat
+        location array.
     """
     with get_tracer().span("route.lower"):
-        lowered = lower_schedule(
-            network, schedule, packets, initial_buffers, single_location=True
+        return fold_locations(
+            lower_schedule(network, schedule, packets, initial_buffers)
         )
-        if not lowered.tx_consume.all():
-            raise UnsupportedScheduleError(
-                "non-consuming (broadcast-style) transmissions duplicate packets; "
-                "use the collective engine (CollectiveSimulator)"
-            )
-        universe = lowered.packets
-        u_size = lowered.u_size
-        n_slots = lowered.n_slots
 
-        # Consumed: each packet sent in a slot leaves its sender once.
-        p_order, _, p_new = group_firsts(
-            lowered.tx_slot * max(u_size, 1) + lowered.tx_packet
+
+def fold_locations(lowered: LoweredSchedule) -> CompiledSchedule:
+    """Fold a lowered schedule into the flat ``loc[packet]`` state.
+
+    The fold holds when every send consumes, no packet is read twice in a
+    slot and every packet starts at one holder; otherwise it raises
+    :class:`UnsupportedScheduleError` naming the first duplication found.
+    """
+    u_size = lowered.u_size
+    n_slots = lowered.n_slots
+    if not lowered.tx_consume.all():
+        raise UnsupportedScheduleError(
+            "non-consuming (broadcast-style) transmissions duplicate packets; "
+            "use the collective engine (CollectiveSimulator)"
         )
-        con_first = np.sort(p_order[p_new])
-        con_packet = lowered.tx_packet[con_first]
-        con_counts = np.bincount(lowered.tx_slot[con_first], minlength=n_slots)
-
-        # A packet read by several receivers in one slot would be duplicated.
-        del_key = np.sort(lowered.del_slot * max(u_size, 1) + lowered.del_packet)
-        dup = np.flatnonzero(del_key[1:] == del_key[:-1])
-        if dup.size:
-            raise UnsupportedScheduleError(
-                f"slot {int(del_key[dup[0]] // max(u_size, 1))}: a packet is read "
-                "by several receivers, which duplicates it; use the "
-                "collective engine (CollectiveSimulator)"
-            )
-
-        # Fold the (packet, processor) holder pairs into the flat location array.
-        # The single-location front end guarantees at most one pair per packet;
-        # transmitted packets unknown to the universe stay at -1 (held nowhere).
-        initial_loc = np.full(u_size, -1, dtype=np.int64)
-        initial_loc[lowered.initial_hold_packet] = lowered.initial_hold_proc
-
-        return CompiledSchedule(
-            network=network,
-            packets=universe,
-            n_slots=n_slots,
-            tx_sender=lowered.tx_sender,
-            tx_packet=lowered.tx_packet,
-            tx_ptr=lowered.tx_ptr,
-            pay_coupler=lowered.pay_coupler,
-            pay_packet=lowered.pay_packet,
-            pay_ptr=lowered.pay_ptr,
-            del_receiver=lowered.del_receiver,
-            del_packet=lowered.del_packet,
-            del_ptr=lowered.del_ptr,
-            con_packet=con_packet,
-            con_ptr=np.concatenate(([0], np.cumsum(con_counts, dtype=np.int64))),
-            idle_receiver=lowered.idle_receiver,
-            idle_coupler=lowered.idle_coupler,
-            initial_loc=initial_loc,
-            pk_destination=lowered.pk_destination,
+    # A packet read by several receivers in one slot would be duplicated.
+    del_key = np.sort(lowered.del_slot * max(u_size, 1) + lowered.del_packet)
+    dup = np.flatnonzero(del_key[1:] == del_key[:-1])
+    if dup.size:
+        raise UnsupportedScheduleError(
+            f"slot {int(del_key[dup[0]] // max(u_size, 1))}: a packet is read "
+            "by several receivers, which duplicates it; use the "
+            "collective engine (CollectiveSimulator)"
         )
+    initial_loc = np.full(u_size, -1, dtype=np.int64)
+    initial_loc[lowered.initial_hold_packet] = lowered.initial_hold_proc
+    holders = np.bincount(lowered.initial_hold_packet, minlength=u_size)
+    if bool((holders > 1).any()):
+        raise UnsupportedScheduleError(
+            "a packet starts at more than one holder; use the collective "
+            "engine (CollectiveSimulator)"
+        )
+
+    # Consumed: each packet sent in a slot leaves its sender once.
+    p_order, _, p_new = group_firsts(
+        lowered.tx_slot * max(u_size, 1) + lowered.tx_packet
+    )
+    con_first = np.sort(p_order[p_new])
+    con_counts = np.bincount(lowered.tx_slot[con_first], minlength=n_slots)
+
+    return CompiledSchedule(
+        network=lowered.network,
+        packets=lowered.packets,
+        n_slots=n_slots,
+        tx_sender=lowered.tx_sender,
+        tx_packet=lowered.tx_packet,
+        tx_ptr=lowered.tx_ptr,
+        pay_coupler=lowered.pay_coupler,
+        pay_packet=lowered.pay_packet,
+        pay_ptr=lowered.pay_ptr,
+        del_receiver=lowered.del_receiver,
+        del_packet=lowered.del_packet,
+        del_ptr=lowered.del_ptr,
+        con_packet=lowered.tx_packet[con_first],
+        con_ptr=np.concatenate(([0], np.cumsum(con_counts, dtype=np.int64))),
+        idle_receiver=lowered.idle_receiver,
+        idle_coupler=lowered.idle_coupler,
+        initial_loc=initial_loc,
+        pk_destination=lowered.pk_destination,
+    )
+
+
+def compile_state(
+    network: POPSNetwork,
+    schedule: RoutingSchedule,
+    packets: list[Packet],
+    initial_buffers: dict[int, list[Packet]] | None = None,
+    cache_key: Hashable | None = None,
+    cache: ScheduleCache | None = None,
+) -> CompiledSchedule | CollectiveCompiledSchedule:
+    """Lower ``schedule`` once and fold it into the flat or copy-count state.
+
+    The flat :func:`fold_locations` state is taken whenever it holds, else
+    :func:`~repro.pops.collective_engine.fold_copy_counts`.  This is the one
+    place a compiled schedule is cached: ``cache_key`` opts in, and the
+    caller asserts that the key fully determines ``(schedule, packets)`` —
+    e.g. ``(d, g, speaker, payload)`` for a broadcast.  Because a hit returns
+    the *first* compilation's packet universe and ``Packet.payload`` is
+    excluded from packet equality, the key must also determine payloads.
+    ``cache`` overrides the process-wide cache (useful for isolation in tests
+    and benchmarks).  Runs with explicit ``initial_buffers`` never consult the
+    cache, since buffer contents are not covered by the key contract.
+
+    Raises
+    ------
+    UnsupportedScheduleError
+        If neither state holds the schedule (copy-count budget exceeded, or
+        value-equal copies with different payloads).
+    """
+    if cache_key is None or initial_buffers is not None:
+        return _lower_and_fold(network, schedule, packets, initial_buffers)
+    store = cache if cache is not None else schedule_cache()
+    compiled = store.get(cache_key)
+    if compiled is None:
+        compiled = _lower_and_fold(network, schedule, packets, None)
+        store.put(cache_key, compiled)
+    return compiled
+
+
+def _lower_and_fold(
+    network: POPSNetwork,
+    schedule: RoutingSchedule,
+    packets: list[Packet],
+    initial_buffers: dict[int, list[Packet]] | None,
+) -> CompiledSchedule | CollectiveCompiledSchedule:
+    with get_tracer().span("route.lower"):
+        lowered = lower_schedule(network, schedule, packets, initial_buffers)
+        try:
+            return fold_locations(lowered)
+        except UnsupportedScheduleError:
+            return fold_copy_counts(lowered)
 
 
 class BatchedSimulator:
@@ -457,26 +523,19 @@ class BatchedSimulator:
     ) -> CompiledSchedule:
         """Lower ``schedule`` once; the result can be executed repeatedly.
 
-        ``cache_key`` opts into the compiled-schedule cache: the caller
-        asserts that the key fully determines ``(schedule, packets)`` — e.g.
-        ``(router backend, d, g, permutation)`` for deterministic routers —
-        and repeated compilations under the same key return the cached
-        arrays.  Because a hit returns the *first* compilation's packet
-        universe and ``Packet.payload`` is excluded from packet equality,
-        the key must also determine payloads: keys may only be shared by
-        runs whose packets are payload-free or payload-identical (the
-        routing layer's packets carry no payloads).  ``cache`` overrides the
-        process-wide cache (useful for isolation in tests and benchmarks).
-        Runs with explicit ``initial_buffers`` never consult the cache,
-        since buffer contents are not covered by the key contract.
+        Goes through :func:`compile_state` (``cache_key``/``cache`` follow its
+        contract) and raises :class:`UnsupportedScheduleError` whenever the
+        result — freshly lowered or cached under ``cache_key`` — is not a
+        flat-location :class:`CompiledSchedule`.
         """
-        if cache_key is None or initial_buffers is not None:
-            return compile_schedule(self.network, schedule, packets, initial_buffers)
-        cache = cache if cache is not None else schedule_cache()
-        compiled = cache.get(cache_key)
-        if compiled is None:
-            compiled = compile_schedule(self.network, schedule, packets, None)
-            cache.put(cache_key, compiled)
+        compiled = compile_state(
+            self.network, schedule, packets, initial_buffers, cache_key, cache
+        )
+        if not isinstance(compiled, CompiledSchedule):
+            raise UnsupportedScheduleError(
+                "the schedule duplicates packets, so a flat location array "
+                "cannot hold it; run it on POPSSimulator(backend='batched')"
+            )
         return compiled
 
     def execute(self, compiled: CompiledSchedule, faults=None) -> np.ndarray:
@@ -713,12 +772,16 @@ class BatchedSimulator:
             buffers[int(loc[idx])].append(compiled.packets[idx])
         return buffers
 
-    def compiled_trace(self, compiled: CompiledSchedule) -> CompiledTrace:
+    def compiled_trace(
+        self, compiled: CompiledSchedule | CollectiveCompiledSchedule
+    ) -> CompiledTrace:
         """The (static) trace of a compiled schedule as a zero-copy array view.
 
-        The returned :class:`~repro.pops.trace.CompiledTrace` shares the
-        compiled schedule's payload/delivery arrays; statistics over it are
-        numpy reductions, and ``.materialize()`` produces the dict-based
+        Serves both state layouts: the trace reads only the payload/delivery
+        arrays, which the flat and copy-count folds share.  The returned
+        :class:`~repro.pops.trace.CompiledTrace` shares the compiled
+        schedule's arrays; statistics over it are numpy reductions, and
+        ``.materialize()`` produces the dict-based
         :class:`~repro.pops.trace.SimulationTrace` when per-slot objects are
         genuinely needed.
         """
@@ -732,52 +795,3 @@ class BatchedSimulator:
             del_packet=compiled.del_packet,
             del_ptr=compiled.del_ptr,
         )
-
-    def trace_from_compiled(self, compiled: CompiledSchedule) -> SimulationTrace:
-        """Materialize the per-slot dict trace of a compiled schedule."""
-        return self.compiled_trace(compiled).materialize()
-
-    def run(
-        self,
-        schedule: RoutingSchedule,
-        packets: list[Packet],
-        initial_buffers: dict[int, list[Packet]] | None = None,
-        collect_trace: bool = True,
-        cache_key: Hashable | None = None,
-        cache: ScheduleCache | None = None,
-    ):
-        """Compile and execute ``schedule``, packaging a ``SimulationResult``.
-
-        The result's trace is a :class:`~repro.pops.trace.CompiledTrace` —
-        integer arrays end to end; statistics are numpy reductions and
-        per-slot dicts are only built if ``trace.materialize()`` (or the
-        ``trace.slots`` escape hatch) is called.  With ``collect_trace=False``
-        the trace is left empty.  ``cache_key`` and ``cache`` are forwarded to
-        :meth:`compile`.
-        """
-        from repro.pops.simulator import SimulationResult
-
-        compiled = self.compile(
-            schedule, packets, initial_buffers, cache_key=cache_key, cache=cache
-        )
-        loc = self.execute(compiled)
-        trace = (
-            self.compiled_trace(compiled) if collect_trace else SimulationTrace()
-        )
-        return SimulationResult(
-            network=self.network,
-            buffers=self.buffers_from_locations(compiled, loc),
-            trace=trace,
-        )
-
-    def route_and_verify(
-        self,
-        schedule: RoutingSchedule,
-        packets: list[Packet],
-        cache_key: Hashable | None = None,
-        cache: ScheduleCache | None = None,
-    ):
-        """Run ``schedule`` and assert every packet reached its destination."""
-        result = self.run(schedule, packets, cache_key=cache_key, cache=cache)
-        result.verify_permutation_delivery(packets)
-        return result

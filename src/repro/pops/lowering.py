@@ -6,23 +6,18 @@ collective_engine.CollectiveSimulator` — start from the same observation: the
 *dataflow* of a POPS schedule is static.  Which coupler carries which packet,
 which reception resolves to which delivery, and which sends are legal wiring
 are all functions of the schedule alone.  This module owns that shared front
-end:
+end: :func:`lower_schedule` flattens a :class:`~repro.pops.schedule.
+RoutingSchedule` into CSR-style integer arrays (one segment per slot),
+performs every static check vectorized (wiring, coupler conflicts, receiver
+conflicts — reproducing ``schedule.validate()``'s exact exception on the slow
+path), and joins receptions against coupler payloads to produce the per-slot
+delivery and idle-read arrays.
 
-* :func:`lower_schedule` flattens a :class:`~repro.pops.schedule.
-  RoutingSchedule` into CSR-style integer arrays (one segment per slot),
-  performs every static check vectorized (wiring, coupler conflicts, receiver
-  conflicts — reproducing ``schedule.validate()``'s exact exception on the
-  slow path), and joins receptions against coupler payloads to produce the
-  per-slot delivery and idle-read arrays.
-* :func:`classify_schedule` is the cheap shape probe behind the ``batched``
-  engine's dispatch: it reports whether a schedule stays in the consuming
-  one-location-per-packet model or duplicates packets (non-consuming sends,
-  multi-reader couplers).
-
-What the engines layer on top differs: the batched engine collapses the
-holder state to a flat ``loc[packet]`` array (and therefore rejects
-duplication), while the collective engine keeps a per-packet/per-processor
-copy-count matrix.  Everything up to that choice lives here.
+What the engines layer on top differs: the batched engine folds the holder
+state into a flat ``loc[packet]`` array (only when no packet is ever
+duplicated), while the collective engine keeps a per-packet/per-processor
+copy-count matrix.  Both fold the same :class:`LoweredSchedule`, so the
+``batched`` engine lowers a schedule once and picks the state afterwards.
 """
 
 from __future__ import annotations
@@ -41,7 +36,6 @@ from repro.pops.topology import POPSNetwork
 __all__ = [
     "LoweredSchedule",
     "lower_schedule",
-    "classify_schedule",
     "group_firsts",
     "assemble_compiled_plan_batch",
 ]
@@ -108,32 +102,6 @@ class LoweredSchedule:
     def u_size(self) -> int:
         """Size of the packet universe."""
         return len(self.packets)
-
-
-def classify_schedule(schedule: RoutingSchedule) -> str:
-    """Cheap shape probe: ``"consuming"`` or ``"duplicating"``.
-
-    A schedule is *duplicating* when it contains a non-consuming
-    (broadcast-style) transmission or reads one coupler with several
-    processors in the same slot — the shapes the flat-location batched engine
-    cannot express.  The probe is one pass over the schedule objects and
-    intentionally over-approximates "consuming": the rare consuming schedule
-    that still duplicates a packet (one sender driving several couplers with
-    the same packet, each read once) is only detected by the batched
-    compiler's exact check, so the ``batched`` engine treats the probe as a
-    hint and falls through on
-    :class:`~repro.exceptions.UnsupportedScheduleError`.
-    """
-    for slot in schedule.slots:
-        for transmission in slot.transmissions:
-            if not transmission.consume:
-                return "duplicating"
-        seen = set()
-        for reception in slot.receptions:
-            if reception.coupler in seen:
-                return "duplicating"
-            seen.add(reception.coupler)
-    return "consuming"
 
 
 def _int_fields(objs: list, attr: str, count: int) -> np.ndarray:
@@ -269,69 +237,45 @@ def _packet_universe(
     network: POPSNetwork,
     packets: list[Packet],
     initial_buffers: dict[int, list[Packet]] | None,
-    single_location: bool,
-) -> tuple[list[Packet], np.ndarray, np.ndarray]:
-    """The indexable packet list and the initial ``(packet, processor)`` pairs.
+) -> tuple[list[Packet], np.ndarray, np.ndarray, np.ndarray]:
+    """The packet universe, the initial ``(packet, processor)`` pairs, and the
+    destination of every universe packet.
 
-    With ``single_location`` (the batched engine's model) a packet value may
-    be buffered at most once; violating that raises
-    :class:`UnsupportedScheduleError` so the caller can fall back.  Without it
-    (the collective engine) duplicate copies — several processors holding the
-    same packet, or one processor holding it several times — produce several
-    pairs, provided the copies carry the same payload: copies of one value
-    with *different* payloads cannot share a universe entry, so they raise
+    Value-equal copies — several processors holding the same packet, or one
+    processor holding it several times — share one universe entry and produce
+    one pair per copy, provided they carry the same payload.  Copies of one
+    value with *different* payloads cannot share an entry, so they raise
     :class:`UnsupportedScheduleError` and the schedule runs on the reference
-    simulator, which tracks every buffered instance individually.
+    simulator, which tracks every buffered instance individually.  When no
+    two ``(source, destination)`` pairs are equal, no two packets are
+    value-equal, and the universe is the held packets themselves, found
+    without hashing a ``Packet``.
     """
-    if initial_buffers is not None:
-        universe: list[Packet] = []
-        index_of: dict[Packet, int] = {}
-        hold_packet: list[int] = []
-        hold_proc: list[int] = []
-        for processor in sorted(initial_buffers):
-            for packet in initial_buffers[processor]:
-                idx = index_of.get(packet)
-                if idx is None:
-                    idx = len(universe)
-                    index_of[packet] = idx
-                    universe.append(packet)
-                elif single_location:
-                    raise UnsupportedScheduleError(
-                        f"{packet!r} appears in more than one initial buffer; "
-                        "the batched engine tracks a single location per packet"
-                    )
-                elif not _same_payload(universe[idx], packet):
-                    raise UnsupportedScheduleError(
-                        f"value-equal copies of {packet!r} carry different "
-                        "payloads; use the reference simulator"
-                    )
-                hold_packet.append(idx)
-                hold_proc.append(processor)
-        return (
-            universe,
-            np.array(hold_packet, dtype=np.int64),
-            np.array(hold_proc, dtype=np.int64),
+    if initial_buffers is None:
+        held = list(packets)
+        sources = procs = _int_fields(held, "source", len(held))
+        bad = np.flatnonzero((sources < 0) | (sources >= network.n))
+        if bad.size:
+            raise SimulationError(
+                f"{held[int(bad[0])]!r} has source outside the network of size "
+                f"{network.n}"
+            )
+    else:
+        order = sorted(initial_buffers)
+        held = list(chain.from_iterable(initial_buffers[p] for p in order))
+        procs = np.repeat(
+            np.array(order, dtype=np.int64),
+            [len(initial_buffers[p]) for p in order],
         )
+        sources = _int_fields(held, "source", len(held))
+    destinations = _int_fields(held, "destination", len(held))
+    if _distinct_pairs(sources, destinations, network.n):
+        return held, np.arange(len(held), dtype=np.int64), procs, destinations
 
-    sources = _int_fields(packets, "source", len(packets))
-    bad = np.flatnonzero((sources < 0) | (sources >= network.n))
-    if bad.size:
-        raise SimulationError(
-            f"{packets[int(bad[0])]!r} has source outside the network of size "
-            f"{network.n}"
-        )
-    if single_location:
-        # The batched engine keeps value-equal duplicates as distinct universe
-        # entries (its location array has one row per instance).
-        return (
-            list(packets),
-            np.arange(len(packets), dtype=np.int64),
-            sources,
-        )
-    universe = []
-    index_of = {}
-    hold_packet = []
-    for packet in packets:
+    universe: list[Packet] = []
+    index_of: dict[Packet, int] = {}
+    hold_packet: list[int] = []
+    for packet in held:
         idx = index_of.get(packet)
         if idx is None:
             idx = len(universe)
@@ -343,7 +287,22 @@ def _packet_universe(
                 "payloads; use the reference simulator"
             )
         hold_packet.append(idx)
-    return universe, np.array(hold_packet, dtype=np.int64), sources
+    return (
+        universe,
+        np.array(hold_packet, dtype=np.int64),
+        procs,
+        _int_fields(universe, "destination", len(universe)),
+    )
+
+
+def _distinct_pairs(sources: np.ndarray, destinations: np.ndarray, n: int) -> bool:
+    """True iff all ``(source, destination)`` pairs lie in ``[0, n)²`` and
+    no two are equal."""
+    in_range = (sources >= 0) & (sources < n) & (destinations >= 0) & (destinations < n)
+    if not bool(in_range.all()):
+        return False
+    keys = np.sort(sources * n + destinations)
+    return not bool((keys[1:] == keys[:-1]).any())
 
 
 def _resolve_packet_indices(
@@ -417,21 +376,19 @@ def lower_schedule(
     schedule: RoutingSchedule,
     packets: list[Packet],
     initial_buffers: dict[int, list[Packet]] | None = None,
-    *,
-    single_location: bool = True,
 ) -> LoweredSchedule:
     """Flatten ``schedule``, validate it statically, and solve its dataflow.
 
-    ``single_location`` selects the batched engine's one-location-per-packet
-    universe (duplicate initial placement raises
-    :class:`UnsupportedScheduleError`); the collective engine passes ``False``
-    and receives one initial-holder pair per buffered copy instead.
+    Value-equal buffered copies share one universe entry with one
+    initial-holder pair per copy (see :func:`_packet_universe`).
 
     Raises
     ------
     SimulationError
         (or a subclass) exactly as ``schedule.validate()`` would for static
         violations, at compile time rather than slot by slot.
+    UnsupportedScheduleError
+        If value-equal copies carry different payloads.
     """
     if schedule.network != network:
         raise SimulationError(
@@ -439,10 +396,9 @@ def lower_schedule(
         )
     g = network.g
     g2 = g * g
-    universe, hold_packet, hold_proc = _packet_universe(
-        network, packets, initial_buffers, single_location
+    universe, hold_packet, hold_proc, pk_destination = _packet_universe(
+        network, packets, initial_buffers
     )
-    pk_destination = _int_fields(universe, "destination", len(universe))
 
     # -- flatten to integer arrays (C-level attrgetter/fromiter extraction) ----
     all_tx = list(chain.from_iterable(slot.transmissions for slot in schedule.slots))

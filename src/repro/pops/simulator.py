@@ -133,12 +133,12 @@ class POPSSimulator:
         The built-ins: ``"reference"`` (default) executes transmissions one
         Python object at a time with full dynamic checking; ``"batched"``
         lowers the schedule to integer arrays and executes each slot as
-        vectorized numpy operations (see :mod:`repro.pops.engine`) and hands
-        packet-duplicating schedules — broadcast-style sends, multi-reader
-        couplers — to the vectorized multi-location collective engine (see
-        :mod:`repro.pops.collective_engine`).  All backends produce
-        equivalent results and traces; buffer ordering within a processor
-        may differ.
+        vectorized numpy operations (see :mod:`repro.pops.engine`), on a flat
+        location array or, for packet-duplicating schedules — broadcast-style
+        sends, multi-reader couplers — on the copy-count matrix of the
+        collective engine (see :mod:`repro.pops.collective_engine`).  All
+        backends produce equivalent results and traces; buffer ordering
+        within a processor may differ.
     """
 
     #: The built-in engines.  The authoritative table is the SIM_ENGINES
@@ -189,7 +189,7 @@ class POPSSimulator:
         Dispatches to the engine registered under this simulator's backend
         name in :data:`repro.api.registry.SIM_ENGINES`.  ``cache_key`` opts
         compiled engines into the compiled-schedule cache (see
-        :meth:`repro.pops.engine.BatchedSimulator.compile`) and ``cache``
+        :func:`repro.pops.engine.compile_state`) and ``cache``
         selects which cache to use (default: the process-wide one); the
         reference engine ignores both.
         """
@@ -214,7 +214,7 @@ class POPSSimulator:
         Public so that fast-path engines registered in
         :data:`repro.api.registry.SIM_ENGINES` can fall back to it for
         schedules outside their model (as the batched engine does for
-        packet-duplicating broadcasts).
+        schedules past its copy-count budget).
 
         ``faults`` opts into fault injection: a
         :class:`~repro.faults.FaultSpec` checked at the start of every slot
@@ -436,37 +436,33 @@ def _batched_engine(
     cache_key: Hashable | None = None,
     cache: ScheduleCache | None = None,
 ) -> SimulationResult:
-    """Shape-dispatching engine: flat-location → collective → reference.
+    """Lower once, then run on the flat-location or copy-count state.
 
-    A cheap one-pass probe (:func:`repro.pops.lowering.classify_schedule`)
-    routes consuming schedules to the flat-location batched engine and
-    duplicating ones (broadcast-style sends, multi-reader couplers) straight
-    to the collective engine (:mod:`repro.pops.collective_engine`), so the
-    fallback does not lower the schedule twice.  The probe is a hint, not a
-    guarantee — the batched compiler still rejects the rare consuming-shaped
-    schedule that duplicates a packet, and the collective compiler rejects
-    state past its memory budget — so each stage falls through on
-    :class:`UnsupportedScheduleError`, and pure broadcast/collective
-    schedules never hit the slow reference simulator."""
+    :func:`repro.pops.engine.compile_state` lowers the schedule exactly once
+    and folds it into the flat ``loc[packet]`` array when every send
+    consumes, no packet is read twice in a slot and every packet starts at
+    one holder; else into the copy-count matrix of the collective engine
+    (:mod:`repro.pops.collective_engine`), within its fixed state budget.
+    Only a schedule neither state holds (budget exceeded, value-equal copies
+    with different payloads) runs on the slow reference simulator."""
     from repro.pops.collective_engine import CollectiveSimulator
-    from repro.pops.engine import BatchedSimulator
-    from repro.pops.lowering import classify_schedule
+    from repro.pops.engine import BatchedSimulator, CompiledSchedule, compile_state
 
-    if classify_schedule(schedule) == "consuming":
-        try:
-            return BatchedSimulator(
-                simulator.network, simulator.strict_receptions
-            ).run(
-                schedule, packets, initial_buffers,
-                cache_key=cache_key, cache=cache,
-            )
-        except UnsupportedScheduleError:
-            pass
+    network, strict = simulator.network, simulator.strict_receptions
     try:
-        return CollectiveSimulator(
-            simulator.network, simulator.strict_receptions
-        ).run(
-            schedule, packets, initial_buffers, cache_key=cache_key, cache=cache
+        compiled = compile_state(
+            network, schedule, packets, initial_buffers, cache_key, cache
         )
     except UnsupportedScheduleError:
         return simulator.run_reference(schedule, packets, initial_buffers)
+    engine = BatchedSimulator(network, strict)
+    if isinstance(compiled, CompiledSchedule):
+        buffers = engine.buffers_from_locations(compiled, engine.execute(compiled))
+    else:
+        collective = CollectiveSimulator(network, strict)
+        buffers = collective.buffers_from_counts(
+            compiled, collective.execute(compiled)
+        )
+    return SimulationResult(
+        network=network, buffers=buffers, trace=engine.compiled_trace(compiled)
+    )

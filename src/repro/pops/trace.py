@@ -129,8 +129,7 @@ class CompiledTrace:
     [del_ptr[s]:del_ptr[s + 1]]``; packet ids index into ``packets`` and
     coupler ids encode ``Coupler(cid // g, cid % g)``.  All aggregate
     statistics are numpy reductions over these arrays — no per-slot Python
-    objects exist unless :meth:`materialize` (or the :attr:`slots` escape
-    hatch) is called.
+    objects exist unless :meth:`materialize` is called.
 
     Attributes
     ----------
@@ -286,19 +285,6 @@ class CompiledTrace:
                 )
             )
         return trace
-
-    @property
-    def slots(self) -> list[SlotTrace]:
-        """Materialized per-slot views, built lazily and cached.
-
-        Debug/rendering convenience only — analysis code should use the numpy
-        reductions above, which never build per-slot objects.
-        """
-        cached = getattr(self, "_materialized", None)
-        if cached is None:
-            cached = self.materialize().slots
-            self._materialized = cached
-        return cached
 
 
 @dataclass(eq=False)

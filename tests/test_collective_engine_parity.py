@@ -7,10 +7,9 @@ on a per-packet/per-processor copy-count matrix.  These tests pin it to the
 reference simulator over generated broadcast/multi-reader schedules: final
 buffers (as per-processor multisets, copy multiplicity included), slot-by-slot
 traces, delivery verdicts, and dynamic-error slot/offender/message must all
-agree.  They also pin the ``batched`` engine's dispatch (flat-location →
-collective → reference by schedule shape) and the acceptance
-criterion that pure broadcast/collective schedules never fall back to the
-reference simulator.
+agree.  They also pin the ``batched`` engine's dispatch: one lowering per
+run, then the flat-location, copy-count or reference state — and pure
+broadcast/collective schedules never fall back to the reference simulator.
 """
 
 from __future__ import annotations
@@ -27,15 +26,24 @@ from repro.exceptions import (
     SimulationError,
     UnsupportedScheduleError,
 )
+import repro.pops.collective_engine as ce
+import repro.pops.engine as engine_module
 from repro.pops.collective_engine import (
+    CollectiveCompiledSchedule,
     CollectiveSimulator,
     compile_collective_schedule,
+    fold_copy_counts,
 )
-from repro.pops.engine import BatchedSimulator, ScheduleCache
-from repro.pops.lowering import classify_schedule
+from repro.pops.engine import (
+    BatchedSimulator,
+    ScheduleCache,
+    compile_state,
+    fold_locations,
+)
+from repro.pops.lowering import lower_schedule
 from repro.pops.packet import Packet
 from repro.pops.schedule import RoutingSchedule
-from repro.pops.simulator import POPSSimulator
+from repro.pops.simulator import POPSSimulator, SimulationResult
 from repro.pops.topology import POPSNetwork
 from repro.pops.trace import CompiledTrace
 from repro.routing.permutation_router import PermutationRouter
@@ -58,9 +66,34 @@ def buffers_as_multisets(result) -> dict[int, list[tuple[int, int]]]:
     }
 
 
+def run_copy_counts(network: POPSNetwork, strict_receptions: bool = True):
+    """The copy-count executor on its own, as a ``run(schedule, packets)``:
+    compile, execute, rebuild the buffers and the compiled trace."""
+
+    def run(schedule, packets, initial_buffers=None) -> SimulationResult:
+        compiled = compile_collective_schedule(
+            network, schedule, packets, initial_buffers
+        )
+        engine = CollectiveSimulator(network, strict_receptions)
+        count = engine.execute(compiled)
+        return SimulationResult(
+            network=network,
+            buffers=engine.buffers_from_counts(compiled, count),
+            trace=BatchedSimulator(network).compiled_trace(compiled),
+        )
+
+    return run
+
+
+def trace_slots(result):
+    """Per-slot records of a result's trace, materializing a compiled one."""
+    trace = result.trace
+    return trace.materialize().slots if isinstance(trace, CompiledTrace) else trace.slots
+
+
 def assert_same_traces(reference, other) -> None:
     assert reference.n_slots == other.n_slots
-    for ref_slot, other_slot in zip(reference.trace.slots, other.trace.slots):
+    for ref_slot, other_slot in zip(trace_slots(reference), trace_slots(other)):
         assert ref_slot.slot_index == other_slot.slot_index
         assert ref_slot.coupler_payloads == other_slot.coupler_payloads
         assert sorted(ref_slot.deliveries) == sorted(other_slot.deliveries)
@@ -141,7 +174,7 @@ class TestGeneratedCollectiveParity:
         schedule, packets, holders = build_collective_workload(network, rng, rounds)
 
         reference = POPSSimulator(network).run(schedule, packets)
-        collective = CollectiveSimulator(network).run(schedule, packets)
+        collective = run_copy_counts(network)(schedule, packets)
         batched = POPSSimulator(network, backend="batched").run(schedule, packets)
 
         expected = buffers_as_multisets(reference)
@@ -169,7 +202,7 @@ class TestGeneratedCollectiveParity:
         network = POPSNetwork(d, g)
         rng = random.Random(seed)
         schedule, packets, _ = build_collective_workload(network, rng, rounds)
-        compiled = CollectiveSimulator(network).run(schedule, packets).trace
+        compiled = run_copy_counts(network)(schedule, packets).trace
         assert isinstance(compiled, CompiledTrace)
         materialized = compiled.materialize()
         assert compiled.n_slots == materialized.n_slots
@@ -210,7 +243,7 @@ class TestGeneratedCollectiveParity:
         outcomes = []
         for runner in (
             POPSSimulator(network).run,
-            CollectiveSimulator(network).run,
+            run_copy_counts(network),
             POPSSimulator(network, backend="batched").run,
         ):
             with pytest.raises(SimulationError) as exc_info:
@@ -236,7 +269,7 @@ class TestGeneratedCollectiveParity:
         )
 
         errors = []
-        for runner in (POPSSimulator(network).run, CollectiveSimulator(network).run):
+        for runner in (POPSSimulator(network).run, run_copy_counts(network)):
             with pytest.raises(SimulationError) as exc_info:
                 runner(schedule, packets)
             errors.append(str(exc_info.value))
@@ -246,7 +279,7 @@ class TestGeneratedCollectiveParity:
         lenient_ref = POPSSimulator(network, strict_receptions=False).run(
             schedule, packets
         )
-        lenient_col = CollectiveSimulator(network, strict_receptions=False).run(
+        lenient_col = run_copy_counts(network, strict_receptions=False)(
             schedule, packets
         )
         assert buffers_as_multisets(lenient_ref) == buffers_as_multisets(lenient_col)
@@ -263,96 +296,111 @@ class TestGeneratedCollectiveParity:
         pi = random_permutation(network.n, random.Random(seed))
         plan = PermutationRouter(network).route(pi)
         reference = POPSSimulator(network).run(plan.schedule, plan.packets)
-        collective = CollectiveSimulator(network).run(plan.schedule, plan.packets)
+        collective = run_copy_counts(network)(plan.schedule, plan.packets)
         assert buffers_as_multisets(reference) == buffers_as_multisets(collective)
         assert_same_traces(reference, collective)
         collective.verify_permutation_delivery(plan.packets)
 
 
+@pytest.fixture
+def dispatch(monkeypatch):
+    """Counts ``lower_schedule`` calls and records which state model ran."""
+    calls = {"lowerings": 0, "ran": []}
+    real_lower = engine_module.lower_schedule
+
+    def counting_lower(*args, **kwargs):
+        calls["lowerings"] += 1
+        return real_lower(*args, **kwargs)
+
+    monkeypatch.setattr(engine_module, "lower_schedule", counting_lower)
+    for owner, name, model in (
+        (BatchedSimulator, "execute", "flat"),
+        (CollectiveSimulator, "execute", "copy-count"),
+        (POPSSimulator, "run_reference", "reference"),
+    ):
+        def recording(*args, _real=getattr(owner, name), _model=model, **kwargs):
+            calls["ran"].append(_model)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, recording)
+    return calls
+
+
 class TestBatchedDispatch:
-    """`batched` picks flat-location -> collective -> reference by shape."""
+    """`batched` lowers once, then runs flat-location, copy-count or reference."""
 
     @pytest.fixture
     def net(self) -> POPSNetwork:
         return POPSNetwork(2, 3)
 
-    def test_classify_schedule_shapes(self, net):
-        pi = random_permutation(net.n, random.Random(1))
+    def test_routed_permutation_runs_flat(self, net, dispatch):
+        pi = random_permutation(net.n, random.Random(3))
         plan = PermutationRouter(net).route(pi)
-        assert classify_schedule(plan.schedule) == "consuming"
-        broadcast, _ = one_to_all_broadcast(net, speaker=0)
-        assert classify_schedule(broadcast) == "duplicating"
-        # Multi-reader without non-consuming sends is also duplicating.
+        result = POPSSimulator(net, backend="batched").run(plan.schedule, plan.packets)
+        result.verify_permutation_delivery(plan.packets)
+        assert dispatch == {"lowerings": 1, "ran": ["flat"]}
+
+    def test_broadcast_runs_on_copy_counts(self, net, dispatch):
+        """Acceptance criterion: pure broadcast/collective schedules never
+        reach the reference simulator on the batched engine."""
+        schedule, packet = one_to_all_broadcast(net, speaker=2, payload="y")
+        result = POPSSimulator(net, backend="batched").run(schedule, [packet])
+        assert all(result.packets_at(p) for p in net.processors())
+        assert result.packets_at(5)[0].payload == "y"
+        assert dispatch == {"lowerings": 1, "ran": ["copy-count"]}
+
+    def test_consuming_multi_reader_runs_on_copy_counts(self, net, dispatch):
+        """Every send consumes, but one coupler is read twice: no flat state."""
         packet = Packet(0, 4)
         schedule = RoutingSchedule(network=net)
         slot = schedule.new_slot()
         slot.add_transmission(0, net.coupler(2, 0), packet)
         slot.add_reception(4, net.coupler(2, 0))
         slot.add_reception(5, net.coupler(2, 0))
-        assert classify_schedule(schedule) == "duplicating"
-
-    def test_consuming_schedule_uses_batched(self, net, monkeypatch):
-        pi = random_permutation(net.n, random.Random(3))
-        plan = PermutationRouter(net).route(pi)
-        monkeypatch.setattr(
-            CollectiveSimulator, "run",
-            lambda *a, **k: pytest.fail("collective engine used for consuming schedule"),
-        )
-        monkeypatch.setattr(
-            POPSSimulator, "run_reference",
-            lambda *a, **k: pytest.fail("reference used for consuming schedule"),
-        )
-        result = POPSSimulator(net, backend="batched").run(plan.schedule, plan.packets)
-        result.verify_permutation_delivery(plan.packets)
-
-    def test_broadcast_skips_batched_and_reference(self, net, monkeypatch):
-        schedule, packet = one_to_all_broadcast(net, speaker=1, payload="x")
-        monkeypatch.setattr(
-            BatchedSimulator, "run",
-            lambda *a, **k: pytest.fail("batched engine used for broadcast"),
-        )
-        monkeypatch.setattr(
-            POPSSimulator, "run_reference",
-            lambda *a, **k: pytest.fail("reference used for broadcast"),
-        )
         result = POPSSimulator(net, backend="batched").run(schedule, [packet])
-        assert all(result.packets_at(p) for p in net.processors())
+        assert dispatch == {"lowerings": 1, "ran": ["copy-count"]}
+        reference = POPSSimulator(net).run(schedule, [packet])
+        assert buffers_as_multisets(result) == buffers_as_multisets(reference)
+        assert result.packets_at(4) == result.packets_at(5) == [packet]
 
-    def test_no_reference_fallback_for_collective_schedules(self, net, monkeypatch):
-        """Acceptance criterion: pure broadcast/collective schedules never
-        reach the reference simulator on the batched engine."""
-        monkeypatch.setattr(
-            POPSSimulator, "run_reference",
-            lambda *a, **k: pytest.fail("reference fallback still happens"),
+    def test_packet_at_two_holders_runs_on_copy_counts(self, net, dispatch):
+        """Consuming sends, one read each, but a packet starts at two holders."""
+        packet = Packet(0, 4, payload="p")
+        buffers = {p: [] for p in net.processors()}
+        buffers[0] = [packet]
+        buffers[1] = [Packet(0, 4, payload="p")]
+        schedule = RoutingSchedule(network=net)
+        slot = schedule.new_slot()
+        slot.add_transmission(1, net.coupler(2, 0), packet)
+        slot.add_reception(4, net.coupler(2, 0))
+        result = POPSSimulator(net, backend="batched").run(
+            schedule, [], initial_buffers={p: list(h) for p, h in buffers.items()}
         )
-        schedule, packet = one_to_all_broadcast(net, speaker=2, payload="y")
-        result = POPSSimulator(net, backend="batched").run(schedule, [packet])
-        assert result.packets_at(5)[0].payload == "y"
+        assert dispatch == {"lowerings": 1, "ran": ["copy-count"]}
+        reference = POPSSimulator(net).run(schedule, [], initial_buffers=buffers)
+        assert buffers_as_multisets(result) == buffers_as_multisets(reference)
+        assert result.packets_at(0) == result.packets_at(4) == [packet]
 
-    def test_state_budget_overflow_falls_back_to_reference(self, net, monkeypatch):
-        """Past the copy-count budget the collective engine bows out and the
-        dispatcher lands on the reference path."""
-        import repro.pops.collective_engine as ce
-
-        def tiny_budget_compile(network, schedule, packets, initial_buffers=None,
-                                max_state_bytes=ce.DEFAULT_MAX_STATE_BYTES):
-            raise UnsupportedScheduleError("state too large (forced by test)")
-
-        monkeypatch.setattr(ce, "compile_collective_schedule", tiny_budget_compile)
+    def test_budget_overflow_falls_back_to_reference(self, net, dispatch, monkeypatch):
+        """Past the copy-count budget the batched engine lands on the
+        reference path, still after a single lowering."""
+        monkeypatch.setattr(ce, "DEFAULT_MAX_STATE_BYTES", 1)
         schedule, packet = one_to_all_broadcast(net, speaker=0, payload="z")
         result = POPSSimulator(net, backend="batched").run(schedule, [packet])
         assert result.packets_at(4)[0].payload == "z"
+        assert dispatch == {"lowerings": 1, "ran": ["reference"]}
 
-    def test_oversized_state_raises_unsupported(self, net):
+    def test_oversized_state_raises_unsupported(self, net, monkeypatch):
+        monkeypatch.setattr(ce, "DEFAULT_MAX_STATE_BYTES", 1)
         schedule, packet = one_to_all_broadcast(net, speaker=0)
         with pytest.raises(UnsupportedScheduleError, match="copy-count state"):
-            compile_collective_schedule(net, schedule, [packet], max_state_bytes=1)
+            compile_collective_schedule(net, schedule, [packet])
 
-    def test_payload_divergent_copies_fall_back_to_reference(self):
+    def test_payload_divergent_copies_fall_back_to_reference(self, dispatch):
         """Value-equal packets with different payloads cannot be collapsed
-        into one universe entry: the collective compiler bows out and every
-        dispatching engine lands on the reference, which tracks each
-        buffered instance — so both payloads are delivered."""
+        into one universe entry: the lowering bows out and the batched engine
+        lands on the reference, which tracks each buffered instance — so both
+        payloads are delivered."""
         net = POPSNetwork(2, 2)
         copies = [Packet(0, 2, payload="A"), Packet(0, 2, payload="B")]
         buffers = {p: [] for p in net.processors()}
@@ -364,16 +412,62 @@ class TestBatchedDispatch:
             slot.add_transmission(0, coupler, Packet(0, 2))
             slot.add_reception(2, coupler)
 
+        result = POPSSimulator(net, backend="batched").run(
+            schedule, [], initial_buffers={p: list(h) for p, h in buffers.items()}
+        )
+        assert sorted(q.payload for q in result.packets_at(2)) == ["A", "B"]
+        assert dispatch == {"lowerings": 1, "ran": ["reference"]}
         with pytest.raises(UnsupportedScheduleError, match="different\\s+payloads"):
             compile_collective_schedule(net, schedule, [], initial_buffers=buffers)
         expected = POPSSimulator(net).run(
             schedule, [], initial_buffers={p: list(h) for p, h in buffers.items()}
         )
         assert sorted(p.payload for p in expected.packets_at(2)) == ["A", "B"]
-        result = POPSSimulator(net, backend="batched").run(
-            schedule, [], initial_buffers={p: list(h) for p, h in buffers.items()}
+
+
+class TestOneLowering:
+    """The one packet-universe rule and the flat fold's three conditions."""
+
+    def test_distinct_packets_are_the_universe_as_given(self):
+        network = POPSNetwork(3, 3)
+        plan = PermutationRouter(network).route(
+            random_permutation(network.n, random.Random(5))
         )
-        assert sorted(q.payload for q in result.packets_at(2)) == ["A", "B"]
+        lowered = lower_schedule(network, plan.schedule, plan.packets)
+        assert all(a is b for a, b in zip(lowered.packets, plan.packets))
+        assert lowered.initial_hold_packet.tolist() == list(range(network.n))
+
+    def test_value_equal_copies_share_one_entry(self):
+        network = POPSNetwork(2, 2)
+        copies = [Packet(0, 2, payload="x"), Packet(0, 2, payload="x")]
+        lowered = lower_schedule(network, RoutingSchedule(network=network), copies)
+        assert lowered.u_size == 1
+        assert lowered.initial_hold_packet.tolist() == [0, 0]
+        assert lowered.initial_hold_proc.tolist() == [0, 0]
+
+    @pytest.mark.parametrize(
+        "shape, reason",
+        [
+            ("broadcast", "non-consuming"),
+            ("multi-reader", "read by several receivers"),
+            ("two-holders", "more than one holder"),
+        ],
+    )
+    def test_flat_fold_names_the_duplication(self, shape, reason):
+        net = POPSNetwork(2, 3)
+        packet = Packet(0, 4)
+        schedule = RoutingSchedule(network=net)
+        slot = schedule.new_slot()
+        slot.add_transmission(0, net.coupler(2, 0), packet, consume=shape != "broadcast")
+        slot.add_reception(4, net.coupler(2, 0))
+        if shape == "multi-reader":
+            slot.add_reception(5, net.coupler(2, 0))
+        packets = [packet, Packet(0, 4)] if shape == "two-holders" else [packet]
+        lowered = lower_schedule(net, schedule, packets)
+        with pytest.raises(UnsupportedScheduleError, match=reason):
+            fold_locations(lowered)
+        assert isinstance(fold_copy_counts(lowered), CollectiveCompiledSchedule)
+
 
 class TestCollectiveCaching:
     def workload(self):
@@ -384,46 +478,38 @@ class TestCollectiveCaching:
     def test_hit_returns_identical_compiled_schedule(self):
         network, schedule, packets = self.workload()
         cache = ScheduleCache()
-        engine = CollectiveSimulator(network)
         key = ("broadcast", 3, 3, 4)
-        first = engine.compile(schedule, packets, cache_key=key, cache=cache)
-        second = engine.compile(schedule, packets, cache_key=key, cache=cache)
+        first = compile_state(network, schedule, packets, cache_key=key, cache=cache)
+        second = compile_state(network, schedule, packets, cache_key=key, cache=cache)
+        assert isinstance(first, CollectiveCompiledSchedule)
         assert second is first
         assert cache.stats() == {"hits": 1, "misses": 1, "entries": 1}
 
-    def test_keys_are_namespaced_away_from_the_batched_engine(self):
-        """One caller key used with both engines must never cross-resolve."""
-        network = POPSNetwork(3, 3)
-        pi = random_permutation(network.n, random.Random(7))
-        plan = PermutationRouter(network).route(pi)
+    def test_copy_count_entry_is_never_returned_as_flat(self):
+        """A key holding a copy-count entry makes the flat compile refuse,
+        even for a schedule the flat state could hold."""
+        network, schedule, packets = self.workload()
         cache = ScheduleCache()
         key = ("shared", 3, 3)
-        batched = BatchedSimulator(network).compile(
-            plan.schedule, plan.packets, cache_key=key, cache=cache
+        compile_state(network, schedule, packets, cache_key=key, cache=cache)
+        plan = PermutationRouter(network).route(
+            random_permutation(network.n, random.Random(7))
         )
-        collective = CollectiveSimulator(network).compile(
-            plan.schedule, plan.packets, cache_key=key, cache=cache
-        )
-        assert len(cache) == 2
-        assert type(batched) is not type(collective)
-        # Each engine still hits its own entry on re-compile.
-        assert (
-            CollectiveSimulator(network).compile(
+        with pytest.raises(UnsupportedScheduleError, match="flat location array"):
+            BatchedSimulator(network).compile(
                 plan.schedule, plan.packets, cache_key=key, cache=cache
             )
-            is collective
-        )
+        assert cache.stats() == {"hits": 1, "misses": 1, "entries": 1}
 
     def test_no_key_or_initial_buffers_bypass_cache(self):
         network, schedule, packets = self.workload()
         cache = ScheduleCache()
-        engine = CollectiveSimulator(network)
-        a = engine.compile(schedule, packets, cache=cache)
-        b = engine.compile(schedule, packets, cache=cache)
+        a = compile_state(network, schedule, packets, cache=cache)
+        b = compile_state(network, schedule, packets, cache=cache)
         assert a is not b
         buffers = {p: [] for p in network.processors()}
         buffers[packets[0].source] = [packets[0]]
-        engine.compile(schedule, packets, buffers, cache_key="k", cache=cache)
+        compile_state(network, schedule, packets, buffers, cache_key="k", cache=cache)
         assert cache.stats() == {"hits": 0, "misses": 0, "entries": 0}
 
     def test_compiled_schedule_is_reusable(self):

@@ -43,7 +43,7 @@ def routed_compiled_trace(d: int, g: int, seed: int):
     network = POPSNetwork(d, g)
     pi = random_permutation(network.n, random.Random(seed))
     plan = PermutationRouter(network).route(pi)
-    result = BatchedSimulator(network).run(plan.schedule, plan.packets)
+    result = POPSSimulator(network, backend="batched").run(plan.schedule, plan.packets)
     return network, plan, result
 
 
@@ -96,14 +96,6 @@ class TestCompiledTraceStatistics:
             == reference.trace.packets_moved_per_slot()
         )
 
-    def test_slots_escape_hatch_is_lazy_and_cached(self):
-        _, _, result = routed_compiled_trace(3, 3, seed=5)
-        compiled = result.trace
-        assert getattr(compiled, "_materialized", None) is None
-        slots = compiled.slots
-        assert len(slots) == compiled.n_slots
-        assert compiled.slots is slots  # cached, not rebuilt
-
     def test_batched_results_are_comparable(self):
         """Equality on results (and traces) must not trip numpy's ambiguity."""
         _, _, first = routed_compiled_trace(3, 3, seed=7)
@@ -119,7 +111,7 @@ class TestCompiledTraceStatistics:
         from repro.pops.schedule import RoutingSchedule
 
         schedule = RoutingSchedule(network=network)
-        result = BatchedSimulator(network).run(schedule, [])
+        result = POPSSimulator(network, backend="batched").run(schedule, [])
         compiled = result.trace
         assert compiled.n_slots == 0
         assert compiled.total_packets_moved == 0

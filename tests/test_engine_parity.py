@@ -27,6 +27,7 @@ from repro.pops.packet import Packet
 from repro.pops.schedule import RoutingSchedule
 from repro.pops.simulator import POPSSimulator
 from repro.pops.topology import POPSNetwork
+from repro.pops.trace import CompiledTrace
 from repro.routing.permutation_router import PermutationRouter
 from repro.utils.permutations import random_permutation
 
@@ -39,9 +40,15 @@ def buffers_as_multisets(result) -> dict[int, list[tuple[int, int]]]:
     }
 
 
+def trace_slots(result):
+    """Per-slot records of a result's trace, materializing a compiled one."""
+    trace = result.trace
+    return trace.materialize().slots if isinstance(trace, CompiledTrace) else trace.slots
+
+
 def assert_same_traces(reference, batched) -> None:
     assert reference.n_slots == batched.n_slots
-    for ref_slot, bat_slot in zip(reference.trace.slots, batched.trace.slots):
+    for ref_slot, bat_slot in zip(trace_slots(reference), trace_slots(batched)):
         assert ref_slot.slot_index == bat_slot.slot_index
         assert ref_slot.coupler_payloads == bat_slot.coupler_payloads
         assert sorted(ref_slot.deliveries) == sorted(bat_slot.deliveries)
@@ -323,16 +330,6 @@ class TestEngineSpecifics:
         loc = engine.execute(compiled)
         with pytest.raises(DeliveryError):
             engine.verify_locations(compiled, loc)
-
-    def test_run_without_trace_skips_trace_only(self):
-        network = POPSNetwork(3, 3)
-        pi = random_permutation(network.n, random.Random(13))
-        plan = PermutationRouter(network).route(pi)
-        result = BatchedSimulator(network).run(
-            plan.schedule, plan.packets, collect_trace=False
-        )
-        assert result.trace.n_slots == 0  # trace intentionally not materialised
-        result.verify_permutation_delivery(plan.packets)
 
     def test_initial_buffers_override(self):
         network = POPSNetwork(2, 3)

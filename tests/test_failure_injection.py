@@ -23,10 +23,13 @@ from repro.exceptions import (
     SimulationError,
     TransmitterError,
 )
-from repro.pops.collective_engine import CollectiveSimulator
+from repro.pops.collective_engine import (
+    CollectiveSimulator,
+    compile_collective_schedule,
+)
 from repro.pops.packet import Packet
 from repro.pops.schedule import Reception, Transmission
-from repro.pops.simulator import POPSSimulator
+from repro.pops.simulator import POPSSimulator, SimulationResult
 from repro.pops.topology import Coupler, POPSNetwork
 from repro.routing.permutation_router import PermutationRouter
 from repro.utils.permutations import random_permutation
@@ -185,12 +188,26 @@ _CORRUPTIONS = {
 }
 
 
-#: Simulator runners by name: the two engines, and the collective engine
-#: that ``batched`` hands duplicating schedules to, called directly.
+def _run_copy_counts(network):
+    """The copy-count executor that ``batched`` folds duplicating schedules
+    into, driven directly: compile, execute, rebuild the buffers."""
+
+    def run(schedule, packets) -> SimulationResult:
+        compiled = compile_collective_schedule(network, schedule, packets)
+        engine = CollectiveSimulator(network)
+        count = engine.execute(compiled)
+        return SimulationResult(
+            network=network, buffers=engine.buffers_from_counts(compiled, count)
+        )
+
+    return run
+
+
+#: Simulator runners by name: the two engines, and the copy-count executor.
 _RUNNERS = {
     "reference": lambda network: POPSSimulator(network).run,
     "batched": lambda network: POPSSimulator(network, backend="batched").run,
-    "collective": lambda network: CollectiveSimulator(network).run,
+    "collective": _run_copy_counts,
 }
 
 

@@ -6,7 +6,9 @@ import pytest
 
 from repro.exceptions import GraphError, NotRegularError
 from repro.graph.multigraph import BipartiteMultigraph
-from repro.graph.regularize import biregular_pad, pad_to_regular
+import numpy as np
+
+from repro.graph.regularize import biregular_pad_arrays, pad_to_regular
 
 
 def regular_core(n: int, degree: int) -> BipartiteMultigraph:
@@ -18,26 +20,32 @@ def regular_core(n: int, degree: int) -> BipartiteMultigraph:
     return graph
 
 
+def pad_degrees(left, right, n_new: int, n_existing: int):
+    """``(left degrees, right degrees)`` of an edge-instance pad."""
+    return (
+        np.bincount(left, minlength=n_new).tolist(),
+        np.bincount(right, minlength=n_existing).tolist(),
+    )
+
+
 class TestBiregularPad:
     def test_degrees(self):
-        pad = biregular_pad(2, 4, new_degree=4, existing_degree=2)
-        ok, left_degree, right_degree = pad.is_biregular()
-        assert ok and left_degree == 4 and right_degree == 2
+        left, right = biregular_pad_arrays(2, 4, new_degree=4, existing_degree=2)
+        assert pad_degrees(left, right, 2, 4) == ([4, 4], [2, 2, 2, 2])
 
     def test_total_edges(self):
-        pad = biregular_pad(3, 6, new_degree=4, existing_degree=2)
-        assert pad.n_edges == 12
+        left, right = biregular_pad_arrays(3, 6, new_degree=4, existing_degree=2)
+        assert left.size == right.size == 12
 
     def test_nonexistent_graph_raises(self):
         with pytest.raises(GraphError):
-            biregular_pad(2, 3, new_degree=3, existing_degree=1)
+            biregular_pad_arrays(2, 3, new_degree=3, existing_degree=1)
 
     def test_multigraph_allowed_when_unavoidable(self):
         # 1 new vertex of degree 4 against 2 existing vertices of degree 2 each
         # forces parallel edges; the construction must still balance degrees.
-        pad = biregular_pad(1, 2, new_degree=4, existing_degree=2)
-        ok, left_degree, right_degree = pad.is_biregular()
-        assert ok and left_degree == 4 and right_degree == 2
+        left, right = biregular_pad_arrays(1, 2, new_degree=4, existing_degree=2)
+        assert pad_degrees(left, right, 1, 2) == ([4], [2, 2])
 
 
 class TestPadToRegular:
