@@ -30,6 +30,14 @@ cycles, and a proper 2-colouring of those cycles — computed with pointer
 doubling, no Python loop over edges — puts exactly half of every vertex's
 instances in each half.
 
+At routing scale a stack is often a single 1024-instance row, where each
+numpy call's fixed cost outweighs its arithmetic.  The stack kernel therefore
+works on flat native ``int64`` indices throughout: instances travel as flat
+ids into the ``(B, m)`` colour stack, each level's row-wise orderings become
+flat positions by adding a cached row-offset column, and pointer doubling
+below ``2**13`` instances gathers with ``int64`` indices (numpy re-casts any
+other index dtype on every gather).
+
 The single-graph forms :func:`konig_array_colors` / :func:`euler_array_colors`
 colour one :class:`~repro.graph.array_multigraph.ArrayMultigraph`; they back
 the object-level wrappers registered in ``COLORING_BACKENDS``, which the
@@ -76,46 +84,57 @@ def _check_equal_sides(graph: ArrayMultigraph) -> None:
         )
 
 
-def _iota(m: int, dtype) -> np.ndarray:
-    """Cached read-only ``arange(m, dtype=dtype)`` for the doubling kernels.
+def _cached_arange(size: int, dtype, stride: int = 1) -> np.ndarray:
+    """Cached read-only ``arange(0, size * stride, stride, dtype=dtype)``.
 
-    The stack kernels call :func:`_orbit_minima` once per split level with
-    one flat union size per problem shape, so a tiny keyed cache removes the
-    repeated arange allocation.  The array is marked read-only; callers only
-    feed it to allocating ufuncs.
+    The stack kernel asks for the same few small ranges at every split level
+    — the identity of :func:`_orbit_minima` and the row offsets ``r·seg_len``
+    of each level's ``(rows, seg_len)`` view — with one set of shapes per
+    problem, so a tiny keyed cache removes the repeated allocations.  The
+    arrays are marked read-only; callers only feed them to allocating ufuncs
+    or in-place updates of other arrays.
     """
-    key = (m, np.dtype(dtype).str)
-    iota = _IOTA_CACHE.get(key)
-    if iota is None:
-        if len(_IOTA_CACHE) >= 16:
-            _IOTA_CACHE.clear()
-        iota = np.arange(m, dtype=dtype)
-        iota.setflags(write=False)
-        _IOTA_CACHE[key] = iota
-    return iota
+    key = (size, stride, np.dtype(dtype).str)
+    values = _ARANGE_CACHE.get(key)
+    if values is None:
+        if len(_ARANGE_CACHE) >= 32:
+            _ARANGE_CACHE.clear()
+        values = np.arange(0, size * stride, stride, dtype=dtype)
+        values.setflags(write=False)
+        _ARANGE_CACHE[key] = values
+    return values
 
 
-_IOTA_CACHE: dict[tuple[int, str], np.ndarray] = {}
+_ARANGE_CACHE: dict[tuple[int, int, str], np.ndarray] = {}
 
 
 def _orbit_minima(step: np.ndarray, limit: int) -> np.ndarray:
     """Minimum instance index over each orbit of the permutation ``step``.
 
     Pointer doubling; ``limit`` bounds the orbit sizes (extra iterations are
-    idempotent, so any upper bound yields the exact minima).
+    idempotent, so any upper bound yields the exact minima).  Three tiers by
+    the size ``m`` of ``step``, all exact:
+
+    ``m < 2**13``
+        Two gathers per iteration (representative and jump), both indexed by
+        a native ``int64`` array: numpy re-casts any other index dtype on
+        every fancy index, which costs more than the gather itself at this
+        size, so a non-``int64`` ``step`` is converted once up front.
+    ``2**13 <= m <= 2**16``
+        ``(jump, representative)`` packed into one ``uint32`` word, so each
+        iteration is a single gather plus elementwise word surgery.
+    ``m > 2**16``
+        The same packing in an ``int64`` word (``jump << 32 | rep``).
     """
     m = step.size
     if 1 << 13 <= m <= 1 << 16:
-        # Pack (jump, representative) into one uint32 word so each doubling
-        # iteration costs a single gather instead of two; both fields are
-        # instance indices < 2**16, so the packed arithmetic is exact and the
-        # orbit minima are unchanged.  Below ~8k instances the extra
-        # elementwise passes cost more than the saved gather, so small
-        # problems keep the plain two-gather loop.
+        # Both fields are instance indices < 2**16, so the packed arithmetic
+        # is exact and the orbit minima are unchanged.  Below ~8k instances
+        # the extra elementwise passes cost more than the saved gather.
         low = np.uint32(0xFFFF)
         if step.dtype != np.uint32:
             step = step.astype(np.uint32)
-        representative = np.minimum(_iota(m, np.uint32), step)
+        representative = np.minimum(_cached_arange(m, np.uint32), step)
         # Gather indices stay int64: numpy re-casts non-native index arrays
         # on every fancy index, so a single explicit conversion per
         # iteration is cheaper than indexing with uint32 directly.
@@ -130,12 +149,13 @@ def _orbit_minima(step: np.ndarray, limit: int) -> np.ndarray:
             if window < limit:
                 packed = (fetched & ~low) | representative
                 jump = (fetched >> np.uint32(16)).astype(np.int64)
-    elif m > 1 << 16:
-        # Same packing in int64 (jump << 32 | rep): the shifted fetch is
-        # already a valid index, so each iteration is one gather plus
-        # elementwise word surgery.
+        return representative
+    step = step.astype(np.int64, copy=False)
+    if m > 1 << 16:
+        # The shifted fetch is already a valid index, so each iteration is
+        # one gather plus elementwise word surgery.
         low = np.int64(0xFFFFFFFF)
-        representative = np.minimum(_iota(m, np.int64), step)
+        representative = np.minimum(_cached_arange(m, np.int64), step)
         jump = step[step]
         packed = (jump << np.int64(32)) | representative
         window = 2
@@ -146,15 +166,15 @@ def _orbit_minima(step: np.ndarray, limit: int) -> np.ndarray:
             if window < limit:
                 packed = (fetched & ~low) | representative
                 jump = fetched >> np.int64(32)
-    else:
-        representative = np.minimum(_iota(m, np.int64), step)
-        jump = step[step]
-        window = 2
-        while window < limit:
-            representative = np.minimum(representative, representative[jump])
-            window *= 2
-            if window < limit:
-                jump = jump[jump]
+        return representative
+    representative = np.minimum(_cached_arange(m, np.int64), step)
+    jump = step[step]
+    window = 2
+    while window < limit:
+        representative = np.minimum(representative, representative[jump])
+        window *= 2
+        if window < limit:
+            jump = jump[jump]
     return representative
 
 
@@ -276,36 +296,35 @@ def euler_array_colors(graph: ArrayMultigraph) -> np.ndarray:
     )[0]
 
 
-def _alternate_mask_stack(order: np.ndarray, m: int) -> np.ndarray:
-    """Row-wise proper 2-colouring of the union of two instance pairings.
+def _alternate_mask_stack(flat: np.ndarray, m: int) -> np.ndarray:
+    """Proper 2-colouring of the union of two instance pairings.
 
-    ``order`` is a ``(rows, seg_len)`` stack of per-segment right-pairing
-    orderings covering segments of ``m`` instances; the left pairing is
-    ``i ^ 1`` in every segment — globally too, since segment offsets are
-    even.  The union decomposes the instances into even cycles alternating
-    left and right pairings; orbits of the two-step map ``partner_right ∘
-    partner_left`` are the alternate instances of a cycle, found by pointer
-    doubling (orbit minima), and the orbit holding the cycle's smallest
-    instance goes first.  The flat disjoint union keeps cycles confined to
-    their segment, orbit minima are offset-invariant within a segment, and
-    the extra pointer-doubling iterations of the larger union are
-    idempotent, so each output row is bit-identical to a standalone call on
-    that row.
+    ``flat`` concatenates per-segment right-pairing orderings, already
+    offset to flat instance positions, over segments of ``m`` instances;
+    the left pairing is ``i ^ 1`` in every segment — globally too, since
+    segment offsets are even.  The union decomposes the instances into even
+    cycles alternating left and right pairings; orbits of the two-step map
+    ``partner_right ∘ partner_left`` are the alternate instances of a cycle,
+    found by pointer doubling (orbit minima), and the orbit holding the
+    cycle's smallest instance goes first.  The flat disjoint union keeps
+    cycles confined to their segment, orbit minima are offset-invariant
+    within a segment, and the extra pointer-doubling iterations of the
+    larger union are idempotent, so each segment's mask is bit-identical to
+    a standalone call on that segment.
 
     The two-step walk ``step(i) = partner_right[i ^ 1]`` is scattered
     directly (no intermediate pairing array): consecutive order entries are
     right partners, so ``step[a ^ 1] = b`` and ``step[b ^ 1] = a`` for each
-    ordered pair ``(a, b)``.  Likewise the mask needs no swapped gather:
-    ``i`` and ``i ^ 1`` sit in complementary orbits of the same cycle with
-    distinct minima, so the odd mask is the negated even mask.
+    ordered pair ``(a, b)``.  ``step`` is ``uint32`` exactly where
+    :func:`_orbit_minima` packs it (``2**13 <= size <= 2**16``) and native
+    ``int64`` elsewhere.  The mask needs no swapped gather: ``i`` and
+    ``i ^ 1`` sit in complementary orbits of the same cycle with distinct
+    minima, so the odd mask is the negated even mask.
     """
-    rows, seg_len = order.shape
-    size = rows * seg_len
-    flat = (order + (np.arange(rows, dtype=np.int64) * seg_len)[:, None]).ravel()
+    size = flat.size
     first = flat[0::2]
     second = flat[1::2]
-    # 16-bit-indexable unions feed the packed pointer-doubling tier directly.
-    step_dtype = np.uint32 if size <= 1 << 16 else np.int64
+    step_dtype = np.uint32 if 1 << 13 <= size <= 1 << 16 else np.int64
     step = np.empty(size, dtype=step_dtype)
     step[first ^ 1] = second
     step[second ^ 1] = first
@@ -337,9 +356,11 @@ def euler_array_colors_stack(
     shared, the right pairing is a row-wise stable argsort, and one
     pointer-doubling pass over the flattened disjoint union 2-colours every
     row's cycles at once.  Exactly half of each row survives either side of
-    a split (vertex degrees halve row-wise), so boolean-mask selection
-    reshapes back to a dense stack.  Odd degrees peel a perfect matching
-    per row (matching is the one stage that does not batch).
+    a split (vertex degrees halve row-wise), so the reorder keeps a dense
+    stack.  Every instance travels as its flat ``int64`` id ``b·m + i`` into
+    the colour stack, so the surviving segments write their colours with
+    one flat scatter.  Odd degrees peel a perfect matching per row
+    (matching is the one stage that does not batch).
     """
     left = np.asarray(left)
     right = np.asarray(right)
@@ -349,21 +370,19 @@ def euler_array_colors_stack(
         return colors
     if degree is None:
         degree = m // n_left
-    # Right endpoints are < n_right and original positions are < m; 16-bit
-    # working copies turn every row-wise stable argsort below into a radix
-    # sort (an order-of-magnitude faster) and quarter masked-copy traffic.
-    # Stable argsort yields the same ordering for any dtype holding the same
-    # values and positions are only ever scattered through, so colours are
-    # unchanged bit for bit.
-    int16_max = np.iinfo(np.int16).max
+    # Right endpoints are < n_right; 8/16-bit working copies turn every
+    # row-wise stable argsort below into a radix sort (an order-of-magnitude
+    # faster).  Stable argsort yields the same ordering for any dtype holding
+    # the same values, so colours are unchanged bit for bit.
     if n_right <= np.iinfo(np.uint8).max:
         right = right.astype(np.uint8, copy=False)
-    elif n_right <= int16_max:
+    elif n_right <= np.iinfo(np.int16).max:
         right = right.astype(np.int16, copy=False)
     else:
         right = right.astype(np.int64, copy=False)
-    index_dtype = np.int16 if m <= int16_max else np.int64
-    index = np.broadcast_to(np.arange(m, dtype=index_dtype), (batch, m))
+    right = right.ravel()
+    color_ids = colors.reshape(-1)
+    ids = np.arange(batch * m, dtype=np.int64)
     # The split tree is processed level-synchronously: all 2^k subproblems of
     # depth k share one degree and one segment length, so each level is a
     # single batched pass over a ``(batch * n_seg, seg_len)`` view — the flat
@@ -375,48 +394,50 @@ def euler_array_colors_stack(
     n_seg, seg_len, deg = 1, m, degree
     bases = np.zeros(1, dtype=np.int64)
     while deg > 1:
-        view_r = right.reshape(batch * n_seg, seg_len)
-        view_i = index.reshape(batch * n_seg, seg_len)
+        rows = batch * n_seg
+        view_r = right.reshape(rows, seg_len)
         if deg % 2:
             # Segments stay sorted by left endpoint through every reorder and
             # every vertex keeps exactly ``deg`` instances, so the left array
             # is the shared canonical expansion — no need to carry it.
             # Matching is the one stage that does not batch.
+            view_i = ids.reshape(rows, seg_len)
             lefts_row = np.repeat(np.arange(n_left, dtype=np.int64), deg)
-            keep = np.ones((batch * n_seg, seg_len), dtype=bool)
-            for r in range(batch * n_seg):
+            keep = np.ones((rows, seg_len), dtype=bool)
+            for r in range(rows):
                 keep_r, removed_r = _peel_perfect_matching(
                     lefts_row, view_r[r], n_left, n_right
                 )
                 keep[r] = keep_r
-                colors[r // n_seg, view_i[r, removed_r]] = bases[r % n_seg]
+                color_ids[view_i[r, removed_r]] = bases[r % n_seg]
             seg_len -= n_left
-            right = view_r[keep].reshape(batch, n_seg * seg_len)
-            index = view_i[keep].reshape(batch, n_seg * seg_len)
+            right = view_r[keep]
+            ids = view_i[keep]
             bases = bases + 1
             deg -= 1
             continue
-        # Sorted-by-left segments make the left pairing consecutive indices —
-        # handled implicitly by the consecutive-pairing mask kernel.
-        second = _alternate_mask_stack(
-            np.argsort(view_r, axis=1, kind="stable"), seg_len
-        ).reshape(batch * n_seg, seg_len)
+        # Row offsets turn each level's row-wise orderings into flat
+        # positions; sorted-by-left segments make the left pairing
+        # consecutive positions, handled implicitly by the mask kernel.
+        offsets = _cached_arange(rows, np.int64, seg_len)[:, None]
+        order = np.argsort(view_r, axis=1, kind="stable")
+        order += offsets
+        second = _alternate_mask_stack(order.ravel(), seg_len)
         # Stable argsort of the half mask lists each segment's first half
         # (in order) then its second half (in order): exactly the two child
-        # segments, laid out contiguously.  Folding the row offsets in once
-        # lets both planes reuse a single flat gather index.
-        pos = np.argsort(second, axis=1, kind="stable")
-        pos += (np.arange(batch * n_seg, dtype=np.int64) * seg_len)[:, None]
+        # segments, laid out contiguously.
+        pos = np.argsort(second.reshape(rows, seg_len), axis=1, kind="stable")
+        pos += offsets
         flat_pos = pos.ravel()
-        right = right.ravel()[flat_pos].reshape(batch, -1)
-        index = index.ravel()[flat_pos].reshape(batch, -1)
+        right = right[flat_pos]
+        ids = ids[flat_pos]
         half = deg // 2
-        bases = np.stack([bases, bases + half], axis=1).ravel()
+        bases = np.add.outer(bases, (0, half)).ravel()
         n_seg *= 2
         seg_len //= 2
         deg = half
     # Every surviving segment is one colour class.
-    np.put_along_axis(colors, index, np.repeat(bases, seg_len)[None, :], axis=1)
+    color_ids[ids.reshape(batch, n_seg, seg_len)] = bases[:, None]
     return colors
 
 

@@ -669,21 +669,30 @@ class BatchedSimulator:
         """Run a compiled batch; returns the final ``(B, U)`` location stack.
 
         One slot is still three numpy operations — ownership comparison,
-        consume scatter, delivery scatter — just broadcast over the batch
-        axis via ``take_along_axis`` / ``put_along_axis``.  Row ``b`` of the
-        result equals ``execute(batch.element(b))``.
+        consume scatter, delivery scatter — on one flat C-order location
+        array: adding the row offsets ``b·U`` to the packet planes once turns
+        every slot's ``(B, ·)`` slice into flat indices, so each operation
+        is a plain gather or scatter.  Row ``b`` of the result equals
+        ``execute(batch.element(b))``.
 
         On a dynamic failure the offending elements are replayed one by one
         through :meth:`execute` so the error raised is exactly the error the
         lowest failing element would raise alone.
         """
-        loc = np.array(batch.initial_loc)
+        # A copy of a broadcast plane defaults to F order, whose ravel would
+        # be a copy; C order makes ``flat`` a view the scatters write through.
+        loc = np.array(batch.initial_loc, dtype=np.int64, order="C")
+        flat = loc.reshape(-1)
+        n_batch, u_size = loc.shape
+        offsets = (np.arange(n_batch, dtype=np.int64) * u_size)[:, None]
+        sent_ids = batch.tx_packet + offsets
+        consumed_ids = batch.con_packet + offsets
+        delivered_ids = batch.del_packet + offsets
         tx_ptr, del_ptr, con_ptr = batch.tx_ptr, batch.del_ptr, batch.con_ptr
         strict = self.strict_receptions
         for s in range(batch.n_slots):
-            senders = batch.tx_sender[:, tx_ptr[s]:tx_ptr[s + 1]]
-            sent = batch.tx_packet[:, tx_ptr[s]:tx_ptr[s + 1]]
-            held = np.take_along_axis(loc, sent, axis=1) == senders
+            tx = slice(tx_ptr[s], tx_ptr[s + 1])
+            held = flat[sent_ids[:, tx]] == batch.tx_sender[:, tx]
             if not held.all():
                 self._replay_batch_failure(batch)
             if strict and batch.idle_receiver[s] >= 0:
@@ -693,15 +702,9 @@ class BatchedSimulator:
                     f"slot {s}: processor {batch.idle_receiver[s]} reads "
                     f"idle {coupler!r}"
                 )
-            np.put_along_axis(
-                loc, batch.con_packet[:, con_ptr[s]:con_ptr[s + 1]], -1, axis=1
-            )
-            np.put_along_axis(
-                loc,
-                batch.del_packet[:, del_ptr[s]:del_ptr[s + 1]],
-                batch.del_receiver[:, del_ptr[s]:del_ptr[s + 1]],
-                axis=1,
-            )
+            flat[consumed_ids[:, con_ptr[s]:con_ptr[s + 1]]] = -1
+            delivered = slice(del_ptr[s], del_ptr[s + 1])
+            flat[delivered_ids[:, delivered]] = batch.del_receiver[:, delivered]
         return loc
 
     def _replay_batch_failure(self, batch: CompiledScheduleBatch) -> None:

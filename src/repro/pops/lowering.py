@@ -135,10 +135,13 @@ def group_firsts(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _batch_plane(values: np.ndarray, n_batch: int, length: int) -> np.ndarray:
     """Normalise a plan array to a ``(B, L)`` int64 plane.
 
-    Accepts a shared ``(L,)`` array (broadcast, zero-copy) or a per-batch
-    ``(B, L)`` plane; either way the engine reads it row-wise.
+    A per-batch ``(B, L)`` int64 plane is returned as it is; a shared
+    ``(L,)`` array is broadcast (zero-copy).  Either way the engine reads it
+    row-wise.
     """
     values = np.asarray(values, dtype=np.int64)
+    if values.shape == (n_batch, length):
+        return values
     return np.broadcast_to(values, (n_batch, length))
 
 

@@ -389,8 +389,9 @@ class FairDistributionSolver:
         :data:`KERNEL_TILE_INSTANCES` instances (``max(1, 2**14 // m)``
         rows, ``m`` from :func:`coloring_instance_count`; a lone row that
         exceeds the tile is still one call); and the colours are read back
-        into the ``(B, n1, Δ1)`` assignment with two row-wise sorts.  For a given array backend, row
-        ``b`` is *identical* to :meth:`solve` on the equivalent
+        into the ``(B, n1, Δ1)`` assignment with two row-wise sorts and one
+        flat gather/scatter pair.  For a given array backend, row ``b`` is
+        *identical* to :meth:`solve` on the equivalent
         :class:`~repro.routing.list_system.ListSystem`: both pipelines hand
         the same canonical arrays to the same deterministic kernel and read
         colours back per edge in ascending order.
@@ -491,7 +492,8 @@ class FairDistributionSolver:
         # Read back, row-wise: core instances carry the colours, pairing
         # (source, value, ascending colour) with (source, value, ascending
         # position) — the object readback of solve — by two sorts along
-        # axis 1.
+        # axis 1, then one flat gather and one flat scatter (row offsets
+        # turn both row-wise orderings into flat positions).
         if padded:
             core_mask = (instance_left < n1) & (instance_right < n1)
             instance_left = instance_left[core_mask].reshape(batch, m_core)
@@ -510,14 +512,13 @@ class FairDistributionSolver:
         position_order = np.argsort(
             shrink_sort_key(position_key, pair_bound), axis=1, kind="stable"
         )
-        assignment = np.empty((batch, m_core), dtype=np.int64)
-        np.put_along_axis(
-            assignment,
-            position_order,
-            np.take_along_axis(colors, instance_order, axis=1),
-            axis=1,
+        row_offsets = np.arange(0, batch * m_core, m_core, dtype=np.int64)[:, None]
+        instance_order += row_offsets
+        position_order += row_offsets
+        assignment = np.empty((batch, n_sources, delta1), dtype=np.int64)
+        assignment.reshape(-1)[position_order.ravel()] = (
+            colors.reshape(-1)[instance_order.ravel()]
         )
-        assignment = assignment.reshape(batch, n_sources, delta1)
         if not padded and delta1 != n2:
             # Run r of colour c is target c·k + r, k = n2/Δ1, r = s // Δ2.
             run = np.arange(n1, dtype=np.int64) // (m_core // n2)

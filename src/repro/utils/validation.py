@@ -154,8 +154,14 @@ def check_integer_array(values: Any, name: str = "permutation") -> np.ndarray:
     strings, bool-only input and ragged or oversized nestings all raise
     instead of being coerced.  A bool anywhere in list or tuple input raises
     too, although numpy would promote it.  Empty input is allowed, since
-    numpy types it as float.
+    numpy types it as float.  ``uint64`` entries of ``2**63`` and above wrap
+    to negative values in the cast.
     """
+    return _integer_array(values, name).astype(np.int64, copy=False)
+
+
+def _integer_array(values: Any, name: str) -> np.ndarray:
+    """:func:`check_integer_array` before the ``int64`` cast."""
     if isinstance(values, (list, tuple)) and _has_bool_entry(values):
         raise ValidationError(f"{name} is not integer-valued: got a bool entry")
     try:
@@ -166,7 +172,7 @@ def check_integer_array(values: Any, name: str = "permutation") -> np.ndarray:
         raise ValidationError(
             f"{name} is not integer-valued: got entries of dtype {array.dtype}"
         )
-    return array.astype(np.int64, copy=False)
+    return array
 
 
 def check_permutation_array(pi: Sequence[int], n: int | None = None) -> np.ndarray:
@@ -175,7 +181,7 @@ def check_permutation_array(pi: Sequence[int], n: int | None = None) -> np.ndarr
     Same contract and messages: a one-dimensionality check, then the B = 1
     row of :func:`check_permutation_stack`.
     """
-    values = check_integer_array(pi)
+    values = _integer_array(pi, "permutation")
     if values.ndim != 1:
         raise ValidationError(
             f"permutation must be one-dimensional, got shape {values.shape}"
@@ -189,11 +195,15 @@ def check_permutation_stack(pis: Any, n: int | None = None) -> np.ndarray:
     Every row must be a permutation of ``{0, ..., n-1}``.  Violations raise
     with the single-permutation message for the row-major first offender.
     """
-    values = check_integer_array(pis)
-    if values.ndim != 2:
+    raw = _integer_array(pis, "permutation")
+    if raw.ndim != 2:
         raise ValidationError(
-            f"permutation stack must be two-dimensional, got shape {values.shape}"
+            f"permutation stack must be two-dimensional, got shape {raw.shape}"
         )
+    # An out-of-range entry is named from ``raw``: ``uint64`` entries of
+    # 2**63 and above are negative after the cast, which still flags them,
+    # but only ``raw`` holds the value check_permutation names.
+    values = raw.astype(np.int64, copy=False)
     batch, size = values.shape
     if n is not None and size != n:
         raise ValidationError(
@@ -203,7 +213,7 @@ def check_permutation_stack(pis: Any, n: int | None = None) -> np.ndarray:
     if out_of_range.any():
         b, i = np.unravel_index(int(np.argmax(out_of_range)), out_of_range.shape)
         raise ValidationError(
-            f"permutation entry {int(values[b, i])} out of range [0, {size})"
+            f"permutation entry {int(raw[b, i])} out of range [0, {size})"
         )
     counts = np.bincount(
         (np.arange(batch, dtype=np.int64)[:, None] * size + values).ravel(),

@@ -172,6 +172,20 @@ class TestCheckPermutationArrays:
         stack = check_permutation_stack(np.array([[1, 0], [0, 1]], dtype=np.uint8))
         assert stack.dtype == np.int64 and stack.tolist() == [[1, 0], [0, 1]]
 
+    @pytest.mark.parametrize("huge", [2**63, 2**64 - 1], ids=["2^63", "2^64-1"])
+    def test_huge_uint64_entry_named_like_check_permutation(self, huge):
+        pi = np.array([1, 0, 3, huge], dtype=np.uint64)
+        with pytest.raises(ValidationError) as scalar:
+            check_permutation(pi.tolist())
+        expected = f"permutation entry {huge} out of range [0, 4)"
+        assert str(scalar.value) == expected
+        with pytest.raises(ValidationError) as array:
+            check_permutation_array(pi)
+        assert str(array.value) == expected
+        with pytest.raises(ValidationError) as stack:
+            check_permutation_stack(np.stack([np.arange(4, dtype=np.uint64), pi]))
+        assert str(stack.value) == expected
+
 
 class TestCheckIntegerArray:
     @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.uint16, np.int64])
