@@ -10,7 +10,6 @@ collective below is executed on the slot-accurate simulator, not merely
 counted.
 """
 
-from repro.algorithms._session import collective_session
 from repro.algorithms.broadcast import one_to_all_broadcast, execute_broadcast
 from repro.algorithms.exchange import permute_values, PermutationEngine
 from repro.algorithms.reduction import hypercube_allreduce, data_sum
@@ -24,7 +23,6 @@ from repro.algorithms.alltoall import all_to_all_personalized, gather, scatter
 from repro.algorithms.window import adjacent_sum, circular_shift, consecutive_sum
 
 __all__ = [
-    "collective_session",
     "all_to_all_personalized",
     "gather",
     "scatter",

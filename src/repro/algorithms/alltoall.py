@@ -11,26 +11,24 @@ These are the "data movement operations" flavour of the POPS literature
   ``n - 1`` at the root.
 
 Each collective is executed end-to-end on the slot-accurate simulator —
-through the :class:`~repro.api.session.Session` layer on the ``batched``
-engine, so the consuming h-relation rounds run vectorized — and returns both the
-received data and the number of slots consumed, so the benchmarks can compare
-measured slot counts against the ``h · 2⌈d/g⌉`` decomposition bound.
+through the :class:`~repro.api.session.Session` layer (default: ``Session()``,
+whose ``batched`` engine runs the consuming h-relation rounds vectorized) —
+and returns both the received data and the number of slots consumed, so the
+benchmarks can compare measured slot counts against the ``h · 2⌈d/g⌉``
+decomposition bound.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
-from repro.algorithms._session import collective_session
+from repro.api.session import Session
 from repro.exceptions import ValidationError
 from repro.pops.packet import Packet
 from repro.pops.topology import POPSNetwork
 from repro.routing.relation import HRelationRouter
 from repro.utils.validation import check_in_range
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.api.session import Session
 
 __all__ = ["all_to_all_personalized", "scatter", "gather"]
 
@@ -38,24 +36,20 @@ __all__ = ["all_to_all_personalized", "scatter", "gather"]
 def _execute_relation(
     network: POPSNetwork,
     packets: list[Packet],
-    backend: str,
     session: Session | None,
 ) -> tuple[dict[int, list[Packet]], int]:
     """Route ``packets`` as an h-relation, simulate, and return final buffers."""
-    if session is not None:
-        backend = session.config.router_backend
-    router = HRelationRouter(network, backend=backend)
+    if session is None:
+        session = Session()
+    router = HRelationRouter(network, backend=session.config.router_backend)
     plan = router.route_packets(packets)
-    result = collective_session(session).simulate(
-        plan.schedule, packets, verify=True
-    )
+    result = session.simulate(plan.schedule, packets, verify=True)
     return result.buffers, plan.n_slots
 
 
 def all_to_all_personalized(
     network: POPSNetwork,
     values: Sequence[Sequence[Any]],
-    backend: str = "konig",
     session: Session | None = None,
 ) -> tuple[list[list[Any]], int]:
     """Personalised all-to-all exchange.
@@ -75,7 +69,7 @@ def all_to_all_personalized(
         for j in range(n)
         if i != j
     ]
-    buffers, slots = _execute_relation(network, packets, backend, session)
+    buffers, slots = _execute_relation(network, packets, session)
 
     received: list[list[Any]] = [[None] * n for _ in range(n)]
     for j in range(n):
@@ -89,7 +83,6 @@ def scatter(
     network: POPSNetwork,
     root: int,
     values: Sequence[Any],
-    backend: str = "konig",
     session: Session | None = None,
 ) -> tuple[list[Any], int]:
     """Scatter ``values[j]`` from ``root`` to every processor ``j``.
@@ -104,7 +97,7 @@ def scatter(
         for j in range(network.n)
         if j != root
     ]
-    buffers, slots = _execute_relation(network, packets, backend, session)
+    buffers, slots = _execute_relation(network, packets, session)
     received: list[Any] = [None] * network.n
     received[root] = values[root]
     for j in range(network.n):
@@ -118,7 +111,6 @@ def gather(
     network: POPSNetwork,
     root: int,
     values: Sequence[Any],
-    backend: str = "konig",
     session: Session | None = None,
 ) -> tuple[list[Any], int]:
     """Gather every processor's value at ``root``.
@@ -134,7 +126,7 @@ def gather(
         for i in range(network.n)
         if i != root
     ]
-    buffers, slots = _execute_relation(network, packets, backend, session)
+    buffers, slots = _execute_relation(network, packets, session)
     collected: list[Any] = [None] * network.n
     collected[root] = values[root]
     for packet in buffers[root]:

@@ -7,25 +7,22 @@ the architecture, and it doubles as a smoke test that the simulator's
 broadcast semantics (non-consuming transmissions, one coupler read by many
 processors) match the model.
 
-Execution goes through the :class:`~repro.api.session.Session` layer on the
-``batched`` engine by default, which dispatches broadcast schedules to the
-vectorized multi-location :mod:`repro.pops.collective_engine` — the reference
-simulator is no longer on the path for any broadcast size.
+Execution goes through the :class:`~repro.api.session.Session` layer, by
+default ``Session()``, whose ``batched`` engine dispatches broadcast schedules
+to the vectorized multi-location :mod:`repro.pops.collective_engine` — the
+reference simulator is no longer on the path for any broadcast size.
 """
 
 from __future__ import annotations
 
 from collections.abc import Hashable
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
-from repro.algorithms._session import collective_session
+from repro.api.session import Session
 from repro.pops.packet import Packet
 from repro.pops.schedule import RoutingSchedule
 from repro.pops.topology import POPSNetwork
 from repro.utils.validation import check_in_range
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.api.session import Session
 
 __all__ = ["one_to_all_broadcast", "execute_broadcast"]
 
@@ -67,16 +64,17 @@ def execute_broadcast(
     """Run the broadcast on the simulator; return the per-processor values and slots used.
 
     Every processor (including the speaker) ends up with ``payload``.  Pass a
-    ``session`` to choose the engine/cache explicitly; ``cache_key`` memoises
-    the compiled schedule in the session's cache (sound only when the key
-    determines network, speaker *and* payload — see
+    ``session`` to choose the engine/cache explicitly (default:
+    ``Session()``); ``cache_key`` memoises the compiled schedule in the
+    session's cache (sound only when the key determines network, speaker
+    *and* payload — see
     :func:`repro.pops.engine.compile_state`, the one place the cache is
     read; a broadcast is stored in its copy-count layout).
     """
     schedule, packet = one_to_all_broadcast(network, speaker, payload)
-    result = collective_session(session).simulate(
-        schedule, [packet], cache_key=cache_key
-    )
+    if session is None:
+        session = Session()
+    result = session.simulate(schedule, [packet], cache_key=cache_key)
     values: list[Any] = [None] * network.n
     for processor in network.processors():
         held = result.packets_at(processor)

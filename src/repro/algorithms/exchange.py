@@ -5,7 +5,7 @@ Every collective in :mod:`repro.algorithms` decomposes into rounds of
 :class:`PermutationEngine` owns the permute step: it routes payload-carrying
 packets with the universal router (or any other router exposing ``route``),
 executes the schedule through the :class:`~repro.api.session.Session` layer
-(default: the vectorized ``batched`` engine, which runs these consuming
+(default: ``Session()``, whose ``batched`` engine runs these consuming
 permutation rounds itself), verifies delivery and returns both the new
 value vector and the number of slots consumed.  Slot counts accumulated by
 the engine are what benchmark E8 reports.
@@ -20,17 +20,14 @@ fresh and only the execution is vectorized.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
-from repro.algorithms._session import collective_session
+from repro.api.session import Session
 from repro.exceptions import DeliveryError
 from repro.pops.packet import Packet
 from repro.pops.topology import POPSNetwork
 from repro.routing.permutation_router import PermutationRouter
 from repro.utils.validation import check_permutation
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.api.session import Session
 
 __all__ = ["permute_values", "PermutationEngine"]
 
@@ -42,29 +39,18 @@ class PermutationEngine:
     ----------
     network:
         The POPS network to run on.
-    backend:
-        Edge-colouring backend forwarded to the universal router.  Ignored
-        when ``session`` is given (the session's ``router_backend`` wins).
-    verify:
-        When ``True`` every executed schedule is checked for correct delivery.
     session:
-        Session supplying the simulator engine and schedule cache; defaults
-        to a fresh session on the ``batched`` engine.
+        Session supplying the router backend and the simulator engine;
+        defaults to ``Session()`` (``euler-array`` on ``batched``).  Every
+        executed schedule is checked for correct delivery.
     """
 
-    def __init__(
-        self,
-        network: POPSNetwork,
-        backend: str = "konig",
-        verify: bool = True,
-        session: Session | None = None,
-    ):
+    def __init__(self, network: POPSNetwork, session: Session | None = None):
         self.network = network
-        self.session = collective_session(session)
-        if session is not None:
-            backend = session.config.router_backend
-        self.router = PermutationRouter(network, backend=backend, verify=verify)
-        self.verify = verify
+        self.session = Session() if session is None else session
+        self.router = PermutationRouter(
+            network, backend=self.session.config.router_backend
+        )
         self.slots_used = 0
         self.rounds_executed = 0
 
@@ -84,7 +70,7 @@ class PermutationEngine:
         # The plan's schedule references Packet(source, destination) values that
         # compare equal to the payload-carrying ones (payload is excluded from
         # equality), so the same schedule moves the payloads.
-        result = self.session.simulate(plan.schedule, packets, verify=self.verify)
+        result = self.session.simulate(plan.schedule, packets, verify=True)
         self.slots_used += plan.n_slots
         self.rounds_executed += 1
 
@@ -109,10 +95,9 @@ def permute_values(
     network: POPSNetwork,
     values: Sequence[Any],
     pi: Sequence[int],
-    backend: str = "konig",
     session: Session | None = None,
 ) -> tuple[list[Any], int]:
     """One-shot helper: permute ``values`` by ``pi`` and return ``(new_values, slots)``."""
-    engine = PermutationEngine(network, backend=backend, session=session)
+    engine = PermutationEngine(network, session=session)
     new_values = engine.permute(values, pi)
     return new_values, engine.slots_used

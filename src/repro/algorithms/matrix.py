@@ -19,9 +19,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.algorithms.exchange import PermutationEngine
+from repro.api.session import Session
 from repro.exceptions import ValidationError
 from repro.patterns.families import matrix_transpose_permutation
-from repro.pops.simulator import POPSSimulator
 from repro.pops.packet import Packet
 from repro.pops.topology import POPSNetwork
 from repro.routing.baselines.direct import DirectRouter
@@ -33,7 +33,7 @@ def distributed_transpose(
     network: POPSNetwork,
     matrix: np.ndarray,
     method: str = "router",
-    backend: str = "konig",
+    session: Session | None = None,
 ) -> tuple[np.ndarray, int]:
     """Transpose a square matrix stored one element per processor (row-major).
 
@@ -46,6 +46,9 @@ def distributed_transpose(
     method:
         ``"router"`` uses the universal two-hop router; ``"direct"`` uses the
         single-hop baseline (optimal for the transpose's balanced traffic).
+    session:
+        Session supplying the router backend and the simulator engine of
+        either method; defaults to ``Session()``.
 
     Returns
     -------
@@ -62,8 +65,10 @@ def distributed_transpose(
     values = [data[i // m, i % m] for i in range(network.n)]
     pi = matrix_transpose_permutation(m)
 
+    if session is None:
+        session = Session()
     if method == "router":
-        engine = PermutationEngine(network, backend=backend)
+        engine = PermutationEngine(network, session=session)
         new_values = engine.permute(values, pi)
         slots = engine.slots_used
     elif method == "direct":
@@ -73,8 +78,7 @@ def distributed_transpose(
             Packet(source=i, destination=pi[i], payload=values[i])
             for i in range(network.n)
         ]
-        result = POPSSimulator(network).run(schedule, packets)
-        result.verify_permutation_delivery(packets)
+        result = session.simulate(schedule, packets, verify=True)
         new_values = [result.packets_at(p)[0].payload for p in network.processors()]
         slots = schedule.n_slots
     else:
@@ -118,13 +122,14 @@ def cannon_matrix_multiply(
     network: POPSNetwork,
     a: np.ndarray,
     b: np.ndarray,
-    backend: str = "konig",
+    session: Session | None = None,
 ) -> tuple[np.ndarray, int]:
     """Multiply two ``m x m`` matrices with Cannon's algorithm on POPS(d, g).
 
     Each processor holds one element of ``A`` and one of ``B``; the initial
     skews and the ``m - 1`` shift steps are all permutations routed by the
     universal router, and each processor accumulates its local product.
+    The permutations run through ``session`` (default: ``Session()``).
 
     Returns
     -------
@@ -142,7 +147,7 @@ def cannon_matrix_multiply(
     if a.shape != (m, m) or b.shape != (m, m):
         raise ValidationError(f"operands must be {m}x{m}, got {a.shape} and {b.shape}")
 
-    engine = PermutationEngine(network, backend=backend)
+    engine = PermutationEngine(network, session=session)
     a_values: list[float] = [a[i // m, i % m] for i in range(network.n)]
     b_values: list[float] = [b[i // m, i % m] for i in range(network.n)]
     accumulator = [0.0] * network.n

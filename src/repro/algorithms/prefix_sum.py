@@ -13,13 +13,16 @@ by the universal router, so the POPS cost is ``2⌈d/g⌉·log2 n`` slots
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.algorithms.exchange import PermutationEngine
 from repro.exceptions import ValidationError
 from repro.patterns.families import hypercube_exchange
 from repro.pops.topology import POPSNetwork
 from repro.utils.bitops import bit_length_exact, get_bit, is_power_of_two
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.api.session import Session
 
 __all__ = ["hypercube_prefix_sum"]
 
@@ -28,13 +31,14 @@ def hypercube_prefix_sum(
     network: POPSNetwork,
     values: Sequence[Any],
     combine: Callable[[Any, Any], Any] = lambda a, b: a + b,
-    backend: str = "konig",
+    session: Session | None = None,
 ) -> tuple[list[Any], int]:
     """Inclusive prefix reduction of ``values`` under ``combine``.
 
     Returns ``(prefix_vector, slots_used)`` where
     ``prefix_vector[i] = values[0] ⊕ ... ⊕ values[i]``.  The operator must be
-    associative; the processor count must be a power of two.
+    associative; the processor count must be a power of two.  Each exchange
+    runs through ``session`` (default: ``Session()``).
     """
     n = network.n
     if not is_power_of_two(n):
@@ -44,7 +48,7 @@ def hypercube_prefix_sum(
     if len(values) != n:
         raise ValidationError(f"expected {n} values, got {len(values)}")
 
-    engine = PermutationEngine(network, backend=backend)
+    engine = PermutationEngine(network, session=session)
     prefix = list(values)
     total = list(values)
     for bit in range(bit_length_exact(n)):

@@ -31,7 +31,6 @@ def hypercube_allreduce(
     network: POPSNetwork,
     values: Sequence[Any],
     combine: Callable[[Any, Any], Any],
-    backend: str = "konig",
     session: Session | None = None,
 ) -> tuple[list[Any], int]:
     """All-reduce ``values`` with the associative/commutative operator ``combine``.
@@ -40,8 +39,7 @@ def hypercube_allreduce(
     equals the reduction of all inputs.  The processor count must be a power of
     two (the hypercube embedding of [Sahni 2000b]).  Each exchange round
     executes through the :class:`~repro.api.session.Session` layer (``session``
-    or a fresh ``batched``-engine session), so the rounds run on the
-    vectorized batched engine.
+    or ``Session()``, whose ``batched`` engine runs the rounds vectorized).
     """
     n = network.n
     if not is_power_of_two(n):
@@ -50,7 +48,7 @@ def hypercube_allreduce(
         )
     if len(values) != n:
         raise ValidationError(f"expected {n} values, got {len(values)}")
-    engine = PermutationEngine(network, backend=backend, session=session)
+    engine = PermutationEngine(network, session=session)
     current = list(values)
     for bit in range(bit_length_exact(n)):
         exchanged = engine.permute(current, hypercube_exchange(n, bit))
@@ -61,7 +59,6 @@ def hypercube_allreduce(
 def data_sum(
     network: POPSNetwork,
     values: Sequence[float],
-    backend: str = "konig",
     session: Session | None = None,
 ) -> tuple[float, int]:
     """Sum one value per processor; return ``(total, slots_used)``.
@@ -70,6 +67,6 @@ def data_sum(
     operation of [Sahni 2000b].
     """
     reduced, slots = hypercube_allreduce(
-        network, list(values), lambda a, b: a + b, backend=backend, session=session
+        network, list(values), lambda a, b: a + b, session=session
     )
     return reduced[0], slots

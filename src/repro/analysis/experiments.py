@@ -715,7 +715,9 @@ def _collectives_experiment(
 
     Broadcast (1 slot), all-reduce and prefix sum (2⌈d/g⌉·log2 n slots), matrix
     transpose (router vs direct) and Cannon matrix multiplication, each
-    executed on the simulator and checked against a local reference.
+    executed on the simulator and checked against a local reference.  Every
+    collective runs through ``session``, so its router backend and engine
+    apply throughout.
 
     Trial seeds follow the sweep lineage: one root seed (the session's
     ``RunConfig.seed`` unless overridden) derives an independent seed per
@@ -723,7 +725,6 @@ def _collectives_experiment(
     Cannon operands — exactly as sharded sweeps derive per-trial seeds, so
     any section reproduces in isolation from the root seed alone.
     """
-    backend = session.config.router_backend
     root_seed = session.config.seed if seed is None else seed
     # One derived seed per random section: data for (4, 8), data for (8, 4),
     # and the Cannon operand matrices.
@@ -732,7 +733,9 @@ def _collectives_experiment(
 
     # Broadcast: 1 slot on any network.
     network = POPSNetwork(4, 4)
-    values, slots = execute_broadcast(network, speaker=5, payload="token")
+    values, slots = execute_broadcast(
+        network, speaker=5, payload="token", session=session
+    )
     rows.append(
         ["one-to-all broadcast", 4, 4, 1, slots, all(v == "token" for v in values)]
     )
@@ -746,7 +749,9 @@ def _collectives_experiment(
         log_n = n.bit_length() - 1
         expected_slots = theorem2_slot_bound(d, g) * log_n
 
-        reduced, slots = hypercube_allreduce(network, data, lambda a, b: a + b, backend)
+        reduced, slots = hypercube_allreduce(
+            network, data, lambda a, b: a + b, session=session
+        )
         rows.append(
             [
                 "hypercube all-reduce",
@@ -758,7 +763,7 @@ def _collectives_experiment(
             ]
         )
 
-        prefixes, slots = hypercube_prefix_sum(network, data, backend=backend)
+        prefixes, slots = hypercube_prefix_sum(network, data, session=session)
         expected_prefix = list(np.cumsum(data))
         rows.append(
             [
@@ -774,11 +779,15 @@ def _collectives_experiment(
     # Matrix transpose: router (2*ceil(d/g)) and direct (ceil(d/g)).
     network = POPSNetwork(6, 6)
     matrix = np.arange(36).reshape(6, 6)
-    transposed, slots = distributed_transpose(network, matrix, method="router", backend=backend)
+    transposed, slots = distributed_transpose(
+        network, matrix, method="router", session=session
+    )
     rows.append(
         ["transpose (router)", 6, 6, theorem2_slot_bound(6, 6), slots, bool((transposed == matrix.T).all())]
     )
-    transposed, slots = distributed_transpose(network, matrix, method="direct")
+    transposed, slots = distributed_transpose(
+        network, matrix, method="direct", session=session
+    )
     rows.append(["transpose (direct)", 6, 6, 1, slots, bool((transposed == matrix.T).all())])
 
     # Cannon matrix multiplication on a 4x4 mesh of 16 processors.
@@ -786,7 +795,7 @@ def _collectives_experiment(
     network = POPSNetwork(4, 4)
     a = np.array([[cannon_rng.uniform(-1, 1) for _ in range(4)] for _ in range(4)])
     b = np.array([[cannon_rng.uniform(-1, 1) for _ in range(4)] for _ in range(4)])
-    product, slots = cannon_matrix_multiply(network, a, b, backend=backend)
+    product, slots = cannon_matrix_multiply(network, a, b, session=session)
     expected_cannon_slots = theorem2_slot_bound(4, 4) * (2 + 2 * 3)
     rows.append(
         [

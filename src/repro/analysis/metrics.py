@@ -89,7 +89,6 @@ def _measure_routing_batch(
     *,
     router_backend: str,
     sim_backend: str,
-    verify: bool = True,
     validate: bool = True,
 ) -> list[RoutingMetrics]:
     """Route a ``(B, n)`` permutation stack; simulate, verify and summarise.
@@ -122,11 +121,9 @@ def _measure_routing_batch(
         batch=int(images.shape[0]),
     ) as span:
         if sim_backend == "batched" and router_backend in ARRAY_COLORING_STACK_KERNELS:
-            return _route_stack(network, images, span, router_backend, verify)
+            return _route_stack(network, images, span, router_backend)
         return [
-            _measure_routing(
-                network, row.tolist(), span, router_backend, verify, sim_backend
-            )
+            _measure_routing(network, row.tolist(), span, router_backend, sim_backend)
             for row in images
         ]
 
@@ -136,11 +133,10 @@ def _route_stack(
     images: np.ndarray,
     span,
     router_backend: str,
-    verify: bool,
 ) -> list[RoutingMetrics]:
     """The megabatch path of :func:`_measure_routing_batch`: one stack, as stages of ``span``."""
     span.stage = "route.setup"
-    router = PermutationRouter(network, backend=router_backend, verify=verify)
+    router = PermutationRouter(network, backend=router_backend)
     engine = BatchedSimulator(network)
     span.stage = "route.compile"
     batch = router.route_compiled_batch(images, validate=False)
@@ -173,7 +169,6 @@ def _measure_routing(
     pi: Sequence[int],
     span,
     router_backend: str,
-    verify: bool,
     sim_backend: str,
 ) -> RoutingMetrics:
     """Route ``pi`` on the object pipeline, simulate, verify, and summarise.
@@ -185,7 +180,7 @@ def _measure_routing(
     Its steps are timed as stages of ``span``, the ``session.route`` span.
     """
     span.stage = "route.setup"
-    router = PermutationRouter(network, backend=router_backend, verify=verify)
+    router = PermutationRouter(network, backend=router_backend)
     simulator = POPSSimulator(network, backend=sim_backend)
     span.stage = "route.compile"
     plan = router.route(pi)

@@ -18,8 +18,7 @@ registration, so new backends, engines and workloads plug in from anywhere
     from repro.api.registry import SIM_ENGINES
 
     @SIM_ENGINES.register("my-engine")
-    def _my_engine(simulator, schedule, packets, initial_buffers=None, *,
-                   cache_key=None, cache=None):
+    def _my_engine(simulator, schedule, packets, *, cache_key=None, cache=None):
         ...
 
     POPSSimulator(network, backend="my-engine")   # now just works

@@ -130,7 +130,6 @@ class Session:
         network: POPSNetwork | None = None,
         d: int | None = None,
         g: int | None = None,
-        verify: bool = True,
     ) -> RoutingMetrics:
         """Route ``pi`` with the universal router; simulate, verify, summarise.
 
@@ -150,7 +149,7 @@ class Session:
         """
         network = _resolve_network("route", network, d, g)
         images = check_permutation_array(pi, network.n)
-        return self._measure(network, images[None, :], verify, validate=False)[0]
+        return self._measure(network, images[None, :], validate=False)[0]
 
     def route_batch(
         self,
@@ -159,7 +158,6 @@ class Session:
         network: POPSNetwork | None = None,
         d: int | None = None,
         g: int | None = None,
-        verify: bool = True,
     ) -> list[RoutingMetrics]:
         """Route a ``(B, n)`` permutation stack on the megabatch pipeline.
 
@@ -169,10 +167,10 @@ class Session:
         ``session.route`` root with ``batch=B``.
         """
         network = _resolve_network("route_batch", network, d, g)
-        return self._measure(network, pis, verify)
+        return self._measure(network, pis)
 
     def _measure(
-        self, network: POPSNetwork, pis, verify: bool, validate: bool = True
+        self, network: POPSNetwork, pis, validate: bool = True
     ) -> list[RoutingMetrics]:
         from repro.analysis.metrics import _measure_routing_batch
 
@@ -180,7 +178,6 @@ class Session:
             network,
             pis,
             router_backend=self.config.router_backend,
-            verify=verify,
             sim_backend=self.config.sim_backend,
             validate=validate,
         )

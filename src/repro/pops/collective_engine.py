@@ -152,7 +152,6 @@ def compile_collective_schedule(
     network: POPSNetwork,
     schedule: RoutingSchedule,
     packets: list[Packet],
-    initial_buffers: dict[int, list[Packet]] | None = None,
 ) -> CollectiveCompiledSchedule:
     """Lower a (possibly duplicating) schedule to integer arrays.
 
@@ -170,9 +169,7 @@ def compile_collective_schedule(
         If the copy-count matrix would exceed :data:`DEFAULT_MAX_STATE_BYTES`,
         or value-equal copies carry different payloads.
     """
-    return fold_copy_counts(
-        lower_schedule(network, schedule, packets, initial_buffers)
-    )
+    return fold_copy_counts(lower_schedule(network, schedule, packets))
 
 
 def fold_copy_counts(lowered: LoweredSchedule) -> CollectiveCompiledSchedule:
@@ -237,37 +234,29 @@ def fold_copy_counts(lowered: LoweredSchedule) -> CollectiveCompiledSchedule:
 class CollectiveSimulator:
     """Vectorized multi-location executor, trace-equivalent to the reference.
 
+    Same contract as :class:`~repro.pops.simulator.POPSSimulator`: a read of
+    an idle coupler raises :class:`SimulationError`.
+
     Parameters
     ----------
     network:
         The POPS(d, g) network to simulate.
-    strict_receptions:
-        Same contract as :class:`~repro.pops.simulator.POPSSimulator`: a read
-        of an idle coupler raises :class:`SimulationError` when ``True`` and
-        silently yields nothing when ``False``.
     """
 
-    def __init__(self, network: POPSNetwork, strict_receptions: bool = True):
+    def __init__(self, network: POPSNetwork):
         self.network = network
-        self.strict_receptions = strict_receptions
 
     def compile(
-        self,
-        schedule: RoutingSchedule,
-        packets: list[Packet],
-        initial_buffers: dict[int, list[Packet]] | None = None,
+        self, schedule: RoutingSchedule, packets: list[Packet]
     ) -> CollectiveCompiledSchedule:
         """Lower ``schedule`` once; the result can be executed repeatedly."""
-        return compile_collective_schedule(
-            self.network, schedule, packets, initial_buffers
-        )
+        return compile_collective_schedule(self.network, schedule, packets)
 
     def execute(self, compiled: CollectiveCompiledSchedule) -> np.ndarray:
         """Run a compiled schedule, returning the final copy-count matrix."""
         count = compiled.initial_count.copy()
         packets = compiled.packets
         tx_ptr, del_ptr, con_ptr = compiled.tx_ptr, compiled.del_ptr, compiled.con_ptr
-        strict = self.strict_receptions
         for s in range(compiled.n_slots):
             senders = compiled.tx_sender[tx_ptr[s]:tx_ptr[s + 1]]
             sent = compiled.tx_packet[tx_ptr[s]:tx_ptr[s + 1]]
@@ -278,7 +267,7 @@ class CollectiveSimulator:
                     f"slot {s}: processor {senders[i]} does not hold "
                     f"{packets[sent[i]]!r}"
                 )
-            if strict and compiled.idle_receiver[s] >= 0:
+            if compiled.idle_receiver[s] >= 0:
                 cid = int(compiled.idle_coupler[s])
                 coupler = Coupler(cid // self.network.g, cid % self.network.g)
                 raise SimulationError(

@@ -360,7 +360,6 @@ def compile_schedule(
     network: POPSNetwork,
     schedule: RoutingSchedule,
     packets: list[Packet],
-    initial_buffers: dict[int, list[Packet]] | None = None,
 ) -> CompiledSchedule:
     """Lower ``schedule`` to integer arrays, raising any static violation.
 
@@ -379,9 +378,7 @@ def compile_schedule(
         location array.
     """
     with get_tracer().span("route.lower"):
-        return fold_locations(
-            lower_schedule(network, schedule, packets, initial_buffers)
-        )
+        return fold_locations(lower_schedule(network, schedule, packets))
 
 
 def fold_locations(lowered: LoweredSchedule) -> CompiledSchedule:
@@ -449,7 +446,6 @@ def compile_state(
     network: POPSNetwork,
     schedule: RoutingSchedule,
     packets: list[Packet],
-    initial_buffers: dict[int, list[Packet]] | None = None,
     cache_key: Hashable | None = None,
     cache: ScheduleCache | None = None,
 ) -> CompiledSchedule | CollectiveCompiledSchedule:
@@ -463,8 +459,7 @@ def compile_state(
     the *first* compilation's packet universe and ``Packet.payload`` is
     excluded from packet equality, the key must also determine payloads.
     ``cache`` overrides the process-wide cache (useful for isolation in tests
-    and benchmarks).  Runs with explicit ``initial_buffers`` never consult the
-    cache, since buffer contents are not covered by the key contract.
+    and benchmarks).
 
     Raises
     ------
@@ -472,12 +467,12 @@ def compile_state(
         If neither state holds the schedule (copy-count budget exceeded, or
         value-equal copies with different payloads).
     """
-    if cache_key is None or initial_buffers is not None:
-        return _lower_and_fold(network, schedule, packets, initial_buffers)
+    if cache_key is None:
+        return _lower_and_fold(network, schedule, packets)
     store = cache if cache is not None else schedule_cache()
     compiled = store.get(cache_key)
     if compiled is None:
-        compiled = _lower_and_fold(network, schedule, packets, None)
+        compiled = _lower_and_fold(network, schedule, packets)
         store.put(cache_key, compiled)
     return compiled
 
@@ -486,10 +481,9 @@ def _lower_and_fold(
     network: POPSNetwork,
     schedule: RoutingSchedule,
     packets: list[Packet],
-    initial_buffers: dict[int, list[Packet]] | None,
 ) -> CompiledSchedule | CollectiveCompiledSchedule:
     with get_tracer().span("route.lower"):
-        lowered = lower_schedule(network, schedule, packets, initial_buffers)
+        lowered = lower_schedule(network, schedule, packets)
         try:
             return fold_locations(lowered)
         except UnsupportedScheduleError:
@@ -499,25 +493,22 @@ def _lower_and_fold(
 class BatchedSimulator:
     """Vectorized slot-model executor, trace-equivalent to the reference.
 
+    Same contract as :class:`~repro.pops.simulator.POPSSimulator`: a read of
+    an idle coupler raises :class:`SimulationError`.
+
     Parameters
     ----------
     network:
         The POPS(d, g) network to simulate.
-    strict_receptions:
-        Same contract as :class:`~repro.pops.simulator.POPSSimulator`: a read
-        of an idle coupler raises :class:`SimulationError` when ``True`` and
-        silently yields nothing when ``False``.
     """
 
-    def __init__(self, network: POPSNetwork, strict_receptions: bool = True):
+    def __init__(self, network: POPSNetwork):
         self.network = network
-        self.strict_receptions = strict_receptions
 
     def compile(
         self,
         schedule: RoutingSchedule,
         packets: list[Packet],
-        initial_buffers: dict[int, list[Packet]] | None = None,
         cache_key: Hashable | None = None,
         cache: ScheduleCache | None = None,
     ) -> CompiledSchedule:
@@ -528,9 +519,7 @@ class BatchedSimulator:
         result — freshly lowered or cached under ``cache_key`` — is not a
         flat-location :class:`CompiledSchedule`.
         """
-        compiled = compile_state(
-            self.network, schedule, packets, initial_buffers, cache_key, cache
-        )
+        compiled = compile_state(self.network, schedule, packets, cache_key, cache)
         if not isinstance(compiled, CompiledSchedule):
             raise UnsupportedScheduleError(
                 "the schedule duplicates packets, so a flat location array "
@@ -565,7 +554,6 @@ class BatchedSimulator:
         loc = compiled.initial_loc.copy()
         packets = compiled.packets
         tx_ptr, del_ptr, con_ptr = compiled.tx_ptr, compiled.del_ptr, compiled.con_ptr
-        strict = self.strict_receptions
         for s in range(compiled.n_slots):
             if faults is not None and faults.active_at(s):
                 self._check_faults(
@@ -580,7 +568,7 @@ class BatchedSimulator:
                     f"slot {s}: processor {senders[i]} does not hold "
                     f"{packets[sent[i]]!r}"
                 )
-            if strict and compiled.idle_receiver[s] >= 0:
+            if compiled.idle_receiver[s] >= 0:
                 cid = int(compiled.idle_coupler[s])
                 coupler = Coupler(cid // self.network.g, cid % self.network.g)
                 raise SimulationError(
@@ -689,13 +677,12 @@ class BatchedSimulator:
         consumed_ids = batch.con_packet + offsets
         delivered_ids = batch.del_packet + offsets
         tx_ptr, del_ptr, con_ptr = batch.tx_ptr, batch.del_ptr, batch.con_ptr
-        strict = self.strict_receptions
         for s in range(batch.n_slots):
             tx = slice(tx_ptr[s], tx_ptr[s + 1])
             held = flat[sent_ids[:, tx]] == batch.tx_sender[:, tx]
             if not held.all():
                 self._replay_batch_failure(batch)
-            if strict and batch.idle_receiver[s] >= 0:
+            if batch.idle_receiver[s] >= 0:
                 cid = int(batch.idle_coupler[s])
                 coupler = Coupler(cid // self.network.g, cid % self.network.g)
                 raise SimulationError(

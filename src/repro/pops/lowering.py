@@ -237,43 +237,33 @@ def _same_payload(existing: Packet, packet: Packet) -> bool:
 
 
 def _packet_universe(
-    network: POPSNetwork,
-    packets: list[Packet],
-    initial_buffers: dict[int, list[Packet]] | None,
+    network: POPSNetwork, packets: list[Packet]
 ) -> tuple[list[Packet], np.ndarray, np.ndarray, np.ndarray]:
     """The packet universe, the initial ``(packet, processor)`` pairs, and the
     destination of every universe packet.
 
-    Value-equal copies — several processors holding the same packet, or one
-    processor holding it several times — share one universe entry and produce
-    one pair per copy, provided they carry the same payload.  Copies of one
-    value with *different* payloads cannot share an entry, so they raise
+    Every packet starts at its source.  Value-equal copies — the same
+    ``(source, destination)`` given more than once, so the source holds it
+    several times — share one universe entry and produce one pair per copy,
+    provided they carry the same payload.  Copies of one value with
+    *different* payloads cannot share an entry, so they raise
     :class:`UnsupportedScheduleError` and the schedule runs on the reference
     simulator, which tracks every buffered instance individually.  When no
     two ``(source, destination)`` pairs are equal, no two packets are
     value-equal, and the universe is the held packets themselves, found
     without hashing a ``Packet``.
     """
-    if initial_buffers is None:
-        held = list(packets)
-        sources = procs = _int_fields(held, "source", len(held))
-        bad = np.flatnonzero((sources < 0) | (sources >= network.n))
-        if bad.size:
-            raise SimulationError(
-                f"{held[int(bad[0])]!r} has source outside the network of size "
-                f"{network.n}"
-            )
-    else:
-        order = sorted(initial_buffers)
-        held = list(chain.from_iterable(initial_buffers[p] for p in order))
-        procs = np.repeat(
-            np.array(order, dtype=np.int64),
-            [len(initial_buffers[p]) for p in order],
+    held = list(packets)
+    sources = _int_fields(held, "source", len(held))
+    bad = np.flatnonzero((sources < 0) | (sources >= network.n))
+    if bad.size:
+        raise SimulationError(
+            f"{held[int(bad[0])]!r} has source outside the network of size "
+            f"{network.n}"
         )
-        sources = _int_fields(held, "source", len(held))
     destinations = _int_fields(held, "destination", len(held))
     if _distinct_pairs(sources, destinations, network.n):
-        return held, np.arange(len(held), dtype=np.int64), procs, destinations
+        return held, np.arange(len(held), dtype=np.int64), sources, destinations
 
     universe: list[Packet] = []
     index_of: dict[Packet, int] = {}
@@ -293,7 +283,7 @@ def _packet_universe(
     return (
         universe,
         np.array(hold_packet, dtype=np.int64),
-        procs,
+        sources,
         _int_fields(universe, "destination", len(universe)),
     )
 
@@ -378,12 +368,12 @@ def lower_schedule(
     network: POPSNetwork,
     schedule: RoutingSchedule,
     packets: list[Packet],
-    initial_buffers: dict[int, list[Packet]] | None = None,
 ) -> LoweredSchedule:
     """Flatten ``schedule``, validate it statically, and solve its dataflow.
 
-    Value-equal buffered copies share one universe entry with one
-    initial-holder pair per copy (see :func:`_packet_universe`).
+    Every packet starts at its source; value-equal copies share one universe
+    entry with one initial-holder pair per copy (see
+    :func:`_packet_universe`).
 
     Raises
     ------
@@ -400,7 +390,7 @@ def lower_schedule(
     g = network.g
     g2 = g * g
     universe, hold_packet, hold_proc, pk_destination = _packet_universe(
-        network, packets, initial_buffers
+        network, packets
     )
 
     # -- flatten to integer arrays (C-level attrgetter/fromiter extraction) ----

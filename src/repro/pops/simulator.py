@@ -119,15 +119,14 @@ class SimulationResult:
 class POPSSimulator:
     """Executes routing schedules under the POPS slot model.
 
+    Every packet starts at its source processor, and a processor that reads
+    a coupler nobody drives is a schedule error: the read raises
+    :class:`SimulationError` on every engine.
+
     Parameters
     ----------
     network:
         The POPS(d, g) network to simulate.
-    strict_receptions:
-        When ``True`` (default) a processor reading a coupler that carries no
-        packet is treated as a schedule bug and raises
-        :class:`SimulationError`; when ``False`` the read silently yields
-        nothing (useful for hand-written experimental schedules).
     backend:
         Any engine registered in :data:`repro.api.registry.SIM_ENGINES`.
         The built-ins: ``"reference"`` (default) executes transmissions one
@@ -146,19 +145,13 @@ class POPSSimulator:
     #: class.
     BACKENDS = ("reference", "batched")
 
-    def __init__(
-        self,
-        network: POPSNetwork,
-        strict_receptions: bool = True,
-        backend: str = "reference",
-    ):
+    def __init__(self, network: POPSNetwork, backend: str = "reference"):
         if backend not in SIM_ENGINES:
             raise ConfigurationError(
                 f"unknown simulator backend {backend!r}; "
                 f"expected one of {tuple(SIM_ENGINES.names())}"
             )
         self.network = network
-        self.strict_receptions = strict_receptions
         self.backend = backend
 
     # -- initial placement ------------------------------------------------------
@@ -180,7 +173,6 @@ class POPSSimulator:
         self,
         schedule: RoutingSchedule,
         packets: list[Packet],
-        initial_buffers: dict[int, list[Packet]] | None = None,
         cache_key: Hashable | None = None,
         cache: ScheduleCache | None = None,
     ) -> SimulationResult:
@@ -198,15 +190,12 @@ class POPSSimulator:
                 f"schedule targets {schedule.network!r}, simulator holds {self.network!r}"
             )
         engine = SIM_ENGINES.get(self.backend)
-        return engine(
-            self, schedule, packets, initial_buffers, cache_key=cache_key, cache=cache
-        )
+        return engine(self, schedule, packets, cache_key=cache_key, cache=cache)
 
     def run_reference(
         self,
         schedule: RoutingSchedule,
         packets: list[Packet],
-        initial_buffers: dict[int, list[Packet]] | None = None,
         faults=None,
     ) -> SimulationResult:
         """The reference slot-by-slot execution path.
@@ -230,11 +219,7 @@ class POPSSimulator:
         if faults is not None:
             failed_pairs = faults.failed_coupler_pairs(self.network.g)
             failed_procs = faults.failed_processor_set(self.network)
-        buffers = (
-            {proc: list(held) for proc, held in initial_buffers.items()}
-            if initial_buffers is not None
-            else self.initial_buffers(packets)
-        )
+        buffers = self.initial_buffers(packets)
         trace = SimulationTrace()
         for slot_index, slot in enumerate(schedule.slots):
             if faults is not None and faults.active_at(slot_index):
@@ -367,11 +352,9 @@ class POPSSimulator:
                 )
             readers.add(receiver)
             if coupler not in payloads:
-                if self.strict_receptions:
-                    raise SimulationError(
-                        f"slot {slot_index}: processor {receiver} reads idle {coupler!r}"
-                    )
-                continue
+                raise SimulationError(
+                    f"slot {slot_index}: processor {receiver} reads idle {coupler!r}"
+                )
             deliveries.append((receiver, payloads[coupler]))
 
         # Phase 3: commit buffer changes (sends leave, reads arrive).
@@ -405,8 +388,8 @@ class POPSSimulator:
 # Built-in engine registrations
 # ---------------------------------------------------------------------------
 #
-# An engine is a callable ``engine(simulator, schedule, packets,
-# initial_buffers, *, cache_key, cache) -> SimulationResult``.  Registering a
+# An engine is a callable ``engine(simulator, schedule, packets, *,
+# cache_key, cache) -> SimulationResult``.  Registering a
 # new name in SIM_ENGINES makes it dispatchable through
 # ``POPSSimulator(backend=...)`` (and therefore through RunConfig/Session and
 # the CLI) without touching this module.
@@ -417,13 +400,12 @@ def _reference_engine(
     simulator: POPSSimulator,
     schedule: RoutingSchedule,
     packets: list[Packet],
-    initial_buffers: dict[int, list[Packet]] | None = None,
     *,
     cache_key: Hashable | None = None,
     cache: ScheduleCache | None = None,
 ) -> SimulationResult:
     """Slot-by-slot Python execution with full dynamic checking."""
-    return simulator.run_reference(schedule, packets, initial_buffers)
+    return simulator.run_reference(schedule, packets)
 
 
 @SIM_ENGINES.register("batched")
@@ -431,7 +413,6 @@ def _batched_engine(
     simulator: POPSSimulator,
     schedule: RoutingSchedule,
     packets: list[Packet],
-    initial_buffers: dict[int, list[Packet]] | None = None,
     *,
     cache_key: Hashable | None = None,
     cache: ScheduleCache | None = None,
@@ -448,18 +429,16 @@ def _batched_engine(
     from repro.pops.collective_engine import CollectiveSimulator
     from repro.pops.engine import BatchedSimulator, CompiledSchedule, compile_state
 
-    network, strict = simulator.network, simulator.strict_receptions
+    network = simulator.network
     try:
-        compiled = compile_state(
-            network, schedule, packets, initial_buffers, cache_key, cache
-        )
+        compiled = compile_state(network, schedule, packets, cache_key, cache)
     except UnsupportedScheduleError:
-        return simulator.run_reference(schedule, packets, initial_buffers)
-    engine = BatchedSimulator(network, strict)
+        return simulator.run_reference(schedule, packets)
+    engine = BatchedSimulator(network)
     if isinstance(compiled, CompiledSchedule):
         buffers = engine.buffers_from_locations(compiled, engine.execute(compiled))
     else:
-        collective = CollectiveSimulator(network, strict)
+        collective = CollectiveSimulator(network)
         buffers = collective.buffers_from_counts(
             compiled, collective.execute(compiled)
         )

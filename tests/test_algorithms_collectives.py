@@ -4,12 +4,16 @@ from __future__ import annotations
 
 import operator
 
+import numpy as np
 import pytest
 
 from repro.algorithms.broadcast import execute_broadcast, one_to_all_broadcast
+from repro.algorithms.emulation import HypercubeEmulator, MeshEmulator
 from repro.algorithms.exchange import PermutationEngine, permute_values
+from repro.algorithms.matrix import cannon_matrix_multiply, distributed_transpose
 from repro.algorithms.prefix_sum import hypercube_prefix_sum
 from repro.algorithms.reduction import data_sum, hypercube_allreduce
+from repro.algorithms.window import adjacent_sum, circular_shift, consecutive_sum
 from repro.exceptions import DeliveryError, ValidationError
 from repro.patterns.families import cyclic_shift, vector_reversal
 from repro.pops.topology import POPSNetwork
@@ -180,6 +184,48 @@ class TestSessionInjection:
         for i in range(network.n):
             assert moved[pi[i]] == values[i]
 
+    @pytest.mark.parametrize(
+        "collective",
+        [
+            lambda net, s: hypercube_prefix_sum(net, list(range(net.n)), session=s),
+            lambda net, s: circular_shift(net, list(range(net.n)), session=s),
+            lambda net, s: consecutive_sum(net, list(range(net.n)), 3, session=s),
+            lambda net, s: adjacent_sum(net, list(range(net.n)), session=s),
+            lambda net, s: HypercubeEmulator(net, session=s).exchange(
+                list(range(net.n)), 0
+            ),
+            lambda net, s: MeshEmulator(net, session=s).shift(list(range(net.n)), "row"),
+            lambda net, s: distributed_transpose(net, np.eye(4), session=s),
+            lambda net, s: distributed_transpose(
+                net, np.eye(4), method="direct", session=s
+            ),
+            lambda net, s: cannon_matrix_multiply(net, np.eye(4), np.eye(4), session=s),
+        ],
+    )
+    def test_collective_runs_on_the_session_pair(self, collective, monkeypatch):
+        """Router backend and engine both come from ``session``."""
+        from repro.api import RunConfig, Session
+        from repro.pops.simulator import POPSSimulator
+        from repro.routing.permutation_router import PermutationRouter
+
+        engines, backends = [], []
+        run, route = POPSSimulator.run, PermutationRouter.route
+
+        def spy_run(self, *args, **kwargs):
+            engines.append(self.backend)
+            return run(self, *args, **kwargs)
+
+        def spy_route(self, *args, **kwargs):
+            backends.append(self.solver.backend)
+            return route(self, *args, **kwargs)
+
+        monkeypatch.setattr(POPSSimulator, "run", spy_run)
+        monkeypatch.setattr(PermutationRouter, "route", spy_route)
+        session = Session(RunConfig(router_backend="konig", sim_backend="reference"))
+        collective(POPSNetwork(4, 4), session)
+        assert engines and set(engines) == {"reference"}
+        assert set(backends) <= {"konig"}
+
     def test_allreduce_with_session_matches_default(self, rng):
         from repro.api import RunConfig, Session
 
@@ -193,17 +239,18 @@ class TestSessionInjection:
     def test_default_session_runs_rounds_on_the_batched_engine(
         self, monkeypatch, rng
     ):
-        from repro.algorithms._session import collective_session
+        from repro.api import RunConfig, Session
         from repro.pops.simulator import POPSSimulator
 
-        session = collective_session()
-        assert session.config.sim_backend == "batched"
-        assert collective_session(session) is session
+        network = POPSNetwork(4, 4)
+        assert PermutationEngine(network).session.config == RunConfig()
+        assert RunConfig().sim_backend == "batched"
+        session = Session()
+        assert PermutationEngine(network, session=session).session is session
         monkeypatch.setattr(
             POPSSimulator, "run_reference",
             lambda *a, **k: pytest.fail("a permutation round fell back to the reference"),
         )
-        network = POPSNetwork(4, 4)
         data = [rng.randint(0, 50) for _ in range(network.n)]
         reduced, _ = hypercube_allreduce(network, data, operator.add)
         assert reduced == [sum(data)] * network.n

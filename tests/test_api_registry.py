@@ -123,10 +123,9 @@ class TestPluggability:
         calls = []
 
         @SIM_ENGINES.register("recording-reference")
-        def _recording(simulator, schedule, packets, initial_buffers=None, *,
-                       cache_key=None, cache=None):
+        def _recording(simulator, schedule, packets, *, cache_key=None, cache=None):
             calls.append((simulator.backend, cache_key, cache))
-            return simulator.run_reference(schedule, packets, initial_buffers)
+            return simulator.run_reference(schedule, packets)
 
         try:
             from repro.api import RunConfig, Session

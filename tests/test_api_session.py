@@ -169,6 +169,33 @@ class TestSweepAndRunAll:
         ]
 
 
+class TestExperimentEngines:
+    def test_e8_runs_every_collective_on_the_session_pair(self, monkeypatch):
+        """E8 hands its session to every collective, so each simulator run
+        uses the configured engine and each route the configured backend."""
+        from repro.pops.simulator import POPSSimulator
+        from repro.routing.permutation_router import PermutationRouter
+
+        engines, backends = [], []
+        run, route = POPSSimulator.run, PermutationRouter.route
+
+        def spy_run(self, *args, **kwargs):
+            engines.append(self.backend)
+            return run(self, *args, **kwargs)
+
+        def spy_route(self, *args, **kwargs):
+            backends.append(self.solver.backend)
+            return route(self, *args, **kwargs)
+
+        monkeypatch.setattr(POPSSimulator, "run", spy_run)
+        monkeypatch.setattr(PermutationRouter, "route", spy_route)
+        config = RunConfig(router_backend="konig", sim_backend="reference")
+        result = Session(config).experiment("E8")
+        assert all(row[-1] is True for row in result.rows)
+        assert engines and set(engines) == {"reference"}
+        assert backends and set(backends) == {"konig"}
+
+
 class TestShimRemoval:
     """The 1.1 deprecation shims are gone, per the one-release timeline."""
 

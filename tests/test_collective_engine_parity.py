@@ -66,15 +66,13 @@ def buffers_as_multisets(result) -> dict[int, list[tuple[int, int]]]:
     }
 
 
-def run_copy_counts(network: POPSNetwork, strict_receptions: bool = True):
+def run_copy_counts(network: POPSNetwork):
     """The copy-count executor on its own, as a ``run(schedule, packets)``:
     compile, execute, rebuild the buffers and the compiled trace."""
 
-    def run(schedule, packets, initial_buffers=None) -> SimulationResult:
-        compiled = compile_collective_schedule(
-            network, schedule, packets, initial_buffers
-        )
-        engine = CollectiveSimulator(network, strict_receptions)
+    def run(schedule, packets) -> SimulationResult:
+        compiled = compile_collective_schedule(network, schedule, packets)
+        engine = CollectiveSimulator(network)
         count = engine.execute(compiled)
         return SimulationResult(
             network=network,
@@ -256,8 +254,8 @@ class TestGeneratedCollectiveParity:
     @settings(max_examples=20, deadline=None)
     @given(shape=network_shapes, seed=st.integers(0, 2**32 - 1))
     def test_strict_idle_read_parity(self, shape, seed):
-        """A read of an undriven coupler: strict raises identically on both
-        engines, lenient yields nothing on both."""
+        """A read of an undriven coupler raises identically on both
+        engines."""
         d, g = shape
         network = POPSNetwork(d, g)
         rng = random.Random(seed)
@@ -275,14 +273,6 @@ class TestGeneratedCollectiveParity:
             errors.append(str(exc_info.value))
         assert errors[0] == errors[1]
         assert "reads idle" in errors[0]
-
-        lenient_ref = POPSSimulator(network, strict_receptions=False).run(
-            schedule, packets
-        )
-        lenient_col = run_copy_counts(network, strict_receptions=False)(
-            schedule, packets
-        )
-        assert buffers_as_multisets(lenient_ref) == buffers_as_multisets(lenient_col)
 
     @settings(max_examples=20, deadline=None)
     @given(shape=network_shapes, seed=st.integers(0, 2**32 - 1))
@@ -364,20 +354,17 @@ class TestBatchedDispatch:
         assert result.packets_at(4) == result.packets_at(5) == [packet]
 
     def test_packet_at_two_holders_runs_on_copy_counts(self, net, dispatch):
-        """Consuming sends, one read each, but a packet starts at two holders."""
+        """Consuming sends, one read each, but a packet starts as two
+        value-equal copies at its source: two initial-holder pairs."""
         packet = Packet(0, 4, payload="p")
-        buffers = {p: [] for p in net.processors()}
-        buffers[0] = [packet]
-        buffers[1] = [Packet(0, 4, payload="p")]
+        packets = [packet, Packet(0, 4, payload="p")]
         schedule = RoutingSchedule(network=net)
         slot = schedule.new_slot()
-        slot.add_transmission(1, net.coupler(2, 0), packet)
+        slot.add_transmission(0, net.coupler(2, 0), packet)
         slot.add_reception(4, net.coupler(2, 0))
-        result = POPSSimulator(net, backend="batched").run(
-            schedule, [], initial_buffers={p: list(h) for p, h in buffers.items()}
-        )
+        result = POPSSimulator(net, backend="batched").run(schedule, packets)
         assert dispatch == {"lowerings": 1, "ran": ["copy-count"]}
-        reference = POPSSimulator(net).run(schedule, [], initial_buffers=buffers)
+        reference = POPSSimulator(net).run(schedule, packets)
         assert buffers_as_multisets(result) == buffers_as_multisets(reference)
         assert result.packets_at(0) == result.packets_at(4) == [packet]
 
@@ -403,8 +390,6 @@ class TestBatchedDispatch:
         payloads are delivered."""
         net = POPSNetwork(2, 2)
         copies = [Packet(0, 2, payload="A"), Packet(0, 2, payload="B")]
-        buffers = {p: [] for p in net.processors()}
-        buffers[0] = list(copies)
         schedule = RoutingSchedule(network=net)
         coupler = net.coupler(1, 0)
         for _ in range(2):
@@ -412,16 +397,12 @@ class TestBatchedDispatch:
             slot.add_transmission(0, coupler, Packet(0, 2))
             slot.add_reception(2, coupler)
 
-        result = POPSSimulator(net, backend="batched").run(
-            schedule, [], initial_buffers={p: list(h) for p, h in buffers.items()}
-        )
+        result = POPSSimulator(net, backend="batched").run(schedule, copies)
         assert sorted(q.payload for q in result.packets_at(2)) == ["A", "B"]
         assert dispatch == {"lowerings": 1, "ran": ["reference"]}
         with pytest.raises(UnsupportedScheduleError, match="different\\s+payloads"):
-            compile_collective_schedule(net, schedule, [], initial_buffers=buffers)
-        expected = POPSSimulator(net).run(
-            schedule, [], initial_buffers={p: list(h) for p, h in buffers.items()}
-        )
+            compile_collective_schedule(net, schedule, copies)
+        expected = POPSSimulator(net).run(schedule, copies)
         assert sorted(p.payload for p in expected.packets_at(2)) == ["A", "B"]
 
 
@@ -501,15 +482,12 @@ class TestCollectiveCaching:
             )
         assert cache.stats() == {"hits": 1, "misses": 1, "entries": 1}
 
-    def test_no_key_or_initial_buffers_bypass_cache(self):
+    def test_no_key_bypasses_cache(self):
         network, schedule, packets = self.workload()
         cache = ScheduleCache()
         a = compile_state(network, schedule, packets, cache=cache)
         b = compile_state(network, schedule, packets, cache=cache)
         assert a is not b
-        buffers = {p: [] for p in network.processors()}
-        buffers[packets[0].source] = [packets[0]]
-        compile_state(network, schedule, packets, buffers, cache_key="k", cache=cache)
         assert cache.stats() == {"hits": 0, "misses": 0, "entries": 0}
 
     def test_compiled_schedule_is_reusable(self):

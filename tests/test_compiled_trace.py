@@ -172,19 +172,6 @@ class TestScheduleCache:
         assert a is not b
         assert cache.stats() == {"hits": 0, "misses": 0, "entries": 0}
 
-    def test_initial_buffers_bypass_cache(self):
-        network, _, plan = self.fresh_workload()
-        cache = ScheduleCache()
-        engine = BatchedSimulator(network)
-        buffers = {p: [] for p in network.processors()}
-        for packet in plan.packets:
-            buffers[packet.source].append(packet)
-        compiled = engine.compile(
-            plan.schedule, plan.packets, buffers, cache_key=("k",), cache=cache
-        )
-        assert compiled is not None
-        assert cache.stats() == {"hits": 0, "misses": 0, "entries": 0}
-
     def test_eviction_is_bounded(self):
         network, pi, plan = self.fresh_workload()
         cache = ScheduleCache(max_entries=2)

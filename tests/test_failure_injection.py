@@ -257,11 +257,3 @@ class TestSimulatorStateIsolation:
         second = simulator.run(plan.schedule, plan.packets)
         assert first.buffers == second.buffers
         assert first.trace.packets_moved_per_slot() == second.trace.packets_moved_per_slot()
-
-    def test_initial_buffers_argument_not_mutated(self, routed_plan):
-        network, plan = routed_plan
-        simulator = POPSSimulator(network)
-        initial = simulator.initial_buffers(plan.packets)
-        snapshot = {p: list(held) for p, held in initial.items()}
-        simulator.run(plan.schedule, plan.packets, initial_buffers=initial)
-        assert initial == snapshot

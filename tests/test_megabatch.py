@@ -7,7 +7,9 @@ Pins the ISSUE 6 acceptance criteria:
   router backends, batch sizes B ∈ {1, 2, 7, 64}, n up to 1024, and stacks
   the colouring kernel takes in several row slices;
 * ``Session.route``, the rows of ``route_batch()`` and the object arbiter
-  return equal metrics, field types included, on every shape class;
+  return equal metrics, field types included, on every shape class; a daemon
+  round trip and an empty-spec ``route_degraded`` agree with them on slots,
+  Theorem 2 bound and couplers used;
 * sharded sweeps merge deterministically: shard size and engine choice never
   change the report rows;
 * an empty ``(0, n)`` stack routes to ``[]`` on every engine and shape.
@@ -25,10 +27,12 @@ from hypothesis import strategies as st
 from repro.analysis.metrics import RoutingMetrics
 from repro.api import RunConfig, Session
 from repro.exceptions import ConfigurationError
+from repro.faults import FaultSpec
 from repro.graph.array_coloring import ARRAY_COLORING_STACK_KERNELS
 from repro.pops.engine import BatchedSimulator, CompiledSchedule
 from repro.pops.topology import POPSNetwork
 from repro.routing.permutation_router import PermutationRouter
+from repro.serve import ServeClient, ServeDaemon
 from repro.utils.permutations import random_permutation
 from repro.utils.validation import check_permutation_stack
 
@@ -322,6 +326,35 @@ class TestOnePipelineDifferential:
             for field in dataclasses.fields(RoutingMetrics):
                 types = {type(getattr(metrics, field.name)) for metrics in triple}
                 assert len(types) == 1, (field.name, types)
+
+    @pytest.fixture(scope="class")
+    def daemon(self):
+        with ServeDaemon() as daemon:
+            yield daemon
+
+    @pytest.mark.parametrize("d,g", SHAPES, ids=lambda s: str(s))
+    def test_every_entry_point_agrees_on_slots_bound_and_couplers(
+        self, d, g, rng, daemon
+    ):
+        """``route``, a ``route_batch`` row, a daemon round trip and an
+        empty-spec ``route_degraded`` report the same slots, Theorem 2 bound
+        and couplers used for one permutation."""
+        network = POPSNetwork(d, g)
+        session = Session()
+        pis = permutation_stack(network, rng, 2)
+        rows = session.route_batch(pis, network=network)
+        with ServeClient(*daemon.address) as client:
+            for pi, row in zip(pis, rows):
+                single = session.route(pi, network=network)
+                served = client.route(pi, d=d, g=g).metrics
+                assert single == row == served
+                report = session.route_degraded(pi, network=network, faults=FaultSpec())
+                assert report.delivered and not report.fault_triggered
+                assert (
+                    report.total_slots,
+                    report.theorem2_bound,
+                    report.packets_moved,
+                ) == (single.slots, single.theorem2_bound, single.couplers_used_total)
 
 
 class TestShardMergeDeterminism:

@@ -6,6 +6,8 @@ Pins the ISSUE 8 contract:
   with a structured error (then the connection closes, the only safe
   resynchronisation), malformed JSON gets a structured error on a still-live
   connection, truncation raises instead of masquerading as a clean EOF;
+  hypothesis-generated malformed frames and route fields each get their
+  ``ERR_*`` code, and ``ping`` answers afterwards;
 * responses are bit-identical to a local ``Session.route`` — dynamic
   batching is invisible except in the ``batch_size`` field;
 * same-shape requests that queue up while the worker is busy coalesce into
@@ -31,9 +33,12 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.metrics import RoutingMetrics
 from repro.api import RunConfig, Session
+from repro.api.registry import ROUTER_BACKENDS
 from repro.serve import ServeClient, ServeDaemon, ServeError, run_poisson_load
 from repro.serve import protocol
 from repro.serve.batcher import DynamicBatcher, QueueFullError
@@ -321,6 +326,153 @@ class TestDaemonProtocolEdges:
                 pi = random_pis(21, 1)[0]
                 outcome = client.route(pi, d=3, g=7)
                 assert outcome.metrics == Session().route(pi, d=3, g=7)
+
+
+#: Any JSON value, nested a little.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=8,
+)
+
+#: One wrong value per route field: never a positive int for ``d``/``g``,
+#: never a flat list of ints for ``pi``, never a registered backend, never a
+#: number for ``deadline_ms``.
+wrong_route_fields = st.one_of(
+    *(
+        st.tuples(
+            st.just(name),
+            (json_values | st.integers(max_value=0)).filter(
+                lambda v: isinstance(v, bool) or not isinstance(v, int) or v < 1
+            ),
+        )
+        for name in ("d", "g")
+    ),
+    st.tuples(
+        st.just("pi"),
+        json_values.filter(
+            lambda v: not (
+                isinstance(v, list) and all(type(x) is int for x in v)
+            )
+        ),
+    ),
+    st.tuples(
+        st.just("backend"),
+        json_values.filter(lambda v: v not in ROUTER_BACKENDS.names()),
+    ),
+    st.tuples(
+        st.just("deadline_ms"),
+        json_values.filter(
+            lambda v: v is not None
+            and (isinstance(v, bool) or not isinstance(v, (int, float)))
+        ),
+    ),
+)
+
+ERROR_CODES = {
+    getattr(protocol, name) for name in protocol.__all__ if name.startswith("ERR_")
+}
+
+
+class TestProtocolFuzz:
+    """Generated malformed frames get a structured ``ERR_*`` answer, and the
+    daemon keeps answering ``ping`` on a fresh connection afterwards."""
+
+    @pytest.fixture(scope="class")
+    def daemon(self):
+        with ServeDaemon() as daemon:
+            yield daemon
+
+    def exchange(self, daemon, data: bytes) -> dict:
+        """Send raw bytes on a fresh connection; return the one response."""
+        with socket.create_connection(daemon.address, timeout=10.0) as conn:
+            conn.sendall(data)
+            response = protocol.recv_frame(conn)
+        assert response is not None
+        with ServeClient(*daemon.address) as client:
+            assert client.ping()
+        return response
+
+    def assert_error(self, response: dict, code: str) -> None:
+        assert response["ok"] is False
+        assert response["error"]["code"] in ERROR_CODES
+        assert response["error"]["code"] == code, response
+
+    def send_request(self, daemon, request: dict) -> dict:
+        body = json.dumps(request).encode("utf-8")
+        return self.exchange(daemon, struct.pack(">I", len(body)) + body)
+
+    @settings(max_examples=40, deadline=None)
+    @given(body=st.binary(max_size=64))
+    def test_random_bytes(self, daemon, body):
+        try:
+            parsed = json.loads(body.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError):
+            parsed = None
+        assume(not isinstance(parsed, dict))
+        response = self.exchange(daemon, struct.pack(">I", len(body)) + body)
+        self.assert_error(response, protocol.ERR_MALFORMED_JSON)
+
+    @settings(max_examples=30, deadline=None)
+    @given(value=json_values.filter(lambda v: not isinstance(v, dict)))
+    def test_non_object_json(self, daemon, value):
+        body = json.dumps(value).encode("utf-8")
+        response = self.exchange(daemon, struct.pack(">I", len(body)) + body)
+        self.assert_error(response, protocol.ERR_MALFORMED_JSON)
+
+    @settings(max_examples=60, deadline=None)
+    @given(field=wrong_route_fields)
+    def test_wrong_type_for_each_route_field(self, daemon, field):
+        name, value = field
+        request = {"op": "route", "pi": [1, 0, 3, 2], "d": 2, "g": 2}
+        request[name] = value
+        response = self.send_request(daemon, request)
+        self.assert_error(response, protocol.ERR_BAD_REQUEST)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        shape=st.sampled_from([(2, 2), (1, 3), (3, 2)]),
+        pi=st.lists(st.integers(0, 10), max_size=10),
+    )
+    def test_wrong_n(self, daemon, shape, pi):
+        d, g = shape
+        assume(len(pi) != d * g)
+        response = self.send_request(daemon, {"op": "route", "pi": pi, "d": d, "g": g})
+        self.assert_error(response, protocol.ERR_BAD_REQUEST)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        shape=st.sampled_from([(2, 2), (1, 3), (3, 2)]),
+        data=st.data(),
+    )
+    def test_non_permutations(self, daemon, shape, data):
+        d, g = shape
+        n = d * g
+        entries = st.integers(-3, n + 3) | st.integers(-(2**70), 2**70)
+        pi = data.draw(st.lists(entries, min_size=n, max_size=n))
+        assume(sorted(pi) != list(range(n)))
+        response = self.send_request(daemon, {"op": "route", "pi": pi, "d": d, "g": g})
+        self.assert_error(response, protocol.ERR_BAD_REQUEST)
+
+    @settings(max_examples=10, deadline=None)
+    @given(length=st.integers(protocol.MAX_FRAME_BYTES + 1, 2**32 - 1))
+    def test_oversized_length_prefix(self, daemon, length):
+        response = self.exchange(daemon, struct.pack(">I", length))
+        self.assert_error(response, protocol.ERR_OVERSIZED_FRAME)
+
+    @settings(max_examples=15, deadline=None)
+    @given(body=st.binary(min_size=1, max_size=64), data=st.data())
+    def test_truncated_frame(self, daemon, body, data):
+        """A frame cut short by the client's half-close gets no answer (the
+        sender is gone); the daemon hangs up and keeps serving."""
+        sent = data.draw(st.integers(0, len(body) - 1))
+        with socket.create_connection(daemon.address, timeout=10.0) as conn:
+            conn.sendall(struct.pack(">I", len(body)) + body[:sent])
+            conn.shutdown(socket.SHUT_WR)
+            assert conn.recv(1) == b""
+        with ServeClient(*daemon.address) as client:
+            assert client.ping()
 
 
 # ---------------------------------------------------------------------------

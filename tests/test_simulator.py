@@ -122,14 +122,6 @@ class TestDynamicViolations:
         with pytest.raises(SimulationError, match="idle"):
             simulator.run(schedule, [])
 
-    def test_reading_idle_coupler_lenient(self, net):
-        simulator = POPSSimulator(net, strict_receptions=False)
-        schedule = RoutingSchedule(network=net)
-        slot = schedule.new_slot()
-        slot.add_reception(0, net.coupler(0, 1))
-        result = simulator.run(schedule, [])
-        assert result.packets_at(0) == []
-
 
 class TestBroadcastSemantics:
     def test_non_consuming_send_keeps_copy(self, simulator, net):
