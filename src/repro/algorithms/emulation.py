@@ -14,7 +14,7 @@ the universal router, tracking slot usage per step.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 from repro.algorithms.exchange import PermutationEngine
 from repro.exceptions import ValidationError
@@ -28,9 +28,6 @@ from repro.utils.bitops import bit_length_exact, is_power_of_two
 from repro.utils.permutations import compose, invert
 from repro.utils.validation import check_permutation
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.api.session import Session
-
 __all__ = ["HypercubeEmulator", "MeshEmulator"]
 
 
@@ -42,14 +39,13 @@ class _MappedEmulator:
     ``mapping ∘ σ ∘ mapping⁻¹``, which Theorem 2 routes in the same number of
     slots regardless of the chosen mapping — the "somewhat surprising"
     consequence highlighted at the end of the paper's Section 2.  Steps run
-    through ``session`` (default: ``Session()``).
+    on the default ``Session()`` pair.
     """
 
     def __init__(
         self,
         network: POPSNetwork,
         mapping: Sequence[int] | None = None,
-        session: Session | None = None,
     ):
         self.network = network
         self.mapping = (
@@ -58,7 +54,7 @@ class _MappedEmulator:
             else check_permutation(mapping, network.n)
         )
         self._inverse_mapping = invert(self.mapping)
-        self.engine = PermutationEngine(network, session=session)
+        self.engine = PermutationEngine(network)
 
     def physical_permutation(self, logical_step: Sequence[int]) -> list[int]:
         """Translate a logical step permutation into the POPS permutation."""
@@ -99,13 +95,12 @@ class HypercubeEmulator(_MappedEmulator):
         self,
         network: POPSNetwork,
         mapping: Sequence[int] | None = None,
-        session: Session | None = None,
     ):
         if not is_power_of_two(network.n):
             raise ValidationError(
                 f"a hypercube needs a power-of-two processor count, got {network.n}"
             )
-        super().__init__(network, mapping, session)
+        super().__init__(network, mapping)
         self.dimensions = bit_length_exact(network.n)
 
     def exchange_permutation(self, bit: int) -> list[int]:
@@ -128,14 +123,13 @@ class MeshEmulator(_MappedEmulator):
         self,
         network: POPSNetwork,
         mapping: Sequence[int] | None = None,
-        session: Session | None = None,
     ):
         side = int(round(network.n ** 0.5))
         if side * side != network.n:
             raise ValidationError(
                 f"a square mesh needs a square processor count, got {network.n}"
             )
-        super().__init__(network, mapping, session)
+        super().__init__(network, mapping)
         self.side = side
 
     def shift_permutation(self, axis: str, offset: int = 1) -> list[int]:

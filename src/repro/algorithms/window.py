@@ -17,23 +17,19 @@ live in :mod:`repro.algorithms.reduction` and
 
 Every operation is executed end-to-end on the simulator via
 :class:`~repro.algorithms.exchange.PermutationEngine`, so the returned slot
-counts are measured, not computed.  Each operation takes an optional
-``session`` (router backend and engine; default: ``Session()``).
+counts are measured, not computed, on the default ``Session()`` pair.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 from repro.algorithms.exchange import PermutationEngine
 from repro.exceptions import ValidationError
 from repro.patterns.families import cyclic_shift
 from repro.pops.topology import POPSNetwork
 from repro.utils.validation import check_positive_int
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.api.session import Session
 
 __all__ = ["circular_shift", "consecutive_sum", "adjacent_sum"]
 
@@ -42,7 +38,6 @@ def circular_shift(
     network: POPSNetwork,
     values: Sequence[Any],
     offset: int = 1,
-    session: Session | None = None,
 ) -> tuple[list[Any], int]:
     """Move every processor's value ``offset`` positions forward (cyclically).
 
@@ -50,7 +45,7 @@ def circular_shift(
     """
     if len(values) != network.n:
         raise ValidationError(f"expected {network.n} values, got {len(values)}")
-    engine = PermutationEngine(network, session=session)
+    engine = PermutationEngine(network)
     shifted = engine.permute(list(values), cyclic_shift(network.n, offset))
     return shifted, engine.slots_used
 
@@ -60,7 +55,6 @@ def consecutive_sum(
     values: Sequence[Any],
     window: int,
     combine: Callable[[Any, Any], Any] = lambda a, b: a + b,
-    session: Session | None = None,
 ) -> tuple[list[Any], int]:
     """Cyclic windowed reduction: result[i] = values[i] ⊕ … ⊕ values[(i+window-1) % n].
 
@@ -75,7 +69,7 @@ def consecutive_sum(
     if len(values) != n:
         raise ValidationError(f"expected {n} values, got {len(values)}")
 
-    engine = PermutationEngine(network, session=session)
+    engine = PermutationEngine(network)
     result = list(values)
     rotating = list(values)
     # After k backward shifts, processor i holds values[(i + k) % n]; adding it
@@ -90,8 +84,7 @@ def adjacent_sum(
     network: POPSNetwork,
     values: Sequence[Any],
     combine: Callable[[Any, Any], Any] = lambda a, b: a + b,
-    session: Session | None = None,
 ) -> tuple[list[Any], int]:
     """Each processor combines its own value with its right neighbour's
     (cyclically): the ``window = 2`` consecutive sum of [Sahni 2000b]."""
-    return consecutive_sum(network, values, window=2, combine=combine, session=session)
+    return consecutive_sum(network, values, window=2, combine=combine)

@@ -32,7 +32,7 @@ reproducing that.
 Error parity follows the same contract as the batched engine: static
 violations raise before execution with ``schedule.validate()``'s exact
 exception, and the two dynamic errors — a sender not holding its packet, a
-strict read of an idle coupler — raise at the same slot, for the same
+read of an idle coupler — raise at the same slot, for the same
 offender, with the same message as the reference.
 
 The dense count matrix needs ``universe × n`` cells.  For the collective

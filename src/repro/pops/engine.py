@@ -35,7 +35,7 @@ to flip.
 Error parity with the reference simulator: static violations are raised before
 execution (the reference calls ``schedule.validate()`` up front, and the
 engine re-runs it on the slow path to reproduce the exact exception), and the
-two dynamic errors — a sender not holding its packet, a strict read of an idle
+two dynamic errors — a sender not holding its packet, a read of an idle
 coupler — are raised at the same slot, for the same offender, with the same
 message.
 """

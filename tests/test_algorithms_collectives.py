@@ -8,12 +8,10 @@ import numpy as np
 import pytest
 
 from repro.algorithms.broadcast import execute_broadcast, one_to_all_broadcast
-from repro.algorithms.emulation import HypercubeEmulator, MeshEmulator
 from repro.algorithms.exchange import PermutationEngine, permute_values
 from repro.algorithms.matrix import cannon_matrix_multiply, distributed_transpose
 from repro.algorithms.prefix_sum import hypercube_prefix_sum
 from repro.algorithms.reduction import data_sum, hypercube_allreduce
-from repro.algorithms.window import adjacent_sum, circular_shift, consecutive_sum
 from repro.exceptions import DeliveryError, ValidationError
 from repro.patterns.families import cyclic_shift, vector_reversal
 from repro.pops.topology import POPSNetwork
@@ -188,13 +186,6 @@ class TestSessionInjection:
         "collective",
         [
             lambda net, s: hypercube_prefix_sum(net, list(range(net.n)), session=s),
-            lambda net, s: circular_shift(net, list(range(net.n)), session=s),
-            lambda net, s: consecutive_sum(net, list(range(net.n)), 3, session=s),
-            lambda net, s: adjacent_sum(net, list(range(net.n)), session=s),
-            lambda net, s: HypercubeEmulator(net, session=s).exchange(
-                list(range(net.n)), 0
-            ),
-            lambda net, s: MeshEmulator(net, session=s).shift(list(range(net.n)), "row"),
             lambda net, s: distributed_transpose(net, np.eye(4), session=s),
             lambda net, s: distributed_transpose(
                 net, np.eye(4), method="direct", session=s

@@ -253,7 +253,7 @@ class TestGeneratedCollectiveParity:
 
     @settings(max_examples=20, deadline=None)
     @given(shape=network_shapes, seed=st.integers(0, 2**32 - 1))
-    def test_strict_idle_read_parity(self, shape, seed):
+    def test_idle_read_parity(self, shape, seed):
         """A read of an undriven coupler raises identically on both
         engines."""
         d, g = shape
@@ -353,7 +353,7 @@ class TestBatchedDispatch:
         assert buffers_as_multisets(result) == buffers_as_multisets(reference)
         assert result.packets_at(4) == result.packets_at(5) == [packet]
 
-    def test_packet_at_two_holders_runs_on_copy_counts(self, net, dispatch):
+    def test_duplicate_copies_at_source_run_on_copy_counts(self, net, dispatch):
         """Consuming sends, one read each, but a packet starts as two
         value-equal copies at its source: two initial-holder pairs."""
         packet = Packet(0, 4, payload="p")

@@ -111,7 +111,7 @@ class TestRoutedPermutationParity:
 
     @settings(max_examples=25, deadline=None)
     @given(shape=network_shapes, seed=st.integers(0, 2**32 - 1))
-    def test_idle_reads_agree_in_both_strict_modes(self, shape, seed):
+    def test_idle_reads_raise_identically(self, shape, seed):
         """Extra reads of undriven couplers raise the same error on both
         backends."""
         d, g = shape
