@@ -19,7 +19,6 @@ import numpy as np
 
 from repro.graph.array_coloring import ARRAY_COLORING_STACK_KERNELS
 from repro.obs import get_tracer
-from repro.pops.engine import BatchedSimulator
 from repro.pops.simulator import POPSSimulator
 from repro.pops.topology import POPSNetwork
 from repro.routing.lower_bounds import (
@@ -28,6 +27,7 @@ from repro.routing.lower_bounds import (
 )
 from repro.routing.permutation_router import (
     PermutationRouter,
+    route_template,
     theorem2_slot_bound,
 )
 from repro.utils.validation import check_permutation_stack
@@ -105,8 +105,10 @@ def _measure_routing_batch(
     kernel takes per call is decided by the fair-distribution solver, the
     one module that knows the instance count
     (:meth:`~repro.routing.fair_distribution.FairDistributionSolver.
-    solve_array_batch`).  Nothing is cached: routed traffic almost never
-    repeats a permutation stack, so cached plans would only hold memory.
+    solve_array_batch`).  No plan is cached; only shape arrays
+    (:func:`~repro.routing.permutation_router.route_template`): routed traffic almost
+    never repeats a permutation stack, so cached plans would only hold
+    memory.
     Entry ``b`` is equal, field types included, whichever path ran, and an
     empty ``(0, n)`` stack returns ``[]`` on every pair.
 
@@ -136,10 +138,10 @@ def _route_stack(
 ) -> list[RoutingMetrics]:
     """The megabatch path of :func:`_measure_routing_batch`: one stack, as stages of ``span``."""
     span.stage = "route.setup"
-    router = PermutationRouter(network, backend=router_backend)
-    engine = BatchedSimulator(network)
+    template = route_template(network.d, network.g)
+    engine = template.engine
     span.stage = "route.compile"
-    batch = router.route_compiled_batch(images, validate=False)
+    batch = template.router(router_backend).route_compiled_batch(images, validate=False)
     span.stage = "engine.execute"
     locations = engine.execute_batch(batch)
     engine.verify_locations_batch(batch, locations)

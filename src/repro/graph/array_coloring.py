@@ -49,6 +49,9 @@ bit-identical to the object pipeline run with the same backend.
 
 from __future__ import annotations
 
+import functools
+from typing import NamedTuple
+
 import numpy as np
 
 from repro.api.registry import ROUTER_BACKENDS
@@ -61,7 +64,10 @@ from repro.graph.array_multigraph import ArrayMultigraph
 from repro.graph.edge_coloring import COLORING_BACKENDS, EdgeColoring
 from repro.graph.matching import hopcroft_karp_csr
 from repro.graph.multigraph import BipartiteMultigraph
-from repro.utils.arrayops import shrink_sort_key
+from repro.utils.arrayops import first_repeat, read_only
+
+_UINT8_MAX = int(np.iinfo(np.uint8).max)
+_INT16_MAX = int(np.iinfo(np.int16).max)
 
 __all__ = [
     "ARRAY_COLORING_STACK_KERNELS",
@@ -84,28 +90,17 @@ def _check_equal_sides(graph: ArrayMultigraph) -> None:
         )
 
 
-def _cached_arange(size: int, dtype, stride: int = 1) -> np.ndarray:
-    """Cached read-only ``arange(0, size * stride, stride, dtype=dtype)``.
+@functools.lru_cache(maxsize=32)
+def _cached_arange(size: int, dtype) -> np.ndarray:
+    """Cached read-only ``arange(size, dtype=dtype)``.
 
-    The stack kernel asks for the same few small ranges at every split level
-    — the identity of :func:`_orbit_minima` and the row offsets ``r·seg_len``
-    of each level's ``(rows, seg_len)`` view — with one set of shapes per
-    problem, so a tiny keyed cache removes the repeated allocations.  The
-    arrays are marked read-only; callers only feed them to allocating ufuncs
-    or in-place updates of other arrays.
+    The stack kernel asks for the same few identities at every split level
+    (:func:`_orbit_minima`'s, and the flat instance ids it starts from) with
+    one set of sizes per problem, so a small cache removes the repeated
+    allocations.  Callers only feed the arrays to allocating ufuncs and
+    gathers.
     """
-    key = (size, stride, np.dtype(dtype).str)
-    values = _ARANGE_CACHE.get(key)
-    if values is None:
-        if len(_ARANGE_CACHE) >= 32:
-            _ARANGE_CACHE.clear()
-        values = np.arange(0, size * stride, stride, dtype=dtype)
-        values.setflags(write=False)
-        _ARANGE_CACHE[key] = values
-    return values
-
-
-_ARANGE_CACHE: dict[tuple[int, int, str], np.ndarray] = {}
+    return read_only(np.arange(size, dtype=dtype))
 
 
 def _orbit_minima(step: np.ndarray, limit: int) -> np.ndarray:
@@ -171,7 +166,7 @@ def _orbit_minima(step: np.ndarray, limit: int) -> np.ndarray:
     jump = step[step]
     window = 2
     while window < limit:
-        representative = np.minimum(representative, representative[jump])
+        np.minimum(representative, representative[jump], out=representative)
         window *= 2
         if window < limit:
             jump = jump[jump]
@@ -279,8 +274,7 @@ def euler_array_colors(graph: ArrayMultigraph) -> np.ndarray:
     peel one perfect matching into the lowest colour of the block.  Unlike
     :func:`konig_array_colors`, parallel copies of an edge receive colours in
     split order, not ascending order — consumers that need ascending colours
-    per edge sort afterwards (``np.lexsort``), as the fair-distribution
-    readback does.
+    per edge sort afterwards, as the fair-distribution readback does.
 
     B=1 front of :func:`euler_array_colors_stack`; the stacked kernel is
     bit-identical per batch row, so a single graph routes through the same
@@ -317,25 +311,23 @@ def _alternate_mask_stack(flat: np.ndarray, m: int) -> np.ndarray:
     right partners, so ``step[a ^ 1] = b`` and ``step[b ^ 1] = a`` for each
     ordered pair ``(a, b)``.  ``step`` is ``uint32`` exactly where
     :func:`_orbit_minima` packs it (``2**13 <= size <= 2**16``) and native
-    ``int64`` elsewhere.  The mask needs no swapped gather: ``i`` and
-    ``i ^ 1`` sit in complementary orbits of the same cycle with distinct
-    minima, so the odd mask is the negated even mask.
+    ``int64`` elsewhere.
+
+    Returns the mask of the even instances: entry ``i`` is ``True`` when
+    instance ``2i`` goes second.  The odd instances need no entry: ``2i``
+    and ``2i + 1`` sit in complementary orbits of the same cycle with
+    distinct minima, so instance ``2i + 1`` goes second exactly when ``2i``
+    goes first.
     """
     size = flat.size
-    first = flat[0::2]
-    second = flat[1::2]
+    pairs = flat.reshape(-1, 2)
     step_dtype = np.uint32 if 1 << 13 <= size <= 1 << 16 else np.int64
     step = np.empty(size, dtype=step_dtype)
-    step[first ^ 1] = second
-    step[second ^ 1] = first
+    step[(pairs ^ 1).reshape(size)] = pairs[:, ::-1].reshape(size)
     # Cycles are confined to a segment, so they have at most m instances and
     # the two-step orbits at most m // 2 — far below the flattened union.
-    representative = _orbit_minima(step, min(max(2, m // 2), size))
-    even = representative[0::2] > representative[1::2]
-    mask = np.empty(size, dtype=bool)
-    mask[0::2] = even
-    mask[1::2] = ~even
-    return mask
+    representative = _orbit_minima(step, min(max(2, m // 2), size)).reshape(-1, 2)
+    return representative[:, 0] > representative[:, 1]
 
 
 def euler_array_colors_stack(
@@ -374,15 +366,15 @@ def euler_array_colors_stack(
     # row-wise stable argsort below into a radix sort (an order-of-magnitude
     # faster).  Stable argsort yields the same ordering for any dtype holding
     # the same values, so colours are unchanged bit for bit.
-    if n_right <= np.iinfo(np.uint8).max:
+    if n_right <= _UINT8_MAX:
         right = right.astype(np.uint8, copy=False)
-    elif n_right <= np.iinfo(np.int16).max:
+    elif n_right <= _INT16_MAX:
         right = right.astype(np.int16, copy=False)
     else:
         right = right.astype(np.int64, copy=False)
     right = right.ravel()
     color_ids = colors.reshape(-1)
-    ids = np.arange(batch * m, dtype=np.int64)
+    ids = _cached_arange(batch * m, np.int64)
     # The split tree is processed level-synchronously: all 2^k subproblems of
     # depth k share one degree and one segment length, so each level is a
     # single batched pass over a ``(batch * n_seg, seg_len)`` view — the flat
@@ -390,55 +382,117 @@ def euler_array_colors_stack(
     # one pointer-doubling pass, one reorder per level instead of one per
     # node).  Masks and peels are computed per segment exactly as the
     # node-at-a-time recursion would, so the colours are unchanged bit for
-    # bit; only the call count drops.
-    n_seg, seg_len, deg = 1, m, degree
-    bases = np.zeros(1, dtype=np.int64)
-    while deg > 1:
-        rows = batch * n_seg
-        view_r = right.reshape(rows, seg_len)
-        if deg % 2:
+    # bit; only the call count drops.  The level sequence depends on the
+    # shape alone (:func:`_split_plan`).
+    levels, final_bases = _split_plan(batch, m, n_left, degree)
+    for level in levels:
+        view_r = right.reshape(level.rows, level.seg_len)
+        if level.offsets is None:
             # Segments stay sorted by left endpoint through every reorder and
             # every vertex keeps exactly ``deg`` instances, so the left array
             # is the shared canonical expansion — no need to carry it.
             # Matching is the one stage that does not batch.
-            view_i = ids.reshape(rows, seg_len)
-            lefts_row = np.repeat(np.arange(n_left, dtype=np.int64), deg)
-            keep = np.ones((rows, seg_len), dtype=bool)
-            for r in range(rows):
+            view_i = ids.reshape(level.rows, level.seg_len)
+            n_seg = level.bases.size
+            keep = np.ones((level.rows, level.seg_len), dtype=bool)
+            for r in range(level.rows):
                 keep_r, removed_r = _peel_perfect_matching(
-                    lefts_row, view_r[r], n_left, n_right
+                    level.lefts, view_r[r], n_left, n_right
                 )
                 keep[r] = keep_r
-                color_ids[view_i[r, removed_r]] = bases[r % n_seg]
-            seg_len -= n_left
+                color_ids[view_i[r, removed_r]] = level.bases[r % n_seg]
             right = view_r[keep]
             ids = view_i[keep]
-            bases = bases + 1
-            deg -= 1
             continue
         # Row offsets turn each level's row-wise orderings into flat
         # positions; sorted-by-left segments make the left pairing
         # consecutive positions, handled implicitly by the mask kernel.
-        offsets = _cached_arange(rows, np.int64, seg_len)[:, None]
-        order = np.argsort(view_r, axis=1, kind="stable")
-        order += offsets
-        second = _alternate_mask_stack(order.ravel(), seg_len)
-        # Stable argsort of the half mask lists each segment's first half
-        # (in order) then its second half (in order): exactly the two child
-        # segments, laid out contiguously.
-        pos = np.argsort(second.reshape(rows, seg_len), axis=1, kind="stable")
-        pos += offsets
-        flat_pos = pos.ravel()
+        order = view_r.argsort(axis=1, kind="stable")
+        order += level.offsets
+        even_second = _alternate_mask_stack(order.ravel(), level.seg_len).reshape(
+            level.rows, -1
+        )
+        # The two child segments list each segment's first half (in order),
+        # then its second half (in order).  Every left pair (2i, 2i + 1)
+        # gives one instance to each half, so the first half is
+        # 2i + even_second[i] over the segment's pairs and the second half
+        # 2i + 1 - even_second[i]: the stable argsort of the mask, without
+        # sorting.
+        flat_pos = np.concatenate(
+            (level.pair_starts + even_second, level.pair_ends - even_second), axis=1
+        ).ravel()
         right = right[flat_pos]
         ids = ids[flat_pos]
+    # Every surviving segment is one colour class.
+    color_ids[ids.reshape(batch, final_bases.shape[0], -1)] = final_bases
+    return colors
+
+
+class _SplitLevel(NamedTuple):
+    """One level of the Euler-split tree of :func:`euler_array_colors_stack`.
+
+    An even level splits every segment: ``offsets`` is the ``(rows, 1)``
+    column of flat row starts, and ``pair_starts`` / ``pair_ends`` are the
+    ``(rows, seg_len // 2)`` flat positions ``2i`` / ``2i + 1`` of each
+    row's left pairs.  An odd level (``offsets is None``) peels one perfect
+    matching per segment: ``lefts`` is a segment's canonical left array and
+    ``bases`` the colour each segment's matching takes.
+    """
+
+    rows: int
+    seg_len: int
+    offsets: np.ndarray | None = None
+    pair_starts: np.ndarray | None = None
+    pair_ends: np.ndarray | None = None
+    lefts: np.ndarray | None = None
+    bases: np.ndarray | None = None
+
+
+@functools.lru_cache(maxsize=64)
+def _split_plan(
+    batch: int, m: int, n_left: int, degree: int
+) -> tuple[tuple[_SplitLevel, ...], np.ndarray]:
+    """The levels of a ``(batch, m)`` Euler split and the final colour bases.
+
+    Both depend on the stack's shape and degree alone: an odd degree peels
+    a matching into the lowest colour of each segment's block, an even one
+    splits each block in two.  The final bases are a ``(n_seg, 1)`` column,
+    the colour of each surviving segment.  Arrays are read-only; the cache
+    keeps the 64 most recent shapes.
+    """
+    levels = []
+    n_seg, seg_len, deg = 1, m, degree
+    bases = np.zeros(1, dtype=np.int64)
+    while deg > 1:
+        rows = batch * n_seg
+        if deg % 2:
+            lefts = np.repeat(np.arange(n_left, dtype=np.int64), deg)
+            levels.append(
+                _SplitLevel(
+                    rows, seg_len, lefts=read_only(lefts), bases=read_only(bases)
+                )
+            )
+            seg_len -= n_left
+            bases = bases + 1
+            deg -= 1
+            continue
+        offsets = np.arange(0, rows * seg_len, seg_len, dtype=np.int64)[:, None]
+        pair_starts = np.arange(0, rows * seg_len, 2, dtype=np.int64).reshape(rows, -1)
+        levels.append(
+            _SplitLevel(
+                rows,
+                seg_len,
+                offsets=read_only(offsets),
+                pair_starts=read_only(pair_starts),
+                pair_ends=read_only(pair_starts + 1),
+            )
+        )
         half = deg // 2
         bases = np.add.outer(bases, (0, half)).ravel()
         n_seg *= 2
         seg_len //= 2
         deg = half
-    # Every surviving segment is one colour class.
-    color_ids[ids.reshape(batch, n_seg, seg_len)] = bases[:, None]
-    return colors
+    return tuple(levels), read_only(bases[:, None].copy())
 
 
 def konig_array_colors_stack(
@@ -485,33 +539,39 @@ def verify_instance_coloring_stack(
     The multiset condition of :func:`repro.graph.edge_coloring.
     verify_edge_coloring` holds by construction (colours annotate exactly the
     graphs' instances); what remains is properness — no colour repeats a
-    vertex on either side — checked row-wise with two sorted-key passes.
+    vertex on either side, counted (:func:`~repro.utils.arrayops.
+    first_repeat`) over ``(colour, vertex)`` keys of the colour range
+    present; ``left`` and ``right`` hold vertices in ``[0, n_left)`` and
+    ``[0, n_right)``.
 
     Raises
     ------
     EdgeColoringError
-        On the row-major first violation, naming the offending colour and
-        vertex.
+        On the row-major first violation of the left side, else of the right
+        side, naming the smallest offending ``(colour, vertex)`` pair of its
+        row.
     """
     if colors.shape != left.shape:
         raise EdgeColoringError(
             f"colouring annotates {colors.size} instances, graph has {left.size}"
         )
-    for side, vertices, n_vertices in (
-        ("left", left, n_left),
-        ("right", right, n_right),
-    ):
-        flat = colors * np.int64(n_vertices) + vertices
-        bound = int(flat.max()) if flat.size else -1
-        key = np.sort(shrink_sort_key(flat, bound), axis=1)
-        duplicate = key[:, 1:] == key[:, :-1]
-        if duplicate.any():
-            b, i = np.unravel_index(int(np.argmax(duplicate)), duplicate.shape)
-            clash = int(key[b, i])
-            raise EdgeColoringError(
-                f"colour {clash // n_vertices} uses {side} vertex "
-                f"{clash % n_vertices} more than once"
-            )
+    if not colors.size:
+        return
+    low = int(colors.min())
+    span = int(colors.max()) - low + 1
+    shifted = colors - low
+    # Every row's left keys, then every row's right keys.
+    repeat = first_repeat(
+        np.concatenate((shifted * np.int64(n_left) + left, shifted * np.int64(n_right) + right)),
+        span * max(n_left, n_right),
+    )
+    if repeat is not None:
+        row, key = repeat
+        side, n_vertices = ("left", n_left) if row < colors.shape[0] else ("right", n_right)
+        raise EdgeColoringError(
+            f"colour {key // n_vertices + low} uses {side} vertex "
+            f"{key % n_vertices} more than once"
+        )
 
 
 def coloring_from_instances(

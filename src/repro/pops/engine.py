@@ -656,12 +656,15 @@ class BatchedSimulator:
     def execute_batch(self, batch: CompiledScheduleBatch) -> np.ndarray:
         """Run a compiled batch; returns the final ``(B, U)`` location stack.
 
-        One slot is still three numpy operations — ownership comparison,
-        consume scatter, delivery scatter — on one flat C-order location
-        array: adding the row offsets ``b·U`` to the packet planes once turns
-        every slot's ``(B, ·)`` slice into flat indices, so each operation
-        is a plain gather or scatter.  Row ``b`` of the result equals
-        ``execute(batch.element(b))``.
+        One slot is three numpy operations — ownership comparison, consume
+        scatter, delivery scatter — on one flat C-order location array:
+        adding the row offsets ``b·U`` to the packet planes once, before the
+        first slot, turns every slot's ``(B, ·)`` slice into flat indices, so
+        each operation is a plain gather or scatter (a plan whose consumed
+        packets are its sent packets, as every router plan's are, shares one
+        offset plane).  Ownership results land in one buffer checked when the
+        run ends or reaches an idle read, so a slot costs no reduction.  Row
+        ``b`` of the result equals ``execute(batch.element(b))``.
 
         On a dynamic failure the offending elements are replayed one by one
         through :meth:`execute` so the error raised is exactly the error the
@@ -672,26 +675,35 @@ class BatchedSimulator:
         loc = np.array(batch.initial_loc, dtype=np.int64, order="C")
         flat = loc.reshape(-1)
         n_batch, u_size = loc.shape
-        offsets = (np.arange(n_batch, dtype=np.int64) * u_size)[:, None]
+        offsets = np.arange(0, n_batch * u_size, u_size, dtype=np.int64)[:, None]
         sent_ids = batch.tx_packet + offsets
-        consumed_ids = batch.con_packet + offsets
+        consumed_ids = (
+            sent_ids
+            if batch.con_packet is batch.tx_packet and batch.con_ptr is batch.tx_ptr
+            else batch.con_packet + offsets
+        )
         delivered_ids = batch.del_packet + offsets
-        tx_ptr, del_ptr, con_ptr = batch.tx_ptr, batch.del_ptr, batch.con_ptr
+        held = np.empty(sent_ids.shape, dtype=bool)
+        tx_ptr = batch.tx_ptr.tolist()
+        con_ptr = batch.con_ptr.tolist()
+        del_ptr = batch.del_ptr.tolist()
+        idle = batch.idle_receiver.tolist()
         for s in range(batch.n_slots):
             tx = slice(tx_ptr[s], tx_ptr[s + 1])
-            held = flat[sent_ids[:, tx]] == batch.tx_sender[:, tx]
-            if not held.all():
-                self._replay_batch_failure(batch)
-            if batch.idle_receiver[s] >= 0:
+            np.equal(flat[sent_ids[:, tx]], batch.tx_sender[:, tx], out=held[:, tx])
+            if idle[s] >= 0:
+                if not held[:, :tx.stop].all():
+                    self._replay_batch_failure(batch)
                 cid = int(batch.idle_coupler[s])
                 coupler = Coupler(cid // self.network.g, cid % self.network.g)
                 raise SimulationError(
-                    f"slot {s}: processor {batch.idle_receiver[s]} reads "
-                    f"idle {coupler!r}"
+                    f"slot {s}: processor {idle[s]} reads idle {coupler!r}"
                 )
             flat[consumed_ids[:, con_ptr[s]:con_ptr[s + 1]]] = -1
             delivered = slice(del_ptr[s], del_ptr[s + 1])
             flat[delivered_ids[:, delivered]] = batch.del_receiver[:, delivered]
+        if not held.all():
+            self._replay_batch_failure(batch)
         return loc
 
     def _replay_batch_failure(self, batch: CompiledScheduleBatch) -> None:

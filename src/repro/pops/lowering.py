@@ -22,6 +22,7 @@ copy-count matrix.  Both fold the same :class:`LoweredSchedule`, so the
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import chain
 from operator import attrgetter
@@ -32,11 +33,13 @@ from repro.exceptions import SimulationError, UnsupportedScheduleError
 from repro.pops.packet import Packet
 from repro.pops.schedule import RoutingSchedule
 from repro.pops.topology import POPSNetwork
+from repro.utils.arrayops import read_only
 
 __all__ = [
     "LoweredSchedule",
     "lower_schedule",
     "group_firsts",
+    "PlanSkeleton",
     "assemble_compiled_plan_batch",
 ]
 
@@ -132,38 +135,84 @@ def group_firsts(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return order, same, new_group
 
 
-def _batch_plane(values: np.ndarray, n_batch: int, length: int) -> np.ndarray:
-    """Normalise a plan array to a ``(B, L)`` int64 plane.
+@dataclass(frozen=True, eq=False)
+class PlanSkeleton:
+    """The slot structure shared by every compiled plan of one network shape.
 
-    A per-batch ``(B, L)`` int64 plane is returned as it is; a shared
-    ``(L,)`` array is broadcast (zero-copy).  Either way the engine reads it
-    row-wise.
+    For fixed ``(d, g)`` every Theorem 2 plan has the same per-slot segment
+    lengths — hence the same ``*_ptr`` arrays and slot count — and no idle
+    reads; only the per-slot *contents* depend on the permutation.  A
+    skeleton holds that structure once, with the planes every plan shares:
+    ``initial_loc`` (every packet starts at its source) and, where the
+    transmitted packets do not depend on the permutation either,
+    ``packets``.  Arrays are read-only; build one with :meth:`from_counts`.
     """
-    values = np.asarray(values, dtype=np.int64)
-    if values.shape == (n_batch, length):
-        return values
-    return np.broadcast_to(values, (n_batch, length))
+
+    network: POPSNetwork
+    n_slots: int
+    tx_ptr: np.ndarray
+    del_ptr: np.ndarray
+    no_idle: np.ndarray
+    initial_loc: np.ndarray
+    packets: np.ndarray | None
+
+    @classmethod
+    def from_counts(
+        cls,
+        network: POPSNetwork,
+        tx_counts: list[int],
+        del_counts: list[int],
+        initial_loc: np.ndarray,
+        packets: np.ndarray | None = None,
+    ) -> PlanSkeleton:
+        """The skeleton of plans with these per-slot segment lengths."""
+        return cls(
+            network=network,
+            n_slots=len(tx_counts),
+            tx_ptr=_frozen(np.concatenate(([0], np.cumsum(tx_counts)))),
+            del_ptr=_frozen(np.concatenate(([0], np.cumsum(del_counts)))),
+            no_idle=_frozen(np.full(len(tx_counts), -1)),
+            initial_loc=_frozen(initial_loc),
+            packets=None if packets is None else _frozen(packets),
+        )
+
+    def rows(self, n_batch: int) -> tuple[np.ndarray, np.ndarray | None]:
+        """``initial_loc`` and ``packets`` as read-only ``(B, ·)`` planes."""
+        return _skeleton_rows(self, n_batch)
+
+
+def _frozen(values) -> np.ndarray:
+    """A read-only ``int64`` copy of ``values``."""
+    return read_only(np.array(values, dtype=np.int64))
+
+
+@functools.lru_cache(maxsize=64)
+def _skeleton_rows(
+    skeleton: PlanSkeleton, n_batch: int
+) -> tuple[np.ndarray, np.ndarray | None]:
+    return tuple(
+        None if values is None else np.broadcast_to(values, (n_batch, values.size))
+        for values in (skeleton.initial_loc, skeleton.packets)
+    )
 
 
 def assemble_compiled_plan_batch(
-    network: POPSNetwork,
+    skeleton: PlanSkeleton,
     n_batch: int,
     tx_sender: np.ndarray,
     tx_packet: np.ndarray,
     tx_coupler: np.ndarray,
-    tx_counts: list[int],
     del_receiver: np.ndarray,
     del_packet: np.ndarray,
-    del_counts: list[int],
-    initial_loc: np.ndarray,
     pk_destination: np.ndarray,
 ):
     """Ingest ``B`` pre-compiled *conflict-free* routing plans sharing their
-    CSR slot structure as one :class:`~repro.pops.engine.CompiledScheduleBatch`.
+    slot structure as one :class:`~repro.pops.engine.CompiledScheduleBatch`.
 
     The array-native router front end builds its per-slot transmission and
-    delivery arrays directly from the permutations; for such plans the full
-    lowering join is redundant structure-recovery: every driven coupler
+    delivery arrays directly from the permutations, and checks them as it
+    goes (fair-distribution conditions, coupler clashes); for such plans the
+    full lowering join is redundant structure-recovery: every driven coupler
     carries exactly one consuming transmission (payloads *are* the
     transmissions), every sent packet leaves its sender (consumed *are* the
     sent packets), and every reception reads a driven coupler (no idle
@@ -172,49 +221,36 @@ def assemble_compiled_plan_batch(
     produce, so ``element(b)`` of the result is bit-identical to lowering
     the equivalent object schedule of row ``b``.
 
-    The key invariant of Theorem 2 plans makes the batching exact, not
-    approximate: for fixed ``(d, g)`` the slot segmentation (``tx_counts`` /
-    ``del_counts``, the per-slot segment lengths of the concatenated arrays,
-    and hence every ``*_ptr`` array) is identical across permutations — only
-    the per-slot *contents* differ.  Each plan array may therefore be passed
-    as a shared ``(L,)`` array (broadcast across the batch) or a per-batch
-    ``(B, L)`` plane.
+    Everything that depends on the network shape alone comes from
+    ``skeleton`` (a :class:`PlanSkeleton`, built once per shape by
+    :func:`repro.routing.permutation_router.route_template`): the ``*_ptr``
+    arrays, the idle arrays and ``initial_loc``, shared by reference.  The
+    plan arrays are ``(B, L)`` int64 planes of the concatenated per-slot
+    segments; a plane every plan shares is a broadcast view
+    (:meth:`PlanSkeleton.rows`).
     """
     from repro.pops.engine import CompiledScheduleBatch
 
-    n_slots = len(tx_counts)
-    tx_ptr = np.concatenate(
-        ([0], np.cumsum(np.asarray(tx_counts, dtype=np.int64)))
-    )
-    del_ptr = np.concatenate(
-        ([0], np.cumsum(np.asarray(del_counts, dtype=np.int64)))
-    )
-    no_idle = np.full(n_slots, -1, dtype=np.int64)
-    n_tx = int(tx_ptr[-1])
-    n_del = int(del_ptr[-1])
-    universe = int(np.asarray(pk_destination).shape[-1])
-    tx_sender = _batch_plane(tx_sender, n_batch, n_tx)
-    tx_packet = _batch_plane(tx_packet, n_batch, n_tx)
-    tx_coupler = _batch_plane(tx_coupler, n_batch, n_tx)
+    initial_loc, _ = skeleton.rows(n_batch)
     return CompiledScheduleBatch(
-        network=network,
+        network=skeleton.network,
         n_batch=n_batch,
-        n_slots=n_slots,
+        n_slots=skeleton.n_slots,
         tx_sender=tx_sender,
         tx_packet=tx_packet,
-        tx_ptr=tx_ptr,
+        tx_ptr=skeleton.tx_ptr,
         pay_coupler=tx_coupler,
         pay_packet=tx_packet,
-        pay_ptr=tx_ptr,
-        del_receiver=_batch_plane(del_receiver, n_batch, n_del),
-        del_packet=_batch_plane(del_packet, n_batch, n_del),
-        del_ptr=del_ptr,
+        pay_ptr=skeleton.tx_ptr,
+        del_receiver=del_receiver,
+        del_packet=del_packet,
+        del_ptr=skeleton.del_ptr,
         con_packet=tx_packet,
-        con_ptr=tx_ptr,
-        idle_receiver=no_idle,
-        idle_coupler=no_idle.copy(),
-        initial_loc=_batch_plane(initial_loc, n_batch, universe),
-        pk_destination=_batch_plane(pk_destination, n_batch, universe),
+        con_ptr=skeleton.tx_ptr,
+        idle_receiver=skeleton.no_idle,
+        idle_coupler=skeleton.no_idle,
+        initial_loc=initial_loc,
+        pk_destination=pk_destination,
     )
 
 

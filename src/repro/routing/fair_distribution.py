@@ -42,6 +42,7 @@ so their outputs stay identical per array backend.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,7 +56,7 @@ from repro.exceptions import (
 from repro.graph.edge_coloring import edge_color, verify_edge_coloring
 from repro.graph.regularize import biregular_pad_arrays, pad_to_regular
 from repro.routing.list_system import ListSystem, check_proper_lists_stack
-from repro.utils.arrayops import shrink_sort_key
+from repro.utils.arrayops import first_repeat, read_only, shrink_sort_key
 from repro.utils.validation import check_integer_array, check_positive_int
 
 __all__ = [
@@ -161,8 +162,10 @@ def verify_fair_distribution_stack(
     """Vectorized :func:`verify_fair_distribution` over ``(B, n1, Δ1)`` stacks.
 
     ``lists`` and ``assignment`` are the list and target stacks, one system
-    per row; conditions (1)–(3) are verified with sorted-key passes and
-    ``bincount``.
+    per row; list entries are sources in ``[0, n1)``.  Conditions (1) and
+    (3) are one duplicate count (:func:`~repro.utils.arrayops.first_repeat`)
+    over ``(source, target)`` then ``(list value, target)`` keys, condition
+    (2) a ``bincount`` of the targets.
 
     Raises
     ------
@@ -178,45 +181,42 @@ def verify_fair_distribution_stack(
         )
     if batch == 0:
         return
-    out_of_range = (assignment < 0) | (assignment >= n_targets)
-    if out_of_range.any():
+    if assignment.min() < 0 or assignment.max() >= n_targets:
+        out_of_range = (assignment < 0) | (assignment >= n_targets)
         flat = out_of_range.reshape(batch, n_sources * delta1)
         b, bad = np.unravel_index(int(np.argmax(flat)), flat.shape)
         raise FairnessViolationError(
             f"target {int(assignment.reshape(batch, -1)[b, bad])} of source "
             f"{int(bad) // delta1} outside T = [0, {n_targets})"
         )
-    # Condition (1): all Δ1 targets of a source are distinct.
-    row_sorted = np.sort(shrink_sort_key(assignment, n_targets - 1), axis=2)
-    repeats = (row_sorted[:, :, 1:] == row_sorted[:, :, :-1]).any(axis=2)
-    if repeats.any():
-        b, source = np.unravel_index(int(np.argmax(repeats)), repeats.shape)
-        raise FairnessViolationError(
-            f"source {int(source)} reuses a target: "
-            f"{assignment[b, source].tolist()}"
-        )
-    # Condition (3): pairs sharing the same list value get distinct targets.
-    pair_key = np.sort(
-        shrink_sort_key(
-            lists.reshape(batch, -1) * np.int64(n_targets)
-            + assignment.reshape(batch, -1),
-            n_targets * n_targets - 1,
+    # Condition (1) keys s·n2 + t for every row, then condition (3) keys
+    # v·n2 + t for every row.
+    repeat = first_repeat(
+        np.concatenate(
+            (
+                (assignment + _source_starts(n_sources, n_targets)).reshape(batch, -1),
+                (lists * np.int64(n_targets) + assignment).reshape(batch, -1),
+            )
         ),
-        axis=1,
+        n_sources * n_targets,
     )
-    clash = pair_key[:, 1:] == pair_key[:, :-1]
-    if clash.any():
-        b, i = np.unravel_index(int(np.argmax(clash)), clash.shape)
-        key = int(pair_key[b, i])
+    if repeat is not None and repeat[0] < batch:
+        # Condition (1): all Δ1 targets of a source are distinct.
+        b, source = repeat[0], repeat[1] // n_targets
         raise FairnessViolationError(
-            f"two pairs with list value {key // n_targets} share target "
-            f"{key % n_targets}"
+            f"source {source} reuses a target: {assignment[b, source].tolist()}"
+        )
+    if repeat is not None:
+        # Condition (3): pairs sharing the same list value get distinct targets.
+        raise FairnessViolationError(
+            f"two pairs with list value {repeat[1] // n_targets} share target "
+            f"{repeat[1] % n_targets}"
         )
     # Condition (2): every target carries exactly Δ2 pairs.
     load = np.bincount(
         (
             assignment.reshape(batch, -1)
-            + np.arange(batch, dtype=np.int64)[:, None] * n_targets
+            + np.arange(0, batch * n_targets, n_targets, dtype=np.int64)[:, None]
         ).ravel(),
         minlength=batch * n_targets,
     ).reshape(batch, n_targets)
@@ -227,6 +227,12 @@ def verify_fair_distribution_stack(
             f"target {int(target)} is assigned {int(load[b, target])} pairs, "
             f"expected Δ2={delta2}"
         )
+
+
+@functools.lru_cache(maxsize=32)
+def _source_starts(n_sources: int, n_targets: int) -> np.ndarray:
+    """The read-only ``(n1, 1)`` column ``s·n2``: each source's first pair bin."""
+    return read_only(np.arange(0, n_sources * n_targets, n_targets, dtype=np.int64)[:, None])
 
 
 #: Most edge instances handed to one colouring-kernel call; larger stacks are
@@ -281,6 +287,67 @@ def _check_list_stack(lists, n_targets: int) -> np.ndarray:
             f"is not in S = [0, {n_sources})"
         )
     return lists
+
+
+@dataclass(frozen=True, eq=False)
+class ListSystemTemplate:
+    """The permutation-independent arrays of one ``(n1, Δ1, n2)`` solve.
+
+    ``left_key`` is the canonical left half ``s·nv`` of every core instance's
+    composite key (``nv`` vertices a side, ``n1`` when pad-free);
+    ``pad_key`` holds the padding instances' keys (``None`` when pad-free);
+    ``run`` is the ``(n1, 1)`` column ``s // Δ2`` added to ``c·k`` when
+    ``k = n2/Δ1 > 1`` (else ``None``); ``tile_rows`` is the number of rows
+    per colouring-kernel call.  Arrays are read-only.
+    """
+
+    n_vertices: int
+    degree: int
+    m_core: int
+    tile_rows: int
+    left_key: np.ndarray
+    pad_key: np.ndarray | None
+    run: np.ndarray | None
+
+
+@functools.lru_cache(maxsize=32)
+def list_system_template(n_sources: int, delta1: int, n_targets: int) -> ListSystemTemplate:
+    """The cached :class:`ListSystemTemplate` of a ``(n1, Δ1, n2)`` list system.
+
+    Everything :meth:`FairDistributionSolver.solve_array_batch` needs that
+    does not depend on the lists; the cache keeps the 32 most recent shapes.
+    """
+    n1, n2 = n_sources, n_targets
+    m_core = n1 * delta1
+    core_left = np.repeat(np.arange(n1, dtype=np.int64), delta1)
+    pad_key = run = None
+    if n2 % delta1 == 0:
+        nv, degree = n1, delta1
+        if delta1 != n2:
+            run = (np.arange(n1, dtype=np.int64) // (m_core // n2))[:, None]
+    else:
+        # Δ1 ∤ n2 implies Δ1 < n2 and Δ2 < n1, so both padding sides are
+        # non-empty.
+        n_pad = n1 - m_core // n2
+        pad_left, pad_right = biregular_pad_arrays(n_pad, n1, n2, n2 - delta1)
+        nv, degree = n1 + n_pad, n2
+        pad_key = np.concatenate(
+            (
+                (n1 + pad_left) * np.int64(nv) + pad_right,
+                pad_right * np.int64(nv) + (n1 + pad_left),
+            )
+        )
+    return ListSystemTemplate(
+        n_vertices=nv,
+        degree=degree,
+        m_core=m_core,
+        tile_rows=max(
+            1, KERNEL_TILE_INSTANCES // coloring_instance_count(n1, delta1, n2)
+        ),
+        left_key=read_only(core_left * np.int64(nv)),
+        pad_key=None if pad_key is None else read_only(pad_key),
+        run=None if run is None else read_only(run),
+    )
 
 
 class FairDistributionSolver:
@@ -389,8 +456,12 @@ class FairDistributionSolver:
         :data:`KERNEL_TILE_INSTANCES` instances (``max(1, 2**14 // m)``
         rows, ``m`` from :func:`coloring_instance_count`; a lone row that
         exceeds the tile is still one call); and the colours are read back
-        into the ``(B, n1, Δ1)`` assignment with two row-wise sorts and one
-        flat gather/scatter pair.  For a given array backend, row ``b`` is
+        into the ``(B, n1, Δ1)`` assignment with a row-wise sort of the
+        instances by (pair, colour), the list positions in pair order, and
+        one flat gather/scatter pair.  Pad-free, the canonicalising sort is
+        a stable argsort whose order is also the positions' order.  The
+        arrays that depend on the shape alone come from
+        :func:`list_system_template`.  For a given array backend, row ``b`` is
         *identical* to :meth:`solve` on the equivalent
         :class:`~repro.routing.list_system.ListSystem`: both pipelines hand
         the same canonical arrays to the same deterministic kernel and read
@@ -428,42 +499,33 @@ class FairDistributionSolver:
             return lists.copy()
         check_proper_lists_stack(lists, n_targets)
 
-        n1, n2 = n_sources, n_targets
-        m_core = n1 * delta1
-        core_left = np.repeat(np.arange(n1, dtype=np.int64), delta1)
+        shape = list_system_template(n_sources, delta1, n_targets)
+        nv, m_core = shape.n_vertices, shape.m_core
         core_right = lists.reshape(batch, m_core)
-        padded = n2 % delta1 != 0
-        if not padded:
-            # Pad-free: colour the Δ1-regular core itself.
-            nv, degree = n1, delta1
-            key = core_left[None, :] * np.int64(nv) + core_right
+        core_key = shape.left_key + core_right
+        row_offsets = np.arange(0, batch * m_core, m_core, dtype=np.int64)[:, None]
+        if shape.pad_key is None:
+            # Pad-free: colour the Δ1-regular core itself.  One stable argsort
+            # of the composite ``left·nv + right`` keys canonicalises the
+            # instances (the sort *is* ArrayMultigraph.from_instances's
+            # canonical expansion) and, since a key names a (source, value)
+            # pair, lists each pair's positions in ascending order for the
+            # readback.
+            position_order = np.argsort(
+                shrink_sort_key(core_key, nv * nv - 1), axis=1, kind="stable"
+            )
+            position_order += row_offsets
+            sorted_key = core_key.reshape(-1)[position_order]
+            instance_left, instance_right = np.divmod(sorted_key, nv)
         else:
             # The proof's padding: H1/H2 depend only on (n1, Δ1, n2) and are
-            # shared across the batch.  Δ1 ∤ n2 implies Δ1 < n2 and Δ2 < n1,
-            # so both padding sides are non-empty.
-            delta2 = m_core // n2
-            n_pad = n1 - delta2
-            pad_left, pad_right = biregular_pad_arrays(n_pad, n1, n2, n2 - delta1)
-            nv, degree = n1 + n_pad, n2
-            pad_key = np.concatenate(
-                (
-                    (n1 + pad_left) * np.int64(nv) + pad_right,
-                    pad_right * np.int64(nv) + (n1 + pad_left),
-                )
-            )
+            # shared across the batch.
             key = np.concatenate(
-                (
-                    core_left[None, :] * np.int64(nv) + core_right,
-                    np.broadcast_to(pad_key, (batch, pad_key.size)),
-                ),
+                (core_key, np.broadcast_to(shape.pad_key, (batch, shape.pad_key.size))),
                 axis=1,
             )
-        # Row-wise canonicalization: sorting the composite keys IS the
-        # canonical instance expansion of ArrayMultigraph.from_instances.
-        sorted_key = np.sort(shrink_sort_key(key, nv * nv - 1), axis=1)
-        instance_left = sorted_key // nv
-        instance_right = sorted_key % nv
-        if padded:
+            sorted_key = np.sort(shrink_sort_key(key, nv * nv - 1), axis=1)
+            instance_left, instance_right = np.divmod(sorted_key, nv)
             offsets = np.arange(batch, dtype=np.int64)[:, None] * nv
             left_degrees = np.bincount(
                 (instance_left + offsets).ravel(), minlength=batch * nv
@@ -471,15 +533,15 @@ class FairDistributionSolver:
             right_degrees = np.bincount(
                 (instance_right + offsets).ravel(), minlength=batch * nv
             )
-            if not ((left_degrees == n2).all() and (right_degrees == n2).all()):
+            if not ((left_degrees == n_targets).all() and (right_degrees == n_targets).all()):
                 raise GraphError("padding failed to produce an n2-regular multigraph")
 
         # Rows are independent, so colouring in row slices is bit-identical.
-        tile = max(1, KERNEL_TILE_INSTANCES // coloring_instance_count(n1, delta1, n2))
+        tile = shape.tile_rows
         parts = [
             kernel(
                 instance_left[lo:lo + tile], instance_right[lo:lo + tile],
-                nv, nv, degree,
+                nv, nv, shape.degree,
             )
             for lo in range(0, batch, tile)
         ]
@@ -491,39 +553,35 @@ class FairDistributionSolver:
 
         # Read back, row-wise: core instances carry the colours, pairing
         # (source, value, ascending colour) with (source, value, ascending
-        # position) — the object readback of solve — by two sorts along
-        # axis 1, then one flat gather and one flat scatter (row offsets
-        # turn both row-wise orderings into flat positions).
-        if padded:
-            core_mask = (instance_left < n1) & (instance_right < n1)
-            instance_left = instance_left[core_mask].reshape(batch, m_core)
-            instance_right = instance_right[core_mask].reshape(batch, m_core)
+        # position) — the object readback of solve — by sorts along axis 1,
+        # then one flat gather and one flat scatter (row offsets turn both
+        # row-wise orderings into flat positions).
+        if shape.pad_key is None:
+            # Core keys are pair keys already: nv == n1.
+            instance_key = sorted_key
+        else:
+            core_mask = (instance_left < n_sources) & (instance_right < n_sources)
+            instance_key = (
+                instance_left[core_mask] * np.int64(n_sources)
+                + instance_right[core_mask]
+            ).reshape(batch, m_core)
             colors = colors[core_mask].reshape(batch, m_core)
-        pair_bound = n1 * n1 - 1
-        instance_key = instance_left * np.int64(n1) + instance_right
-        instance_order = np.lexsort(
-            (
-                shrink_sort_key(colors, degree - 1),
-                shrink_sort_key(instance_key, pair_bound),
-            ),
-            axis=-1,
+            position_order = np.argsort(
+                shrink_sort_key(core_key, nv * nv - 1), axis=1, kind="stable"
+            )
+            position_order += row_offsets
+        # Instance keys are sorted already, so a stable argsort of the
+        # composite (pair, colour) key runs over presorted stretches.
+        instance_order = (instance_key * np.int64(shape.degree) + colors).argsort(
+            axis=1, kind="stable"
         )
-        position_key = core_left[None, :] * np.int64(n1) + core_right
-        position_order = np.argsort(
-            shrink_sort_key(position_key, pair_bound), axis=1, kind="stable"
-        )
-        row_offsets = np.arange(0, batch * m_core, m_core, dtype=np.int64)[:, None]
         instance_order += row_offsets
-        position_order += row_offsets
         assignment = np.empty((batch, n_sources, delta1), dtype=np.int64)
-        assignment.reshape(-1)[position_order.ravel()] = (
-            colors.reshape(-1)[instance_order.ravel()]
-        )
-        if not padded and delta1 != n2:
+        assignment.reshape(-1)[position_order] = colors.reshape(-1)[instance_order]
+        if shape.run is not None:
             # Run r of colour c is target c·k + r, k = n2/Δ1, r = s // Δ2.
-            run = np.arange(n1, dtype=np.int64) // (m_core // n2)
-            assignment *= n2 // delta1
-            assignment += run[None, :, None]
+            assignment *= n_targets // delta1
+            assignment += shape.run
         if self.verify:
             verify_fair_distribution_stack(lists, assignment, n_targets)
         return assignment

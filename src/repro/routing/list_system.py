@@ -55,7 +55,7 @@ def check_proper_lists_stack(lists: np.ndarray, n_targets: int) -> None:
         )
     flat = lists.reshape(batch, n_sources * delta1)
     occurrences = np.bincount(
-        (flat + np.arange(batch, dtype=np.int64)[:, None] * n_sources).ravel(),
+        (flat + np.arange(0, batch * n_sources, n_sources, dtype=np.int64)[:, None]).ravel(),
         minlength=batch * n_sources,
     ).reshape(batch, n_sources)
     bad = occurrences != delta1

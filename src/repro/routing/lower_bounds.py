@@ -25,6 +25,7 @@ from math import ceil
 import numpy as np
 
 from repro.pops.topology import POPSNetwork
+from repro.routing.permutation_router import route_template
 from repro.utils.permutations import is_derangement
 from repro.utils.validation import (
     check_permutation,
@@ -134,26 +135,19 @@ def best_known_lower_bound_stack(
         else np.asarray(pis, dtype=np.int64)
     )
     d, g = network.d, network.g
-    src = np.arange(network.n, dtype=np.int64)
-    moving = images != src
+    template = route_template(d, g)
+    moving = images != template.source
     nonidentity = moving.any(axis=1)
     derangement = moving.all(axis=1)
-    src_group = src // d
     dest_group = images // d
-    group_moving = (dest_group != src_group).all(axis=1)
+    group_moving = (dest_group != template.source_group).all(axis=1)
     blocks = dest_group.reshape(-1, g, d)
     group_blocked = (blocks == blocks[:, :, :1]).all(axis=(1, 2))
-    bounds = np.where(nonidentity, 1, 0).astype(np.int64)
-    bounds = np.where(derangement, np.maximum(bounds, ceil(d / g)), bounds)
+    bounds = nonidentity.astype(np.int64)
+    np.maximum(bounds, derangement * ceil(d / g), out=bounds)
     if d > 1:
-        bounds = np.where(
-            group_moving & group_blocked,
-            np.maximum(bounds, 2 * ceil(d / g)),
-            bounds,
-        )
-        bounds = np.where(
-            derangement & group_blocked,
-            np.maximum(bounds, 2 * ceil(d / (1 + g))),
-            bounds,
+        np.maximum(bounds, (group_moving & group_blocked) * (2 * ceil(d / g)), out=bounds)
+        np.maximum(
+            bounds, (derangement & group_blocked) * (2 * ceil(d / (1 + g))), out=bounds
         )
     return bounds

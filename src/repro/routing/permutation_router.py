@@ -33,21 +33,25 @@ conflict-free.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError, RoutingError
 from repro.obs import get_tracer
+from repro.pops.engine import BatchedSimulator
+from repro.pops.lowering import PlanSkeleton, assemble_compiled_plan_batch
 from repro.pops.packet import Packet
 from repro.pops.schedule import RoutingSchedule
 from repro.pops.topology import POPSNetwork
 from repro.routing.fair_distribution import FairDistribution, FairDistributionSolver
 from repro.routing.list_system import ListSystem, destination_group_lists_stack
 from repro.routing.two_hop import build_theorem2_schedule
-from repro.utils.arrayops import shrink_sort_key
+from repro.utils.arrayops import first_repeat, read_only, shrink_sort_key
 from repro.utils.validation import (
     check_permutation,
     check_permutation_array,
@@ -57,7 +61,13 @@ from repro.utils.validation import (
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.pops.engine import CompiledSchedule, CompiledScheduleBatch
 
-__all__ = ["PermutationRouter", "RoutingPlan", "theorem2_slot_bound"]
+__all__ = [
+    "PermutationRouter",
+    "RouteTemplate",
+    "RoutingPlan",
+    "route_template",
+    "theorem2_slot_bound",
+]
 
 
 def theorem2_slot_bound(d: int, g: int) -> int:
@@ -264,36 +274,145 @@ class PermutationRouter:
         return schedule
 
 
+# -- per-shape route templates ------------------------------------------------------
+#
+# Routing a permutation on POPS(d, g) mixes two kinds of work.  The list system,
+# its colouring, the fair distribution and the plan's planes depend on the
+# permutation; the identity and group planes, the plan's slot structure, the
+# d > g round layout and the router/engine pair depend on the shape alone.
+# route_template builds the second kind once per shape, so a route at any batch
+# size pays only for the first.  The fair-distribution solver and the colouring
+# kernel keep their own shape arrays, keyed by their own shapes
+# (list_system_template, the kernel's split plan), because they also serve list
+# systems and graphs that are not routing instances.
+
+
+@dataclass(frozen=True, eq=False)
+class RouteTemplate:
+    """Everything a Theorem 2 route on POPS(d, g) needs that ``π`` does not set.
+
+    Arrays are read-only: every route shares them.
+
+    Attributes
+    ----------
+    network / engine / routers:
+        The network, the batched engine that executes its plans, and one
+        :class:`PermutationRouter` per array colouring backend.
+    source / source_group / group_start:
+        ``arange(n)``, each processor's group ``i // d`` and its group's
+        first processor ``(i // d)·d``.
+    skeleton:
+        The slot structure of the network's plans: one direct slot when
+        ``d = 1``, scatter and delivery slots when ``d <= g``, and a
+        scatter/delivery pair per round when ``d > g``.
+    round_positions / round_planes:
+        ``d > g`` only (else ``None``).  Round ``k`` of a plan moves sorted
+        positions ``[lo_k, hi_k)`` twice, once per slot of the pair;
+        ``round_positions`` lists, for each of the ``2n`` transmissions in
+        slot order, the sorted position it moves.  ``round_planes`` is the
+        ``(3, 2n)`` offset, ``plane · n``, of the per-processor plane
+        (:data:`ROUND_PLANES`) that each transmission's sender, coupler and
+        receiver come from.
+    """
+
+    network: POPSNetwork
+    engine: BatchedSimulator
+    routers: MappingProxyType
+    source: np.ndarray
+    source_group: np.ndarray
+    group_start: np.ndarray
+    skeleton: PlanSkeleton
+    round_positions: np.ndarray | None = None
+    round_planes: np.ndarray | None = None
+
+    def router(self, backend: str) -> PermutationRouter:
+        """The network's router for ``backend``, shared for array backends."""
+        router = self.routers.get(backend)
+        return PermutationRouter(self.network, backend=backend) if router is None else router
+
+
+#: The per-processor planes of a d > g plan, in the order
+#: ``_compile_round_plan_batch`` stacks them.
+ROUND_PLANES = ("source", "holder", "scatter coupler", "delivery coupler", "destination")
+
+
+@functools.lru_cache(maxsize=32)
+def route_template(d: int, g: int) -> RouteTemplate:
+    """The cached :class:`RouteTemplate` of POPS(d, g).
+
+    The cache keeps the 32 most recently used shapes.
+    """
+    from repro.graph.array_coloring import ARRAY_COLORING_STACK_KERNELS
+
+    network = POPSNetwork(d, g)
+    n = network.n
+    source = read_only(np.arange(n, dtype=np.int64))
+    source_group = read_only(source // d)
+    shared = (
+        network,
+        BatchedSimulator(network),
+        MappingProxyType(
+            {name: PermutationRouter(network, backend=name) for name in ARRAY_COLORING_STACK_KERNELS}
+        ),
+        source,
+        source_group,
+        read_only(source_group * d),
+    )
+    if d == 1:
+        skeleton = PlanSkeleton.from_counts(network, [n], [n], source)
+        return RouteTemplate(*shared, skeleton)
+    if d <= g:
+        skeleton = PlanSkeleton.from_counts(
+            network, [n, n], [n, n], source, packets=np.concatenate((source, source))
+        )
+        return RouteTemplate(*shared, skeleton)
+    # d > g: round k moves the g·min(g, d - k·g) packets whose fair value
+    # lies in [k·g, (k+1)·g) — a scatter slot, then a delivery slot.
+    counts = [g * min(g, d - k * g) for k in range((d + g - 1) // g)]
+    starts = np.cumsum([0] + counts[:-1])
+    positions = np.concatenate(
+        [np.tile(np.arange(lo, lo + count), 2) for lo, count in zip(starts, counts)]
+    )
+    is_scatter = np.concatenate([np.repeat([True, False], count) for count in counts])
+    # Sender: source in a scatter slot, holder in a delivery slot; coupler:
+    # scatter or delivery coupler; receiver: holder or destination.
+    planes = np.where(is_scatter, [[0], [2], [1]], [[1], [3], [4]])
+    slot_counts = [count for count in counts for _ in range(2)]
+    skeleton = PlanSkeleton.from_counts(network, slot_counts, slot_counts, source)
+    return RouteTemplate(
+        *shared,
+        skeleton,
+        round_positions=read_only(positions.astype(np.int64)),
+        round_planes=read_only(planes * np.int64(n)),
+    )
+
+
 # -- batched plan builders ----------------------------------------------------------
 #
 # The Theorem 2 plan assembly from a fair-value plane.  All builders take (B, n)
 # image stacks, validate vectorized with row-major first-offender reporting (the
 # raised message is exactly what routing the offending element alone would
-# raise), and emit one CompiledScheduleBatch over the shared CSR structure.
+# raise), and emit one CompiledScheduleBatch over the shape's PlanSkeleton.
+# Duplicate checks count keys (first_repeat): the first row holding a key twice,
+# and its smallest such key, are the row-major first offender a sort of each
+# row would have found.
 
 
 def _compile_d1_plan_batch(
     network: POPSNetwork, images: np.ndarray
 ) -> CompiledScheduleBatch:
     """Batched d == 1 plan: POPS(1, n) is fully connected, one direct slot."""
-    from repro.pops.lowering import assemble_compiled_plan_batch
-
-    g = network.g
-    n = network.n
-    src = np.arange(n, dtype=np.int64)
-    dest = images
+    template = route_template(network.d, network.g)
+    source_rows, _ = template.skeleton.rows(images.shape[0])
     return assemble_compiled_plan_batch(
-        network,
+        template.skeleton,
         images.shape[0],
-        tx_sender=src,
-        tx_packet=src,
-        tx_coupler=dest * g + src,
-        tx_counts=[n],
-        del_receiver=dest,
-        del_packet=src,
-        del_counts=[n],
-        initial_loc=src,
-        pk_destination=dest,
+        tx_sender=source_rows,
+        tx_packet=source_rows,
+        tx_coupler=images * network.g + template.source,
+        del_receiver=images,
+        del_packet=source_rows,
+        pk_destination=images,
     )
 
 
@@ -305,26 +424,22 @@ def _compile_two_slot_plan_batch(
     ``fair_value`` is the ``(B, n)`` plane of intermediate groups (the fair
     distribution flattened over processors).
     """
-    from repro.pops.lowering import assemble_compiled_plan_batch
-
     d, g = network.d, network.g
     n = network.n
     n_batch = images.shape[0]
-    src = np.arange(n, dtype=np.int64)
-    source_group = src // d
-    dest = images
-    dest_group = dest // d
+    template = route_template(d, g)
+    source_rows, packet_rows = template.skeleton.rows(n_batch)
 
-    invalid = (fair_value < 0) | (fair_value >= g)
-    if invalid.any():
+    if fair_value.size and (fair_value.min() < 0 or fair_value.max() >= g):
+        invalid = (fair_value < 0) | (fair_value >= g)
         b, p = np.unravel_index(int(np.argmax(invalid)), invalid.shape)
         raise RoutingError(
             f"fair value {int(fair_value[b, p])} for processor "
             f"{int(p)} is not a group"
         )
-    offsets = (np.arange(n_batch, dtype=np.int64) * g)[:, None]
     arrivals = np.bincount(
-        (fair_value + offsets).ravel(), minlength=n_batch * g
+        (fair_value + np.arange(0, n_batch * g, g, dtype=np.int64)[:, None]).ravel(),
+        minlength=n_batch * g,
     ).reshape(n_batch, g)
     unbalanced = arrivals != d
     if unbalanced.any():
@@ -336,16 +451,15 @@ def _compile_two_slot_plan_batch(
     # Scatter: processor (h, i) drives c(f(h, i), h); the receiver in group j
     # for the packet from group h is processor (j, rank of h), i.e. sorting
     # sources by (f, h) lines receivers up as 0..n-1 — per batch row.
-    scatter_coupler = fair_value * g + source_group
-    scatter_order = np.argsort(
-        shrink_sort_key(scatter_coupler, g * g - 1), axis=1, kind="stable"
+    g2 = g * g
+    scatter_coupler = fair_value * g + template.source_group
+    scatter_order = shrink_sort_key(scatter_coupler, g2 - 1).argsort(
+        axis=1, kind="stable"
     )
     # One flat index drives both the sorted-coupler gather and the holder
     # scatter (np.put cycles the identity row across the batch).
-    flat_order = (
-        scatter_order + (np.arange(n_batch, dtype=np.int64) * n)[:, None]
-    ).ravel()
-    sorted_coupler = scatter_coupler.ravel()[flat_order].reshape(n_batch, n)
+    flat_order = scatter_order + np.arange(0, n_batch * n, n, dtype=np.int64)[:, None]
+    sorted_coupler = scatter_coupler.reshape(-1)[flat_order]
     duplicate = sorted_coupler[:, 1:] == sorted_coupler[:, :-1]
     if duplicate.any():
         b, p = np.unravel_index(int(np.argmax(duplicate)), duplicate.shape)
@@ -354,34 +468,28 @@ def _compile_two_slot_plan_batch(
             f"intermediate group {j} receives two packets from the "
             "same source group (fair-distribution condition 1 violated)"
         )
-    src_plane = np.broadcast_to(src, (n_batch, n))
     holder = np.empty((n_batch, n), dtype=np.int64)
-    np.put(holder, flat_order, src)
+    np.put(holder, flat_order, template.source)
 
     # Deliver (Fact 1): the holder's group is the fair value.
-    deliver_coupler = dest_group * g + fair_value
-    sorted_deliver = np.sort(shrink_sort_key(deliver_coupler, g * g - 1), axis=1)
-    clash = sorted_deliver[:, 1:] == sorted_deliver[:, :-1]
-    if clash.any():
-        b, p = np.unravel_index(int(np.argmax(clash)), clash.shape)
-        key = int(sorted_deliver[b, p])
+    deliver_coupler = (images // d) * g + fair_value
+    clash = first_repeat(deliver_coupler, g2)
+    if clash is not None:
+        key = clash[1]
         raise RoutingError(
             f"delivery slot needs coupler c({key // g}, {key % g}) twice; "
             "the packets were not fairly distributed after the scatter slot"
         )
 
     return assemble_compiled_plan_batch(
-        network,
+        template.skeleton,
         n_batch,
-        tx_sender=np.concatenate((src_plane, holder), axis=1),
-        tx_packet=np.concatenate((src, src)),
+        tx_sender=np.concatenate((source_rows, holder), axis=1),
+        tx_packet=packet_rows,
         tx_coupler=np.concatenate((scatter_coupler, deliver_coupler), axis=1),
-        tx_counts=[n, n],
-        del_receiver=np.concatenate((src_plane, dest), axis=1),
-        del_packet=np.concatenate((scatter_order, src_plane), axis=1),
-        del_counts=[n, n],
-        initial_loc=src,
-        pk_destination=dest,
+        del_receiver=np.concatenate((source_rows, images), axis=1),
+        del_packet=np.concatenate((scatter_order, source_rows), axis=1),
+        pk_destination=images,
     )
 
 
@@ -393,110 +501,83 @@ def _compile_round_plan_batch(
     ``fair_value`` is the ``(B, n)`` plane of fair values in ``N_d``; round
     ``k`` moves the packets whose value lies in ``[k·g, (k+1)·g)``.
     """
-    from repro.pops.lowering import assemble_compiled_plan_batch
-
     d, g = network.d, network.g
     n = network.n
     n_batch = images.shape[0]
-    src = np.arange(n, dtype=np.int64)
-    source_group = src // d
-    dest = images
-    dest_group = dest // d
+    template = route_template(d, g)
 
-    invalid = (fair_value < 0) | (fair_value >= d)
-    if invalid.any():
+    if fair_value.size and (fair_value.min() < 0 or fair_value.max() >= d):
+        invalid = (fair_value < 0) | (fair_value >= d)
         b, p = np.unravel_index(int(np.argmax(invalid)), invalid.shape)
         raise RoutingError(
             f"fair value {int(fair_value[b, p])} for processor "
             f"{int(p)} is outside N_d"
         )
-    injective_key = np.sort(
-        shrink_sort_key(source_group * d + fair_value, n - 1), axis=1
-    )
-    duplicate = injective_key[:, 1:] == injective_key[:, :-1]
-    if duplicate.any():
-        b, p = np.unravel_index(int(np.argmax(duplicate)), duplicate.shape)
-        key = int(injective_key[b, p])
+    repeat = first_repeat(template.group_start + fair_value, n)
+    if repeat is not None:
+        key = repeat[1]
         raise RoutingError(
             f"group {key // d} assigns fair value {key % d} twice "
             "(fair-distribution condition 1 violated)"
         )
 
     # Round k moves the packets with fair value in [k·g, (k+1)·g); the
-    # within-round intermediate group is the value minus k·g.
-    round_of = fair_value // g
-    intermediate = fair_value % g
+    # within-round intermediate group is the value minus k·g.  Per processor:
+    # its holder after the scatter, its scatter coupler c(ig, h) and its
+    # delivery coupler c(dest group, ig), stacked with the source and the
+    # destination as the ROUND_PLANES planes of one array.
+    round_of, intermediate = np.divmod(fair_value, g)
+    planes = np.empty((n_batch, len(ROUND_PLANES), n), dtype=np.int64)
+    planes[:, 0] = template.source
+    np.multiply(intermediate, d, out=planes[:, 1])
+    planes[:, 1] += template.source_group
+    np.multiply(intermediate, g, out=planes[:, 2])
+    planes[:, 2] += template.source_group
+    np.floor_divide(images, d, out=planes[:, 3])
+    planes[:, 3] *= g
+    planes[:, 3] += intermediate
+    planes[:, 4] = images
+
+    # Couplers are per round: (round, coupler) keys, every row's scatter
+    # keys before any row's delivery keys.
     n_rounds = (d + g - 1) // g
-    order = np.argsort(
-        shrink_sort_key(round_of, n_rounds - 1), axis=1, kind="stable"
-    )
-    members = order  # src[order] == order because src is the identity
-    # One flat gather index serves every member plane.
-    flat_order = (
-        order + (np.arange(n_batch, dtype=np.int64) * n)[:, None]
-    ).ravel()
-    member_ig = intermediate.ravel()[flat_order].reshape(n_batch, n)
-    member_group = source_group[order]
-    member_destg = dest_group.ravel()[flat_order].reshape(n_batch, n)
-    holders = member_ig * d + member_group
-
-    # The injectivity check above makes each group's fair values a bijection
-    # onto N_d, so after the stable sort the round plane is the shared row
-    # ``repeat(k, g * min(g, d - k*g))`` — no gather needed.
-    counts = [g * min(g, d - k * g) for k in range(n_rounds)]
-    member_round = np.repeat(np.arange(n_rounds, dtype=np.int64), counts)
-
     g2 = g * g
-    scatter_coupler = member_ig * g + member_group
-    scatter_key = member_round[None, :] * g2 + scatter_coupler
-    sorted_scatter = np.sort(shrink_sort_key(scatter_key, n_rounds * g2 - 1), axis=1)
-    clash = sorted_scatter[:, 1:] == sorted_scatter[:, :-1]
-    if clash.any():
-        b, p = np.unravel_index(int(np.argmax(clash)), clash.shape)
-        key = int(sorted_scatter[b, p]) % g2
+    round_key = round_of * g2
+    clash = first_repeat(
+        np.concatenate((planes[:, 2] + round_key, planes[:, 3] + round_key)),
+        n_rounds * g2,
+    )
+    if clash is not None and clash[0] < n_batch:
+        key = clash[1] % g2
         raise RoutingError(
             f"two packets of one round share coupler c({key // g},{key % g}) "
             "(fair-distribution condition 2 violated)"
         )
-    deliver_coupler = member_destg * g + member_ig
-    deliver_key = member_round[None, :] * g2 + deliver_coupler
-    sorted_deliver = np.sort(shrink_sort_key(deliver_key, n_rounds * g2 - 1), axis=1)
-    clash = sorted_deliver[:, 1:] == sorted_deliver[:, :-1]
-    if clash.any():
-        b, p = np.unravel_index(int(np.argmax(clash)), clash.shape)
-        key = int(sorted_deliver[b, p]) % g2
+    if clash is not None:
+        key = clash[1] % g2
         raise RoutingError(
             f"delivery slot needs coupler c({key // g}, {key % g}) twice; "
             "the packets were not fairly distributed after the scatter slot"
         )
 
-    bounds = np.concatenate(([0], np.cumsum(counts)))
-    dest_of_members = dest.ravel()[flat_order].reshape(n_batch, n)
-    tx_sender_parts: list[np.ndarray] = []
-    tx_packet_parts: list[np.ndarray] = []
-    tx_coupler_parts: list[np.ndarray] = []
-    del_receiver_parts: list[np.ndarray] = []
-    del_packet_parts: list[np.ndarray] = []
-    slot_counts: list[int] = []
-    for k in range(n_rounds):
-        lo, hi = int(bounds[k]), int(bounds[k + 1])
-        tx_sender_parts += [members[:, lo:hi], holders[:, lo:hi]]
-        tx_packet_parts += [members[:, lo:hi], members[:, lo:hi]]
-        tx_coupler_parts += [scatter_coupler[:, lo:hi], deliver_coupler[:, lo:hi]]
-        del_receiver_parts += [holders[:, lo:hi], dest_of_members[:, lo:hi]]
-        del_packet_parts += [members[:, lo:hi], members[:, lo:hi]]
-        slot_counts += [hi - lo, hi - lo]
-
+    # Within a round, packets go in processor order: a stable sort by round.
+    # Transmission e of the plan moves the packet at sorted position
+    # round_positions[e], and takes its sender, coupler and receiver from
+    # the planes round_planes[:, e] names — one gather for all three.
+    order = shrink_sort_key(round_of, n_rounds - 1).argsort(axis=1, kind="stable")
+    members = order[:, template.round_positions]
+    row_size = len(ROUND_PLANES) * n
+    plane_starts = np.arange(0, n_batch * row_size, row_size, dtype=np.int64)[:, None]
+    gathered = planes.reshape(-1)[
+        members + (template.round_planes[:, None, :] + plane_starts)
+    ]
     return assemble_compiled_plan_batch(
-        network,
+        template.skeleton,
         n_batch,
-        tx_sender=np.concatenate(tx_sender_parts, axis=1),
-        tx_packet=np.concatenate(tx_packet_parts, axis=1),
-        tx_coupler=np.concatenate(tx_coupler_parts, axis=1),
-        tx_counts=slot_counts,
-        del_receiver=np.concatenate(del_receiver_parts, axis=1),
-        del_packet=np.concatenate(del_packet_parts, axis=1),
-        del_counts=slot_counts,
-        initial_loc=src,
-        pk_destination=dest,
+        tx_sender=gathered[0],
+        tx_packet=members,
+        tx_coupler=gathered[1],
+        del_receiver=gathered[2],
+        del_packet=members,
+        pk_destination=images,
     )

@@ -8,10 +8,16 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["shrink_sort_key"]
+__all__ = ["first_repeat", "read_only", "shrink_sort_key"]
 
 #: Largest key value that still fits the 16-bit fast path.
 _INT16_MAX = int(np.iinfo(np.int16).max)
+
+
+def read_only(values: np.ndarray) -> np.ndarray:
+    """``values``, marked read-only: cached shape arrays are shared by every caller."""
+    values.setflags(write=False)
+    return values
 
 
 def shrink_sort_key(key: np.ndarray, bound: int) -> np.ndarray:
@@ -28,3 +34,40 @@ def shrink_sort_key(key: np.ndarray, bound: int) -> np.ndarray:
     if 0 <= bound <= _INT16_MAX:
         return key.astype(np.int16)
     return key
+
+
+def first_repeat(keys: np.ndarray, n_bins: int) -> tuple[int, int] | None:
+    """The first row of ``keys`` that holds a value twice, and its smallest such value.
+
+    ``keys`` is a ``(S, k)`` array of integers in ``[0, n_bins)``, one
+    segment per row; the duplicate checks of the routing pipeline order their
+    segments so that the first offending row, and the smallest repeat in it,
+    is the row-major first offender a sort of each row would have found.
+    Returns ``(row, value)``, or ``None`` when every row is duplicate-free.
+
+    Nothing is sorted.  When ``n_bins`` is at most four times ``k`` the whole
+    array is counted with one ``bincount``.  Otherwise each row is checked by
+    scatter-then-gather through one uninitialised ``n_bins`` table: every key
+    writes its position, and a key held twice reads back the other position —
+    ``O(k)`` work per row whatever ``n_bins`` is; only the offending row pays
+    for the count that names its smallest repeat.
+    """
+    n_rows, k = keys.shape
+    if not keys.size:
+        return None
+    if n_bins <= 4 * k:
+        counts = np.bincount(
+            (keys + np.arange(0, n_rows * n_bins, n_bins, dtype=np.int64)[:, None]).ravel(),
+            minlength=n_rows * n_bins,
+        )
+        if counts.max() < 2:
+            return None
+        return divmod(int(np.argmax(counts > 1)), n_bins)
+    positions = np.arange(k, dtype=np.int64)
+    table = np.empty(n_bins, dtype=np.int64)
+    for row, row_keys in enumerate(keys):
+        table[row_keys] = positions
+        if not (table[row_keys] == positions).all():
+            counts = np.bincount(row_keys, minlength=n_bins)
+            return row, int(np.argmax(counts > 1))
+    return None

@@ -15,6 +15,7 @@ from typing import Any
 import numpy as np
 
 from repro.exceptions import ConfigurationError, ValidationError
+from repro.utils.arrayops import first_repeat
 
 __all__ = [
     "check_positive_int",
@@ -204,25 +205,22 @@ def check_permutation_stack(pis: Any, n: int | None = None) -> np.ndarray:
     # 2**63 and above are negative after the cast, which still flags them,
     # but only ``raw`` holds the value check_permutation names.
     values = raw.astype(np.int64, copy=False)
-    batch, size = values.shape
+    size = values.shape[1]
     if n is not None and size != n:
         raise ValidationError(
             f"permutation has length {size}, expected {n}"
         )
-    out_of_range = (values < 0) | (values >= size)
-    if out_of_range.any():
+    if not values.size:
+        return values
+    if values.min() < 0 or values.max() >= size:
+        out_of_range = (values < 0) | (values >= size)
         b, i = np.unravel_index(int(np.argmax(out_of_range)), out_of_range.shape)
         raise ValidationError(
             f"permutation entry {int(raw[b, i])} out of range [0, {size})"
         )
-    counts = np.bincount(
-        (np.arange(batch, dtype=np.int64)[:, None] * size + values).ravel(),
-        minlength=batch * size,
-    ).reshape(batch, size)
-    repeated = counts > 1
-    if repeated.any():
-        b, image = np.unravel_index(int(np.argmax(repeated)), repeated.shape)
-        raise ValidationError(f"permutation repeats the image {int(image)}")
+    repeat = first_repeat(values, size)
+    if repeat is not None:
+        raise ValidationError(f"permutation repeats the image {repeat[1]}")
     return values
 
 

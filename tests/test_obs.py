@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -295,7 +296,7 @@ class TestChromeExport:
         assert plan["args"]["parent_id"] is not None
         path = str(tmp_path / "trace.json")
         assert write_chrome(spans, path) == len(spans)
-        assert json.loads(open(path).read())["traceEvents"]
+        assert json.loads(Path(path).read_text())["traceEvents"]
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +543,7 @@ class TestCliObservability:
             "--trace-format", "chrome",
         ]) == 0
         capsys.readouterr()
-        document = json.loads(open(trace).read())
+        document = json.loads(Path(trace).read_text())
         assert document["traceEvents"]
         assert all(e["ph"] == "X" for e in document["traceEvents"])
 
