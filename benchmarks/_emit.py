@@ -51,14 +51,22 @@ def provenance() -> dict[str, str]:
 
     Every value is a string; unknowable fields degrade to ``"unknown"``
     (a git-less checkout, a hostname-less container) rather than failing
-    the benchmark run.
+    the benchmark run.  ``git_commit`` ends in ``-dirty`` when a tracked
+    file other than a ``BENCH_*.json`` artefact differs from that commit:
+    the numbers were then measured on a tree no commit names.
     """
+    here = Path(__file__).resolve().parent
     try:
         commit = subprocess.run(
             ["git", "rev-parse", "HEAD"],
-            capture_output=True, text=True, timeout=10,
-            cwd=Path(__file__).resolve().parent,
+            capture_output=True, text=True, timeout=10, cwd=here,
         ).stdout.strip() or "unknown"
+        if commit != "unknown" and subprocess.run(
+            ["git", "status", "--porcelain", "--untracked-files=no", "--",
+             ":(top,glob,exclude)BENCH_*.json"],
+            capture_output=True, text=True, timeout=10, cwd=here,
+        ).stdout.strip():
+            commit += "-dirty"
     except (OSError, subprocess.SubprocessError):
         commit = "unknown"
     try:

@@ -141,7 +141,7 @@ def _route_stack(
     template = route_template(network.d, network.g)
     engine = template.engine
     span.stage = "route.compile"
-    batch = template.router(router_backend).route_compiled_batch(images, validate=False)
+    batch = template.routers[router_backend].route_compiled_batch(images, validate=False)
     span.stage = "engine.execute"
     locations = engine.execute_batch(batch)
     engine.verify_locations_batch(batch, locations)

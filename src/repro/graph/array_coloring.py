@@ -49,7 +49,6 @@ bit-identical to the object pipeline run with the same backend.
 
 from __future__ import annotations
 
-import functools
 from typing import NamedTuple
 
 import numpy as np
@@ -64,7 +63,7 @@ from repro.graph.array_multigraph import ArrayMultigraph
 from repro.graph.edge_coloring import COLORING_BACKENDS, EdgeColoring
 from repro.graph.matching import hopcroft_karp_csr
 from repro.graph.multigraph import BipartiteMultigraph
-from repro.utils.arrayops import first_repeat, read_only
+from repro.utils.arrayops import first_repeat, read_only, shape_cache
 
 _UINT8_MAX = int(np.iinfo(np.uint8).max)
 _INT16_MAX = int(np.iinfo(np.int16).max)
@@ -90,7 +89,7 @@ def _check_equal_sides(graph: ArrayMultigraph) -> None:
         )
 
 
-@functools.lru_cache(maxsize=32)
+@shape_cache(maxsize=32, max_bytes=1 << 20)
 def _cached_arange(size: int, dtype) -> np.ndarray:
     """Cached read-only ``arange(size, dtype=dtype)``.
 
@@ -98,7 +97,7 @@ def _cached_arange(size: int, dtype) -> np.ndarray:
     (:func:`_orbit_minima`'s, and the flat instance ids it starts from) with
     one set of sizes per problem, so a small cache removes the repeated
     allocations.  Callers only feed the arrays to allocating ufuncs and
-    gathers.
+    gathers.  The cache keeps at most 32 sizes and 1 MiB.
     """
     return read_only(np.arange(size, dtype=dtype))
 
@@ -448,7 +447,7 @@ class _SplitLevel(NamedTuple):
     bases: np.ndarray | None = None
 
 
-@functools.lru_cache(maxsize=64)
+@shape_cache(maxsize=64, max_bytes=4 << 20)
 def _split_plan(
     batch: int, m: int, n_left: int, degree: int
 ) -> tuple[tuple[_SplitLevel, ...], np.ndarray]:
@@ -457,8 +456,9 @@ def _split_plan(
     Both depend on the stack's shape and degree alone: an odd degree peels
     a matching into the lowest colour of each segment's block, an even one
     splits each block in two.  The final bases are a ``(n_seg, 1)`` column,
-    the colour of each surviving segment.  Arrays are read-only; the cache
-    keeps the 64 most recent shapes.
+    the colour of each surviving segment.  Arrays are read-only, about
+    ``8·batch·m`` bytes per level; the cache keeps at most 64 shapes and
+    4 MiB.
     """
     levels = []
     n_seg, seg_len, deg = 1, m, degree
@@ -547,9 +547,10 @@ def verify_instance_coloring_stack(
     Raises
     ------
     EdgeColoringError
-        On the row-major first violation of the left side, else of the right
-        side, naming the smallest offending ``(colour, vertex)`` pair of its
-        row.
+        If the colours span more values than a row has instances (no
+        kernel colours that sparsely; an unassigned entry does), else on the
+        row-major first violation of the left side, else of the right side,
+        naming the smallest offending ``(colour, vertex)`` pair of its row.
     """
     if colors.shape != left.shape:
         raise EdgeColoringError(
@@ -557,8 +558,13 @@ def verify_instance_coloring_stack(
         )
     if not colors.size:
         return
-    low = int(colors.min())
-    span = int(colors.max()) - low + 1
+    low, high = int(colors.min()), int(colors.max())
+    span = high - low + 1
+    if span > colors.shape[1]:
+        raise EdgeColoringError(
+            f"colours {low}..{high} span more values than the "
+            f"{colors.shape[1]} instances of a row"
+        )
     shifted = colors - low
     # Every row's left keys, then every row's right keys.
     repeat = first_repeat(

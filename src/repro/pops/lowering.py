@@ -22,7 +22,6 @@ copy-count matrix.  Both fold the same :class:`LoweredSchedule`, so the
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from itertools import chain
 from operator import attrgetter
@@ -33,7 +32,7 @@ from repro.exceptions import SimulationError, UnsupportedScheduleError
 from repro.pops.packet import Packet
 from repro.pops.schedule import RoutingSchedule
 from repro.pops.topology import POPSNetwork
-from repro.utils.arrayops import read_only
+from repro.utils.arrayops import read_only, repeat_rows
 
 __all__ = [
     "LoweredSchedule",
@@ -176,24 +175,10 @@ class PlanSkeleton:
             packets=None if packets is None else _frozen(packets),
         )
 
-    def rows(self, n_batch: int) -> tuple[np.ndarray, np.ndarray | None]:
-        """``initial_loc`` and ``packets`` as read-only ``(B, ·)`` planes."""
-        return _skeleton_rows(self, n_batch)
-
 
 def _frozen(values) -> np.ndarray:
     """A read-only ``int64`` copy of ``values``."""
     return read_only(np.array(values, dtype=np.int64))
-
-
-@functools.lru_cache(maxsize=64)
-def _skeleton_rows(
-    skeleton: PlanSkeleton, n_batch: int
-) -> tuple[np.ndarray, np.ndarray | None]:
-    return tuple(
-        None if values is None else np.broadcast_to(values, (n_batch, values.size))
-        for values in (skeleton.initial_loc, skeleton.packets)
-    )
 
 
 def assemble_compiled_plan_batch(
@@ -226,12 +211,11 @@ def assemble_compiled_plan_batch(
     :func:`repro.routing.permutation_router.route_template`): the ``*_ptr``
     arrays, the idle arrays and ``initial_loc``, shared by reference.  The
     plan arrays are ``(B, L)`` int64 planes of the concatenated per-slot
-    segments; a plane every plan shares is a broadcast view
-    (:meth:`PlanSkeleton.rows`).
+    segments; a plane every plan shares is a zero-stride view
+    (:func:`~repro.utils.arrayops.repeat_rows`).
     """
     from repro.pops.engine import CompiledScheduleBatch
 
-    initial_loc, _ = skeleton.rows(n_batch)
     return CompiledScheduleBatch(
         network=skeleton.network,
         n_batch=n_batch,
@@ -249,7 +233,7 @@ def assemble_compiled_plan_batch(
         con_ptr=skeleton.tx_ptr,
         idle_receiver=skeleton.no_idle,
         idle_coupler=skeleton.no_idle,
-        initial_loc=initial_loc,
+        initial_loc=repeat_rows(skeleton.initial_loc, n_batch),
         pk_destination=pk_destination,
     )
 

@@ -42,7 +42,6 @@ so their outputs stay identical per array backend.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,7 +55,7 @@ from repro.exceptions import (
 from repro.graph.edge_coloring import edge_color, verify_edge_coloring
 from repro.graph.regularize import biregular_pad_arrays, pad_to_regular
 from repro.routing.list_system import ListSystem, check_proper_lists_stack
-from repro.utils.arrayops import first_repeat, read_only, shrink_sort_key
+from repro.utils.arrayops import first_repeat, read_only, shape_cache, shrink_sort_key
 from repro.utils.validation import check_integer_array, check_positive_int
 
 __all__ = [
@@ -162,25 +161,29 @@ def verify_fair_distribution_stack(
     """Vectorized :func:`verify_fair_distribution` over ``(B, n1, Δ1)`` stacks.
 
     ``lists`` and ``assignment`` are the list and target stacks, one system
-    per row; list entries are sources in ``[0, n1)``.  Conditions (1) and
+    per row; list entries must be sources in ``[0, n1)``.  Conditions (1) and
     (3) are one duplicate count (:func:`~repro.utils.arrayops.first_repeat`)
     over ``(source, target)`` then ``(list value, target)`` keys, condition
     (2) a ``bincount`` of the targets.
 
     Raises
     ------
+    ValidationError
+        If a list entry is not a source, with :func:`_check_list_stack`'s
+        message.
     FairnessViolationError
         On the row-major first violation, with
         :func:`verify_fair_distribution`'s message.
     """
-    batch, n_sources, delta1 = assignment.shape
-    delta2 = (n_sources * delta1) // n_targets
     if lists.shape != assignment.shape:
         raise FairnessViolationError(
             f"assignment has shape {assignment.shape}, expected {lists.shape}"
         )
+    batch, n_sources, delta1 = assignment.shape
+    delta2 = (n_sources * delta1) // n_targets
     if batch == 0:
         return
+    _check_list_entries(lists, n_sources)
     if assignment.min() < 0 or assignment.max() >= n_targets:
         out_of_range = (assignment < 0) | (assignment >= n_targets)
         flat = out_of_range.reshape(batch, n_sources * delta1)
@@ -194,7 +197,10 @@ def verify_fair_distribution_stack(
     repeat = first_repeat(
         np.concatenate(
             (
-                (assignment + _source_starts(n_sources, n_targets)).reshape(batch, -1),
+                (
+                    assignment
+                    + np.arange(0, n_sources * n_targets, n_targets, dtype=np.int64)[:, None]
+                ).reshape(batch, -1),
                 (lists * np.int64(n_targets) + assignment).reshape(batch, -1),
             )
         ),
@@ -227,12 +233,6 @@ def verify_fair_distribution_stack(
             f"target {int(target)} is assigned {int(load[b, target])} pairs, "
             f"expected Δ2={delta2}"
         )
-
-
-@functools.lru_cache(maxsize=32)
-def _source_starts(n_sources: int, n_targets: int) -> np.ndarray:
-    """The read-only ``(n1, 1)`` column ``s·n2``: each source's first pair bin."""
-    return read_only(np.arange(0, n_sources * n_targets, n_targets, dtype=np.int64)[:, None])
 
 
 #: Most edge instances handed to one colouring-kernel call; larger stacks are
@@ -279,6 +279,12 @@ def _check_list_stack(lists, n_targets: int) -> np.ndarray:
         raise ValidationError(
             f"list length Δ1={delta1} exceeds the number of targets n2={n_targets}"
         )
+    _check_list_entries(lists, n_sources)
+    return lists
+
+
+def _check_list_entries(lists: np.ndarray, n_sources: int) -> None:
+    """Raise :class:`ValidationError` on the row-major first list entry outside ``[0, n1)``."""
     if lists.size and (lists.min() < 0 or lists.max() >= n_sources):
         outside = (lists < 0) | (lists >= n_sources)
         b, source, index = np.unravel_index(int(np.argmax(outside)), lists.shape)
@@ -286,7 +292,6 @@ def _check_list_stack(lists, n_targets: int) -> np.ndarray:
             f"list entry {int(lists[b, source, index])} of source {int(source)} "
             f"is not in S = [0, {n_sources})"
         )
-    return lists
 
 
 @dataclass(frozen=True, eq=False)
@@ -310,12 +315,13 @@ class ListSystemTemplate:
     run: np.ndarray | None
 
 
-@functools.lru_cache(maxsize=32)
+@shape_cache(maxsize=32, max_bytes=1 << 20)
 def list_system_template(n_sources: int, delta1: int, n_targets: int) -> ListSystemTemplate:
     """The cached :class:`ListSystemTemplate` of a ``(n1, Δ1, n2)`` list system.
 
     Everything :meth:`FairDistributionSolver.solve_array_batch` needs that
-    does not depend on the lists; the cache keeps the 32 most recent shapes.
+    does not depend on the lists; the cache keeps at most 32 shapes and
+    1 MiB of arrays.
     """
     n1, n2 = n_sources, n_targets
     m_core = n1 * delta1

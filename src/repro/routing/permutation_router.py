@@ -33,7 +33,6 @@ conflict-free.
 
 from __future__ import annotations
 
-import functools
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -51,7 +50,13 @@ from repro.pops.topology import POPSNetwork
 from repro.routing.fair_distribution import FairDistribution, FairDistributionSolver
 from repro.routing.list_system import ListSystem, destination_group_lists_stack
 from repro.routing.two_hop import build_theorem2_schedule
-from repro.utils.arrayops import first_repeat, read_only, shrink_sort_key
+from repro.utils.arrayops import (
+    first_repeat,
+    read_only,
+    repeat_rows,
+    shape_cache,
+    shrink_sort_key,
+)
 from repro.utils.validation import (
     check_permutation,
     check_permutation_array,
@@ -325,22 +330,19 @@ class RouteTemplate:
     round_positions: np.ndarray | None = None
     round_planes: np.ndarray | None = None
 
-    def router(self, backend: str) -> PermutationRouter:
-        """The network's router for ``backend``, shared for array backends."""
-        router = self.routers.get(backend)
-        return PermutationRouter(self.network, backend=backend) if router is None else router
-
 
 #: The per-processor planes of a d > g plan, in the order
 #: ``_compile_round_plan_batch`` stacks them.
 ROUND_PLANES = ("source", "holder", "scatter coupler", "delivery coupler", "destination")
 
 
-@functools.lru_cache(maxsize=32)
+@shape_cache(maxsize=32, max_bytes=4 << 20)
 def route_template(d: int, g: int) -> RouteTemplate:
     """The cached :class:`RouteTemplate` of POPS(d, g).
 
-    The cache keeps the 32 most recently used shapes.
+    32 to 96 bytes per processor (``d = 1`` to ``d > g``); the cache keeps
+    at most 32 shapes and 4 MiB of arrays, so a shape of more than 44k to
+    131k processors is built per route.
     """
     from repro.graph.array_coloring import ARRAY_COLORING_STACK_KERNELS
 
@@ -403,7 +405,7 @@ def _compile_d1_plan_batch(
 ) -> CompiledScheduleBatch:
     """Batched d == 1 plan: POPS(1, n) is fully connected, one direct slot."""
     template = route_template(network.d, network.g)
-    source_rows, _ = template.skeleton.rows(images.shape[0])
+    source_rows = repeat_rows(template.source, images.shape[0])
     return assemble_compiled_plan_batch(
         template.skeleton,
         images.shape[0],
@@ -428,7 +430,7 @@ def _compile_two_slot_plan_batch(
     n = network.n
     n_batch = images.shape[0]
     template = route_template(d, g)
-    source_rows, packet_rows = template.skeleton.rows(n_batch)
+    source_rows = repeat_rows(template.source, n_batch)
 
     if fair_value.size and (fair_value.min() < 0 or fair_value.max() >= g):
         invalid = (fair_value < 0) | (fair_value >= g)
@@ -485,7 +487,7 @@ def _compile_two_slot_plan_batch(
         template.skeleton,
         n_batch,
         tx_sender=np.concatenate((source_rows, holder), axis=1),
-        tx_packet=packet_rows,
+        tx_packet=repeat_rows(template.skeleton.packets, n_batch),
         tx_coupler=np.concatenate((scatter_coupler, deliver_coupler), axis=1),
         del_receiver=np.concatenate((source_rows, images), axis=1),
         del_packet=np.concatenate((scatter_order, source_rows), axis=1),

@@ -9,6 +9,10 @@ exact message, so a rewrite of a check cannot change what it reports.
 The round builder's scatter-coupler clash has no case: two packets of one
 source group that share a round and an intermediate group share their fair
 value, so condition 1, checked first, always reports them.
+
+The last section pins the range checks that guard the verifiers' key spaces:
+a colour or list value outside the range the keys are built for is reported
+as such, never as a clash.
 """
 
 from __future__ import annotations
@@ -16,7 +20,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.exceptions import EdgeColoringError, FairnessViolationError, RoutingError
+from repro.exceptions import (
+    EdgeColoringError,
+    FairnessViolationError,
+    RoutingError,
+    ValidationError,
+)
 from repro.graph.array_coloring import verify_instance_coloring_stack
 from repro.pops.topology import POPSNetwork
 from repro.routing.fair_distribution import (
@@ -227,4 +236,40 @@ def test_fair_distribution_condition_3_message_at_2x16():
     _raises(
         FairnessViolationError, "two pairs with list value 2 share target 7",
         verify_fair_distribution_stack, lists, assignment, 16,
+    )
+
+
+# -- key-space ranges ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "bad,message",
+    [
+        (4, "colours 0..4 span more values than the 4 instances of a row"),
+        (-(2**62), f"colours {-(2**62)}..1 span more values than the 4 instances of a row"),
+    ],
+    ids=["high", "unassigned"],
+)
+def test_instance_coloring_rejects_a_sparse_colour_span(bad, message):
+    colors = np.array([_GOOD, [0, 1, 1, bad], _GOOD])
+    _raises(
+        EdgeColoringError, message,
+        verify_instance_coloring_stack, _LEFT, _RIGHT, 2, 2, colors,
+    )
+
+
+@pytest.mark.parametrize(
+    "value,message",
+    [
+        (2, "list entry 2 of source 1 is not in S = [0, 2)"),
+        (-1, "list entry -1 of source 1 is not in S = [0, 2)"),
+    ],
+    ids=["high", "negative"],
+)
+def test_fair_distribution_rejects_a_list_entry_outside_the_sources(value, message):
+    lists = _LISTS.copy()
+    lists[1, 1, 0] = value
+    _raises(
+        ValidationError, message,
+        verify_fair_distribution_stack, lists, np.array([_FAIR] * 3), 2,
     )

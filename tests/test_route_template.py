@@ -6,31 +6,30 @@ the shape alone come from bounded, read-only caches
 solver's :func:`~repro.routing.fair_distribution.list_system_template` and
 the Euler-split kernel's level plan).  These tests pin that a warm cache
 changes nothing, that a cached array cannot be written through, and that
-every cache stays bounded.
+every cache stays bounded in entries and in bytes.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro.api import Session
 from repro.graph import array_coloring
-from repro.pops import lowering
 from repro.pops.engine import CompiledScheduleBatch
 from repro.routing import fair_distribution
 from repro.routing.permutation_router import route_template
+from repro.utils.arrayops import array_bytes, repeat_rows
 
 #: Every shape cache a route reads.
 SHAPE_CACHES = [
     route_template,
     fair_distribution.list_system_template,
-    fair_distribution._source_starts,
     array_coloring._split_plan,
     array_coloring._cached_arange,
-    lowering._skeleton_rows,
 ]
 
 #: (d, g) shapes covering the d = 1 plan, the two-slot plan (pad-free and
@@ -55,7 +54,7 @@ def _stack(d: int, g: int, batch: int, seed: int) -> np.ndarray:
 
 
 def _plan(d: int, g: int, images: np.ndarray):
-    router = route_template(d, g).router("euler-array")
+    router = route_template(d, g).routers["euler-array"]
     return router.route_compiled_batch(images)
 
 
@@ -100,7 +99,7 @@ def _template_arrays(d: int, g: int):
         for array in (template.round_positions, template.round_planes, skeleton.packets)
         if array is not None
     )
-    yield from (array for array in skeleton.rows(3) if array is not None)
+    yield repeat_rows(skeleton.initial_loc, 3)
     n1, delta1, n2 = g, d, max(d, g)
     shape = fair_distribution.list_system_template(n1, delta1, n2)
     yield from (
@@ -108,7 +107,6 @@ def _template_arrays(d: int, g: int):
         for array in (shape.left_key, shape.pad_key, shape.run)
         if array is not None
     )
-    yield fair_distribution._source_starts(n1, n2)
     levels, final_bases = array_coloring._split_plan(1, n1 * delta1, n1, delta1)
     yield final_bases
     for level in levels:
@@ -140,9 +138,9 @@ def test_plans_share_read_only_structure():
 def test_router_and_engine_are_reused_per_shape():
     template = route_template(8, 4)
     assert route_template(8, 4) is template
-    assert template.router("euler-array") is template.router("euler-array")
-    assert template.router("konig-array") is not template.router("euler-array")
-    assert template.router("konig-array").solver.backend == "konig-array"
+    assert route_template(8, 4).routers["euler-array"] is template.routers["euler-array"]
+    assert template.routers["konig-array"] is not template.routers["euler-array"]
+    assert template.routers["konig-array"].solver.backend == "konig-array"
     assert template.engine.network is template.network
 
 
@@ -153,9 +151,41 @@ def test_shape_caches_stay_bounded():
         session.route_batch(_stack(d, g, 2, d * 10 + g), d=d, g=g)
     for cache in SHAPE_CACHES:
         info = cache.cache_info()
-        assert info.maxsize is not None
-        assert info.currsize <= info.maxsize
+        assert 0 < info.currsize <= info.maxsize
+        assert 0 < info.nbytes <= info.max_bytes
     assert route_template.cache_info().currsize == route_template.cache_info().maxsize
+
+
+def test_a_shape_over_the_byte_budget_is_not_held():
+    _clear_shape_caches()
+    route_template(4, 4)
+    # POPS(2, 65536) needs 48 bytes per processor, 6 MiB, over the 4 MiB budget.
+    large = route_template(2, 65536)
+    assert array_bytes(large) > route_template.cache_info().max_bytes
+    assert route_template(2, 65536) is not large
+    info = route_template.cache_info()
+    assert info.currsize == 1
+    assert info.nbytes < 1 << 12
+
+
+def test_a_large_sparse_shape_routes_in_bounded_memory():
+    # At d << g the duplicate checks see g² couplers and n1·n2 pairs per row
+    # (2**26 here) for only n = 16384 keys; a route must not allocate by the
+    # key space, and must leave its shape caches inside their budgets.
+    d, g = 2, 8192
+    images = _stack(d, g, 1, 0)
+    _clear_shape_caches()
+    tracemalloc.start()
+    try:
+        batch = _plan(d, g, images)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert batch.n_slots == 2
+    assert peak < 16 << 20
+    for cache in SHAPE_CACHES:
+        info = cache.cache_info()
+        assert info.nbytes <= info.max_bytes
 
 
 @pytest.mark.parametrize("d,g", [(4, 4), (8, 2), (1, 4)])
