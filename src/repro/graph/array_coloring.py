@@ -541,14 +541,14 @@ def verify_instance_coloring_stack(
     graphs' instances); what remains is properness — no colour repeats a
     vertex on either side, counted (:func:`~repro.utils.arrayops.
     first_repeat`) over ``(colour, vertex)`` keys of the colour range
-    present; ``left`` and ``right`` hold vertices in ``[0, n_left)`` and
-    ``[0, n_right)``.
+    present.
 
     Raises
     ------
     EdgeColoringError
-        If the colours span more values than a row has instances (no
-        kernel colours that sparsely; an unassigned entry does), else on the
+        If a vertex lies outside ``[0, n_left)`` or ``[0, n_right)``, or the
+        colours span more values than a row has instances (no kernel
+        colours that sparsely; an unassigned entry does), else on the
         row-major first violation of the left side, else of the right side,
         naming the smallest offending ``(colour, vertex)`` pair of its row.
     """
@@ -558,6 +558,13 @@ def verify_instance_coloring_stack(
         )
     if not colors.size:
         return
+    for side, vertices, n_vertices in (("left", left, n_left), ("right", right, n_right)):
+        if vertices.min() < 0 or vertices.max() >= n_vertices:
+            outside = (vertices < 0) | (vertices >= n_vertices)
+            vertex = int(vertices.reshape(-1)[np.argmax(outside)])
+            raise EdgeColoringError(
+                f"{side} vertex {vertex} is outside [0, {n_vertices})"
+            )
     low, high = int(colors.min()), int(colors.max())
     span = high - low + 1
     if span > colors.shape[1]:

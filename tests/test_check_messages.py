@@ -11,8 +11,8 @@ source group that share a round and an intermediate group share their fair
 value, so condition 1, checked first, always reports them.
 
 The last section pins the range checks that guard the verifiers' key spaces:
-a colour or list value outside the range the keys are built for is reported
-as such, never as a clash.
+a vertex, colour or list value outside the range the keys are built for is
+reported as such, never as a clash.
 """
 
 from __future__ import annotations
@@ -255,6 +255,23 @@ def test_instance_coloring_rejects_a_sparse_colour_span(bad, message):
     _raises(
         EdgeColoringError, message,
         verify_instance_coloring_stack, _LEFT, _RIGHT, 2, 2, colors,
+    )
+
+
+@pytest.mark.parametrize(
+    "side,value,message",
+    [
+        ("left", 2, "left vertex 2 is outside [0, 2)"),
+        ("right", -1, "right vertex -1 is outside [0, 2)"),
+    ],
+)
+def test_instance_coloring_rejects_a_vertex_outside_its_side(side, value, message):
+    vertices = {"left": _LEFT.copy(), "right": _RIGHT.copy()}
+    vertices[side][1, 3] = value
+    _raises(
+        EdgeColoringError, message,
+        verify_instance_coloring_stack, vertices["left"], vertices["right"], 2, 2,
+        np.array([_GOOD] * 3),
     )
 
 
