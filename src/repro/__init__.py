@@ -53,7 +53,7 @@ from repro.api.config import RunConfig
 from repro.api.session import Session
 from repro import exceptions
 
-__version__ = "1.13.0"
+__version__ = "1.14.0"
 
 __all__ = [
     "RunConfig",

@@ -312,11 +312,11 @@ def route_with_recovery(
         failed_couplers=len(spec.failed_coupler_pairs(network.g)),
     ):
         try:
-            locations = engine.execute(compiled, faults=spec)
+            locations = engine.execute_batch(compiled, faults=spec)
         except CouplerFailedError as exc:
             fault = exc
     if fault is None:
-        engine.verify_locations(compiled, locations)
+        engine.verify_locations_batch(compiled, locations)
         moved = int(compiled.pay_ptr[-1])
         return FaultRecoveryReport(
             d=network.d,

@@ -18,7 +18,7 @@ from repro.pops.schedule import Transmission, Reception, SlotProgram, RoutingSch
 from repro.pops.simulator import POPSSimulator, SimulationResult
 from repro.pops.engine import (
     BatchedSimulator,
-    CompiledSchedule,
+    CompiledScheduleBatch,
     ScheduleCache,
     compile_schedule,
     schedule_cache,
@@ -51,7 +51,7 @@ __all__ = [
     "POPSSimulator",
     "SimulationResult",
     "BatchedSimulator",
-    "CompiledSchedule",
+    "CompiledScheduleBatch",
     "CollectiveCompiledSchedule",
     "CollectiveSimulator",
     "ScheduleCache",

@@ -59,6 +59,7 @@ from repro.pops.lowering import LoweredSchedule, group_firsts, lower_schedule
 from repro.pops.packet import Packet
 from repro.pops.schedule import RoutingSchedule
 from repro.pops.topology import Coupler, POPSNetwork
+from repro.pops.trace import CompiledTrace
 
 __all__ = [
     "CollectiveCompiledSchedule",
@@ -80,10 +81,11 @@ DEFAULT_MAX_STATE_BYTES = 256 * 1024 * 1024
 class CollectiveCompiledSchedule:
     """A duplicating schedule lowered to flat integer arrays.
 
-    Layout mirrors :class:`~repro.pops.engine.CompiledSchedule` (CSR segments
-    per slot over concatenated arrays) with two differences: consumed packets
-    carry their sender (a copy leaves *that* processor, not "the" location),
-    and the initial state is a copy-count matrix instead of a location array.
+    Layout mirrors one row of :class:`~repro.pops.engine.CompiledScheduleBatch`
+    (CSR segments per slot over concatenated arrays) with two differences:
+    consumed packets carry their sender (a copy leaves *that* processor, not
+    "the" location), and the initial state is a copy-count matrix instead of
+    a location array.
 
     Attributes
     ----------
@@ -286,6 +288,19 @@ class CollectiveSimulator:
                 compiled.del_receiver[del_ptr[s]:del_ptr[s + 1]],
             ] += 1
         return count
+
+    def compiled_trace(self, compiled: CollectiveCompiledSchedule) -> CompiledTrace:
+        """The (static) trace of a compiled schedule as a zero-copy array view."""
+        return CompiledTrace(
+            g=self.network.g,
+            packets=compiled.packets,
+            pay_coupler=compiled.pay_coupler,
+            pay_packet=compiled.pay_packet,
+            pay_ptr=compiled.pay_ptr,
+            del_receiver=compiled.del_receiver,
+            del_packet=compiled.del_packet,
+            del_ptr=compiled.del_ptr,
+        )
 
     def verify_full_coverage(
         self,

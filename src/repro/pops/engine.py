@@ -9,17 +9,21 @@ which packets leave their sender are all functions of the schedule alone — the
 only thing that depends on execution state is whether each sender actually
 holds the packet it drives.
 
-:func:`compile_schedule` therefore lowers a
-:class:`~repro.pops.schedule.RoutingSchedule` once into flat integer arrays
-(CSR-style, one segment per slot) via the shared front end in
-:mod:`repro.pops.lowering` — flattening, vectorized static validation
-(wiring, coupler conflicts, receiver conflicts) and the reception/payload
-join are common to all compiled engines — and :class:`BatchedSimulator`
-executes a slot as three numpy operations: one comparison for the dynamic
-buffer-ownership check and two scatters for the buffer commit.  Buffers are a
-single packet-location array ``loc`` with ``loc[k]`` the processor currently
-holding packet ``k`` (or ``-1`` when the packet was consumed without being
-read).
+A compiled schedule is therefore flat integer arrays (CSR-style, one segment
+per slot), and :class:`CompiledScheduleBatch` is the one type that holds them:
+``B`` schedules sharing one slot structure, with a single schedule as its
+one-row case.  The router emits batches directly
+(:meth:`~repro.routing.permutation_router.PermutationRouter.route_compiled_batch`);
+:func:`compile_schedule` lowers a
+:class:`~repro.pops.schedule.RoutingSchedule` into a one-row batch via the
+shared front end in :mod:`repro.pops.lowering` — flattening, vectorized static
+validation (wiring, coupler conflicts, receiver conflicts) and the
+reception/payload join are common to all compiled engines.
+:meth:`BatchedSimulator.execute_batch` is the one slot loop: a slot is three
+numpy operations on one location array, one comparison for the dynamic
+buffer-ownership check and two scatters for the buffer commit, with
+``loc[b, k]`` the processor currently holding packet ``k`` of row ``b`` (or
+``-1`` when the packet was consumed without being read).
 
 The flat location array covers the consume-and-deliver model used by
 permutation routing.  Schedules that *duplicate* packets — non-consuming
@@ -37,17 +41,20 @@ execution (the reference calls ``schedule.validate()`` up front, and the
 engine re-runs it on the slow path to reproduce the exact exception), and the
 two dynamic errors — a sender not holding its packet, a read of an idle
 coupler — are raised at the same slot, for the same offender, with the same
-message.
+message, as are the fault-injection errors.
 """
 
 from __future__ import annotations
 
 from collections.abc import Hashable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import NoReturn
 
 import numpy as np
 
 from repro.exceptions import (
+    CouplerFailedError,
+    DeliveryError,
     SimulationError,
     UnsupportedScheduleError,
 )
@@ -61,7 +68,6 @@ from repro.pops.topology import Coupler, POPSNetwork
 from repro.pops.trace import CompiledTrace, CompiledTraceBatch
 
 __all__ = [
-    "CompiledSchedule",
     "CompiledScheduleBatch",
     "BatchedSimulator",
     "ScheduleCache",
@@ -71,21 +77,35 @@ __all__ = [
     "schedule_cache",
 ]
 
+#: The per-row ``(B, ·)`` planes of a :class:`CompiledScheduleBatch`.
+PLANES = (
+    "tx_sender", "tx_packet", "pay_coupler", "pay_packet", "del_receiver",
+    "del_packet", "con_packet", "initial_loc", "pk_destination",
+)
+
+#: The slot structure every row of a :class:`CompiledScheduleBatch` shares.
+STRUCTURE = ("tx_ptr", "pay_ptr", "del_ptr", "con_ptr", "idle_receiver", "idle_coupler")
+
 
 @dataclass
-class CompiledSchedule:
-    """A routing schedule lowered to flat integer arrays.
+class CompiledScheduleBatch:
+    """``B`` routing schedules lowered to integer arrays sharing one slot structure.
 
     All arrays are concatenated over slots; ``*_ptr`` arrays hold the slot
-    boundaries (``xs[ptr[s]:ptr[s + 1]]`` is slot ``s``'s segment), so one
-    compiled schedule drives the whole run without touching Python objects.
+    boundaries (``xs[:, ptr[s]:ptr[s + 1]]`` is slot ``s``'s segment of every
+    row), so one compiled batch drives the whole run without touching Python
+    objects.  For a fixed POPS(d, g) every Theorem 2 plan has the *same* slot
+    segmentation, so a batch of plans stores the :data:`STRUCTURE` arrays once
+    and the :data:`PLANES` as ``(B, ·)`` arrays.  Planes may be broadcast
+    views when a plan array is genuinely shared across the batch (e.g.
+    ``initial_loc`` for permutation routing, where packet ``i`` always starts
+    at processor ``i``).  A single schedule is a one-row batch.
 
     Attributes
     ----------
-    network:
-        The network the schedule targets.
-    packets:
-        The packet universe; array entries index into this list.
+    network / n_batch / n_slots:
+        The network the schedules target, the row count ``B`` and the slot
+        count.
     tx_sender / tx_packet / tx_ptr:
         Per-slot transmissions, for the dynamic ownership check.
     pay_coupler / pay_packet / pay_ptr:
@@ -98,73 +118,11 @@ class CompiledSchedule:
         Per-slot packets consumed (each sent packet leaves its sender).
     idle_receiver / idle_coupler:
         Per slot, the first reception of an idle coupler (``-1`` when none);
-        strict runs abort there.
+        runs abort there.
     initial_loc:
-        Starting processor of every packet in the universe (``-1``: nowhere).
+        Starting processor of every universe packet (``-1``: nowhere).
     pk_destination:
-        Destination of every packet, for vectorized delivery verification.
-    """
-
-    network: POPSNetwork
-    packets: list[Packet]
-    n_slots: int
-    tx_sender: np.ndarray
-    tx_packet: np.ndarray
-    tx_ptr: np.ndarray
-    pay_coupler: np.ndarray
-    pay_packet: np.ndarray
-    pay_ptr: np.ndarray
-    del_receiver: np.ndarray
-    del_packet: np.ndarray
-    del_ptr: np.ndarray
-    con_packet: np.ndarray
-    con_ptr: np.ndarray
-    idle_receiver: np.ndarray
-    idle_coupler: np.ndarray
-    initial_loc: np.ndarray
-    pk_destination: np.ndarray
-
-    @property
-    def n_transmissions(self) -> int:
-        """Total transmissions across all slots."""
-        return int(self.tx_sender.shape[0])
-
-    @property
-    def nbytes(self) -> int:
-        """Approximate memory footprint of the compiled arrays."""
-        return sum(
-            getattr(self, name).nbytes
-            for name in (
-                "tx_sender", "tx_packet", "tx_ptr",
-                "pay_coupler", "pay_packet", "pay_ptr",
-                "del_receiver", "del_packet", "del_ptr",
-                "con_packet", "con_ptr",
-                "idle_receiver", "idle_coupler",
-                "initial_loc", "pk_destination",
-            )
-        )
-
-
-@dataclass
-class CompiledScheduleBatch:
-    """``B`` compiled schedules sharing one CSR slot structure.
-
-    The megabatch layout: for a fixed POPS(d, g) every Theorem 2 plan has the
-    *same* slot segmentation — identical ``*_ptr`` arrays, identical slot
-    count — so a batch of plans is stored as shared structure arrays plus
-    ``(B, ·)`` per-batch planes.  Planes may be broadcast views when a plan
-    array is genuinely shared across the batch (e.g. ``initial_loc`` for
-    permutation routing, where packet ``i`` always starts at processor ``i``).
-
-    The packet universe is implicit — permutation-routing packets: universe
-    entry ``i`` of element ``b`` is ``Packet(i, pk_destination[b, i])`` — so
-    no per-element Python objects exist until :meth:`element` materializes
-    one :class:`CompiledSchedule`.
-
-    Attributes mirror :class:`CompiledSchedule`, with ``tx_sender``,
-    ``tx_packet``, ``pay_coupler``, ``pay_packet``, ``del_receiver``,
-    ``del_packet``, ``con_packet``, ``initial_loc`` and ``pk_destination``
-    grown a leading batch axis and the ``*_ptr`` / idle arrays shared.
+        Destination of every universe packet, for vectorized delivery checks.
     """
 
     network: POPSNetwork
@@ -186,10 +144,14 @@ class CompiledScheduleBatch:
     initial_loc: np.ndarray
     pk_destination: np.ndarray
 
-    @property
-    def u_size(self) -> int:
-        """Size of each element's packet universe."""
-        return int(self.pk_destination.shape[1])
+    #: The packet universe of a one-row batch lowered from
+    #: :class:`~repro.pops.packet.Packet` objects, payloads included, set
+    #: after construction (:func:`fold_locations`); ``None`` for routed
+    #: plans, whose universe is implicit: packet ``k`` of row ``b`` is
+    #: ``Packet(k, pk_destination[b, k])``.  Not a dataclass field, so the
+    #: fields stay the plan's arrays and sizes.  :meth:`universe` reads either
+    #: form.
+    packets = None
 
     @property
     def nbytes(self) -> int:
@@ -199,50 +161,29 @@ class CompiledScheduleBatch:
         actual allocation — acceptable for cache accounting, which only
         needs an upper bound.
         """
-        return sum(
-            getattr(self, name).nbytes
-            for name in (
-                "tx_sender", "tx_packet", "tx_ptr",
-                "pay_coupler", "pay_packet", "pay_ptr",
-                "del_receiver", "del_packet", "del_ptr",
-                "con_packet", "con_ptr",
-                "idle_receiver", "idle_coupler",
-                "initial_loc", "pk_destination",
-            )
-        )
+        return sum(getattr(self, name).nbytes for name in PLANES + STRUCTURE)
 
-    def element(self, b: int) -> CompiledSchedule:
-        """Materialize element ``b`` as a standalone :class:`CompiledSchedule`.
-
-        Plane rows are views (zero-copy); structure arrays are shared.  The
-        result is bit-identical to compiling element ``b``'s plan alone.
-        """
+    def universe(self, b: int) -> list[Packet]:
+        """Row ``b``'s packet universe: the array entries of row ``b`` index into it."""
+        if self.packets is not None:
+            return self.packets
         destinations = self.pk_destination[b]
-        packets = list(map(Packet, range(destinations.size), destinations.tolist()))
-        return CompiledSchedule(
-            network=self.network,
-            packets=packets,
-            n_slots=self.n_slots,
-            tx_sender=self.tx_sender[b],
-            tx_packet=self.tx_packet[b],
-            tx_ptr=self.tx_ptr,
-            pay_coupler=self.pay_coupler[b],
-            pay_packet=self.pay_packet[b],
-            pay_ptr=self.pay_ptr,
-            del_receiver=self.del_receiver[b],
-            del_packet=self.del_packet[b],
-            del_ptr=self.del_ptr,
-            con_packet=self.con_packet[b],
-            con_ptr=self.con_ptr,
-            idle_receiver=self.idle_receiver,
-            idle_coupler=self.idle_coupler,
-            initial_loc=self.initial_loc[b],
-            pk_destination=destinations,
+        return list(map(Packet, range(destinations.size), destinations.tolist()))
+
+    def element(self, b: int) -> CompiledScheduleBatch:
+        """Row ``b`` as a one-row batch of zero-copy views.
+
+        The result is bit-identical to compiling row ``b``'s plan alone.
+        """
+        row = replace(
+            self, n_batch=1, **{name: getattr(self, name)[b:b + 1] for name in PLANES}
         )
+        row.packets = self.packets
+        return row
 
 
 #: Everything :class:`ScheduleCache` stores.
-_Compiled = CompiledSchedule | CompiledScheduleBatch | CollectiveCompiledSchedule
+_Compiled = CompiledScheduleBatch | CollectiveCompiledSchedule
 
 
 class ScheduleCache:
@@ -262,7 +203,7 @@ class ScheduleCache:
     balloon memory.  It counts hits and misses
     (:meth:`repro.api.session.Session.cache_stats`).
     Compiled schedules are immutable after compilation, so sharing one object
-    between executions is safe (``execute`` copies the location array).
+    between executions is safe (``execute_batch`` copies the location array).
     """
 
     def __init__(self, max_entries: int = 64, max_bytes: int = 128 * 1024 * 1024):
@@ -360,8 +301,8 @@ def compile_schedule(
     network: POPSNetwork,
     schedule: RoutingSchedule,
     packets: list[Packet],
-) -> CompiledSchedule:
-    """Lower ``schedule`` to integer arrays, raising any static violation.
+) -> CompiledScheduleBatch:
+    """Lower ``schedule`` to a one-row batch, raising any static violation.
 
     The shared front end (:func:`repro.pops.lowering.lower_schedule`) performs
     the flattening, the vectorized static validation and the
@@ -381,12 +322,13 @@ def compile_schedule(
         return fold_locations(lower_schedule(network, schedule, packets))
 
 
-def fold_locations(lowered: LoweredSchedule) -> CompiledSchedule:
-    """Fold a lowered schedule into the flat ``loc[packet]`` state.
+def fold_locations(lowered: LoweredSchedule) -> CompiledScheduleBatch:
+    """Fold a lowered schedule into the flat ``loc[packet]`` state of a one-row batch.
 
     The fold holds when every send consumes, no packet is read twice in a
     slot and every packet starts at one holder; otherwise it raises
     :class:`UnsupportedScheduleError` naming the first duplication found.
+    The batch keeps the lowered packet universe, payloads included.
     """
     u_size = lowered.u_size
     n_slots = lowered.n_slots
@@ -420,26 +362,28 @@ def fold_locations(lowered: LoweredSchedule) -> CompiledSchedule:
     con_first = np.sort(p_order[p_new])
     con_counts = np.bincount(lowered.tx_slot[con_first], minlength=n_slots)
 
-    return CompiledSchedule(
+    compiled = CompiledScheduleBatch(
         network=lowered.network,
-        packets=lowered.packets,
+        n_batch=1,
         n_slots=n_slots,
-        tx_sender=lowered.tx_sender,
-        tx_packet=lowered.tx_packet,
+        tx_sender=lowered.tx_sender[None],
+        tx_packet=lowered.tx_packet[None],
         tx_ptr=lowered.tx_ptr,
-        pay_coupler=lowered.pay_coupler,
-        pay_packet=lowered.pay_packet,
+        pay_coupler=lowered.pay_coupler[None],
+        pay_packet=lowered.pay_packet[None],
         pay_ptr=lowered.pay_ptr,
-        del_receiver=lowered.del_receiver,
-        del_packet=lowered.del_packet,
+        del_receiver=lowered.del_receiver[None],
+        del_packet=lowered.del_packet[None],
         del_ptr=lowered.del_ptr,
-        con_packet=lowered.tx_packet[con_first],
+        con_packet=lowered.tx_packet[None, con_first],
         con_ptr=np.concatenate(([0], np.cumsum(con_counts, dtype=np.int64))),
         idle_receiver=lowered.idle_receiver,
         idle_coupler=lowered.idle_coupler,
-        initial_loc=initial_loc,
-        pk_destination=lowered.pk_destination,
+        initial_loc=initial_loc[None],
+        pk_destination=lowered.pk_destination[None],
     )
+    compiled.packets = lowered.packets
+    return compiled
 
 
 def compile_state(
@@ -448,18 +392,18 @@ def compile_state(
     packets: list[Packet],
     cache_key: Hashable | None = None,
     cache: ScheduleCache | None = None,
-) -> CompiledSchedule | CollectiveCompiledSchedule:
+) -> CompiledScheduleBatch | CollectiveCompiledSchedule:
     """Lower ``schedule`` once and fold it into the flat or copy-count state.
 
-    The flat :func:`fold_locations` state is taken whenever it holds, else
-    :func:`~repro.pops.collective_engine.fold_copy_counts`.  This is the one
-    place a compiled schedule is cached: ``cache_key`` opts in, and the
-    caller asserts that the key fully determines ``(schedule, packets)`` —
-    e.g. ``(d, g, speaker, payload)`` for a broadcast.  Because a hit returns
-    the *first* compilation's packet universe and ``Packet.payload`` is
-    excluded from packet equality, the key must also determine payloads.
-    ``cache`` overrides the process-wide cache (useful for isolation in tests
-    and benchmarks).
+    The flat :func:`fold_locations` state (a one-row batch) is taken whenever
+    it holds, else :func:`~repro.pops.collective_engine.fold_copy_counts`.
+    This is the one place a compiled schedule is cached: ``cache_key`` opts
+    in, and the caller asserts that the key fully determines
+    ``(schedule, packets)`` — e.g. ``(d, g, speaker, payload)`` for a
+    broadcast.  Because a hit returns the *first* compilation's packet
+    universe and ``Packet.payload`` is excluded from packet equality, the key
+    must also determine payloads.  ``cache`` overrides the process-wide cache
+    (useful for isolation in tests and benchmarks).
 
     Raises
     ------
@@ -481,7 +425,7 @@ def _lower_and_fold(
     network: POPSNetwork,
     schedule: RoutingSchedule,
     packets: list[Packet],
-) -> CompiledSchedule | CollectiveCompiledSchedule:
+) -> CompiledScheduleBatch | CollectiveCompiledSchedule:
     with get_tracer().span("route.lower"):
         lowered = lower_schedule(network, schedule, packets)
         try:
@@ -511,149 +455,38 @@ class BatchedSimulator:
         packets: list[Packet],
         cache_key: Hashable | None = None,
         cache: ScheduleCache | None = None,
-    ) -> CompiledSchedule:
-        """Lower ``schedule`` once; the result can be executed repeatedly.
+    ) -> CompiledScheduleBatch:
+        """Lower ``schedule`` once to a one-row batch that can be executed repeatedly.
 
         Goes through :func:`compile_state` (``cache_key``/``cache`` follow its
         contract) and raises :class:`UnsupportedScheduleError` whenever the
         result — freshly lowered or cached under ``cache_key`` — is not a
-        flat-location :class:`CompiledSchedule`.
+        flat-location :class:`CompiledScheduleBatch`.
         """
         compiled = compile_state(self.network, schedule, packets, cache_key, cache)
-        if not isinstance(compiled, CompiledSchedule):
+        if not isinstance(compiled, CompiledScheduleBatch):
             raise UnsupportedScheduleError(
                 "the schedule duplicates packets, so a flat location array "
                 "cannot hold it; run it on POPSSimulator(backend='batched')"
             )
         return compiled
 
-    def execute(self, compiled: CompiledSchedule, faults=None) -> np.ndarray:
-        """Run a compiled schedule, returning the final packet-location array.
+    # The one-row forms below are kept only as names the per-layer benchmark
+    # probe (perfbench/layers.py) wraps; the program calls the batch methods.
 
-        ``faults`` opts into fault injection: a
-        :class:`~repro.faults.FaultSpec` whose hardware is checked at the
-        start of every slot inside the fault window.  Driving a failed
-        coupler (or scheduling a failed processor) raises
-        :class:`~repro.exceptions.CouplerFailedError` carrying the slot, the
-        coupler, and the residual packet state — bit-identical to the
-        reference simulator's fault path
-        (:meth:`repro.pops.simulator.POPSSimulator.run_reference`).
-        """
-        if faults is not None and faults.is_empty:
-            faults = None
-        if faults is not None:
-            g = self.network.g
-            coupler_failed = np.zeros(g * g, dtype=bool)
-            ids = faults.failed_coupler_ids(g)
-            if ids:
-                coupler_failed[list(ids)] = True
-            proc_failed = np.zeros(self.network.n, dtype=bool)
-            procs = faults.failed_processor_set(self.network)
-            if procs:
-                proc_failed[list(procs)] = True
-        loc = compiled.initial_loc.copy()
-        packets = compiled.packets
-        tx_ptr, del_ptr, con_ptr = compiled.tx_ptr, compiled.del_ptr, compiled.con_ptr
-        for s in range(compiled.n_slots):
-            if faults is not None and faults.active_at(s):
-                self._check_faults(
-                    compiled, s, loc, coupler_failed, proc_failed
-                )
-            senders = compiled.tx_sender[tx_ptr[s]:tx_ptr[s + 1]]
-            sent = compiled.tx_packet[tx_ptr[s]:tx_ptr[s + 1]]
-            held = loc[sent] == senders
-            if not held.all():
-                i = int(np.argmin(held))
-                raise SimulationError(
-                    f"slot {s}: processor {senders[i]} does not hold "
-                    f"{packets[sent[i]]!r}"
-                )
-            if compiled.idle_receiver[s] >= 0:
-                cid = int(compiled.idle_coupler[s])
-                coupler = Coupler(cid // self.network.g, cid % self.network.g)
-                raise SimulationError(
-                    f"slot {s}: processor {compiled.idle_receiver[s]} reads "
-                    f"idle {coupler!r}"
-                )
-            loc[compiled.con_packet[con_ptr[s]:con_ptr[s + 1]]] = -1
-            loc[compiled.del_packet[del_ptr[s]:del_ptr[s + 1]]] = (
-                compiled.del_receiver[del_ptr[s]:del_ptr[s + 1]]
-            )
-        return loc
+    def execute(self, compiled: CompiledScheduleBatch, faults=None) -> np.ndarray:
+        """Row 0's final location array: :meth:`execute_batch` of a one-row batch."""
+        return self.execute_batch(compiled, faults)[0]
 
-    def _check_faults(
-        self,
-        compiled: CompiledSchedule,
-        s: int,
-        loc: np.ndarray,
-        coupler_failed: np.ndarray,
-        proc_failed: np.ndarray,
-    ) -> None:
-        """Raise :class:`CouplerFailedError` if slot ``s`` touches failed hardware.
+    def verify_locations(self, compiled: CompiledScheduleBatch, loc: np.ndarray) -> None:
+        """:meth:`verify_locations_batch` of a one-row batch and its location row."""
+        self.verify_locations_batch(compiled, loc[None])
 
-        Check order matches the reference simulator's fault path exactly —
-        driven couplers first, then failed senders, then failed receivers —
-        and the residual state is the location array at the *start* of the
-        slot, so both engines raise bit-identically.
-        """
-        from repro.exceptions import CouplerFailedError
+    def compiled_trace(self, compiled: CompiledScheduleBatch) -> CompiledTrace:
+        """Row 0's :class:`~repro.pops.trace.CompiledTrace`, over its packet universe."""
+        return self.compiled_trace_batch(compiled).element(0, compiled.universe(0))
 
-        g = self.network.g
-        pay = compiled.pay_coupler[compiled.pay_ptr[s]:compiled.pay_ptr[s + 1]]
-        coupler = None
-        message = None
-        hit = np.flatnonzero(coupler_failed[pay])
-        if hit.size:
-            cid = int(pay[hit[0]])
-            coupler = Coupler(cid // g, cid % g)
-            message = f"slot {s}: {coupler!r} is failed under the active fault spec"
-        else:
-            senders = compiled.tx_sender[compiled.tx_ptr[s]:compiled.tx_ptr[s + 1]]
-            bad = np.flatnonzero(proc_failed[senders])
-            if bad.size:
-                message = (
-                    f"slot {s}: failed processor {int(senders[bad[0]])} "
-                    "is scheduled to transmit"
-                )
-            else:
-                receivers = compiled.del_receiver[
-                    compiled.del_ptr[s]:compiled.del_ptr[s + 1]
-                ]
-                bad = np.flatnonzero(proc_failed[receivers])
-                if not bad.size:
-                    return
-                message = (
-                    f"slot {s}: failed processor {int(receivers[bad[0]])} "
-                    "is scheduled to receive"
-                )
-        undelivered = np.flatnonzero(
-            (loc != compiled.pk_destination) & (loc >= 0)
-        )
-        residual = {
-            compiled.packets[int(k)]: int(loc[k]) for k in undelivered
-        }
-        raise CouplerFailedError(message, slot=s, coupler=coupler, residual=residual)
-
-    def verify_locations(self, compiled: CompiledSchedule, loc: np.ndarray) -> None:
-        """Vectorized delivery check: every packet sits at its destination.
-
-        Equivalent to
-        :meth:`~repro.pops.simulator.SimulationResult.verify_permutation_delivery`
-        over the whole packet universe, without building buffer dicts.
-        """
-        from repro.exceptions import DeliveryError
-
-        misplaced = np.flatnonzero(loc != compiled.pk_destination)
-        if misplaced.size:
-            i = int(misplaced[0])
-            packet = compiled.packets[i]
-            where = [int(loc[i])] if loc[i] >= 0 else []
-            raise DeliveryError(
-                f"{packet!r} should end at processor {packet.destination}, "
-                f"found at {where}"
-            )
-
-    def execute_batch(self, batch: CompiledScheduleBatch) -> np.ndarray:
+    def execute_batch(self, batch: CompiledScheduleBatch, faults=None) -> np.ndarray:
         """Run a compiled batch; returns the final ``(B, U)`` location stack.
 
         One slot is three numpy operations — ownership comparison, consume
@@ -663,19 +496,40 @@ class BatchedSimulator:
         each operation is a plain gather or scatter (a plan whose consumed
         packets are its sent packets, as every router plan's are, shares one
         offset plane).  Ownership results land in one buffer checked when the
-        run ends or reaches an idle read, so a slot costs no reduction.  Row
-        ``b`` of the result equals ``execute(batch.element(b))``.
+        run ends or reaches an idle read, so a slot costs no reduction.
 
-        On a dynamic failure the offending elements are replayed one by one
-        through :meth:`execute` so the error raised is exactly the error the
-        lowest failing element would raise alone.
+        A dynamic failure raises the lowest failing row's error, read from
+        that buffer.  Every row's state is exact up to its own first failure,
+        so row ``b``'s first unheld send, in transmission order, is the error
+        row ``b`` raises alone.  An idle read is slot structure, so it fails
+        every row; row 0 raises it, or its own earlier ownership error.
+
+        ``faults`` opts a one-row batch into fault injection (a batch of
+        several rows raises :class:`ValueError`): a
+        :class:`~repro.faults.FaultSpec` whose hardware is checked at the
+        start of every slot inside the fault window.  Driving a failed
+        coupler (or scheduling a failed processor) raises
+        :class:`~repro.exceptions.CouplerFailedError` carrying the slot, the
+        coupler, and the residual packet state at the start of that slot —
+        bit-identical to the reference simulator's fault path
+        (:meth:`repro.pops.simulator.POPSSimulator.run_reference`).  The
+        hardware a slot touches is static, so the failing slot is found
+        before the run, which stops there.
         """
+        if faults is not None and faults.is_empty:
+            faults = None
+        if faults is not None and batch.n_batch != 1:
+            raise ValueError(
+                f"fault injection runs one schedule, got a batch of {batch.n_batch}"
+            )
+        fault = None if faults is None else self._first_fault(batch, faults)
+        n_run = batch.n_slots if fault is None else fault[0]
         # A copy of a broadcast plane defaults to F order, whose ravel would
         # be a copy; C order makes ``flat`` a view the scatters write through.
         loc = np.array(batch.initial_loc, dtype=np.int64, order="C")
         flat = loc.reshape(-1)
         n_batch, u_size = loc.shape
-        offsets = np.arange(0, n_batch * u_size, u_size, dtype=np.int64)[:, None]
+        offsets = np.arange(n_batch, dtype=np.int64)[:, None] * u_size
         sent_ids = batch.tx_packet + offsets
         consumed_ids = (
             sent_ids
@@ -688,12 +542,12 @@ class BatchedSimulator:
         con_ptr = batch.con_ptr.tolist()
         del_ptr = batch.del_ptr.tolist()
         idle = batch.idle_receiver.tolist()
-        for s in range(batch.n_slots):
+        for s in range(n_run):
             tx = slice(tx_ptr[s], tx_ptr[s + 1])
             np.equal(flat[sent_ids[:, tx]], batch.tx_sender[:, tx], out=held[:, tx])
             if idle[s] >= 0:
-                if not held[:, :tx.stop].all():
-                    self._replay_batch_failure(batch)
+                if not held[0, :tx.stop].all():
+                    self._raise_unheld(batch, held[:1, :tx.stop])
                 cid = int(batch.idle_coupler[s])
                 coupler = Coupler(cid // self.network.g, cid % self.network.g)
                 raise SimulationError(
@@ -702,43 +556,84 @@ class BatchedSimulator:
             flat[consumed_ids[:, con_ptr[s]:con_ptr[s + 1]]] = -1
             delivered = slice(del_ptr[s], del_ptr[s + 1])
             flat[delivered_ids[:, delivered]] = batch.del_receiver[:, delivered]
-        if not held.all():
-            self._replay_batch_failure(batch)
+        checked = held[:, :tx_ptr[n_run]]
+        if not checked.all():
+            self._raise_unheld(batch, checked)
+        if fault is not None:
+            slot, message, coupler = fault
+            row = loc[0]
+            universe = batch.universe(0)
+            stray = np.flatnonzero((row != batch.pk_destination[0]) & (row >= 0))
+            residual = {universe[k]: int(row[k]) for k in stray.tolist()}
+            raise CouplerFailedError(message, slot=slot, coupler=coupler, residual=residual)
         return loc
 
-    def _replay_batch_failure(self, batch: CompiledScheduleBatch) -> None:
-        """Reproduce a batch execution failure element by element.
-
-        Replays elements in batch order so the raised error is the exact
-        single-element error of the lowest failing element (when several
-        elements fail in different slots, batch order wins over slot order —
-        the one accepted divergence from the per-trial loop).
-        """
-        for b in range(batch.n_batch):
-            self.execute(batch.element(b))
+    def _raise_unheld(self, batch: CompiledScheduleBatch, held: np.ndarray) -> NoReturn:
+        """Raise the ownership error of ``held``'s row-major first ``False``."""
+        b, i = divmod(int(np.argmin(held)), held.shape[1])
+        s = int(np.searchsorted(batch.tx_ptr, i, side="right")) - 1
+        packet = batch.universe(b)[int(batch.tx_packet[b, i])]
         raise SimulationError(
-            "internal error: batch execution failed but every element "
-            "executes cleanly alone; please report this divergence"
+            f"slot {s}: processor {int(batch.tx_sender[b, i])} does not hold {packet!r}"
         )
+
+    def _first_fault(
+        self, batch: CompiledScheduleBatch, faults
+    ) -> tuple[int, str, Coupler | None] | None:
+        """The first slot in the fault window that touches failed hardware.
+
+        Returns ``(slot, message, coupler)`` for row 0, or ``None`` when the
+        run touches none.  Within a slot the check order is the reference
+        simulator's: driven couplers, then senders, then receivers.
+        """
+        g = self.network.g
+        coupler_failed = np.zeros(g * g, dtype=bool)
+        coupler_failed[list(faults.failed_coupler_ids(g))] = True
+        proc_failed = np.zeros(self.network.n, dtype=bool)
+        proc_failed[list(faults.failed_processor_set(self.network))] = True
+        for s in range(batch.n_slots):
+            if not faults.active_at(s):
+                continue
+            pay = batch.pay_coupler[0, batch.pay_ptr[s]:batch.pay_ptr[s + 1]]
+            hit = np.flatnonzero(coupler_failed[pay])
+            if hit.size:
+                cid = int(pay[hit[0]])
+                coupler = Coupler(cid // g, cid % g)
+                return s, f"slot {s}: {coupler!r} is failed under the active fault spec", coupler
+            for procs, ptr, role in (
+                (batch.tx_sender, batch.tx_ptr, "transmit"),
+                (batch.del_receiver, batch.del_ptr, "receive"),
+            ):
+                segment = procs[0, ptr[s]:ptr[s + 1]]
+                bad = np.flatnonzero(proc_failed[segment])
+                if bad.size:
+                    return s, (
+                        f"slot {s}: failed processor {int(segment[bad[0]])} "
+                        f"is scheduled to {role}"
+                    ), None
+        return None
 
     def verify_locations_batch(
         self, batch: CompiledScheduleBatch, loc: np.ndarray
     ) -> None:
-        """Batched :meth:`verify_locations` over a ``(B, U)`` location stack.
+        """Vectorized delivery check: every packet sits at its destination.
 
-        On failure the offending elements are replayed through the
-        single-element check, raising the exact per-trial
-        :class:`~repro.exceptions.DeliveryError` of the lowest failing one.
+        Equivalent to
+        :meth:`~repro.pops.simulator.SimulationResult.verify_permutation_delivery`
+        over every row's packet universe, without building buffer dicts.  On
+        failure it raises the :class:`~repro.exceptions.DeliveryError` of the
+        lowest failing row's first misplaced packet, the error that row
+        raises alone.
         """
-        from repro.exceptions import DeliveryError
-
-        if bool((loc == batch.pk_destination).all()):
+        misplaced = loc != batch.pk_destination
+        if not misplaced.any():
             return
-        for b in range(batch.n_batch):
-            self.verify_locations(batch.element(b), loc[b])
+        b, k = divmod(int(np.argmax(misplaced)), misplaced.shape[1])
+        packet = batch.universe(b)[k]
+        where = [int(loc[b, k])] if loc[b, k] >= 0 else []
         raise DeliveryError(
-            "internal error: batch delivery check failed but every element "
-            "verifies cleanly alone; please report this divergence"
+            f"{packet!r} should end at processor {packet.destination}, "
+            f"found at {where}"
         )
 
     def compiled_trace_batch(self, batch: CompiledScheduleBatch) -> CompiledTraceBatch:
@@ -760,9 +655,9 @@ class BatchedSimulator:
         )
 
     def buffers_from_locations(
-        self, compiled: CompiledSchedule, loc: np.ndarray
+        self, compiled: CompiledScheduleBatch, loc: np.ndarray
     ) -> dict[int, list[Packet]]:
-        """Reconstruct ``processor -> packets held`` from a location array.
+        """Reconstruct ``processor -> packets held`` from a one-row ``(1, U)`` location stack.
 
         Within a buffer, packets appear in universe order (the reference
         simulator preserves arrival order instead; compare as multisets).
@@ -770,30 +665,8 @@ class BatchedSimulator:
         buffers: dict[int, list[Packet]] = {
             p: [] for p in self.network.processors()
         }
-        for idx in np.flatnonzero(loc >= 0):
-            buffers[int(loc[idx])].append(compiled.packets[idx])
+        universe = compiled.universe(0)
+        row = loc[0]
+        for idx in np.flatnonzero(row >= 0).tolist():
+            buffers[int(row[idx])].append(universe[idx])
         return buffers
-
-    def compiled_trace(
-        self, compiled: CompiledSchedule | CollectiveCompiledSchedule
-    ) -> CompiledTrace:
-        """The (static) trace of a compiled schedule as a zero-copy array view.
-
-        Serves both state layouts: the trace reads only the payload/delivery
-        arrays, which the flat and copy-count folds share.  The returned
-        :class:`~repro.pops.trace.CompiledTrace` shares the compiled
-        schedule's arrays; statistics over it are numpy reductions, and
-        ``.materialize()`` produces the dict-based
-        :class:`~repro.pops.trace.SimulationTrace` when per-slot objects are
-        genuinely needed.
-        """
-        return CompiledTrace(
-            g=self.network.g,
-            packets=compiled.packets,
-            pay_coupler=compiled.pay_coupler,
-            pay_packet=compiled.pay_packet,
-            pay_ptr=compiled.pay_ptr,
-            del_receiver=compiled.del_receiver,
-            del_packet=compiled.del_packet,
-            del_ptr=compiled.del_ptr,
-        )

@@ -427,21 +427,21 @@ def _batched_engine(
     Only a schedule neither state holds (budget exceeded, value-equal copies
     with different payloads) runs on the slow reference simulator."""
     from repro.pops.collective_engine import CollectiveSimulator
-    from repro.pops.engine import BatchedSimulator, CompiledSchedule, compile_state
+    from repro.pops.engine import BatchedSimulator, CompiledScheduleBatch, compile_state
 
     network = simulator.network
     try:
         compiled = compile_state(network, schedule, packets, cache_key, cache)
     except UnsupportedScheduleError:
         return simulator.run_reference(schedule, packets)
-    engine = BatchedSimulator(network)
-    if isinstance(compiled, CompiledSchedule):
-        buffers = engine.buffers_from_locations(compiled, engine.execute(compiled))
+    if isinstance(compiled, CompiledScheduleBatch):
+        engine = BatchedSimulator(network)
+        buffers = engine.buffers_from_locations(compiled, engine.execute_batch(compiled))
+        trace = engine.compiled_trace_batch(compiled).element(0, compiled.universe(0))
     else:
         collective = CollectiveSimulator(network)
         buffers = collective.buffers_from_counts(
             compiled, collective.execute(compiled)
         )
-    return SimulationResult(
-        network=network, buffers=buffers, trace=engine.compiled_trace(compiled)
-    )
+        trace = collective.compiled_trace(compiled)
+    return SimulationResult(network=network, buffers=buffers, trace=trace)

@@ -64,7 +64,7 @@ from repro.utils.validation import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.pops.engine import CompiledSchedule, CompiledScheduleBatch
+    from repro.pops.engine import CompiledScheduleBatch
 
 __all__ = [
     "PermutationRouter",
@@ -181,19 +181,33 @@ class PermutationRouter:
         """Slot count Theorem 2 guarantees on this router's network."""
         return theorem2_slot_bound(self.network.d, self.network.g)
 
-    def route_compiled(self, pi: Sequence[int]) -> CompiledSchedule:
-        """Route ``pi`` straight to compiled-schedule arrays.
+    def route_compiled(self, pi: Sequence[int]) -> CompiledScheduleBatch:
+        """Route one permutation: :meth:`route_compiled_batch` of the ``(1, n)`` stack.
 
-        The array-native fast path of :meth:`route`, as the ``(1, n)`` row of
-        :meth:`route_compiled_batch`: the fair distribution is solved on
-        integer arrays (:meth:`~repro.routing.fair_distribution.
-        FairDistributionSolver.solve_array_batch`) and the Theorem 2
-        scatter/deliver structure is emitted directly as the per-slot arrays
-        of a :class:`~repro.pops.engine.CompiledSchedule` — no
+        Kept as a name the per-layer benchmark probe wraps; the program
+        routes through :meth:`route_compiled_batch`.
+        """
+        images = check_permutation_array(pi, self.network.n)
+        return self.route_compiled_batch(images[None, :], validate=False)
+
+    def route_compiled_batch(
+        self, pis, *, validate: bool = True
+    ) -> CompiledScheduleBatch:
+        """Route a ``(B, n)`` permutation stack to one compiled batch.
+
+        The array-native fast path of :meth:`route`: one validation pass,
+        one batched fair distribution on integer arrays
+        (:meth:`~repro.routing.fair_distribution.FairDistributionSolver.
+        solve_array_batch`), and the Theorem 2 scatter/deliver structure
+        emitted directly as the per-slot arrays of a
+        :class:`~repro.pops.engine.CompiledScheduleBatch` — no
         ``Transmission`` / ``Reception`` / ``SlotProgram`` objects and no
-        lowering pass.  The result is bit-identical to
-        ``compile_schedule(network, plan.schedule, plan.packets)`` over this
-        router's :meth:`route` plan.
+        lowering pass.  Per-call Python overhead is paid once for ``B``
+        permutations instead of ``B`` times.  ``element(b)`` of the result is
+        bit-identical to ``compile_schedule(network, plan.schedule,
+        plan.packets)`` over this router's :meth:`route` plan of ``pis[b]``.
+        ``validate=False`` skips the permutation-stack check for callers that
+        already hold the validated int64 image stack.
 
         Raises
         ------
@@ -201,24 +215,6 @@ class PermutationRouter:
             If the backend has no array colouring kernel (only
             ``"konig-array"`` / ``"euler-array"`` qualify); route object
             backends with :meth:`route`.
-        """
-        images = check_permutation_array(pi, self.network.n)
-        return self.route_compiled_batch(images[None, :], validate=False).element(0)
-
-    def route_compiled_batch(
-        self, pis, *, validate: bool = True
-    ) -> CompiledScheduleBatch:
-        """Route a ``(B, n)`` permutation stack to one compiled batch.
-
-        The megabatch pipeline: one validation pass, one batched fair
-        distribution, one batched plan assembly — per-call Python overhead is
-        paid once for ``B`` permutations instead of ``B`` times.
-        ``element(b)`` of the result is bit-identical to
-        ``route_compiled(pis[b])``.  ``validate=False`` skips the
-        permutation-stack check for callers that already hold the validated
-        int64 image stack.  Raises :class:`~repro.exceptions.
-        ConfigurationError` for a backend without an array colouring kernel,
-        as :meth:`route_compiled` does.
         """
         from repro.graph.array_coloring import ARRAY_COLORING_STACK_KERNELS
 
@@ -540,21 +536,13 @@ def _compile_round_plan_batch(
     planes[:, 3] += intermediate
     planes[:, 4] = images
 
-    # Couplers are per round: (round, coupler) keys, every row's scatter
-    # keys before any row's delivery keys.
+    # Delivery couplers are per round: (round, coupler) keys.  The scatter
+    # couplers need no check of their own: two packets of one source group
+    # sharing a round and an intermediate group share their fair value,
+    # which condition 1 above already rejects.
     n_rounds = (d + g - 1) // g
     g2 = g * g
-    round_key = round_of * g2
-    clash = first_repeat(
-        np.concatenate((planes[:, 2] + round_key, planes[:, 3] + round_key)),
-        n_rounds * g2,
-    )
-    if clash is not None and clash[0] < n_batch:
-        key = clash[1] % g2
-        raise RoutingError(
-            f"two packets of one round share coupler c({key // g},{key % g}) "
-            "(fair-distribution condition 2 violated)"
-        )
+    clash = first_repeat(planes[:, 3] + round_of * g2, n_rounds * g2)
     if clash is not None:
         key = clash[1] % g2
         raise RoutingError(

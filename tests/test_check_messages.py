@@ -6,9 +6,10 @@ its violation into row 1 of a B = 3 stack (row 0 is clean; where row 2 is
 also broken, row 1 must still win) and pins the exception class and the
 exact message, so a rewrite of a check cannot change what it reports.
 
-The round builder's scatter-coupler clash has no case: two packets of one
-source group that share a round and an intermediate group share their fair
-value, so condition 1, checked first, always reports them.
+The round builder checks no scatter-coupler clash of its own: two packets
+of one source group that share a round and an intermediate group share their
+fair value, so condition 1 reports them; its coupler check covers the
+delivery slots only.
 
 The last section pins the range checks that guard the verifiers' key spaces:
 a vertex, colour or list value outside the range the keys are built for is

@@ -77,7 +77,7 @@ def run_copy_counts(network: POPSNetwork):
         return SimulationResult(
             network=network,
             buffers=engine.buffers_from_counts(compiled, count),
-            trace=BatchedSimulator(network).compiled_trace(compiled),
+            trace=engine.compiled_trace(compiled),
         )
 
     return run
@@ -304,7 +304,7 @@ def dispatch(monkeypatch):
 
     monkeypatch.setattr(engine_module, "lower_schedule", counting_lower)
     for owner, name, model in (
-        (BatchedSimulator, "execute", "flat"),
+        (BatchedSimulator, "execute_batch", "flat"),
         (CollectiveSimulator, "execute", "copy-count"),
         (POPSSimulator, "run_reference", "reference"),
     ):

@@ -1,10 +1,12 @@
 """Error parity of the flat batched executor.
 
 ``BatchedSimulator.execute_batch`` runs a ``(B, ·)`` plan batch on one flat
-location array.  These tests corrupt one element of a routed batch and check
-that the held check and the delivery check raise exactly the error that
-element raises alone, and that planes broadcast across the batch are
-executed as well as per-element planes.
+location array, and a single schedule is its one-row case.  These tests
+corrupt rows of a routed batch and check that the held check and the
+delivery check raise exactly the error of the lowest failing row, the error
+that row raises alone as a one-row batch (``element(b)``); that fault
+injection refuses a batch of several rows; and that planes broadcast across
+the batch are executed as well as per-element planes.
 """
 
 from __future__ import annotations
@@ -15,17 +17,12 @@ import numpy as np
 import pytest
 
 from repro.exceptions import DeliveryError, SimulationError
-from repro.pops.engine import BatchedSimulator
+from repro.faults import FaultSpec
+from repro.pops.engine import PLANES, BatchedSimulator
 from repro.pops.topology import POPSNetwork
 from repro.routing.permutation_router import PermutationRouter
 
 SHAPES = [(4, 4), (8, 4), (3, 7)]
-
-#: The per-element planes of a CompiledScheduleBatch.
-PLANES = (
-    "tx_sender", "tx_packet", "pay_coupler", "pay_packet", "del_receiver",
-    "del_packet", "con_packet", "initial_loc", "pk_destination",
-)
 
 
 def routed_batch(d: int, g: int, n_batch: int = 3):
@@ -50,9 +47,34 @@ def test_wrong_sender_raises_the_element_error(d, g):
     first = int(batch.tx_ptr[0])
     tx_sender[1, first] = (tx_sender[1, first] + 1) % network.n
     broken = dataclasses.replace(batch, tx_sender=tx_sender)
-    expected = single_error(lambda: engine.execute(broken.element(1)))
+    expected = single_error(lambda: engine.execute_batch(broken.element(1)))
     assert expected[0] is SimulationError and "does not hold" in expected[1]
     assert single_error(lambda: engine.execute_batch(broken)) == expected
+
+
+@pytest.mark.parametrize("d,g", SHAPES)
+def test_lowest_failing_row_wins_over_an_earlier_slot(d, g):
+    # Row 1 fails in the last slot, row 2 in slot 0: the batch raises row 1's
+    # error, not the error of the earliest slot.
+    network, batch = routed_batch(d, g)
+    engine = BatchedSimulator(network)
+    tx_sender = np.array(batch.tx_sender)
+    last = int(batch.tx_ptr[-2])
+    tx_sender[1, last] = (tx_sender[1, last] + 1) % network.n
+    tx_sender[2, 0] = (tx_sender[2, 0] + 1) % network.n
+    broken = dataclasses.replace(batch, tx_sender=tx_sender)
+    row1 = single_error(lambda: engine.execute_batch(broken.element(1)))
+    row2 = single_error(lambda: engine.execute_batch(broken.element(2)))
+    assert row1[1].startswith(f"slot {batch.n_slots - 1}: ")
+    assert row2[1].startswith("slot 0: ")
+    assert single_error(lambda: engine.execute_batch(broken)) == row1
+
+
+def test_faults_on_a_batch_of_several_rows_raise_value_error():
+    network, batch = routed_batch(4, 4)
+    spec = FaultSpec(failed_couplers=((0, 0),))
+    with pytest.raises(ValueError, match="batch of 3"):
+        BatchedSimulator(network).execute_batch(batch, faults=spec)
 
 
 @pytest.mark.parametrize("d,g", SHAPES)
@@ -65,7 +87,7 @@ def test_wrong_receiver_fails_the_delivery_check_like_the_element(d, g):
     broken = dataclasses.replace(batch, del_receiver=del_receiver)
     loc = engine.execute_batch(broken)
     expected = single_error(
-        lambda: engine.verify_locations(broken.element(2), loc[2])
+        lambda: engine.verify_locations_batch(broken.element(2), loc[2:])
     )
     assert expected[0] is DeliveryError
     assert single_error(lambda: engine.verify_locations_batch(broken, loc)) == expected
@@ -81,6 +103,6 @@ def test_broadcast_planes_execute_like_materialised_planes(d, g):
     }
     stacked = dataclasses.replace(batch, n_batch=4, **planes)
     loc = engine.execute_batch(stacked)
-    expected = engine.execute(batch.element(0))
-    assert all(np.array_equal(row, expected) for row in loc)
+    expected = engine.execute_batch(batch.element(0))
+    assert all(np.array_equal(row, expected[0]) for row in loc)
     engine.verify_locations_batch(stacked, loc)

@@ -29,7 +29,7 @@ from repro.api import RunConfig, Session
 from repro.exceptions import ConfigurationError
 from repro.faults import FaultSpec
 from repro.graph.array_coloring import ARRAY_COLORING_STACK_KERNELS
-from repro.pops.engine import BatchedSimulator, CompiledSchedule
+from repro.pops.engine import BatchedSimulator, CompiledScheduleBatch
 from repro.pops.topology import POPSNetwork
 from repro.routing.permutation_router import PermutationRouter
 from repro.serve import ServeClient, ServeDaemon
@@ -42,15 +42,17 @@ OBJECT_BACKENDS = ["euler", "konig"]
 
 ARRAY_FIELDS = [
     field.name
-    for field in dataclasses.fields(CompiledSchedule)
-    if field.name not in ("network", "packets", "n_slots")
+    for field in dataclasses.fields(CompiledScheduleBatch)
+    if field.name not in ("network", "n_batch", "n_slots")
 ]
 
 
-def assert_bit_identical(a: CompiledSchedule, b: CompiledSchedule) -> None:
+def assert_bit_identical(a: CompiledScheduleBatch, b: CompiledScheduleBatch) -> None:
+    """Two one-row batches hold the same schedule, whichever universe each keeps."""
     assert a.network == b.network
+    assert a.n_batch == b.n_batch == 1
     assert a.n_slots == b.n_slots
-    assert a.packets == b.packets
+    assert a.universe(0) == b.universe(0)
     for name in ARRAY_FIELDS:
         x, y = getattr(a, name), getattr(b, name)
         assert x.dtype == y.dtype, name

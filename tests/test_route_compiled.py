@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from repro.api import RunConfig, Session
 from repro.exceptions import ConfigurationError, ValidationError
 from repro.graph.array_coloring import ARRAY_COLORING_STACK_KERNELS
-from repro.pops.engine import BatchedSimulator, CompiledSchedule, compile_schedule
+from repro.pops.engine import BatchedSimulator, CompiledScheduleBatch, compile_schedule
 from repro.pops.simulator import POPSSimulator
 from repro.pops.topology import POPSNetwork
 from repro.routing.permutation_router import PermutationRouter, theorem2_slot_bound
@@ -36,15 +36,17 @@ OBJECT_BACKENDS = ["euler", "konig"]
 
 ARRAY_FIELDS = [
     field.name
-    for field in dataclasses.fields(CompiledSchedule)
-    if field.name not in ("network", "packets", "n_slots")
+    for field in dataclasses.fields(CompiledScheduleBatch)
+    if field.name not in ("network", "n_batch", "n_slots")
 ]
 
 
-def assert_bit_identical(a: CompiledSchedule, b: CompiledSchedule) -> None:
+def assert_bit_identical(a: CompiledScheduleBatch, b: CompiledScheduleBatch) -> None:
+    """Two one-row batches hold the same schedule, whichever universe each keeps."""
     assert a.network == b.network
+    assert a.n_batch == b.n_batch == 1
     assert a.n_slots == b.n_slots
-    assert a.packets == b.packets
+    assert a.universe(0) == b.universe(0)
     for name in ARRAY_FIELDS:
         x, y = getattr(a, name), getattr(b, name)
         assert x.dtype == y.dtype, name
