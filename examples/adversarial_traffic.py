@@ -35,7 +35,8 @@ import threading
 
 from repro import BlockedPermutationRouter, DirectRouter, POPSNetwork
 from repro.analysis.reporting import format_table
-from repro.faults import FaultSpec, route_with_recovery
+from repro.api import Session
+from repro.faults import FaultSpec
 from repro.patterns.generators import random_group_moving_blocked_permutation
 from repro.pops.packet import Packet
 from repro.pops.simulator import POPSSimulator
@@ -127,17 +128,20 @@ def main() -> None:
     # slot 1, and let the recovery pipeline run: clean plan, injected
     # execution up to the trip, online reroute of the residual packets over
     # the surviving couplers, verified delivery on the degraded network.
+    # The coupler comes from the plan of the session's own router backend,
+    # the plan route_degraded executes.
+    session = Session()
     fault_rows = []
     for d in (4, 8, 16, 32):
         network = POPSNetwork(d, g)
         pi = random_group_moving_blocked_permutation(network, rng=d)
-        plan = PermutationRouter(network).route(pi)
+        plan = PermutationRouter(network, backend=session.config.router_backend).route(pi)
         driven = plan.schedule.slots[1].transmissions[0].coupler
         spec = FaultSpec(
             failed_couplers=((driven.dest_group, driven.source_group),),
             onset_slot=1,
         )
-        report = route_with_recovery(network, pi, spec)
+        report = session.route_degraded(pi, network=network, faults=spec)
         fault_rows.append(
             [
                 d,

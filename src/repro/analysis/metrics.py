@@ -17,7 +17,6 @@ from typing import Any
 
 import numpy as np
 
-from repro.graph.array_coloring import ARRAY_COLORING_STACK_KERNELS
 from repro.obs import get_tracer
 from repro.pops.simulator import POPSSimulator
 from repro.pops.topology import POPSNetwork
@@ -95,15 +94,13 @@ def _measure_routing_batch(
 
     The one routing pipeline: :meth:`repro.api.session.Session.route` is its
     ``(1, n)`` case and :meth:`~repro.api.session.Session.route_batch` the
-    general one.  It takes one of two paths, chosen by one rule: an array
-    router backend (a key of :data:`~repro.graph.array_coloring.
-    ARRAY_COLORING_STACK_KERNELS`) on the ``batched`` engine routes the whole
-    stack through :func:`_route_stack` — one batched route, execution,
-    verification, compiled trace and bound reduction, at every shape; every
-    other backend/engine pair measures each row on the object pipeline
-    (:func:`_measure_routing`, the arbiter).  How many rows the colouring
-    kernel takes per call is decided by the fair-distribution solver, the
-    one module that knows the instance count
+    general one.  The engine alone picks the path: ``batched`` routes the
+    whole stack through :func:`_route_stack` — one batched route, execution,
+    verification, compiled trace and bound reduction, at every shape and for
+    every router backend; every other engine measures each row on the object
+    pipeline (:func:`_measure_routing`, the arbiter).  The backend decides
+    only the colouring, inside the fair-distribution solver, which also
+    decides how many rows a colouring call takes
     (:meth:`~repro.routing.fair_distribution.FairDistributionSolver.
     solve_array_batch`).  No plan is cached; only shape arrays
     (:func:`~repro.routing.permutation_router.route_template`): routed traffic almost
@@ -122,7 +119,7 @@ def _measure_routing_batch(
         "session.route", d=network.d, g=network.g, n=network.n,
         batch=int(images.shape[0]),
     ) as span:
-        if sim_backend == "batched" and router_backend in ARRAY_COLORING_STACK_KERNELS:
+        if sim_backend == "batched":
             return _route_stack(network, images, span, router_backend)
         return [
             _measure_routing(network, row.tolist(), span, router_backend, sim_backend)
@@ -141,7 +138,7 @@ def _route_stack(
     template = route_template(network.d, network.g)
     engine = template.engine
     span.stage = "route.compile"
-    batch = template.routers[router_backend].route_compiled_batch(images, validate=False)
+    batch = template.router(router_backend).route_compiled_batch(images, validate=False)
     span.stage = "engine.execute"
     locations = engine.execute_batch(batch)
     engine.verify_locations_batch(batch, locations)
@@ -176,9 +173,9 @@ def _measure_routing(
     """Route ``pi`` on the object pipeline, simulate, verify, and summarise.
 
     The arbiter path of :func:`_measure_routing_batch`, taken for every
-    backend/engine pair except an array backend on ``batched``: the router
-    builds per-packet schedule objects and ``sim_backend`` (any name
-    registered in :data:`repro.api.registry.SIM_ENGINES`) executes them.
+    engine except ``batched``: the router builds per-packet schedule objects
+    and ``sim_backend`` (any name registered in
+    :data:`repro.api.registry.SIM_ENGINES`) executes them.
     Its steps are timed as stages of ``span``, the ``session.route`` span.
     """
     span.stage = "route.setup"

@@ -193,8 +193,8 @@ class Session:
     ):
         """Route ``pi`` under fault injection and recover online.
 
-        The fault-tolerance pipeline
-        (:func:`repro.faults.route_with_recovery`): the clean Theorem 2 plan
+        The fault-tolerance pipeline (:func:`repro.faults.route_with_recovery`):
+        :meth:`route`'s one-row plan, on the session's router backend,
         executes on the batched engine with ``faults`` (a
         :class:`~repro.faults.FaultSpec`) injected; if the schedule drives
         failed hardware inside the fault window, the residual traffic is

@@ -29,6 +29,7 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from typing import Any
 
+from repro.api.config import RunConfig
 from repro.exceptions import CouplerFailedError, RoutingError
 from repro.obs import get_tracer
 from repro.pops.packet import Packet
@@ -276,32 +277,31 @@ def route_with_recovery(
     pi: Sequence[int],
     spec: FaultSpec,
     *,
-    router_backend: str = "konig",
+    router_backend: str = RunConfig.router_backend,
 ) -> FaultRecoveryReport:
     """Route ``pi`` clean, execute under ``spec``, recover online, verify.
 
-    The full fault-tolerance pipeline: the universal router plans the clean
-    Theorem 2 schedule; the batched engine executes it with fault injection
-    (a ``fault.inject`` span covers the injected execution); if a failed
+    The full fault-tolerance pipeline: the shape's router
+    (:func:`~repro.routing.permutation_router.route_template`) plans the
+    clean Theorem 2 schedule as a one-row batch; its batched engine executes
+    it with fault injection (a ``fault.inject`` span covers the injected
+    execution); if a failed
     coupler is driven inside the fault window, the residual traffic is
     re-solved over the surviving couplers (``route.reroute`` span) and the
     reference simulator re-executes and verifies delivery on the degraded
     topology.  The report compares total slots (executed before the fault +
     reroute) against the clean ``2⌈d/g⌉`` bound.
     """
-    from repro.pops.engine import BatchedSimulator
     from repro.pops.simulator import POPSSimulator
-    from repro.routing.permutation_router import (
-        PermutationRouter,
-        theorem2_slot_bound,
-    )
+    from repro.routing.permutation_router import route_template, theorem2_slot_bound
+    from repro.utils.validation import check_permutation_array
 
     spec.validate_for(network)
     tracer = get_tracer()
-    router = PermutationRouter(network, backend=router_backend)
-    plan = router.route(pi)
-    engine = BatchedSimulator(network)
-    compiled = engine.compile(plan.schedule, plan.packets)
+    template = route_template(network.d, network.g)
+    engine = template.engine
+    images = check_permutation_array(pi, network.n)[None, :]
+    compiled = template.router(router_backend).route_compiled_batch(images, validate=False)
     bound = theorem2_slot_bound(network.d, network.g)
     fault: CouplerFailedError | None = None
     with tracer.span(

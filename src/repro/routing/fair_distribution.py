@@ -37,7 +37,7 @@ by the shape alone:
 
 Both solver entry points (:meth:`FairDistributionSolver.solve` and
 :meth:`FairDistributionSolver.solve_array_batch`) pick the same construction,
-so their outputs stay identical per array backend.
+so their outputs stay identical per backend.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.exceptions import (
-    EdgeColoringError,
     FairnessViolationError,
     GraphError,
     ValidationError,
@@ -442,12 +441,13 @@ class FairDistributionSolver:
         return distribution
 
     def solve_array_batch(self, lists: np.ndarray, n_targets: int) -> np.ndarray:
-        """Array-native fair distributions: ``(B, n1, Δ1)`` lists in, targets out.
+        """Fair distributions of a list stack: ``(B, n1, Δ1)`` lists in, targets out.
 
-        The whole Theorem 1 pipeline for a batch of list systems in one call,
-        without Python object structures, running :meth:`solve`'s
-        construction.  When ``Δ1`` divides ``n2`` the unpadded
-        ``Δ1``-regular cores are coloured with ``Δ1`` colours and colour
+        A backend with no stack kernel (``"konig"``, ``"euler"``, a plugin)
+        solves each row with :meth:`solve`.  A kernel backend runs
+        :meth:`solve`'s construction for the whole batch in one call,
+        without Python object structures.  When ``Δ1`` divides ``n2`` the
+        unpadded ``Δ1``-regular cores are coloured with ``Δ1`` colours and colour
         ``c`` of source ``s`` becomes target ``c · (n2/Δ1) + s // Δ2`` in
         one elementwise pass (skipped when ``Δ1 == n2``, where the colour is
         the target).  Otherwise the proof's padding applies: it is
@@ -467,7 +467,7 @@ class FairDistributionSolver:
         one flat gather/scatter pair.  Pad-free, the canonicalising sort is
         a stable argsort whose order is also the positions' order.  The
         arrays that depend on the shape alone come from
-        :func:`list_system_template`.  For a given array backend, row ``b`` is
+        :func:`list_system_template`.  For a given backend, row ``b`` is
         *identical* to :meth:`solve` on the equivalent
         :class:`~repro.routing.list_system.ListSystem`: both pipelines hand
         the same canonical arrays to the same deterministic kernel and read
@@ -477,33 +477,29 @@ class FairDistributionSolver:
 
         Raises
         ------
-        EdgeColoringError
-            If the configured backend has no array kernel (only
-            ``"konig-array"`` / ``"euler-array"`` qualify).
         ValidationError
             If ``lists`` is not a 3-d integer stack of non-empty lists no
             longer than ``n_targets`` with entries in ``[0, n1)``, or
             ``n_targets`` is not a positive integer — the checks of
             :meth:`ListSystem.from_lists`.
-        ImproperListSystemError / FairnessViolationError
-            As :meth:`solve`.
+        ImproperListSystemError / FairnessViolationError / EdgeColoringError
+            As :meth:`solve` (the last for an unregistered backend).
         """
         from repro.graph.array_coloring import (
             ARRAY_COLORING_STACK_KERNELS,
             verify_instance_coloring_stack,
         )
 
-        kernel = ARRAY_COLORING_STACK_KERNELS.get(self.backend)
-        if kernel is None:
-            raise EdgeColoringError(
-                f"backend {self.backend!r} has no array colouring kernel; "
-                f"available: {sorted(ARRAY_COLORING_STACK_KERNELS)}"
-            )
         lists = _check_list_stack(lists, n_targets)
         batch, n_sources, delta1 = lists.shape
         if batch == 0:
             return lists.copy()
         check_proper_lists_stack(lists, n_targets)
+        kernel = ARRAY_COLORING_STACK_KERNELS.get(self.backend)
+        if kernel is None:
+            # No stack kernel: solve each row's list system on the object graph.
+            rows = (ListSystem(n_sources, n_targets, tuple(map(tuple, row))) for row in lists.tolist())
+            return np.array([self.solve(system).assignment for system in rows], dtype=np.int64)
 
         shape = list_system_template(n_sources, delta1, n_targets)
         nv, m_core = shape.n_vertices, shape.m_core

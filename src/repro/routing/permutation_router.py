@@ -40,7 +40,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.exceptions import ConfigurationError, RoutingError
+from repro.exceptions import RoutingError
 from repro.obs import get_tracer
 from repro.pops.engine import BatchedSimulator
 from repro.pops.lowering import PlanSkeleton, assemble_compiled_plan_batch
@@ -195,10 +195,10 @@ class PermutationRouter:
     ) -> CompiledScheduleBatch:
         """Route a ``(B, n)`` permutation stack to one compiled batch.
 
-        The array-native fast path of :meth:`route`: one validation pass,
-        one batched fair distribution on integer arrays
-        (:meth:`~repro.routing.fair_distribution.FairDistributionSolver.
-        solve_array_batch`), and the Theorem 2 scatter/deliver structure
+        The array-native fast path of :meth:`route`, for every backend: one
+        validation pass, one batched fair distribution (:meth:`~repro.routing.
+        fair_distribution.FairDistributionSolver.solve_array_batch`, the only
+        step a backend changes), and the Theorem 2 scatter/deliver structure
         emitted directly as the per-slot arrays of a
         :class:`~repro.pops.engine.CompiledScheduleBatch` — no
         ``Transmission`` / ``Reception`` / ``SlotProgram`` objects and no
@@ -208,21 +208,7 @@ class PermutationRouter:
         plan.packets)`` over this router's :meth:`route` plan of ``pis[b]``.
         ``validate=False`` skips the permutation-stack check for callers that
         already hold the validated int64 image stack.
-
-        Raises
-        ------
-        ConfigurationError
-            If the backend has no array colouring kernel (only
-            ``"konig-array"`` / ``"euler-array"`` qualify); route object
-            backends with :meth:`route`.
         """
-        from repro.graph.array_coloring import ARRAY_COLORING_STACK_KERNELS
-
-        if self.solver.backend not in ARRAY_COLORING_STACK_KERNELS:
-            raise ConfigurationError(
-                f"backend {self.solver.backend!r} has no array colouring kernel; "
-                f"compiled routing needs one of {sorted(ARRAY_COLORING_STACK_KERNELS)}"
-            )
         with get_tracer().span("route.plan", backend=self.solver.backend):
             return self._plan_batch(pis, validate=validate)
 
@@ -298,7 +284,8 @@ class RouteTemplate:
     ----------
     network / engine / routers:
         The network, the batched engine that executes its plans, and one
-        :class:`PermutationRouter` per array colouring backend.
+        prebuilt :class:`PermutationRouter` per stack-kernel colouring
+        backend; :meth:`router` serves every backend.
     source / source_group / group_start:
         ``arange(n)``, each processor's group ``i // d`` and its group's
         first processor ``(i // d)·d``.
@@ -325,6 +312,12 @@ class RouteTemplate:
     skeleton: PlanSkeleton
     round_positions: np.ndarray | None = None
     round_planes: np.ndarray | None = None
+
+    def router(self, backend: str) -> PermutationRouter:
+        """The router for ``backend``; built on use for a backend with no stack
+        kernel, so one registered after this template was cached still routes."""
+        router = self.routers.get(backend)
+        return PermutationRouter(self.network, backend=backend) if router is None else router
 
 
 #: The per-processor planes of a d > g plan, in the order

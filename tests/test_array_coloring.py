@@ -5,7 +5,8 @@ reference backends on generated regular multigraphs (proper colourings, same
 colour count), the numpy Hopcroft–Karp to the list implementation (same
 cardinality), and the rows of the batched array fair-distribution pipeline
 to the object solver (bit-identical assignments per array backend, which
-needs the inline array padding to match the object padding).
+needs the inline array padding to match the object padding; a backend with
+no stack kernel solves each row with the object solver itself).
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from repro.utils.permutations import random_permutation
 
 ALL_BACKENDS = sorted(COLORING_BACKENDS)
 ARRAY_BACKENDS = sorted(ARRAY_COLORING_STACK_KERNELS)
+OBJECT_BACKENDS = ["euler", "konig"]
 
 
 def regular_multigraph(n_vertices: int, permutations: list[list[int]]) -> BipartiteMultigraph:
@@ -289,7 +291,26 @@ class TestArrayFairDistribution:
             assert row.tolist() == [list(entry) for entry in object_assignment]
             verify_fair_distribution(system, row.tolist())
 
-    def test_solve_array_batch_rejects_non_array_backend(self):
-        solver = FairDistributionSolver(backend="konig")
-        with pytest.raises(EdgeColoringError, match="no array colouring kernel"):
-            solver.solve_array_batch(np.array([[[0, 1], [0, 1]]]), 2)
+    @pytest.mark.parametrize("backend", OBJECT_BACKENDS)
+    @pytest.mark.parametrize("d,g", [(2, 4), (4, 4), (8, 4), (3, 7), (6, 1)])
+    def test_object_backend_rows_equal_solve(self, d, g, backend, rng):
+        # A backend without a stack kernel solves each row with ``solve``:
+        # the stack is the object assignments, as int64.
+        systems = [
+            ListSystem.from_permutation(random_permutation(d * g, rng), d, g)
+            for _ in range(3)
+        ]
+        lists = np.array([system.lists for system in systems], dtype=np.int64)
+        solver = FairDistributionSolver(backend=backend)
+        assignment = solver.solve_array_batch(lists, systems[0].n_targets)
+        assert assignment.dtype == np.int64
+        assert assignment.tolist() == [
+            [list(entry) for entry in solver.solve(system).assignment]
+            for system in systems
+        ]
+
+    @pytest.mark.parametrize("backend", ALL_BACKENDS + ARRAY_BACKENDS)
+    def test_empty_stack_solves_for_every_backend(self, backend):
+        empty = np.zeros((0, 4, 2), dtype=np.int64)
+        assignment = FairDistributionSolver(backend=backend).solve_array_batch(empty, 4)
+        assert assignment.shape == (0, 4, 2)

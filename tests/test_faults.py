@@ -32,13 +32,15 @@ from repro.exceptions import (
 )
 from repro.faults import (
     DegradedNetwork,
+    FaultRecoveryReport,
     FaultSpec,
     full_reroute,
     reroute_residual,
     route_on_survivors,
     route_with_recovery,
 )
-from repro.pops.engine import BatchedSimulator
+from repro.faults import reroute as reroute_module
+from repro.pops.engine import BatchedSimulator, compile_schedule
 from repro.pops.packet import Packet
 from repro.pops.simulator import POPSSimulator
 from repro.pops.topology import Coupler, POPSNetwork
@@ -393,6 +395,126 @@ class TestRouteWithRecovery:
                 list(range(square_network.n)),
                 FaultSpec(failed_couplers=((9, 9),)),
             )
+
+
+def _object_pipeline_recovery(network, pi, spec, backend):
+    """The object-route recovery pipeline, as the oracle of the batch one.
+
+    Plans with ``router.route``, lowers with ``compile_schedule``, runs
+    ``execute_batch(faults=)``, and recovers exactly as
+    :func:`route_with_recovery` does.  Returns the report and the residual
+    of the :class:`CouplerFailedError` (``None`` when nothing trips).
+    """
+    plan = PermutationRouter(network, backend=backend).route(pi)
+    compiled = compile_schedule(network, plan.schedule, plan.packets)
+    engine = BatchedSimulator(network)
+    bound = theorem2_slot_bound(network.d, network.g)
+    fields = dict(
+        d=network.d,
+        g=network.g,
+        n=network.n,
+        onset_slot=spec.onset_slot,
+        failed_couplers=len(spec.failed_coupler_pairs(network.g)),
+        failed_processors=len(spec.failed_processor_set(network)),
+        clean_slots=compiled.n_slots,
+        theorem2_bound=bound,
+        delivered=True,
+    )
+    try:
+        engine.verify_locations_batch(compiled, engine.execute_batch(compiled, faults=spec))
+    except CouplerFailedError as fault:
+        reroute = reroute_residual(network.degrade(spec), fault.residual)
+        result = POPSSimulator(reroute.network).run_reference(
+            reroute.schedule, list(reroute.packets)
+        )
+        result.verify_permutation_delivery(list(reroute.packets))
+        report = FaultRecoveryReport(
+            fault_triggered=True,
+            executed_slots=fault.slot,
+            residual_packets=len(reroute.packets),
+            reroute_slots=reroute.n_slots,
+            total_slots=fault.slot + reroute.n_slots,
+            packets_moved=int(compiled.pay_ptr[fault.slot])
+            + sum(len(slot.transmissions) for slot in reroute.schedule.slots),
+            **fields,
+        )
+        return report, fault.residual
+    report = FaultRecoveryReport(
+        fault_triggered=False,
+        executed_slots=compiled.n_slots,
+        residual_packets=0,
+        reroute_slots=0,
+        total_slots=compiled.n_slots,
+        packets_moved=int(compiled.pay_ptr[-1]),
+        **fields,
+    )
+    return report, None
+
+
+class TestRecoveryOnTheBatchPipeline:
+    """``route_with_recovery`` plans on the batch pipeline for every backend
+    and reports exactly what the object-route pipeline reports."""
+
+    #: d = 1, d = g, d > g, d < g, and E11's 9×3.
+    SHAPES = [(1, 8), (4, 4), (8, 4), (4, 8), (9, 3)]
+
+    @staticmethod
+    def _specs(network, pi, backend):
+        """The empty spec, and one driven coupler failing at onset 0 and 1."""
+        plan = PermutationRouter(network, backend=backend).route(pi)
+        specs = [FaultSpec()]
+        for onset in (0, 1):
+            slot = plan.schedule.slots[min(onset, plan.n_slots - 1)]
+            driven = slot.transmissions[0].coupler
+            specs.append(
+                FaultSpec(
+                    failed_couplers=((driven.dest_group, driven.source_group),),
+                    onset_slot=onset,
+                )
+            )
+        return specs
+
+    @pytest.mark.parametrize("backend", ["euler", "euler-array", "konig", "konig-array"])
+    @pytest.mark.parametrize("d,g", SHAPES, ids=lambda s: str(s))
+    def test_report_and_residual_equal_object_pipeline(
+        self, d, g, backend, rng, monkeypatch
+    ):
+        network = POPSNetwork(d, g)
+        pi = random_permutation(network.n, rng)
+        residuals = []
+        original = reroute_module.reroute_residual
+
+        def spy(degraded, residual, **kwargs):
+            residuals.append(residual)
+            return original(degraded, residual, **kwargs)
+
+        monkeypatch.setattr(reroute_module, "reroute_residual", spy)
+        for spec in self._specs(network, pi, backend):
+            residuals.clear()
+            expected, residual = _object_pipeline_recovery(network, pi, spec, backend)
+            report = route_with_recovery(network, pi, spec, router_backend=backend)
+            assert report.to_dict() == expected.to_dict(), spec.describe()
+            # A driven coupler trips iff its onset falls inside the plan.
+            assert report.fault_triggered == (
+                not spec.is_empty and spec.onset_slot < report.clean_slots
+            )
+            if residual is None:
+                assert residuals == []
+            else:
+                (got,) = residuals
+                assert list(got.items()) == list(residual.items())
+
+    def test_default_backend_is_the_session_default(self, rng):
+        network = POPSNetwork(8, 4)
+        pi = random_permutation(network.n, rng)
+        spec = FaultSpec(failed_couplers=((1, 0),), onset_slot=1)
+        default = RunConfig().router_backend
+        assert route_with_recovery(network, pi, spec) == route_with_recovery(
+            network, pi, spec, router_backend=default
+        )
+        assert route_with_recovery(network, pi, spec) == Session().route_degraded(
+            pi, network=network, faults=spec
+        )
 
 
 class TestSessionAndCLI:

@@ -26,7 +26,6 @@ from hypothesis import strategies as st
 
 from repro.analysis.metrics import RoutingMetrics
 from repro.api import RunConfig, Session
-from repro.exceptions import ConfigurationError
 from repro.faults import FaultSpec
 from repro.graph.array_coloring import ARRAY_COLORING_STACK_KERNELS
 from repro.pops.engine import BatchedSimulator, CompiledScheduleBatch
@@ -85,21 +84,11 @@ class TestBatchedRoutingBitIdentity:
 
     @pytest.mark.parametrize("backend", OBJECT_BACKENDS)
     @pytest.mark.parametrize("d,g", ALL_SHAPES, ids=lambda s: str(s))
-    def test_object_backend_stacks_route_row_by_row(
-        self, d, g, backend, rng, monkeypatch
-    ):
-        # An object backend has no stack kernel: ``route_compiled_batch``
-        # refuses it, and ``route_batch`` on ``batched`` measures each row
-        # through the arbiter, equal to the reference simulator's rows.
+    def test_object_backend_stack_matches_reference_rows(self, d, g, backend, rng):
+        # An object backend has no stack kernel, yet ``route_batch`` on
+        # ``batched`` routes the whole stack on the batch pipeline; its rows
+        # equal the reference simulator's rows on the object pipeline.
         network = POPSNetwork(d, g)
-        with pytest.raises(ConfigurationError, match="no array colouring kernel"):
-            PermutationRouter(network, backend=backend).route_compiled_batch(
-                permutation_stack(network, rng, 2)
-            )
-        monkeypatch.setattr(
-            PermutationRouter, "route_compiled_batch",
-            lambda *a, **k: pytest.fail("object backend reached the stack path"),
-        )
         on_batched = Session(RunConfig(router_backend=backend, sim_backend="batched"))
         on_reference = Session(
             RunConfig(router_backend=backend, sim_backend="reference")

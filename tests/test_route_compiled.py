@@ -2,9 +2,11 @@
 
 Pins the ISSUE 5 acceptance criteria:
 
-* ``route_compiled()`` is bit-identical to compile-after-route for every
-  array router backend, and raises ``ConfigurationError`` for the object
-  backends, which route only through ``route()``;
+* ``route_compiled()`` and the rows of ``route_compiled_batch()`` are
+  bit-identical to compile-after-route for every router backend: a backend
+  decides only the colouring, so the object backends (and one registered at
+  runtime) plan on the batch pipeline too, while an unregistered name still
+  raises a structured error;
 * array-backend plans are equivalent to reference-backend plans — same slot
   counts, Theorem 2 bound exact, packets verifiably delivered — on every
   routing regime including hypothesis-generated permutations;
@@ -22,12 +24,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import RunConfig, Session
-from repro.exceptions import ConfigurationError, ValidationError
+from repro.api.registry import ROUTER_BACKENDS
+from repro.exceptions import ConfigurationError, EdgeColoringError, ValidationError
+from repro.faults import FaultSpec, route_with_recovery
 from repro.graph.array_coloring import ARRAY_COLORING_STACK_KERNELS
+from repro.graph.edge_coloring import konig_edge_coloring
 from repro.pops.engine import BatchedSimulator, CompiledScheduleBatch, compile_schedule
 from repro.pops.simulator import POPSSimulator
 from repro.pops.topology import POPSNetwork
-from repro.routing.permutation_router import PermutationRouter, theorem2_slot_bound
+from repro.routing.permutation_router import (
+    PermutationRouter,
+    route_template,
+    theorem2_slot_bound,
+)
 from repro.utils.permutations import random_permutation
 
 ALL_SHAPES = [(1, 1), (1, 6), (2, 8), (4, 4), (3, 7), (8, 4), (9, 3), (7, 5), (5, 1), (6, 4)]
@@ -88,9 +97,66 @@ class TestBitIdenticalToCompileAfterRoute:
 
 
 class TestObjectBackendsOnTheBatchedEngine:
-    """The object backends have no array colouring kernel: their plans reach
-    the batched engine only lowered by ``compile_schedule``, and a session
-    pairing them with ``batched`` routes through the row-by-row arbiter."""
+    """The object backends have no array colouring kernel, yet plan on the
+    batch pipeline: the fair-distribution solver solves each row with
+    ``solve``, and the plan builders emit the same batch ``compile_schedule``
+    lowers from the object route."""
+
+    #: d = 1, d < g, d = g and d > g, plus a padded d < g shape.
+    SHAPES = [(1, 6), (2, 8), (4, 4), (8, 4), (3, 7)]
+
+    @pytest.mark.parametrize("backend", OBJECT_BACKENDS)
+    @pytest.mark.parametrize("d,g", SHAPES, ids=lambda s: str(s))
+    def test_stack_rows_equal_lowered_object_route(self, d, g, backend, rng):
+        network = POPSNetwork(d, g)
+        router = PermutationRouter(network, backend=backend)
+        pis = np.stack([random_permutation(network.n, rng) for _ in range(3)])
+        batch = router.route_compiled_batch(pis)
+        assert batch.n_batch == 3
+        for b, pi in enumerate(pis.tolist()):
+            plan = router.route(pi)
+            assert_bit_identical(
+                compile_schedule(network, plan.schedule, plan.packets), batch.element(b)
+            )
+
+    @pytest.mark.parametrize("backend", sorted(ROUTER_BACKENDS.names()))
+    @pytest.mark.parametrize("d,g", SHAPES, ids=lambda s: str(s))
+    def test_empty_stack_plans_for_every_backend(self, d, g, backend):
+        network = POPSNetwork(d, g)
+        empty = np.zeros((0, network.n), dtype=np.int64)
+        batch = PermutationRouter(network, backend=backend).route_compiled_batch(empty)
+        assert batch.n_batch == 0
+        assert batch.n_slots == theorem2_slot_bound(d, g)
+
+    def test_backend_registered_after_template_routes_through_session(self, rng):
+        # The shape's route template is cached before the backend exists; a
+        # backend with no stack kernel gets its router on use, so the alias
+        # routes on ``batched`` with konig's metrics.
+        network = POPSNetwork(4, 4)
+        route_template(4, 4)
+        pis = np.stack([random_permutation(network.n, rng) for _ in range(2)])
+        ROUTER_BACKENDS.register("konig-alias", konig_edge_coloring)
+        try:
+            alias = Session(RunConfig(router_backend="konig-alias", sim_backend="batched"))
+            konig = Session(RunConfig(router_backend="konig", sim_backend="batched"))
+            assert alias.route_batch(pis, network=network) == konig.route_batch(
+                pis, network=network
+            )
+            assert alias.route(pis[0], network=network) == konig.route(
+                pis[0], network=network
+            )
+        finally:
+            ROUTER_BACKENDS.unregister("konig-alias")
+
+    def test_unregistered_backend_raises_structured_error(self, rng):
+        network = POPSNetwork(4, 4)
+        pi = random_permutation(network.n, rng)
+        with pytest.raises(ConfigurationError, match="unknown router backend 'nope'"):
+            RunConfig(router_backend="nope")
+        with pytest.raises(EdgeColoringError, match="unknown edge-colouring backend 'nope'"):
+            PermutationRouter(network, backend="nope").route_compiled_batch([pi])
+        with pytest.raises(EdgeColoringError, match="unknown edge-colouring backend 'nope'"):
+            route_with_recovery(network, pi, FaultSpec(), router_backend="nope")
 
     @pytest.mark.parametrize("backend", OBJECT_BACKENDS)
     @pytest.mark.parametrize("d,g", ALL_SHAPES, ids=lambda s: str(s))
@@ -163,19 +229,6 @@ class TestValidation:
             router.route_compiled([0, 0, 1, 1])  # repeated image
         with pytest.raises(ValidationError):
             router.route_compiled([0, 1, 2, 7])  # out of range
-
-    @pytest.mark.parametrize("backend", ["konig", "euler"])
-    @pytest.mark.parametrize("d,g", [(1, 6), (3, 3)], ids=lambda s: str(s))
-    def test_non_array_backend_raises_configuration_error(self, d, g, backend, rng):
-        network = POPSNetwork(d, g)
-        pi = random_permutation(network.n, rng)
-        router = PermutationRouter(network, backend=backend)
-        with pytest.raises(ConfigurationError, match="no array colouring kernel"):
-            router.route_compiled(pi)
-        with pytest.raises(ConfigurationError, match="no array colouring kernel"):
-            router.route_compiled_batch([pi])
-        # The object pipeline still routes it.
-        assert router.route(pi).meets_theorem2_bound
 
     def test_verify_false_still_produces_identical_plan(self, rng):
         network = POPSNetwork(4, 4)
