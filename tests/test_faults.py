@@ -31,7 +31,6 @@ from repro.exceptions import (
     TransmitterError,
 )
 from repro.faults import (
-    DegradedNetwork,
     FaultRecoveryReport,
     FaultSpec,
     full_reroute,
