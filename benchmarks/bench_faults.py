@@ -7,7 +7,7 @@ execution up to the failing slot, online reroute of the residual traffic
 over the surviving couplers) must
 
 * **deliver every packet** of every trial permutation, verified by the
-  reference simulator on the degraded network, and
+  batched engine on the degraded network, and
 * **cost at most 2x the clean schedule**: ``executed + reroute`` slots
   within twice the slots of the undisturbed plan.
 

@@ -53,7 +53,7 @@ from repro.api.config import RunConfig
 from repro.api.session import Session
 from repro import exceptions
 
-__version__ = "1.15.0"
+__version__ = "1.16.0"
 
 __all__ = [
     "RunConfig",

@@ -1114,8 +1114,8 @@ def _serving_under_faults(
     """E12: the daemon stays available while every dispatch is fault-struck.
 
     An in-process :class:`~repro.serve.daemon.ServeDaemon` is configured
-    with a permanent single-coupler fault at rate 1.0 — every dispatched
-    request goes through injected execution and online recovery — and an
+    with a permanent single-coupler fault — every dispatched request goes
+    through injected execution and online recovery — and an
     open-loop Poisson load with a hot-spot arrival mix is fired at it.
     Availability is the verdict: zero transport/internal errors, every
     request either completed or explicitly shed, and every completion
@@ -1128,11 +1128,7 @@ def _serving_under_faults(
     root_seed = session.config.seed if seed is None else seed
     network = POPSNetwork(d, g)
     spec = FaultSpec.random(network, n_couplers=1, seed=root_seed, onset_slot=0)
-    daemon = ServeDaemon(
-        session.config,
-        faults=spec,
-        fault_rate=1.0,
-    )
+    daemon = ServeDaemon(session.config, faults=spec)
     with daemon:
         host, port = daemon.address
         load = run_poisson_load(
@@ -1181,7 +1177,6 @@ def _serving_under_faults(
             "errors", "degraded", "p95 ms", "ok",
         ],
         notes={
-            "fault_rate": 1.0,
             "hotspot_fraction": hotspot_fraction,
             "class_latency_ms": load.class_latency_ms,
         },

@@ -63,11 +63,10 @@ group, ``onset=K``, ``transient=K``)::
     pops-repro route --d 8 --g 4 --faults c1.2,onset=1
     pops-repro route --d 8 --g 4 --faults c1.2,c3.1,transient=2 --format json
 
-Serve with chaos injection — every dispatch (or a ``--fault-rate`` fraction)
-executes under the fault spec and is answered through online recovery with
-``"degraded": true``::
+Serve with chaos injection — every dispatch executes under the fault spec
+and is answered through online recovery with ``"degraded": true``::
 
-    pops-repro serve --port 8472 --faults c1.2 --fault-rate 0.5
+    pops-repro serve --port 8472 --faults c1.2
 
 Fetch a running daemon's metrics (Prometheus-style text exposition by
 default, the full JSON stats payload with ``--format json``; ``--retries``
@@ -351,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_backend_flags(
         serve,
         "simulator engine (batched = the megabatch fast path)",
-        router_help="edge-colouring backend requests use unless they name one",
+        router_help="edge-colouring backend every request is routed with",
     )
     serve.add_argument(
         "--max-batch",
@@ -379,25 +378,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SPEC",
         help=(
-            "chaos testing: inject this fault spec into dispatches; struck "
-            "requests are recovered online and answered degraded=true"
+            "chaos testing: inject this fault spec into every dispatch; "
+            "struck requests are recovered online and answered degraded=true"
         ),
-    )
-    serve.add_argument(
-        "--fault-rate",
-        type=float,
-        default=1.0,
-        metavar="P",
-        help=(
-            "probability a dispatch is fault-struck (deterministic seeded "
-            "stream; only meaningful with --faults; default 1.0)"
-        ),
-    )
-    serve.add_argument(
-        "--fault-seed",
-        type=int,
-        default=0,
-        help="seed of the fault-strike stream",
     )
     _add_format_flag(serve)
 
@@ -596,8 +579,6 @@ def _command_serve(args: argparse.Namespace) -> int:
             max_batch=args.max_batch,
             max_queue=args.max_queue,
             faults=args.faults,
-            fault_rate=args.fault_rate,
-            fault_seed=args.fault_seed,
         )
         host, port = daemon.start()
     except (OSError, ValueError) as exc:

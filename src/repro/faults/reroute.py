@@ -16,8 +16,8 @@ couplers:
 
 The resulting :class:`~repro.pops.schedule.RoutingSchedule` is built against
 the :class:`~repro.faults.spec.DegradedNetwork` view, so static validation
-proves no failed hardware is touched, and the reference simulator then
-verifies every residual packet reaches its destination.
+proves no failed hardware is touched, and the batched engine then runs it
+and verifies every residual packet reaches its destination.
 :func:`route_with_recovery` packages the whole story — clean route, injected
 execution, recovery, verification — into one :class:`FaultRecoveryReport`
 comparing total slots against the clean ``2⌈d/g⌉`` bound.
@@ -181,9 +181,9 @@ def reroute_residual(
 
     Emits a ``route.reroute`` span covering the solve.  The returned plan's
     schedule is statically validated against the degraded view (so it
-    provably avoids failed hardware); executing it with the reference
-    simulator and verifying delivery is the caller's half of the contract
-    (:func:`route_with_recovery` does both).
+    provably avoids failed hardware); executing it and verifying delivery
+    is the caller's half of the contract (:func:`route_with_recovery` does
+    both, on the batched engine).
     """
     from repro.routing.permutation_router import theorem2_slot_bound
 
@@ -287,12 +287,12 @@ def route_with_recovery(
     it with fault injection (a ``fault.inject`` span covers the injected
     execution); if a failed
     coupler is driven inside the fault window, the residual traffic is
-    re-solved over the surviving couplers (``route.reroute`` span) and the
-    reference simulator re-executes and verifies delivery on the degraded
-    topology.  The report compares total slots (executed before the fault +
-    reroute) against the clean ``2⌈d/g⌉`` bound.
+    re-solved over the surviving couplers (``route.reroute`` span), and the
+    reroute is lowered once, then executed and verified on a batched engine
+    over the degraded topology.  The report compares total slots (executed
+    before the fault + reroute) against the clean ``2⌈d/g⌉`` bound.
     """
-    from repro.pops.simulator import POPSSimulator
+    from repro.pops.engine import BatchedSimulator, compile_schedule
     from repro.routing.permutation_router import route_template, theorem2_slot_bound
     from repro.utils.validation import check_permutation_array
 
@@ -338,9 +338,9 @@ def route_with_recovery(
 
     degraded = network.degrade(spec)
     reroute = reroute_residual(degraded, fault.residual)
-    simulator = POPSSimulator(degraded, backend="reference")
-    result = simulator.run_reference(reroute.schedule, list(reroute.packets))
-    result.verify_permutation_delivery(list(reroute.packets))
+    rerouted = compile_schedule(degraded, reroute.schedule, list(reroute.packets))
+    survivors = BatchedSimulator(degraded)
+    survivors.verify_locations_batch(rerouted, survivors.execute_batch(rerouted))
     moved = int(compiled.pay_ptr[fault.slot]) + sum(
         len(slot.transmissions) for slot in reroute.schedule.slots
     )

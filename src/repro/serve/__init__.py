@@ -10,10 +10,12 @@ traffic onto the megabatch kernels:
 * :mod:`repro.serve.telemetry` — per-stage latency percentiles, throughput
   and batch-size accounting, exposed through the ``stats`` request;
 * :mod:`repro.serve.batcher` — the dynamic batcher: requests for the same
-  ``(d, g, n, backend)`` shape that queue up while the worker is busy
-  coalesce into one :meth:`~repro.api.session.Session.route_batch` call;
+  ``(d, g)`` shape that queue up while the worker is busy coalesce into one
+  :meth:`~repro.api.session.Session.route_batch` call;
 * :mod:`repro.serve.daemon` — :class:`ServeDaemon`, the socket front end
-  holding one warm :class:`~repro.api.session.Session`;
+  holding one warm :class:`~repro.api.session.Session`; every request routes
+  with that session's backend and engine (``serve --backend`` and
+  ``--sim-backend``);
 * :mod:`repro.serve.client` — :class:`ServeClient`, the blocking client;
 * :mod:`repro.serve.loadgen` — the open-loop Poisson load generator behind
   ``benchmarks/bench_serve.py``.
@@ -34,7 +36,7 @@ From a terminal::
 
 from repro.serve.client import RouteOutcome, ServeClient, ServeError
 from repro.serve.daemon import ServeDaemon
-from repro.serve.loadgen import LoadReport, run_poisson_load, sweep_rates
+from repro.serve.loadgen import LoadReport, run_poisson_load
 from repro.serve.telemetry import ServeTelemetry
 
 __all__ = [
@@ -45,5 +47,4 @@ __all__ = [
     "ServeError",
     "ServeTelemetry",
     "run_poisson_load",
-    "sweep_rates",
 ]

@@ -4,12 +4,12 @@ The megabatch kernels (:meth:`~repro.api.session.Session.route_batch`) amortise
 per-call Python overhead across a ``(B, n)`` permutation stack — but live
 traffic arrives one permutation at a time.  This module is the piece between
 the two, the same trick inference servers use: requests that queue up while
-the worker is busy routing, and that share a routing shape —
-``(d, g, n, backend)`` — are stacked and routed as *one* ``route_batch``
-call, then fanned back out to their waiting clients.  Batching is natural:
-the worker takes whatever is already queued (up to ``max_batch``) and never
-waits for more, so an idle daemon routes a lone request at once and a busy
-one batches exactly the backlog its last call built up.  A request whose
+the worker is busy routing, and that share a routing shape ``(d, g)``, are
+stacked and routed as *one* ``route_batch`` call, then fanned back out to
+their waiting clients.  Batching is natural: the worker takes whatever is
+already queued (up to ``max_batch``) and never waits for more, so an idle
+daemon routes a lone request at once and a busy one batches exactly the
+backlog its last call built up.  A request whose
 shape matches nobody else's in the batch is a ``(1, n)`` batch on the same
 path; ``max_batch=1`` disables coalescing entirely (every request routes
 alone — the control arm of ``benchmarks/bench_serve.py``).
@@ -17,8 +17,9 @@ alone — the control arm of ``benchmarks/bench_serve.py``).
 Concurrency contract:
 
 * **One worker thread owns the session.**  All routing happens on the
-  batcher's worker thread, so the session is never touched concurrently.
-  Handler threads only enqueue and wait on futures.
+  batcher's worker thread, on the one session it was built with, so the
+  session is never touched concurrently.  Handler threads only enqueue and
+  wait on futures.
 * **Bounded queue, explicit shedding.**  :meth:`DynamicBatcher.submit`
   raises :class:`QueueFullError` instead of blocking when ``max_queue``
   requests are already waiting; the daemon turns that into a structured
@@ -37,7 +38,6 @@ except in latency — and in the ``batch_size`` field the daemon reports back.
 from __future__ import annotations
 
 import queue
-import random
 import threading
 import time
 from concurrent.futures import Future
@@ -47,7 +47,7 @@ from typing import Any
 import numpy as np
 
 from repro.api.session import Session
-from repro.faults import FaultSpec, route_with_recovery
+from repro.faults import FaultSpec
 from repro.obs import get_tracer
 from repro.pops.topology import POPSNetwork
 from repro.serve.telemetry import ServeTelemetry
@@ -82,7 +82,7 @@ class BatchResult:
 class _Pending:
     """One enqueued route request."""
 
-    key: tuple[int, int, int, str]   # (d, g, n, backend)
+    key: tuple[int, int]   # (d, g)
     pi: np.ndarray
     future: Future = field(default_factory=Future)
     t_submit: float = field(default_factory=time.perf_counter)
@@ -100,8 +100,7 @@ class DynamicBatcher:
     ----------
     session:
         The warm session whose config (router backend, engine) all routing
-        uses.  Requests naming a different router backend get a sibling
-        session with that backend.
+        uses.
     telemetry:
         Where batch sizes are recorded (request stages are recorded by the
         daemon when the response is on the wire).
@@ -111,17 +110,11 @@ class DynamicBatcher:
     max_queue:
         Bound of the request queue; beyond it :meth:`submit` sheds.
     faults:
-        Optional :class:`~repro.faults.FaultSpec` injected into dispatches
-        (chaos testing).  A struck dispatch routes each member through
-        :func:`~repro.faults.route_with_recovery` — clean plan, injected
-        execution, online reroute over the survivors — and resolves its
-        future with ``degraded=True``.
-    fault_rate:
-        Probability (per dispatch group) that ``faults`` strikes, drawn from
-        a deterministic seeded stream; ``1.0`` (default) strikes every
-        dispatch.  Ignored when ``faults`` is ``None``.
-    fault_seed:
-        Seed of the strike stream — same seed, same strike sequence.
+        Optional :class:`~repro.faults.FaultSpec` injected into every
+        dispatch (chaos testing).  Each member then routes through the
+        session's :meth:`~repro.api.session.Session.route_degraded` —
+        clean plan, injected execution, online reroute over the survivors —
+        and its future resolves with ``degraded=True`` when the fault bit.
     """
 
     def __init__(
@@ -132,32 +125,23 @@ class DynamicBatcher:
         max_batch: int = 64,
         max_queue: int = 1024,
         faults: FaultSpec | None = None,
-        fault_rate: float = 1.0,
-        fault_seed: int = 0,
     ):
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         if max_queue < 1:
             raise ValueError(f"max_queue must be >= 1, got {max_queue}")
-        if not 0.0 <= fault_rate <= 1.0:
-            raise ValueError(f"fault_rate must be in [0, 1], got {fault_rate}")
         self._session = session
         self._telemetry = telemetry
         self.max_batch = max_batch
         self.faults = faults
-        self.fault_rate = fault_rate
-        self._fault_rng = random.Random(fault_seed)
         self._queue: queue.Queue = queue.Queue(maxsize=max_queue)
-        self._sessions: dict[str, Session] = {
-            session.config.router_backend: session
-        }
         self._closed = False
         self._drain = True
         self._worker: threading.Thread | None = None
 
     # -- intake (handler threads) ------------------------------------------
 
-    def submit(self, pi: np.ndarray, *, d: int, g: int, backend: str):
+    def submit(self, pi: np.ndarray, *, d: int, g: int):
         """Enqueue one request; returns a ``Future`` of :class:`BatchResult`.
 
         Raises :class:`ShuttingDownError` after shutdown began and
@@ -166,7 +150,7 @@ class DynamicBatcher:
         """
         if self._closed:
             raise ShuttingDownError("the batcher is shutting down")
-        item = _Pending(key=(d, g, int(pi.shape[0]), backend), pi=pi)
+        item = _Pending(key=(d, g), pi=pi)
         try:
             self._queue.put_nowait(item)
         except queue.Full:
@@ -259,42 +243,25 @@ class DynamicBatcher:
                     ShuttingDownError("daemon shut down before routing")
                 )
 
-    def _session_for(self, backend: str) -> Session:
-        session = self._sessions.get(backend)
-        if session is None:
-            # Sibling session for a per-request backend override.
-            session = Session(self._session.config.replace(router_backend=backend))
-            self._sessions[backend] = session
-        return session
-
-    def _strikes(self) -> bool:
-        """Does the fault injector hit this dispatch group?  Deterministic."""
-        if self.faults is None or self.fault_rate <= 0.0:
-            return False
-        return self.fault_rate >= 1.0 or self._fault_rng.random() < self.fault_rate
-
     def _dispatch(self, items: list[_Pending]) -> None:
         """Group the collected requests by shape and route each group."""
-        groups: dict[tuple[int, int, int, str], list[_Pending]] = {}
+        groups: dict[tuple[int, int], list[_Pending]] = {}
         for item in items:
             groups.setdefault(item.key, []).append(item)
-        for (d, g, _n, backend), members in groups.items():
+        for (d, g), members in groups.items():
             network = POPSNetwork(d, g)
-            if self._strikes():
-                self._dispatch_degraded(members, network, backend)
+            if self.faults is not None:
+                self._dispatch_degraded(members, network)
                 continue
             t_route_start = time.perf_counter()
             try:
                 with get_tracer().span(
-                    "serve.dispatch", d=d, g=g, backend=backend,
-                    batch=len(members),
+                    "serve.dispatch", d=d, g=g, batch=len(members)
                 ):
                     stack = np.stack([member.pi for member in members])
-                    metrics_list = self._session_for(backend).route_batch(
-                        stack, network=network
-                    )
+                    metrics_list = self._session.route_batch(stack, network=network)
             except Exception as exc:
-                self._replay_survivors(members, network, backend, exc)
+                self._replay_survivors(members, network, exc)
                 continue
             t_route_end = time.perf_counter()
             self._telemetry.record_batch(len(members))
@@ -313,11 +280,7 @@ class DynamicBatcher:
                 )
 
     def _replay_survivors(
-        self,
-        members: list[_Pending],
-        network: POPSNetwork,
-        backend: str,
-        batch_exc: Exception,
+        self, members: list[_Pending], network: POPSNetwork, batch_exc: Exception
     ) -> None:
         """Graceful degradation of a failed batch: replay members singly.
 
@@ -330,15 +293,13 @@ class DynamicBatcher:
         if len(members) == 1:
             members[0].future.set_exception(batch_exc)
             return
-        session = self._session_for(backend)
         for member in members:
             t_start = time.perf_counter()
             try:
                 with get_tracer().span(
-                    "serve.dispatch", d=network.d, g=network.g,
-                    backend=backend, batch=1, replay=True,
+                    "serve.dispatch", d=network.d, g=network.g, batch=1, replay=True
                 ):
-                    metrics = session.route(member.pi, network=network)
+                    metrics = self._session.route(member.pi, network=network)
             except Exception as exc:
                 member.future.set_exception(exc)
                 continue
@@ -355,40 +316,42 @@ class DynamicBatcher:
                 )
             )
 
-    def _dispatch_degraded(
-        self, members: list[_Pending], network: POPSNetwork, backend: str
-    ) -> None:
+    def _dispatch_degraded(self, members: list[_Pending], network: POPSNetwork) -> None:
         """Route a fault-struck dispatch member-by-member with recovery.
 
-        Each member runs the full pipeline — clean plan, injected execution,
-        online reroute over the surviving couplers, verified delivery — and
-        gets back real :class:`~repro.analysis.metrics.RoutingMetrics` whose
-        ``slots`` is the degraded total (executed before the fault plus the
-        reroute), so clients see the true cost of the failure.
+        Each member runs the session's
+        :meth:`~repro.api.session.Session.route_degraded` — clean plan,
+        injected execution, online reroute over the surviving couplers,
+        verified delivery — and gets back real
+        :class:`~repro.analysis.metrics.RoutingMetrics` whose ``slots`` is
+        the degraded total (executed before the fault plus the reroute), so
+        clients see the true cost of the failure.
         """
         from repro.analysis.metrics import RoutingMetrics
-        from repro.routing.lower_bounds import best_known_lower_bound
+        from repro.routing.lower_bounds import best_known_lower_bound_stack
 
-        assert self.faults is not None
         d, g = network.d, network.g
         for member in members:
             t_start = time.perf_counter()
             try:
                 with get_tracer().span(
-                    "serve.dispatch", d=d, g=g, backend=backend,
-                    batch=1, fault_injected=True,
+                    "serve.dispatch", d=d, g=g, batch=1, fault_injected=True
                 ):
-                    report = route_with_recovery(
-                        network, member.pi, self.faults, router_backend=backend
+                    report = self._session.route_degraded(
+                        member.pi, network=network, faults=self.faults
                     )
                     capacity = report.total_slots * g * g
+                    # route_degraded validated the permutation.
+                    lower_bound = best_known_lower_bound_stack(
+                        network, member.pi[None], validate=False
+                    )[0]
                     metrics = RoutingMetrics(
                         d=d,
                         g=g,
                         n=network.n,
                         slots=report.total_slots,
                         theorem2_bound=report.theorem2_bound,
-                        lower_bound=best_known_lower_bound(network, member.pi),
+                        lower_bound=int(lower_bound),
                         couplers_used_total=report.packets_moved,
                         mean_coupler_utilisation=(
                             report.packets_moved / capacity if capacity else 0.0

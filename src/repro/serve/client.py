@@ -229,14 +229,13 @@ class ServeClient:
         *,
         d: int,
         g: int,
-        backend: str | None = None,
         deadline_ms: float | None = None,
     ) -> RouteOutcome:
         """Route one permutation on the daemon; blocks until answered.
 
         ``pi`` is any int sequence (list or numpy array).  The returned
-        outcome's ``metrics`` equals the daemon session's ``route(pi)``
-        bit-for-bit; ``batch_size`` reports how many concurrent requests the
+        outcome's ``metrics`` equals ``route(pi)`` of the daemon's session,
+        on the daemon's one backend, bit-for-bit; ``batch_size`` reports how many concurrent requests the
         dynamic batcher coalesced this one with (1 = routed alone);
         ``degraded`` is true when the daemon recovered the route over a
         fault-degraded topology.  ``deadline_ms`` asks the daemon to answer
@@ -249,8 +248,6 @@ class ServeClient:
             "d": int(d),
             "g": int(g),
         }
-        if backend is not None:
-            payload["backend"] = backend
         if deadline_ms is not None:
             payload["deadline_ms"] = float(deadline_ms)
         response = self.request(payload)

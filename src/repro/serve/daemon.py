@@ -1,7 +1,8 @@
 """`ServeDaemon`: the socket front end of the serving layer.
 
-One daemon holds one warm :class:`~repro.api.session.Session` and serves
-route requests concurrently over a TCP socket bound to localhost, speaking
+One daemon holds one warm :class:`~repro.api.session.Session`, built from
+its :class:`~repro.api.config.RunConfig`, and serves every route request
+with it, concurrently over a TCP socket bound to localhost, speaking
 the length-prefixed JSON protocol of :mod:`repro.serve.protocol`.  Each accepted connection gets a handler
 thread that parses frames and waits on futures; all actual routing happens
 on the single worker thread of the
@@ -37,7 +38,6 @@ import numpy as np
 from concurrent.futures import TimeoutError as FutureTimeoutError
 
 from repro.api.config import RunConfig
-from repro.api.registry import ROUTER_BACKENDS, ensure_builtin_backends
 from repro.api.session import Session
 from repro.exceptions import ConfigurationError, RoutingError, SimulationError, ValidationError
 from repro.faults import FaultSpec
@@ -72,7 +72,8 @@ class ServeDaemon:
     config:
         Session configuration; defaults to ``RunConfig()`` — the
         ``euler-array`` router on the ``batched`` engine, which feeds the
-        megabatch kernels.
+        megabatch kernels.  Every request routes with this one pair; a
+        route request naming a ``backend`` is refused.
     host / port:
         Bind address; port ``0`` (default) picks an ephemeral port, read it
         from :attr:`address` after :meth:`start`.
@@ -80,12 +81,11 @@ class ServeDaemon:
         Most queued requests one batch takes; ``1`` disables coalescing.
     max_queue:
         Bound of the request queue (beyond it requests are shed).
-    faults / fault_rate / fault_seed:
-        Chaos-testing knobs, forwarded to the batcher: ``faults`` is a
-        :class:`~repro.faults.FaultSpec` injected into dispatches with
-        probability ``fault_rate`` per dispatch (deterministic under
-        ``fault_seed``).  Struck requests are recovered online over the
-        surviving couplers and answered with ``"degraded": true``.
+    faults:
+        Chaos testing, forwarded to the batcher: a
+        :class:`~repro.faults.FaultSpec` injected into every dispatch.
+        Struck requests are recovered online over the surviving couplers
+        and answered with ``"degraded": true``.
     """
 
     def __init__(
@@ -97,10 +97,7 @@ class ServeDaemon:
         max_batch: int = 64,
         max_queue: int = 1024,
         faults: FaultSpec | None = None,
-        fault_rate: float = 1.0,
-        fault_seed: int = 0,
     ):
-        ensure_builtin_backends()
         self.config = config if config is not None else RunConfig()
         self.session = Session(self.config)
         self.telemetry = ServeTelemetry()
@@ -110,8 +107,6 @@ class ServeDaemon:
             max_batch=max_batch,
             max_queue=max_queue,
             faults=faults,
-            fault_rate=fault_rate,
-            fault_seed=fault_seed,
         )
         self._host = host
         self._port = port
@@ -289,7 +284,7 @@ class ServeDaemon:
 
     def _parse_route(
         self, request: dict[str, Any]
-    ) -> tuple[np.ndarray, int, int, str, float | None]:
+    ) -> tuple[np.ndarray, int, int, float | None]:
         """Validate a route request's fields; raises ``ValidationError``."""
         d, g = request.get("d"), request.get("g")
         for name, value in (("d", d), ("g", g)):
@@ -305,11 +300,10 @@ class ServeDaemon:
                 f"per permutation; this daemon colours at most "
                 f"{_MAX_COLORING_INSTANCES}"
             )
-        backend = request.get("backend", self.config.router_backend)
-        if backend not in ROUTER_BACKENDS.names():
+        if "backend" in request:
             raise ValidationError(
-                f"unknown router backend {backend!r}; registered: "
-                f"{', '.join(ROUTER_BACKENDS.names())}"
+                f"route requests carry no backend: this daemon routes with "
+                f"{self.config.router_backend!r} (set by serve --backend)"
             )
         pi = request.get("pi")
         if not isinstance(pi, list):
@@ -334,7 +328,7 @@ class ServeDaemon:
                     f"(0, {_MAX_DEADLINE_MS:g}], got {deadline_ms!r}"
                 )
         deadline_s = float(deadline_ms) / 1e3 if deadline_ms is not None else None
-        return images, d, g, backend, deadline_s
+        return images, d, g, deadline_s
 
     def _handle_route(self, conn: socket.socket, request: dict[str, Any]) -> bool:
         self.telemetry.record_request()
@@ -344,14 +338,14 @@ class ServeDaemon:
                 protocol.ERR_SHUTTING_DOWN, "daemon is shutting down"
             ))
         try:
-            images, d, g, backend, deadline_s = self._parse_route(request)
+            images, d, g, deadline_s = self._parse_route(request)
         except ValidationError as exc:
             self.telemetry.record_error(protocol.ERR_BAD_REQUEST)
             return self._send(conn, protocol.error_response(
                 protocol.ERR_BAD_REQUEST, str(exc)
             ))
         try:
-            future = self.batcher.submit(images, d=d, g=g, backend=backend)
+            future = self.batcher.submit(images, d=d, g=g)
         except QueueFullError as exc:
             self.telemetry.record_shed()
             return self._send(conn, protocol.error_response(
@@ -467,7 +461,6 @@ class ServeDaemon:
                 if self.batcher.faults is not None
                 else None
             ),
-            "fault_rate": self.batcher.fault_rate,
         }
 
     # -- the health request --------------------------------------------------
@@ -486,7 +479,6 @@ class ServeDaemon:
             "status": "shutting-down" if self._shutting_down else "ok",
             "protocol": protocol.PROTOCOL_VERSION,
             "faults": faults.describe() if faults is not None else None,
-            "fault_rate": self.batcher.fault_rate if faults is not None else 0.0,
             "requests": self.telemetry.requests,
             "responses": self.telemetry.responses,
             "shed": self.telemetry.shed,

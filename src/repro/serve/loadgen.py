@@ -38,7 +38,7 @@ import numpy as np
 from repro.obs.stats import percentiles
 from repro.serve.client import ServeClient, ServeError
 
-__all__ = ["LoadReport", "run_poisson_load", "sweep_rates"]
+__all__ = ["LoadReport", "run_poisson_load"]
 
 
 @dataclass(frozen=True)
@@ -144,7 +144,6 @@ def run_poisson_load(
     g: int,
     seed: int = 2002,
     connections: int = 8,
-    backend: str | None = None,
     timeout: float = 60.0,
     hotspot_fraction: float = 0.0,
 ) -> LoadReport:
@@ -198,7 +197,7 @@ def run_poisson_load(
                     time.sleep(delay)
                 t_send = time.perf_counter()
                 try:
-                    outcome = client.route(pis[index], d=d, g=g, backend=backend)
+                    outcome = client.route(pis[index], d=d, g=g)
                 except ServeError as exc:
                     if exc.code == "queue-full":
                         shed[worker_id] += 1
@@ -276,22 +275,3 @@ def run_poisson_load(
         degraded=sum(degraded),
         class_latency_ms=class_latency_ms,
     )
-
-
-def sweep_rates(
-    host: str,
-    port: int,
-    *,
-    rates,
-    n_requests: int,
-    d: int,
-    g: int,
-    **kwargs: Any,
-) -> list[LoadReport]:
-    """One :func:`run_poisson_load` per rate, in order — the arrival-rate sweep."""
-    return [
-        run_poisson_load(
-            host, port, rate=rate, n_requests=n_requests, d=d, g=g, **kwargs
-        )
-        for rate in rates
-    ]

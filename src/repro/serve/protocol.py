@@ -15,12 +15,16 @@ bytes, so the stream is still aligned.
 
 Request vocabulary (the ``op`` key selects the operation)::
 
-    {"op": "route", "pi": [...], "d": 8, "g": 4}        # optional "backend",
-                                                        # optional "deadline_ms"
+    {"op": "route", "pi": [...], "d": 8, "g": 4}        # optional "deadline_ms"
     {"op": "stats"}
     {"op": "metrics"}    # Prometheus-style text exposition of daemon metrics
     {"op": "ping"}
     {"op": "health"}     # liveness + degradation summary (fault injection)
+
+A route request names no router backend: the daemon routes every request
+with the one backend of its config (``serve --backend``).  Version 1 took an
+optional ``"backend"``; version 2 answers a request carrying one with
+``bad-request``.
 
 Responses carry ``{"ok": true, ...}`` on success and
 ``{"ok": false, "error": {"code": ..., "message": ...}}`` on failure; the
@@ -57,7 +61,7 @@ __all__ = [
 
 #: Bump on incompatible wire-format changes; carried in ``stats`` responses
 #: so clients can assert what they are talking to.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: Upper bound on one frame's payload.  A route request for n = 65536 is
 #: ~0.5 MiB of JSON; 8 MiB leaves an order of magnitude of headroom while

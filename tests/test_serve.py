@@ -171,13 +171,24 @@ class TestRouteRequests:
                     assert isinstance(outcome.metrics, RoutingMetrics)
                     assert outcome.batch_size == 1
 
-    def test_backend_override_per_request(self):
-        with ServeDaemon() as daemon:
-            local = Session(RunConfig(router_backend="konig", sim_backend="batched"))
+    def test_request_naming_a_backend_is_refused(self):
+        # The daemon routes with its own config's backend; a request naming
+        # one (even that one) is refused, and the connection keeps serving.
+        config = RunConfig(router_backend="konig", sim_backend="batched")
+        pi = random_pis(16, 1)[0]
+        with ServeDaemon(config) as daemon:
             with ServeClient(*daemon.address) as client:
-                pi = random_pis(16, 1)[0]
-                outcome = client.route(pi, d=4, g=4, backend="konig")
-                assert outcome.metrics == local.route(pi, d=4, g=4)
+                for backend in ("konig", "euler-array"):
+                    with pytest.raises(ServeError) as excinfo:
+                        client.request({
+                            "op": "route", "pi": pi.tolist(), "d": 4, "g": 4,
+                            "backend": backend,
+                        })
+                    assert excinfo.value.code == protocol.ERR_BAD_REQUEST
+                    assert "'konig'" in excinfo.value.message
+                    assert "serve --backend" in excinfo.value.message
+                outcome = client.route(pi, d=4, g=4)
+                assert outcome.metrics == Session(config).route(pi, d=4, g=4)
 
     def test_concurrent_same_shape_requests_coalesce(self, gate):
         n_clients = 4
@@ -233,9 +244,7 @@ class TestRouteRequests:
                 thread.join(timeout=10.0)
             assert all(outcome is not None for outcome in outcomes)
             # Both rode one _collect, which split them by shape.
-            assert sorted(gate.dispatches[1]) == sorted(
-                [(8, 4, 32, "euler-array"), (4, 4, 16, "euler-array")]
-            )
+            assert sorted(gate.dispatches[1]) == [(4, 4), (8, 4)]
             assert [outcome.batch_size for outcome in outcomes] == [1, 1]
             assert outcomes[0].metrics.n == 32
             assert outcomes[1].metrics.n == 16
@@ -287,6 +296,8 @@ class TestDaemonProtocolEdges:
                     {"op": "route", "pi": [0, 1, 2, 3], "d": 0, "g": 2},  # bad d
                     {"op": "route", "pi": [0, 1, 2, 3], "d": 2, "g": 2,
                      "backend": "no-such-backend"},
+                    {"op": "route", "pi": [0, 1, 2, 3], "d": 2, "g": 2,
+                     "backend": "euler-array"},  # no request names a backend
                     {"op": "route", "pi": [0.9, 1.2, 2.5, 3.1], "d": 2, "g": 2},  # floats
                     {"op": "route", "pi": ["1", "0", "3", "2"], "d": 2, "g": 2},  # strings
                     {"op": "route", "pi": [True, False], "d": 1, "g": 2},  # bools
@@ -337,8 +348,9 @@ json_values = st.recursive(
 )
 
 #: One wrong value per route field: never a positive int for ``d``/``g``,
-#: never a flat list of ints for ``pi``, never a registered backend, never a
-#: number for ``deadline_ms``.
+#: never a flat list of ints for ``pi``, never a number for ``deadline_ms``;
+#: any ``backend`` at all, registered names included, since the daemon
+#: routes with its own.
 wrong_route_fields = st.one_of(
     *(
         st.tuples(
@@ -359,7 +371,7 @@ wrong_route_fields = st.one_of(
     ),
     st.tuples(
         st.just("backend"),
-        json_values.filter(lambda v: v not in ROUTER_BACKENDS.names()),
+        json_values | st.sampled_from(sorted(ROUTER_BACKENDS.names())),
     ),
     st.tuples(
         st.just("deadline_ms"),
@@ -490,7 +502,7 @@ class TestNaturalBatching:
     @staticmethod
     def _submit(batcher, count: int) -> None:
         for pi in random_pis(16, count):
-            batcher.submit(pi, d=4, g=4, backend="euler-array")
+            batcher.submit(pi, d=4, g=4)
 
     def test_collect_takes_the_backlog_up_to_max_batch(self):
         batcher = self._batcher(max_batch=3)
@@ -570,10 +582,10 @@ class TestBackpressure:
             max_queue=2,
         )
         pi = np.arange(4, dtype=np.int64)
-        batcher.submit(pi, d=2, g=2, backend="euler-array")
-        batcher.submit(pi, d=2, g=2, backend="euler-array")
+        batcher.submit(pi, d=2, g=2)
+        batcher.submit(pi, d=2, g=2)
         with pytest.raises(QueueFullError):
-            batcher.submit(pi, d=2, g=2, backend="euler-array")
+            batcher.submit(pi, d=2, g=2)
 
     def test_daemon_sheds_with_explicit_queue_full_response(self, monkeypatch):
         entered = threading.Event()
@@ -745,7 +757,6 @@ class TestStats:
             assert stats["sim_backend"] == "batched"
             assert set(stats) == {
                 "protocol", "router_backend", "sim_backend", "max_batch", "queue_depth", "telemetry", "cache", "faults",
-                "fault_rate",
             }
             assert set(stats["cache"]) == {"hits", "misses", "entries"}
             assert stats["cache"]["misses"] == 0
@@ -1072,7 +1083,8 @@ class TestFaultDegradedServing:
         spec = _driven_coupler_spec(pi, 4, 4)
         local = Session(RunConfig(router_backend="euler-array", sim_backend="batched"))
         clean = local.route(pi, d=4, g=4)
-        with ServeDaemon(faults=spec, fault_rate=1.0) as daemon:
+        recovered = local.route_degraded(pi, d=4, g=4, faults=spec)
+        with ServeDaemon(faults=spec) as daemon:
             with ServeClient(*daemon.address) as client:
                 outcome = client.route(pi, d=4, g=4)
                 health = client.health()
@@ -1080,13 +1092,14 @@ class TestFaultDegradedServing:
             assert outcome.degraded
             # Degraded metrics carry the true (executed + reroute) slot cost.
             assert outcome.metrics.slots >= clean.slots
+            assert outcome.metrics.slots == recovered.total_slots
+            assert outcome.metrics.couplers_used_total == recovered.packets_moved
             assert outcome.metrics.lower_bound == clean.lower_bound
             assert outcome.batch_size == 1
             assert health["status"] == "ok"
             assert health["faults"] == spec.describe()
             assert health["degraded_responses"] == 1
             assert stats["faults"] == spec.describe()
-            assert stats["fault_rate"] == 1.0
             assert stats["telemetry"]["degraded"] == 1
 
     def test_clean_daemon_reports_no_fault_config(self):
@@ -1116,7 +1129,7 @@ class TestFaultDegradedServing:
         # structured ``degraded`` code instead of a generic internal error.
         spec = FaultSpec(failed_couplers=((1, 0),))
         pi = np.asarray([(i + 4) % 8 for i in range(8)], dtype=np.int64)
-        with ServeDaemon(faults=spec, fault_rate=1.0) as daemon:
+        with ServeDaemon(faults=spec) as daemon:
             with ServeClient(*daemon.address) as client:
                 with pytest.raises(ServeError) as excinfo:
                     client.route(pi, d=4, g=2)
@@ -1128,7 +1141,7 @@ class TestFaultDegradedServing:
         n_clients = 4
         pis = random_pis(32, n_clients, seed=17)
         spec = _driven_coupler_spec(pis[0], 8, 4)
-        with ServeDaemon(max_batch=64, faults=spec, fault_rate=1.0) as daemon:
+        with ServeDaemon(max_batch=64, faults=spec) as daemon:
             host, port = daemon.address
             outcomes = [None] * n_clients
 
@@ -1153,7 +1166,7 @@ class TestFaultDegradedServing:
 
         # Zero unanswered accepted requests, even with every dispatch struck;
         # all of them were drained by one _collect.
-        assert gate.dispatches[1] == [(8, 4, 32, "euler-array")] * n_clients
+        assert gate.dispatches[1] == [(8, 4)] * n_clients
         assert all(outcome is not None for outcome in outcomes)
         assert daemon.telemetry.responses == n_clients + 1
         assert daemon.telemetry.degraded >= 1
